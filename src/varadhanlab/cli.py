@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import configparser
+import dataclasses
 import datetime
 import hashlib
 import json
@@ -307,10 +308,14 @@ def _cmd_varadhan(run: Runner) -> int:
                               entry["I"], n=n, t=cfg.t, x=cfg.x, h_star=h_star,
                               executor=run.executor)
     sweep.to_csv(run.path("sweep.csv"))
+    # per-row values, tilt diagnostics included; NaN (rows without them) -> null
+    rows = [{k: None if isinstance(v, float) and math.isnan(v) else v
+             for k, v in dataclasses.asdict(r).items()} for r in sweep.rows]
     run.path("sweep_result.json").write_text(json.dumps(
         {"y": sweep.y, "minus_I": sweep.minus_I, "limit": sweep.limit,
          "limit_se": sweep.limit_se, "raw_last": sweep.raw_last,
-         "gap": sweep.gap, "rel_gap": sweep.rel_gap}, indent=2, sort_keys=True))
+         "gap": sweep.gap, "rel_gap": sweep.rel_gap, "rows": rows},
+        indent=2, sort_keys=True))
     run.finish("varadhan", {"n": n})
     print(f"varadhan: limit={sweep.limit:.6g} (se {sweep.limit_se:.2g}) vs "
           f"-I={sweep.minus_I:.6g}; rel gap {sweep.rel_gap:.3%}")

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import TiltError, GridError
 from .noise import ControlH, GridSpec, lattice, sample_increments
 from .skeleton import chaos_ensemble, solve_phi
-from .solver import ModelSpec, endpoint_ensemble, ensemble_manifest
+from .solver import ModelSpec, endpoint_ensemble
 
 #: replicas per work unit; fixed so results never depend on the worker count
 CHUNK = 512
@@ -212,6 +212,8 @@ def tilted_density(model: ModelSpec, grid: GridSpec, n: int, y: float,
 
 @dataclass
 class SweepRow:
+    """One eps of the sweep; tilted rows also keep tilted_density's diagnostics."""
+
     eps: float
     p_hat: float
     se: float
@@ -220,6 +222,9 @@ class SweepRow:
     eps2_log_se: float
     ok: bool
     note: str = ""
+    ess: float = math.nan
+    mean_weight: float = math.nan
+    bandwidth: float = math.nan
 
 
 @dataclass
@@ -245,12 +250,13 @@ class SweepResult:
         with open(filename, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["eps", "y", "p_hat", "se", "log_p", "eps2_log_p",
-                             "minus_I", "gap"])
+                             "minus_I", "gap", "ess", "mean_weight", "bandwidth"])
             for r in self.rows:
                 gap = r.eps2_log_p - self.minus_I
                 writer.writerow([format(v, ".17g") for v in
                                  (r.eps, self.y, r.p_hat, r.se, r.log_p,
-                                  r.eps2_log_p, self.minus_I, gap)])
+                                  r.eps2_log_p, self.minus_I, gap,
+                                  r.ess, r.mean_weight, r.bandwidth)])
 
 
 def _extrapolate(eps, vals, ses):
@@ -292,11 +298,13 @@ def varadhan_sweep(model: ModelSpec, grid: GridSpec, eps_list, y: float,
     rows = []
     for k, eps in enumerate(eps_list):
         base = stream0 + k * (n + CHUNK)
+        stats = {}
         if h_star is not None:
             try:
-                p, se, _ = tilted_density(model, grid, n, y, h_star, eps=eps,
-                                          t=t, x=x, stream0=base,
-                                          executor=executor)
+                p, se, diag = tilted_density(model, grid, n, y, h_star, eps=eps,
+                                             t=t, x=x, stream0=base,
+                                             executor=executor)
+                stats = {key: diag[key] for key in ("ess", "mean_weight", "bandwidth")}
                 ok, note = True, "tilted"
             except TiltError as exc:
                 p, se, ok, note = 0.0, 0.0, False, str(exc)
@@ -310,10 +318,10 @@ def varadhan_sweep(model: ModelSpec, grid: GridSpec, eps_list, y: float,
         if ok:
             logp = math.log(p)
             rows.append(SweepRow(eps, p, se, logp, eps * eps * logp,
-                                 eps * eps * se / p, True, note))
+                                 eps * eps * se / p, True, note, **stats))
         else:
             rows.append(SweepRow(eps, p, se, math.nan, math.nan, math.nan,
-                                 False, note))
+                                 False, note, **stats))
     good = [r for r in rows if r.ok]
     if len(good) < 2:
         raise TiltError("too few usable rows for extrapolation")
@@ -377,11 +385,3 @@ def support_convergence(model: ModelSpec, grid: GridSpec, n_list, n_replicas: in
             row["c2_median"] = float(np.median(c2))
         rows.append(row)
     return rows
-
-
-def experiment_manifest(model: ModelSpec, grid: GridSpec, n: int, task: str,
-                        extra: dict | None = None) -> dict:
-    payload = ensemble_manifest(model, grid, n, extra={"task": task})
-    if extra:
-        payload.update(extra)
-    return payload

@@ -23,7 +23,7 @@ from .errors import BracketError
 from .funcs import looks_bounded, sup_abs
 from .noise import ControlH, GridSpec, lattice, save_control
 from .skeleton import bare_kernel_control, gradient_phi, solve_phi
-from .solver import ModelSpec, g1_grid
+from .solver import ModelSpec, check_wave_domain, g1_grid
 
 
 @dataclass
@@ -175,6 +175,7 @@ def rate_function(model: ModelSpec, grid: GridSpec, y: float,
     lat = lattice(model.cov, grid)
     if x is None:
         x = np.zeros(lat.d)
+    check_wave_domain(model, grid, x)
     tt = grid.T if t is None else t
     tol_c = opts.tol_c(_spread_scale(model, grid, tt))
 
@@ -228,6 +229,7 @@ def rate_profile(model: ModelSpec, grid: GridSpec, y_grid,
     lat = lattice(model.cov, grid)
     if x is None:
         x = np.zeros(lat.d)
+    check_wave_domain(model, grid, x)
     tt = grid.T if t is None else t
     tol_c = opts.tol_c(_spread_scale(model, grid, tt))
     phi0_end = _endpoint(model, grid, ControlH.zeros(lat), t, x)
@@ -266,6 +268,7 @@ def support_probe(model: ModelSpec, grid: GridSpec, n_controls: int, budget,
     lat = lattice(model.cov, grid)
     if x is None:
         x = np.zeros(lat.d)
+    check_wave_domain(model, grid, x)
     phi0_end = _endpoint(model, grid, ControlH.zeros(lat), t, x)
     direction = bare_kernel_control(
         model, grid, solve_phi(model, grid, ControlH.zeros(lat), t), t, x)

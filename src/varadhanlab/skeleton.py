@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import GridError
 from .noise import ControlH, GridSpec, NoisePath, sample_increments, save_control
-from .solver import Field, MildEngine, ModelSpec, _prepare
+from .solver import Field, ModelSpec, _prepare, check_wave_domain
 
 __all__ = [
     "SkeletonResult", "solve_phi", "gradient_phi", "forward_xi",
@@ -70,6 +70,7 @@ def gradient_phi(model: ModelSpec, grid: GridSpec, h: ControlH,
     lat, jt, dt = eng.lat, eng.jt, grid.dt
     if x is None:
         x = np.zeros(lat.d)
+    check_wave_domain(model, grid, x)
     point = lat.point_index(x)
     H = lat.synthesize(h.coeffs[:jt])
     if phi is None:
@@ -99,6 +100,7 @@ def bare_kernel_control(model: ModelSpec, grid: GridSpec, phi: Field,
     lat, jt = eng.lat, eng.jt
     if x is None:
         x = np.zeros(lat.d)
+    check_wave_domain(model, grid, x)
     point = lat.point_index(x)
     onehot = np.zeros(lat.spatial_shape)
     onehot[point] = 1.0 / (grid.dx ** lat.d)
@@ -122,6 +124,7 @@ def forward_xi(model: ModelSpec, grid: GridSpec, h: ControlH,
     lat, jt, dt = eng.lat, eng.jt, grid.dt
     if x is None:
         x = np.zeros(lat.d)
+    check_wave_domain(model, grid, x)
     point = lat.point_index(x)
     lanes = jt * lat.ncoords
     phik = lat.synthesize(np.eye(lat.ncoords))
@@ -157,6 +160,7 @@ def chaos_ensemble(model: ModelSpec, grid: GridSpec, h: ControlH, paths,
     lat, jt, dt = eng.lat, eng.jt, grid.dt
     if x is None:
         x = np.zeros(lat.d)
+    check_wave_domain(model, grid, x)
     point = lat.point_index(x)
     if all(isinstance(p, NoisePath) for p in paths):
         inc = np.stack([p.increments for p in paths])

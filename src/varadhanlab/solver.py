@@ -12,18 +12,27 @@ is the signed root-mean-square of F Lambda over the lag slab
 [(l-1) dt, l dt], which makes the Gaussian stochastic convolution variance
 exact in time: with constant sigma the variance of u(t, x) equals
 eps^2 * g1 restricted to the retained modes, with no dt error.
+
+MildEngine sums the history convolution in blocks of _BLOCK slabs.  Inside
+the open block each step adds its own slabs directly; at each block start
+one batched GEMM adds every closed slab's contribution to the whole next
+block at once.  This is the same O(nt^2) arithmetic as summing all past
+slabs at every step, in another order, but it runs in BLAS instead of a
+memory-bound gather over the whole history.  The block size is a constant,
+not an option: 16 and 32 time alike at 512 replicas and nt = 256, 64 is
+slower, and the result agrees with the direct sum to rounding for any
+block size, so no run depends on it.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import covkernel
 from .covkernel import CovarianceSpec
@@ -32,6 +41,8 @@ from .funcs import ScalarFunc, sup_abs
 from .noise import ControlH, GridSpec, Lattice, NoisePath, lattice
 
 _SIGMA_SAMPLE_RANGE = 50.0
+#: slabs per block of the history sum (see the module docstring)
+_BLOCK = 32
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +193,22 @@ def weight_table(cov: CovarianceSpec, grid: GridSpec) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=32)
+def _block_weights(cov: CovarianceSpec, grid: GridSpec):
+    """weight_table frequency-major, zero-padded, plus its Hankel panel view.
+
+    wt[f, l] is the lag-l weight of frequency f, padded with zeros to lag
+    nt + _BLOCK so every block's panel stays inside the array.  The panel
+    hankel[f, k, r] = wt[f, k + r + 2] weights closed slab s-1-k in step
+    s+r of the block that starts at s; it is a strided view, not a copy.
+    """
+    nspec = lattice(cov, grid).nspec
+    wt = np.zeros((nspec, grid.nt + 1 + _BLOCK))
+    wt[:, : grid.nt + 1] = weight_table(cov, grid).T
+    wt.setflags(write=False)
+    return wt, sliding_window_view(wt[:, 2:], _BLOCK, axis=-1)
+
+
 def j1_grid(cov: CovarianceSpec, grid: GridSpec, l: int) -> float:
     """Slab-averaged truncated-lattice energy kernel at lag slab l."""
     lat = lattice(cov, grid)
@@ -213,6 +240,7 @@ class MildEngine:
         if not 1 <= self.jt <= grid.nt:
             raise GridError("observation index outside the grid")
         self.weights = weight_table(cov, grid)
+        self._wt, self._hankel = _block_weights(cov, grid)
         self._axes = tuple(range(-self.lat.d, 0))
 
     def _to_spec(self, fields: np.ndarray) -> np.ndarray:
@@ -224,25 +252,60 @@ class MildEngine:
         return np.fft.irfftn(spec_flat.reshape(lead + self.lat.spec_shape),
                              s=self.lat.spatial_shape, axes=self._axes)
 
+    def _causal_sum(self, batch_shape: tuple):
+        """Return step, with step(x_n) = acc_n = sum_{q<=n} K_{n+1-q} x_q.
+
+        Call step once per n = 0 .. jt-1 with the slab spectrum x_n, shape
+        batch_shape + (nspec,) or broadcastable to it, or None for a zero
+        slab.  The pushed spectra are kept frequency-major and newest-first,
+        so slab q sits in row jt-1-q and every lag window is a contiguous
+        slice.  Steps run in blocks of _BLOCK: within the open block acc_n
+        sums its own slabs directly (one batched matmul), and at each block
+        start one batched GEMM against the Hankel panel adds every closed
+        slab's contribution to the block's steps.
+        """
+        jt, nspec = self.jt, self.lat.nspec
+        nb = math.prod(batch_shape)
+        hist = np.zeros((nspec, jt, nb), dtype=np.complex128)
+        real = hist.view(np.float64)              # real weights act on re and im alike
+        far = None
+        n = 0
+
+        def step(x):
+            nonlocal far, n
+            row, start = jt - 1 - n, n - n % _BLOCK
+            if x is not None:
+                hist[:, row] = np.reshape(x, (-1, nspec)).T
+            if n == start and start > 0:
+                rows = min(_BLOCK, jt - start)
+                panel = self._hankel[:, :start, :rows].transpose(0, 2, 1)
+                far = np.matmul(panel, real[:, jt - start:])
+            acc = np.matmul(self._wt[:, None, 1: n - start + 2],
+                            real[:, row: jt - start])[:, 0]
+            if start > 0:
+                acc += far[:, n - start]
+            n += 1
+            return acc.view(np.complex128).T.reshape(batch_shape + (nspec,))
+
+        return step
+
     def forward(self, w_tab: np.ndarray, integrand, batch_shape=(),
                 keep_history: bool = False):
         """Run u_j = w_j + sum_{i<j} K_{j-i} rho_i with rho_i = integrand(i, u_i).
 
         w_tab has shape (jt + 1, *spatial) and broadcasts over batch axes.
-        Returns (final field, history list or None).
+        The history sum is the blocked causal sum of _causal_sum: the same
+        terms as the direct sum over all past slabs, added in a different
+        order (agreement to rounding is checked against the direct sum in
+        the tests).  Returns (final field, history list or None).
         """
         jt, lat = self.jt, self.lat
-        hist = np.zeros((jt,) + batch_shape + (lat.nspec,), dtype=np.complex128)
+        step = self._causal_sum(batch_shape)
         u = np.broadcast_to(w_tab[0], batch_shape + lat.spatial_shape).copy()
         trail = [u.copy()] if keep_history else None
         for j in range(jt):
             rho = integrand(j, u)
-            if rho is None:
-                hist[j] = 0.0
-            else:
-                hist[j] = self._to_spec(rho)
-            wl = self.weights[j + 1:0:-1]                     # lags j+1 .. 1
-            acc = np.einsum("lf,l...f->...f", wl, hist[: j + 1])
+            acc = step(None if rho is None else self._to_spec(rho))
             u = w_tab[j + 1] + self._to_field(acc)
             if not np.all(np.isfinite(u)):
                 raise BlowUpError(f"time stepping blew up at step {j + 1}",
@@ -257,21 +320,22 @@ class MildEngine:
         factors[i] multiplies the state sensitivity inside slab i (it is
         dt sigma'(u_i) H_i + eps sigma'(u_i) dF_i + dt b'(u_i), depending on
         the equation).  Returns the fields mu_i = dJ/drho_i for i < jt.
+        mu_i sums K_l over the later adjoint sources l slabs ahead, which is
+        the forward causal sum in reversed time: step n of _causal_sum
+        yields mu_{jt-1-n}.
         """
         jt, lat = self.jt, self.lat
         batch_shape = factors[0].shape[:-lat.d] if factors else ()
         lam = np.zeros(batch_shape + lat.spatial_shape)
         lam[(..., *point)] = 1.0 / (self.grid.dx ** lat.d)
-        lam_hist = np.zeros((jt + 1,) + batch_shape + (lat.nspec,), dtype=np.complex128)
-        lam_hist[jt] = self._to_spec(lam)
+        step = self._causal_sum(batch_shape)
+        src = self._to_spec(lam)
         mus = [None] * jt
         for i in range(jt - 1, -1, -1):
-            wl = self.weights[1: jt - i + 1]                  # lags 1 .. jt - i
-            acc = np.einsum("lf,l...f->...f", wl, lam_hist[i + 1: jt + 1])
-            mu = self._to_field(acc)
+            mu = self._to_field(step(src))
             mus[i] = mu
             if i > 0:
-                lam_hist[i] = self._to_spec(factors[i] * mu)
+                src = self._to_spec(factors[i] * mu)
         return mus
 
 
@@ -338,6 +402,7 @@ def endpoint_ensemble(model: ModelSpec, grid: GridSpec, streams, x,
     """
     from .noise import sample_increments
 
+    check_wave_domain(model, grid, x)
     eng, w_tab = _prepare(model, grid, t)
     point = eng.lat.point_index(x)
     inc = sample_increments(eng.lat, streams)      # (B, nt, ncoords)
@@ -379,6 +444,7 @@ def first_variation(model: ModelSpec, grid: GridSpec, path: NoisePath,
     lat, jt, dt = eng.lat, eng.jt, grid.dt
     if x is None:
         x = np.zeros(lat.d)
+    check_wave_domain(model, grid, x)
     point = lat.point_index(x)
     lanes = jt * lat.ncoords
     need = (jt * lanes * lat.nspec * 16) + (lanes * int(np.prod(lat.spatial_shape)) * 8)
@@ -419,6 +485,7 @@ def malliavin_adjoint(model: ModelSpec, grid: GridSpec, path: NoisePath,
     lat, jt, dt = eng.lat, eng.jt, grid.dt
     if x is None:
         x = np.zeros(lat.d)
+    check_wave_domain(model, grid, x)
     point = lat.point_index(x)
     uvals = u.values
     dF = lat.synthesize(path.increments[:jt])
@@ -470,25 +537,3 @@ def picard_verify(model: ModelSpec, grid: GridSpec, path: NoisePath,
     if gap > 1e-10:
         raise BlowUpError(f"picard fixed point differs from the forward solve by {gap:.3e}")
     return np.array(residuals)
-
-
-# ---------------------------------------------------------------------------
-# manifests
-
-def config_hash(payload: dict) -> str:
-    canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode()).hexdigest()
-
-
-def ensemble_manifest(model: ModelSpec, grid: GridSpec, n_replicas: int,
-                      extra: dict | None = None) -> dict:
-    payload = {
-        "model": model.label(),
-        "grid": {"L": grid.L, "nx": grid.nx, "nt": grid.nt, "T": grid.T,
-                 "nk": grid.nk, "seed": grid.seed},
-        "replicas": n_replicas,
-    }
-    if extra:
-        payload.update(extra)
-    payload["config_hash"] = config_hash(payload)
-    return payload

@@ -5,7 +5,7 @@ import pytest
 
 from varadhanlab import presets
 from varadhanlab.errors import TiltError
-from varadhanlab.mc import (DensityCurve, estimate_density, gaussian_kde,
+from varadhanlab.mc import (CHUNK, DensityCurve, estimate_density, gaussian_kde,
                             sample_endpoints, silverman_bandwidth,
                             support_convergence, tilted_density,
                             varadhan_sweep, _batch_se)
@@ -189,7 +189,24 @@ class TestVaradhanSweep:
         out = tmp_path / "s.csv"
         sweep.to_csv(out)
         head = out.read_text().splitlines()[0]
-        assert head == "eps,y,p_hat,se,log_p,eps2_log_p,minus_I,gap"
+        assert head == ("eps,y,p_hat,se,log_p,eps2_log_p,minus_I,gap,"
+                        "ess,mean_weight,bandwidth")
+
+    def test_tilted_rows_keep_diagnostics(self, mc_grid, linear_model,
+                                          linear_rate):
+        sweep = varadhan_sweep(linear_model, mc_grid, [1.0, 0.7], 1.0,
+                               linear_rate.I, n=2000, x=0.0,
+                               h_star=linear_rate.h_star)
+        for k, row in enumerate(sweep.rows):
+            # the same streams as the sweep's own call for this eps
+            _, _, diag = tilted_density(linear_model, mc_grid, 2000, 1.0,
+                                        linear_rate.h_star, eps=row.eps, x=0.0,
+                                        stream0=k * (2000 + CHUNK))
+            assert (row.ess, row.mean_weight, row.bandwidth) == \
+                (diag["ess"], diag["mean_weight"], diag["bandwidth"])
+        untilted = varadhan_sweep(linear_model, mc_grid, [1.0, 0.7], 0.0, 0.0,
+                                  n=2000, x=0.0)
+        assert all(math.isnan(r.ess) for r in untilted.rows)
 
     def test_eps_list_must_decrease(self, mc_grid, linear_model):
         with pytest.raises(ValueError):

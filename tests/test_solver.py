@@ -30,6 +30,41 @@ class TestModelSpec:
         with pytest.raises(GridError):
             check_wave_domain(presets.linear_model(), grid, 0.0)
 
+    @pytest.mark.parametrize("entry", [
+        "endpoint_ensemble", "sample_endpoints", "gradient_phi", "first_variation",
+        "malliavin_adjoint", "rate_function", "rate_profile", "support_probe",
+        "bare_kernel_control", "forward_xi", "chaos_ensemble"])
+    def test_entry_points_enforce_wave_domain(self, entry):
+        # L = 0.9 < |x| + T = 1: periodic wraparound would reach x
+        from varadhanlab.mc import sample_endpoints
+        from varadhanlab.rate import rate_function, rate_profile, support_probe
+        from varadhanlab.skeleton import (bare_kernel_control, chaos_ensemble,
+                                          forward_xi, gradient_phi)
+
+        grid = GridSpec(L=0.9, nx=32, nt=16, T=1.0, nk=16, seed=0)
+        m = presets.nonlinear_model()
+        lat = lattice(COV, grid)
+        path = sample_path(lat, 0)
+        calls = {
+            "endpoint_ensemble": lambda: endpoint_ensemble(m, grid, [0, 1], 0.0),
+            "sample_endpoints": lambda: sample_endpoints(m, grid, 2, 0.0),
+            "gradient_phi": lambda: gradient_phi(m, grid, ControlH.zeros(lat), x=0.0),
+            "first_variation": lambda: first_variation(
+                m, grid, path, simulate(m, grid, path), x=0.0),
+            "malliavin_adjoint": lambda: malliavin_adjoint(
+                m, grid, path, simulate(m, grid, path), x=0.0),
+            "rate_function": lambda: rate_function(m, grid, 1.0, x=0.0),
+            "rate_profile": lambda: rate_profile(m, grid, [0.5, 1.0], x=0.0),
+            "support_probe": lambda: support_probe(m, grid, 2, [1.0], x=0.0),
+            "bare_kernel_control": lambda: bare_kernel_control(
+                m, grid, simulate(m, grid, path), x=0.0),
+            "forward_xi": lambda: forward_xi(m, grid, ControlH.zeros(lat), x=0.0),
+            "chaos_ensemble": lambda: chaos_ensemble(
+                m, grid, ControlH.zeros(lat), [0, 1], x=0.0),
+        }
+        with pytest.raises(GridError):
+            calls[entry]()
+
 
 @pytest.fixture(scope="module")
 def linear_endpoints(mc_grid):
