@@ -28,7 +28,7 @@ from . import covkernel, mc, rate as rate_mod, skeleton, solver
 from .covkernel import CovarianceSpec, KernelTable
 from .errors import ConfigError, VaradhanLabError
 from .funcs import parse_func
-from .noise import ControlH, GridSpec, lattice, load_control, save_control
+from .noise import ControlH, GridSpec, lattice, load_control
 from .solver import BumpInitial, ModelSpec, ZeroInitial, g1_grid
 
 _SCHEMA = {
@@ -271,12 +271,13 @@ def _cmd_rate(run: Runner) -> int:
         y = float(cfg.task.get("y", 1.0))
         results = [rate_mod.rate_function(cfg.model, cfg.grid, y, t=cfg.t,
                                           x=cfg.x, options=opts)]
-    rate_mod.profile_to_csv(results, run.path("rate.csv"))
-    best = results[len(results) // 2] if len(results) > 1 else results[0]
-    save_control(best.h_star, run.path("h_star.bin"))
+    # one minimiser per entry, so varadhan tilts with the h* of the y it compares
+    h_files = rate_mod.profile_to_csv(results, run.path("rate.csv"), h_dir=run.out)
+    run.artifacts.extend(h_files)
     payload = [{"y": r.y, "I": r.I, "residual": r.residual,
                 "iterations": r.iterations, "converged": r.converged,
-                "gamma_bar": r.gamma_bar_at_hstar} for r in results]
+                "gamma_bar": r.gamma_bar_at_hstar, "h_star": f.name}
+               for r, f in zip(results, h_files)]
     run.path("rate_result.json").write_text(
         json.dumps({"results": payload, "t": cfg.t, "x": list(map(float, cfg.x))},
                    indent=2, sort_keys=True))
@@ -291,18 +292,19 @@ def _cmd_varadhan(run: Runner) -> int:
     cfg = run.cfg
     art_dir = Path(cfg.task.get("rate_artifact", run.out))
     result_file = art_dir / "rate_result.json"
-    hstar_file = art_dir / "h_star.bin"
-    if not result_file.exists() or not hstar_file.exists():
+    entry = None
+    if result_file.exists():
+        stored = json.loads(result_file.read_text())
+        y = float(cfg.task.get("y", stored["results"][0]["y"]))
+        entry = min(stored["results"], key=lambda r: abs(r["y"] - y))
+    if entry is None or not (art_dir / entry.get("h_star", "")).is_file():
         print("error: rate profile required (run the rate subcommand first or "
               "point task.rate_artifact at its output)", file=sys.stderr)
         return 2
-    stored = json.loads(result_file.read_text())
-    y = float(cfg.task.get("y", stored["results"][0]["y"]))
-    entry = min(stored["results"], key=lambda r: abs(r["y"] - y))
     if abs(entry["y"] - y) > 1e-9:
         print(f"note: using stored rate value at y={entry['y']:.6g}")
     lat = lattice(cfg.model.cov, cfg.grid)
-    h_star = load_control(lat, hstar_file)
+    h_star = load_control(lat, art_dir / entry["h_star"])
     n = int(cfg.task.get("n", 10000))
     sweep = mc.varadhan_sweep(cfg.model, cfg.grid, cfg.eps_list, entry["y"],
                               entry["I"], n=n, t=cfg.t, x=cfg.x, h_star=h_star,
@@ -437,9 +439,9 @@ def _estimate_resources(cfg: Config) -> str:
     lat = lattice(cfg.model.cov, cfg.grid)
     chunk = min(mc.CHUNK, int(cfg.task.get("n", 10000)))
     hist = chunk * cfg.grid.nt * lat.nspec * 16
-    fields = chunk * cfg.grid.nt * (cfg.grid.nx ** lat.d) * 8
+    inc = chunk * cfg.grid.nt * lat.ncoords * 8
     flops = 0.5 * cfg.grid.nt ** 2 * lat.nspec * int(cfg.task.get("n", 10000)) * 8
-    return (f"estimated workspace ~{(hist + fields) / 1e6:.0f} MB per chunk, "
+    return (f"estimated workspace ~{(hist + inc) / 1e6:.0f} MB per chunk, "
             f"~{flops / 1e9:.1f} GF of kernel gathers")
 
 

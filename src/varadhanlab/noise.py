@@ -10,6 +10,13 @@ controls h with the L^2([0,T]; H) norm ||h||^2 = sum_i dt sum_k h(i,k)^2.
 Coordinates are ordered by increasing |xi| with lexicographic tie-breaks,
 which gives "the first n modes" a concrete, refinement-stable meaning for
 the piecewise-constant smoothing v^n and its localization event.
+
+Synthesis (coordinates -> field) and extraction (field -> coordinates) are
+each one gather through a slot table built once per lattice: viewing the
+flat rfftn spectrum as interleaved floats, every slot reads one coordinate
+times a scale, and every coordinate reads one slot back.  Synthesis is
+linear and acts on each leading index alone, so the ensemble step can
+synthesize just its own time slab.
 """
 
 from __future__ import annotations
@@ -72,9 +79,18 @@ class GridSpec:
 class Lattice:
     """Realized spectral lattice for a (CovarianceSpec, GridSpec) pair.
 
-    Holds the retained-mode weights mu(cell) and the index machinery that
+    Holds the retained-mode weights mu(cell) and the slot table that
     converts between coordinate arrays (..., ncoords) and real fields
-    (..., nx, ..., nx) via rfftn.  Immutable after construction.
+    (..., nx, ..., nx) via rfftn.  Float slot 2f / 2f + 1 is the real /
+    imaginary part of flat spectrum entry f.  A (cos, sin) pair (a, b) of
+    weight w fills its entry with s (a - i b), s = nx^d sqrt(w / 2), and,
+    for d >= 2 entries on the last-axis-zero plane, the conjugate mirror
+    entry with s (a + i b); the zero mode fills one real part with
+    nx^d sqrt(w) c.  synthesize gathers coeffs[..., _synth_col] times
+    _synth_scale (unused slots read column 0 with scale 0); extract gathers
+    the float view of rfftn at _extract_slot times _extract_scale
+    (dx^d sqrt(2 w) for cos, its negative for sin, dx^d sqrt(w) for the
+    zero mode).  Immutable after construction; the tables are read-only.
     """
 
     def __init__(self, cov: CovarianceSpec, grid: GridSpec):
@@ -117,64 +133,61 @@ class Lattice:
         self.mu_mult = mult.reshape(self.spec_shape)
 
         # enumerate coordinates: one (cos, sin) pair per representative
-        # entry with weight > 0, one single coordinate for the zero mode
-        pair_flat, mirror_flat, self_flat = [], [], []
+        # entry with weight > 0, one single coordinate for the zero mode;
+        # for d >= 2 a pair on the last-axis-zero plane also fills the flat
+        # index of its conjugate mirror (else -1, None for the zero mode)
         order_keys = []
-        for idx in np.nonzero(weight > 0)[0]:
+        for idx in np.nonzero(weight > 0)[0].tolist():
             mm = m[idx]
+            mirror = -1
             if mm[-1] == 0:
                 lead = mm[:-1]
                 if np.all(lead == 0):
-                    self_flat.append(idx)
-                    order_keys.append((0.0, tuple(mm), idx, "self"))
+                    order_keys.append((0.0, tuple(mm), idx, None))
                     continue
                 nz = lead[lead != 0]
                 if nz[0] < 0:
                     continue  # conjugate mirror of a representative
                 mir = np.zeros(d, dtype=int)
                 mir[:-1] = -lead
-                mirror_flat.append(self._flat_index(mir))
-            else:
-                mirror_flat.append(-1)
-            pair_flat.append(idx)
-            order_keys.append((radius[idx], tuple(mm), idx, "pair"))
-
+                mirror = self._flat_index(mir)
+            order_keys.append((radius[idx], tuple(mm), idx, mirror))
         order_keys.sort(key=lambda k: (k[0], k[1]))
-        pair_pos = {idx: n for n, idx in enumerate(pair_flat)}
-        cols, coord_r, coord_label = {}, [], []
-        col = 0
-        for r, mm, idx, kind in order_keys:
-            if kind == "self":
-                cols[("self", idx)] = col
+
+        # the slot table: per coordinate, the spectrum slots it fills and
+        # the slot extract reads it back from
+        fill, slot, escale, coord_r, coord_label = [], [], [], [], []
+        for r, mm, idx, mirror in order_keys:
+            c, w = len(slot), weight[idx]
+            if mirror is None:
+                fill.append((2 * idx, c, nxd * math.sqrt(w)))
+                slot.append(2 * idx)
+                escale.append(math.sqrt(w) * dxd)
                 coord_r.append(r)
                 coord_label.append(f"{mm}:const")
-                col += 1
-            else:
-                cols[("cos", idx)] = col
-                cols[("sin", idx)] = col + 1
-                coord_r.extend([r, r])
-                coord_label.extend([f"{mm}:cos", f"{mm}:sin"])
-                col += 2
-        self.ncoords = col
+                continue
+            sp = nxd * math.sqrt(w / 2.0)
+            fill += [(2 * idx, c, sp), (2 * idx + 1, c + 1, -sp)]
+            if mirror >= 0:
+                fill += [(2 * mirror, c, sp), (2 * mirror + 1, c + 1, sp)]
+            ep = math.sqrt(2.0 * w) * dxd
+            slot += [2 * idx, 2 * idx + 1]
+            escale += [ep, -ep]
+            coord_r += [r, r]
+            coord_label += [f"{mm}:cos", f"{mm}:sin"]
+        self.ncoords = len(slot)
         self.coord_radius = np.array(coord_r)
         self.coord_label = coord_label
-
-        self._pair_flat = np.array(pair_flat, dtype=np.intp)
-        self._pair_mirror = np.array(mirror_flat, dtype=np.intp)
-        self._pair_cos = np.array([cols[("cos", i)] for i in pair_flat], dtype=np.intp)
-        self._pair_sin = np.array([cols[("sin", i)] for i in pair_flat], dtype=np.intp)
-        self._self_flat = np.array(self_flat, dtype=np.intp)
-        self._self_col = np.array([cols[("self", i)] for i in self_flat], dtype=np.intp)
-
-        wp = weight[self._pair_flat] if len(pair_flat) else np.zeros(0)
-        ws = weight[self._self_flat] if len(self_flat) else np.zeros(0)
-        self._synth_pair = nxd * np.sqrt(wp / 2.0)
-        self._synth_self = nxd * np.sqrt(ws)
-        self._extract_pair = np.sqrt(2.0 * wp) * dxd
-        self._extract_self = np.sqrt(ws) * dxd
-        has_mirror = self._pair_mirror >= 0
-        self._mirror_src = np.nonzero(has_mirror)[0]
-        self._mirror_dst = self._pair_mirror[has_mirror]
+        dst, src, scale = zip(*fill)
+        self._synth_col = np.zeros(2 * self.nspec, dtype=np.intp)
+        self._synth_col[list(dst)] = src
+        self._synth_scale = np.zeros(2 * self.nspec)
+        self._synth_scale[list(dst)] = scale
+        self._extract_slot = np.array(slot, dtype=np.intp)
+        self._extract_scale = np.array(escale)
+        for table in (self._synth_col, self._synth_scale,
+                      self._extract_slot, self._extract_scale):
+            table.setflags(write=False)      # shared by concurrent chunk threads
 
     def _flat_index(self, m: np.ndarray) -> int:
         nx = self.grid.nx
@@ -188,17 +201,9 @@ class Lattice:
     def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
         """Coordinate array (..., ncoords) -> real field (..., *spatial)."""
         coeffs = np.asarray(coeffs, dtype=float)
-        lead = coeffs.shape[:-1]
-        spec = np.zeros(lead + (self.nspec,), dtype=np.complex128)
-        if len(self._pair_flat):
-            a = coeffs[..., self._pair_cos]
-            b = coeffs[..., self._pair_sin]
-            spec[..., self._pair_flat] = self._synth_pair * (a - 1j * b)
-            if len(self._mirror_src):
-                spec[..., self._mirror_dst] = np.conj(spec[..., self._pair_flat[self._mirror_src]])
-        if len(self._self_flat):
-            spec[..., self._self_flat] = self._synth_self * coeffs[..., self._self_col]
-        spec = spec.reshape(lead + self.spec_shape)
+        spec = np.take(coeffs, self._synth_col, axis=-1)
+        spec *= self._synth_scale
+        spec = spec.view(np.complex128).reshape(coeffs.shape[:-1] + self.spec_shape)
         return np.fft.irfftn(spec, s=self.spatial_shape,
                              axes=tuple(range(-self.d, 0)))
 
@@ -207,32 +212,18 @@ class Lattice:
         fields = np.asarray(fields, dtype=float)
         lead = fields.shape[:-self.d]
         spec = np.fft.rfftn(fields, axes=tuple(range(-self.d, 0))).reshape(lead + (self.nspec,))
-        out = np.zeros(lead + (self.ncoords,))
-        if len(self._pair_flat):
-            vals = spec[..., self._pair_flat]
-            out[..., self._pair_cos] = self._extract_pair * vals.real
-            out[..., self._pair_sin] = -self._extract_pair * vals.imag
-        if len(self._self_flat):
-            out[..., self._self_col] = self._extract_self * spec[..., self._self_flat].real
+        out = np.take(spec.view(np.float64), self._extract_slot, axis=-1)
+        out *= self._extract_scale
         return out
-
-    def lattice_h_normsq(self, spec_flat: np.ndarray) -> np.ndarray:
-        """||.||_H^2 of fields given by flattened rfftn data (continuum FT units)."""
-        w = (self.mu_weight * self.mu_mult).reshape(-1)
-        return np.tensordot(np.abs(spec_flat) ** 2, w, axes=([-1], [0]))
 
     def correlation(self, lag) -> float:
         """Truncated-lattice spatial correlation Gamma(lag) = sum mu(cell) e^{2pi i xi.lag}."""
         lag = np.atleast_1d(np.asarray(lag, dtype=float))
-        xi = self._m / (2.0 * self.L_total)
+        xi = self._m / (2.0 * self.grid.L)
         phase = 2.0 * math.pi * (xi @ lag)
         w = (self.mu_weight * self.mu_mult).reshape(-1)
         # stored entries with mult 2 represent +/- m: cos covers both
         return float(np.sum(w * np.cos(phase)))
-
-    @property
-    def L_total(self) -> float:
-        return self.grid.L
 
     def point_index(self, x) -> tuple[int, ...]:
         """Snap a spatial point in [-L, L)^d to grid indices."""

@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 from scipy import optimize
@@ -295,8 +296,12 @@ def support_probe(model: ModelSpec, grid: GridSpec, n_controls: int, budget,
     return intervals
 
 
-def profile_to_csv(results: list[RateResult], filename, h_dir=None):
-    """Profile export: CSV columns y, I, residual, iterations, gamma_bar."""
+def profile_to_csv(results: list[RateResult], filename, h_dir=None) -> list[Path]:
+    """Profile export: CSV columns y, I, residual, iterations, gamma_bar.
+
+    With h_dir, each result's minimiser is also saved there as
+    h_star_{i:03d}.bin; returns those paths in result order.
+    """
     with open(filename, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["y", "I", "residual", "iterations", "gamma_bar",
@@ -306,6 +311,9 @@ def profile_to_csv(results: list[RateResult], filename, h_dir=None):
                              format(r.residual, ".17g"), r.iterations,
                              format(r.gamma_bar_at_hstar, ".17g"),
                              int(r.converged)])
-    if h_dir is not None:
-        for i, r in enumerate(results):
-            save_control(r.h_star, f"{h_dir}/h_star_{i:03d}.bin")
+    if h_dir is None:
+        return []
+    paths = [Path(h_dir) / f"h_star_{i:03d}.bin" for i in range(len(results))]
+    for r, path in zip(results, paths):
+        save_control(r.h_star, path)
+    return paths

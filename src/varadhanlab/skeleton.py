@@ -155,7 +155,12 @@ def chaos_simulate(model: ModelSpec, grid: GridSpec, h: ControlH, path: NoisePat
 
 def chaos_ensemble(model: ModelSpec, grid: GridSpec, h: ControlH, paths,
                    t: float | None = None, x=None) -> np.ndarray:
-    """Batched first-chaos draws; paths is a list of NoisePath or stream ids."""
+    """Batched first-chaos draws; paths is a list of NoisePath or stream ids.
+
+    As in solver.endpoint_ensemble, each step synthesizes its own noise
+    slab; the (B, nt, ncoords) increments and the engine's (nspec, jt, B)
+    history set peak memory.
+    """
     eng, pv, H = _phi_and_engine(model, grid, h, t)
     lat, jt, dt = eng.lat, eng.jt, grid.dt
     if x is None:
@@ -166,14 +171,13 @@ def chaos_ensemble(model: ModelSpec, grid: GridSpec, h: ControlH, paths,
         inc = np.stack([p.increments for p in paths])
     else:
         inc = sample_increments(lat, list(paths))
-    dF = np.moveaxis(lat.synthesize(inc[:, :jt]), 1, 0)   # (jt, B, *spatial)
 
     sig = [model.sigma(pv[j]) for j in range(jt)]
     dsig = [model.sigma.deriv(pv[j]) for j in range(jt)]
     dbv = [model.b.deriv(pv[j]) for j in range(jt)]
 
     def integrand(j, n):
-        return sig[j] * dF[j] + dt * (dsig[j] * H[j] + dbv[j]) * n
+        return sig[j] * lat.synthesize(inc[:, j]) + dt * (dsig[j] * H[j] + dbv[j]) * n
 
     zeros = np.zeros((jt + 1, 1) + lat.spatial_shape)
     n_final, _ = eng.forward(zeros, integrand, batch_shape=(inc.shape[0],))

@@ -399,6 +399,11 @@ def endpoint_ensemble(model: ModelSpec, grid: GridSpec, streams, x,
     With a control h the shifted equation is simulated; with_girsanov also
     returns the discrete stochastic integrals sum_{i,k} h(i,k) dW(i,k)
     needed by the change-of-measure weights.
+
+    The noise field is synthesized one slab at a time inside the step, so
+    no (B, jt, *spatial) field is ever held.  Peak memory is set by the
+    increments inc, (B, nt, ncoords) floats kept for the Girsanov dots, and
+    the engine's (nspec, jt, B) complex history.
     """
     from .noise import sample_increments
 
@@ -406,14 +411,12 @@ def endpoint_ensemble(model: ModelSpec, grid: GridSpec, streams, x,
     eng, w_tab = _prepare(model, grid, t)
     point = eng.lat.point_index(x)
     inc = sample_increments(eng.lat, streams)      # (B, nt, ncoords)
-    dF = eng.lat.synthesize(inc[:, : eng.jt])      # (B, jt, *spatial)
-    dF = np.moveaxis(dF, 1, 0)                     # (jt, B, *spatial)
     dt = grid.dt
     H = eng.lat.synthesize(h.coeffs[: eng.jt]) if h is not None else None
 
     def integrand(j, u):
         s = model.sigma(u)
-        out = model.eps * s * dF[j] + dt * model.b(u)
+        out = model.eps * s * eng.lat.synthesize(inc[:, j]) + dt * model.b(u)
         if H is not None:
             out = out + dt * s * H[j]
         return out

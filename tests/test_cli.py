@@ -1,6 +1,7 @@
 import json
 import math
 
+from varadhanlab import mc
 from varadhanlab.cli import main
 
 TINY = ["--set", "grid.nx=16", "--set", "grid.nt=16", "--set", "grid.nk=8",
@@ -22,3 +23,39 @@ def test_varadhan_writes_row_diagnostics(tmp_path):
         ess, mean_weight, bandwidth = map(float, line.split(",")[-3:])
         assert (ess, mean_weight, bandwidth) == \
             (row["ess"], row["mean_weight"], row["bandwidth"])
+
+
+def test_varadhan_tilts_with_the_minimiser_of_its_own_y(tmp_path, monkeypatch):
+    # a y_grid profile, then varadhan at its default y (the first entry):
+    # the tilt must be that entry's minimiser, ||h*||^2 / 2 = I(y)
+    config = tmp_path / "profile.ini"
+    config.write_text("[grid]\nnx = 16\nnt = 16\nnk = 8\n\n"
+                      "[task]\ny_grid = 0.5:1.5:3\n")
+    assert main(["rate", "--config", str(config), "--out", str(tmp_path)]) == 0
+    stored = json.loads((tmp_path / "rate_result.json").read_text())["results"]
+
+    used = {}
+    sweep = mc.varadhan_sweep
+
+    def spy(model, grid, eps_list, y, minus_I, **kw):
+        used.update(y=y, I=minus_I, h_star=kw["h_star"])
+        return sweep(model, grid, eps_list, y, minus_I, **kw)
+
+    monkeypatch.setattr(mc, "varadhan_sweep", spy)
+    assert main(["varadhan", "--config", str(config), "--set", "task.n=2000",
+                 "--set", "model.eps_list=1.0,0.7", "--out", str(tmp_path)]) == 0
+    entry = stored[0]
+    assert used["y"] == entry["y"] == 0.5
+    assert used["I"] == entry["I"]
+    assert abs(0.5 * used["h_star"].norm_sq - entry["I"]) <= 1e-12 * entry["I"]
+    assert [r["h_star"] for r in stored] == [f"h_star_{i:03d}.bin" for i in range(3)]
+
+
+def test_simulate_samples_do_not_depend_on_jobs(tmp_path):
+    # three chunks of replicas; with --jobs 2 two threads share the lattice
+    args = ["simulate", *TINY, "--set", "task.n=1100"]
+    assert main([*args, "--jobs", "1", "--out", str(tmp_path / "one")]) == 0
+    assert main([*args, "--jobs", "2", "--out", str(tmp_path / "two")]) == 0
+    one = (tmp_path / "one" / "samples.csv").read_bytes()
+    assert one == (tmp_path / "two" / "samples.csv").read_bytes()
+    assert len(one.splitlines()) == 1101

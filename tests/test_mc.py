@@ -1,9 +1,11 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from varadhanlab import presets
+from varadhanlab import mc, presets
 from varadhanlab.errors import TiltError
 from varadhanlab.mc import (CHUNK, DensityCurve, estimate_density, gaussian_kde,
                             sample_endpoints, silverman_bandwidth,
@@ -11,7 +13,7 @@ from varadhanlab.mc import (CHUNK, DensityCurve, estimate_density, gaussian_kde,
                             varadhan_sweep, _batch_se)
 from varadhanlab.noise import ControlH, GridSpec, lattice
 from varadhanlab.rate import rate_function, RateOptions
-from varadhanlab.solver import g1_grid
+from varadhanlab.solver import endpoint_ensemble, g1_grid
 
 COV = presets.WAVE_WHITE
 
@@ -93,6 +95,52 @@ class TestReproducibility:
         with concurrent.futures.ThreadPoolExecutor(max_workers=4) as ex:
             b = sample_endpoints(linear_model, mc_grid, 1500, 0.0, executor=ex)
         assert np.array_equal(a, b)
+
+
+class TestStreamInvariance:
+    """Each stream's endpoint is a function of the stream id alone."""
+
+    N_STREAMS = 40
+
+    @pytest.fixture(scope="class")
+    def alone(self, tiny_grid, nonlinear_model):
+        # every stream simulated on its own, with and without a tilt
+        lat = lattice(nonlinear_model.cov, tiny_grid)
+        h = ControlH(lat, 0.3 * np.random.default_rng(5).standard_normal(
+            (tiny_grid.nt, lat.ncoords)))
+        plain = np.array([endpoint_ensemble(nonlinear_model, tiny_grid, [s], 0.0)[0]
+                          for s in range(self.N_STREAMS)])
+        tilted = [endpoint_ensemble(nonlinear_model, tiny_grid, [s], 0.0, h=h,
+                                    with_girsanov=True)
+                  for s in range(self.N_STREAMS)]
+        return h, plain, np.array([t[0][0] for t in tilted]), \
+            np.array([t[1][0] for t in tilted])
+
+    @staticmethod
+    def _close(got, want):
+        # 1e-12, not bit-equality: the blocked history GEMM rounds a batch
+        # of one differently from a larger batch (3e-16 seen)
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want).max())
+
+    @settings(max_examples=25, deadline=None)
+    @given(stream0=st.integers(0, 20), n=st.integers(1, 20),
+           chunk=st.integers(1, 25), tilt=st.booleans())
+    def test_endpoint_independent_of_batching(self, tiny_grid, nonlinear_model,
+                                              alone, stream0, n, chunk, tilt):
+        h, plain, tilted, dots = alone
+        window = slice(stream0, stream0 + n)
+        with mock.patch.object(mc, "CHUNK", chunk):
+            if tilt:
+                got, got_dots = sample_endpoints(nonlinear_model, tiny_grid, n, 0.0,
+                                                 h=h, stream0=stream0,
+                                                 with_girsanov=True)
+                self._close(got, tilted[window])
+                self._close(got_dots, dots[window])
+            else:
+                got = sample_endpoints(nonlinear_model, tiny_grid, n, 0.0,
+                                       stream0=stream0)
+                self._close(got, plain[window])
 
 
 class TestTiltedDensity:

@@ -1,14 +1,164 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from varadhanlab.covkernel import CovarianceSpec
 from varadhanlab.errors import GridError, ShapeError
-from varadhanlab.noise import (ControlH, GridSpec, dyadic_increments, ht_inner,
-                               lattice, load_control, load_path,
+from varadhanlab.noise import (ControlH, GridSpec, Lattice, dyadic_increments,
+                               ht_inner, lattice, load_control, load_path,
                                localization_holds, sample_path, save_control,
                                save_path, smooth_vn)
 
 COV = CovarianceSpec("wave", 1, "white")
+
+
+class ScatterReference:
+    """Reference synthesize/extract: one scatter per coordinate family.
+
+    Rebuilds the coordinate enumeration from the lattice's modes and
+    weights, then fills a zero complex spectrum with the cos/sin pairs, the
+    d >= 2 conjugate mirrors and the zero mode, each by its own scatter.
+    Lattice's slot table must reproduce it bit for bit.
+    """
+
+    def __init__(self, lat):
+        d, nx, nxd = lat.d, lat.grid.nx, float(lat.grid.nx ** lat.d)
+        dxd = lat.grid.dx ** d
+        weight = lat.mu_weight.reshape(-1)
+        radius = lat.xi_radius.reshape(-1)
+        pair, mirror, zero, keys = [], [], [], []
+        for idx in np.nonzero(weight > 0)[0]:
+            mm = lat._m[idx]
+            if mm[-1] == 0:
+                lead = mm[:-1]
+                if np.all(lead == 0):
+                    zero.append(idx)
+                    keys.append((0.0, tuple(mm), idx, "zero"))
+                    continue
+                if lead[lead != 0][0] < 0:
+                    continue  # conjugate mirror of a representative
+                flat = 0
+                for a in range(d - 1):
+                    flat = flat * nx + (-int(lead[a])) % nx
+                mirror.append(flat * (nx // 2 + 1))
+            else:
+                mirror.append(-1)
+            pair.append(idx)
+            keys.append((radius[idx], tuple(mm), idx, "pair"))
+        keys.sort(key=lambda k: (k[0], k[1]))
+        cols, col = {}, 0
+        for _, _, idx, kind in keys:
+            cols[idx] = col
+            col += 1 if kind == "zero" else 2
+        assert col == lat.ncoords
+        self.lat = lat
+        self.pair = np.array(pair, dtype=np.intp)
+        self.cos = np.array([cols[i] for i in pair], dtype=np.intp)
+        self.zero = np.array(zero, dtype=np.intp)
+        self.zero_col = np.array([cols[i] for i in zero], dtype=np.intp)
+        mirror = np.array(mirror, dtype=np.intp)
+        self.mirror_src = np.nonzero(mirror >= 0)[0]
+        self.mirror_dst = mirror[mirror >= 0]
+        wp, wz = weight[self.pair], weight[self.zero]
+        self.synth_pair = nxd * np.sqrt(wp / 2.0)
+        self.synth_zero = nxd * np.sqrt(wz)
+        self.extract_pair = np.sqrt(2.0 * wp) * dxd
+        self.extract_zero = np.sqrt(wz) * dxd
+
+    def synthesize(self, coeffs):
+        lat = self.lat
+        coeffs = np.asarray(coeffs, dtype=float)
+        lead = coeffs.shape[:-1]
+        spec = np.zeros(lead + (lat.nspec,), dtype=np.complex128)
+        if len(self.pair):
+            a = coeffs[..., self.cos]
+            b = coeffs[..., self.cos + 1]
+            spec[..., self.pair] = self.synth_pair * (a - 1j * b)
+            if len(self.mirror_src):
+                spec[..., self.mirror_dst] = np.conj(spec[..., self.pair[self.mirror_src]])
+        if len(self.zero):
+            spec[..., self.zero] = self.synth_zero * coeffs[..., self.zero_col]
+        spec = spec.reshape(lead + lat.spec_shape)
+        return np.fft.irfftn(spec, s=lat.spatial_shape, axes=tuple(range(-lat.d, 0)))
+
+    def extract(self, fields):
+        lat = self.lat
+        fields = np.asarray(fields, dtype=float)
+        lead = fields.shape[:-lat.d]
+        spec = np.fft.rfftn(fields, axes=tuple(range(-lat.d, 0))).reshape(
+            lead + (lat.nspec,))
+        out = np.zeros(lead + (lat.ncoords,))
+        if len(self.pair):
+            vals = spec[..., self.pair]
+            out[..., self.cos] = self.extract_pair * vals.real
+            out[..., self.cos + 1] = -self.extract_pair * vals.imag
+        if len(self.zero):
+            out[..., self.zero_col] = self.extract_zero * spec[..., self.zero].real
+        return out
+
+
+@st.composite
+def lattice_cases(draw):
+    """A lattice (d in 1..3, white or Riesz, any nk <= nx/2), a leading
+    shape and random coefficients and fields of that shape."""
+    d = draw(st.sampled_from([1, 2, 3]))
+    if d == 1 and draw(st.booleans()):
+        cov = CovarianceSpec("wave", 1, "white")
+    else:
+        beta = draw(st.floats(0.1, min(d, 2) - 0.1))
+        cov = CovarianceSpec(draw(st.sampled_from(["wave", "heat"])), d, "riesz", beta)
+    nx = draw(st.sampled_from({1: [4, 8, 16, 64], 2: [4, 8, 16], 3: [4, 8]}[d]))
+    nk = draw(st.integers(1, nx // 2))
+    lat = Lattice(cov, GridSpec(L=draw(st.sampled_from([1.0, 1.25, 3.0])), nx=nx,
+                                nt=4, T=1.0, nk=nk))
+    lead = draw(st.sampled_from(["scalar", "batch", "strided"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(1, 5))
+    if lead == "scalar":
+        coeffs = rng.standard_normal(lat.ncoords)
+        fields = rng.standard_normal(lat.spatial_shape)
+    elif lead == "batch":
+        coeffs = rng.standard_normal((n, lat.ncoords))
+        fields = rng.standard_normal((n,) + lat.spatial_shape)
+    else:
+        # one time slab of (B, nt, ...) arrays, as the ensemble step reads it
+        j = draw(st.integers(0, 2))
+        coeffs = rng.standard_normal((n, 3, lat.ncoords))[:, j]
+        fields = rng.standard_normal((n, 3) + lat.spatial_shape)[:, j]
+    return lat, coeffs, fields
+
+
+class TestSlotTable:
+    @settings(max_examples=80, deadline=None)
+    @given(lattice_cases())
+    def test_bit_equal_to_scatter_reference(self, case):
+        lat, coeffs, fields = case
+        ref = ScatterReference(lat)
+        assert np.array_equal(lat.synthesize(coeffs), ref.synthesize(coeffs))
+        assert np.array_equal(lat.extract(fields), ref.extract(fields))
+
+    @settings(max_examples=80, deadline=None)
+    @given(lattice_cases())
+    def test_synthesize_extract_adjoint(self, case):
+        lat, coeffs, fields = case
+        dxd = lat.grid.dx ** lat.d
+        terms = lat.synthesize(coeffs) * fields * dxd
+        axes = tuple(range(-lat.d, 0))
+        lhs = terms.sum(axis=axes)
+        rhs = np.sum(coeffs * lat.extract(fields), axis=-1)
+        assert np.all(np.abs(lhs - rhs) <= 1e-12 * np.abs(terms).sum(axis=axes))
+
+    @settings(max_examples=40, deadline=None)
+    @given(lattice_cases())
+    def test_slab_synthesis_equals_batched(self, case):
+        # the ensemble step synthesizes inc[:, j] alone; it must give the
+        # same bits as slab j of one synthesis over all slabs
+        lat, coeffs, _ = case
+        inc = np.stack([coeffs, -coeffs, 0.5 * coeffs], axis=-2)
+        whole = lat.synthesize(inc)
+        for j in range(3):
+            assert np.array_equal(lat.synthesize(inc[..., j, :]),
+                                  np.take(whole, j, axis=-lat.d - 1))
 
 
 @pytest.fixture(scope="module")
