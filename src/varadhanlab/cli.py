@@ -2,10 +2,10 @@
 
 Configs are flat ``key = value`` lines grouped in named sections (INI
 style), chosen over nested formats for diff-friendliness; any key can be
-overridden with repeated ``--set section.key=value`` flags.  Every run
-writes a JSON manifest carrying the seed and a hash of the resolved
-config, and artifacts regenerate bit-identically from those regardless of
-``--jobs``.
+overridden with repeated ``--set section.key=value`` flags, and removed
+with an empty value (``--set task.y=``).  Every run writes a JSON manifest
+carrying the seed and a hash of the resolved config, and artifacts
+regenerate bit-identically from those regardless of ``--jobs``.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import configparser
+import csv
 import dataclasses
 import datetime
 import hashlib
@@ -25,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import covkernel, mc, rate as rate_mod, skeleton, solver
-from .covkernel import CovarianceSpec, KernelTable
+from .covkernel import CovarianceSpec
 from .errors import ConfigError, VaradhanLabError
 from .funcs import parse_func
 from .noise import ControlH, GridSpec, lattice, load_control
@@ -178,10 +179,17 @@ def load_config(path: str | None, overrides: list[str], seed: int | None) -> Con
         if "=" not in item or "." not in item.split("=", 1)[0]:
             raise ConfigError(f"override must look like section.key=value: '{item}'")
         target, value = item.split("=", 1)
-        section, key = target.split(".", 1)
+        section, key = (part.strip() for part in target.split(".", 1))
+        if not value.strip():
+            # an empty value removes the key, e.g. task.y so task.y_grid applies
+            if key not in _SCHEMA.get(section, ()):
+                raise ConfigError(f"override removes unknown key '{section}.{key}'")
+            if parser.has_section(section):
+                parser.remove_option(section, key)
+            continue
         if not parser.has_section(section):
             parser.add_section(section)
-        parser.set(section.strip(), key.strip(), value.strip())
+        parser.set(section, key, value.strip())
     if seed is not None:
         if not parser.has_section("grid"):
             parser.add_section("grid")
@@ -234,9 +242,9 @@ def _cmd_simulate(run: Runner) -> int:
     samples = mc.sample_endpoints(cfg.model, cfg.grid, n, cfg.x, t=cfg.t,
                                   executor=run.executor)
     with open(run.path("samples.csv"), "w", newline="") as fh:
-        fh.write("stream,endpoint\r\n")
-        for s, v in enumerate(samples):
-            fh.write(f"{s},{format(v, '.17g')}\r\n")
+        writer = csv.writer(fh)
+        writer.writerow(["stream", "endpoint"])
+        writer.writerows([s, format(v, ".17g")] for s, v in enumerate(samples))
     from .noise import sample_path
     lat = lattice(cfg.model.cov, cfg.grid)
     field = solver.simulate(cfg.model, cfg.grid, sample_path(lat, 0), t=cfg.t)
@@ -331,19 +339,20 @@ def _cmd_support(run: Runner) -> int:
     intervals = rate_mod.support_probe(cfg.model, cfg.grid, n_controls, budgets,
                                        t=cfg.t, x=cfg.x, seed=cfg.grid.seed)
     with open(run.path("support_probe.csv"), "w", newline="") as fh:
-        fh.write("budget,low,high,width\r\n")
-        for b, (lo, hi) in zip(budgets, intervals):
-            fh.write(f"{format(b, '.17g')},{format(lo, '.17g')},"
-                     f"{format(hi, '.17g')},{format(hi - lo, '.17g')}\r\n")
+        writer = csv.writer(fh)
+        writer.writerow(["budget", "low", "high", "width"])
+        writer.writerows([format(v, ".17g") for v in (b, lo, hi, hi - lo)]
+                         for b, (lo, hi) in zip(budgets, intervals))
     n_list = _ints(cfg.task.get("n_list", "3,4,5,6"))
     n = int(cfg.task.get("n", 300))
     theta = float(cfg.task.get("theta", 0.9))
     rows = mc.support_convergence(cfg.model, cfg.grid, n_list, n, theta=theta,
                                   t=cfg.t, x=cfg.x)
     with open(run.path("support_convergence.csv"), "w", newline="") as fh:
-        fh.write("n,kept,c1_median\r\n")
-        for r in rows:
-            fh.write(f"{r['n']},{r['kept']},{format(r['c1_median'], '.17g')}\r\n")
+        writer = csv.writer(fh)
+        writer.writerow(["n", "kept", "c1_median"])
+        writer.writerows([r["n"], r["kept"], format(r["c1_median"], ".17g")]
+                         for r in rows)
     run.finish("support")
     widths = [hi - lo for lo, hi in intervals]
     print(f"support: widths {['%.4g' % w for w in widths]}, "
@@ -352,7 +361,7 @@ def _cmd_support(run: Runner) -> int:
 
 
 def _cmd_validate(run: Runner, full: bool = False) -> int:
-    from .presets import linear_model, mc_grid, nonlinear_model, rate_grid, tiny_grid
+    from .presets import linear_model, mc_grid, nonlinear_model, tiny_grid
     from .noise import ht_inner, sample_path
 
     checks: list[tuple[str, bool, str]] = []
@@ -455,7 +464,8 @@ def main(argv=None) -> int:
     parser.add_argument("--config", help="experiment config file (INI)")
     parser.add_argument("--set", dest="overrides", action="append", default=[],
                         metavar="SECTION.KEY=VALUE",
-                        help="override one config value (repeatable)")
+                        help="override one config value, or remove it with an "
+                             "empty value (repeatable)")
     parser.add_argument("--jobs", type=int, default=1,
                         help="worker threads for replica chunks")
     parser.add_argument("--seed", type=int, default=None,

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import TiltError, GridError
 from .noise import ControlH, GridSpec, lattice, sample_increments
-from .skeleton import chaos_ensemble, solve_phi
+from .skeleton import solve_phi
 from .solver import ModelSpec, endpoint_ensemble
 
 #: replicas per work unit; fixed so results never depend on the worker count
@@ -34,29 +34,21 @@ def _chunks(n: int, start: int = 0):
         lo = hi
 
 
-def silverman_bandwidth(samples: np.ndarray) -> float:
-    sd = float(np.std(samples))
-    q75, q25 = np.percentile(samples, [75, 25])
-    a = min(sd, (q75 - q25) / 1.34) if q75 > q25 else sd
-    if a == 0.0:
-        raise ValueError("degenerate sample: zero spread")
-    return 0.9 * a * len(samples) ** (-0.2)
+def silverman_bandwidth(samples: np.ndarray, power: float = -0.2) -> float:
+    """Silverman's rule 0.9 min(sd, IQR / 1.34) n^power.
 
-
-def tail_bandwidth(samples: np.ndarray) -> float:
-    """Cube-root bandwidth for point estimates under an importance tilt.
-
-    The tilt centers the sample cloud on the evaluation point, so variance
-    is cheap there while the log-density curvature (which drives the
-    smoothing bias) is steep; undersmoothing relative to Silverman keeps
-    the relative bias at O(n^{-2/3}).
+    The default power -1/5 suits a whole density curve.  Point estimates
+    under an importance tilt use -1/3: the tilt centers the sample cloud on
+    the evaluation point, so variance is cheap there while the log-density
+    curvature (which drives the smoothing bias) is steep; undersmoothing
+    keeps the relative bias at O(n^{-2/3}).
     """
     sd = float(np.std(samples))
     q75, q25 = np.percentile(samples, [75, 25])
     a = min(sd, (q75 - q25) / 1.34) if q75 > q25 else sd
     if a == 0.0:
         raise ValueError("degenerate sample: zero spread")
-    return 0.9 * a * len(samples) ** (-1.0 / 3.0)
+    return 0.9 * a * len(samples) ** power
 
 
 def gaussian_kde(samples: np.ndarray, y_grid: np.ndarray, bandwidth: float,
@@ -187,7 +179,8 @@ def tilted_density(model: ModelSpec, grid: GridSpec, n: int, y: float,
                                      stream0=stream0, with_girsanov=True,
                                      executor=executor)
     log_w = -dots / eps - 0.5 * h_star.norm_sq / (eps * eps)
-    bw = bandwidth if bandwidth is not None else tail_bandwidth(samples)
+    bw = bandwidth if bandwidth is not None \
+        else silverman_bandwidth(samples, -1.0 / 3.0)
     z = (float(y) - samples) / bw
     log_k = -0.5 * z * z
     log_mass = log_w + log_k
@@ -342,7 +335,7 @@ def support_convergence(model: ModelSpec, grid: GridSpec, n_list, n_replicas: in
     simulation with the composite control.
     """
     from .noise import NoisePath, localization_holds, smooth_vn
-    from .solver import simulate, simulate_shifted
+    from .solver import simulate_shifted
 
     n_list = list(n_list)
     if any(b <= a for a, b in zip(n_list, n_list[1:])):

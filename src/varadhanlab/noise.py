@@ -29,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .covkernel import CovarianceSpec, spectral_density
+from .covkernel import CovarianceSpec
 from .errors import GridError, ShapeError
 
 
@@ -70,10 +70,6 @@ class GridSpec:
         if not 1 <= j <= self.nt:
             raise GridError(f"time {t} outside (0, {self.T}]")
         return j
-
-    def refined(self, factor: int = 2) -> "GridSpec":
-        return GridSpec(self.L, self.nx * factor, self.nt * factor,
-                        self.T, self.nk * factor, self.seed)
 
 
 class Lattice:
@@ -345,10 +341,6 @@ class ControlH:
 
     def __neg__(self) -> "ControlH":
         return ControlH(self.lattice, -self.coeffs)
-
-    def slab_fields(self) -> np.ndarray:
-        """Spatial field of each slab: (nt, *spatial)."""
-        return self.lattice.synthesize(self.coeffs)
 
 
 def _check_same(a: ControlH, b: ControlH):

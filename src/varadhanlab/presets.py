@@ -26,11 +26,6 @@ def mc_grid(seed: int = 7) -> GridSpec:
     return GridSpec(L=1.25, nx=128, nt=64, T=1.0, nk=64, seed=seed)
 
 
-def support_grid(seed: int = 7) -> GridSpec:
-    """Support-probe grid: more modes so the spectral tail error stays < 1%."""
-    return GridSpec(L=1.25, nx=256, nt=64, T=1.0, nk=128, seed=seed)
-
-
 def rate_grid(seed: int = 7) -> GridSpec:
     """Rate-function grid: deep mode set for the 1e-3 oracle tolerance."""
     return GridSpec(L=1.25, nx=2560, nt=64, T=1.0, nk=1280, seed=seed)

@@ -1,16 +1,18 @@
 """Deterministic skeleton, its Frechet gradient, and the first-chaos process.
 
 The skeleton is the controlled equation obtained by replacing the noise
-with the pairing against a control h,
+with the pairing against a control h: the mild map of solver with the
+drive D_i = H_i, the spatial field of h's slab i, and no noise term,
 
-    Phi_j = w_j + sum_{i<j} K_{j-i} * [ dt sigma(Phi_i) H_i + dt b(Phi_i) ],
+    Phi_j = w_j + sum_{i<j} K_{j-i} * dt [ sigma(Phi_i) H_i + b(Phi_i) ].
 
-where H_i is the spatial field of h's slab i.  Its endpoint gradient is
-computed two ways: a reverse (adjoint) sweep of exactly this recursion,
-which is the production route, and a forward solve of the linearized
-integral equation carrying the full (slab, mode) state, which serves as an
-independent small-grid oracle.  The first-chaos draw shares the recursion
-with the deterministic stochastic integrand sigma(Phi) dF.
+Its endpoint gradient is computed two ways, both shared with the Malliavin
+derivative of solver and both built on the one linearised factor
+dt [ sigma'(Phi_i) H_i + b'(Phi_i) ]: a reverse (adjoint) sweep of exactly
+this recursion, which is the production route, and a forward solve of the
+linearized integral equation carrying the full (slab, mode) state, which
+serves as an independent small-grid oracle.  The first-chaos draw uses the
+same factor, with the stochastic integrand sigma(Phi) dF as its source.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ import numpy as np
 
 from .errors import GridError
 from .noise import ControlH, GridSpec, NoisePath, sample_increments, save_control
-from .solver import Field, ModelSpec, _prepare, check_wave_domain
+from .solver import (Field, ModelSpec, _adjoint_route, _drive, _endpoint, _factor,
+                     _forward, _lane_oracle, _prepare)
 
 __all__ = [
     "SkeletonResult", "solve_phi", "gradient_phi", "forward_xi",
@@ -36,26 +39,7 @@ def solve_phi(model: ModelSpec, grid: GridSpec, h: ControlH,
               t: float | None = None) -> Field:
     """Forward solve of the controlled deterministic equation (eps plays no role)."""
     eng, w_tab = _prepare(model, grid, t)
-    H = eng.lat.synthesize(h.coeffs[: eng.jt])
-    dt = grid.dt
-
-    def integrand(j, u):
-        return dt * (model.sigma(u) * H[j] + model.b(u))
-
-    _, trail = eng.forward(w_tab, integrand, keep_history=True)
-    return Field(np.stack(trail), grid, model.cov)
-
-
-def _phi_and_engine(model, grid, h, t):
-    eng, w_tab = _prepare(model, grid, t)
-    H = eng.lat.synthesize(h.coeffs[: eng.jt])
-    dt = grid.dt
-
-    def integrand(j, u):
-        return dt * (model.sigma(u) * H[j] + model.b(u))
-
-    _, trail = eng.forward(w_tab, integrand, keep_history=True)
-    return eng, np.stack(trail), H
+    return Field(_forward(model, eng, w_tab, _drive(eng, h=h)), grid, model.cov)
 
 
 def gradient_phi(model: ModelSpec, grid: GridSpec, h: ControlH,
@@ -67,26 +51,10 @@ def gradient_phi(model: ModelSpec, grid: GridSpec, h: ControlH,
     for every grid direction g, exactly for the discrete recursion.
     """
     eng, w_tab = _prepare(model, grid, t)
-    lat, jt, dt = eng.lat, eng.jt, grid.dt
-    if x is None:
-        x = np.zeros(lat.d)
-    check_wave_domain(model, grid, x)
-    point = lat.point_index(x)
-    H = lat.synthesize(h.coeffs[:jt])
-    if phi is None:
-        def integrand(j, u):
-            return dt * (model.sigma(u) * H[j] + model.b(u))
-        _, trail = eng.forward(w_tab, integrand, keep_history=True)
-        pv = np.stack(trail)
-    else:
-        pv = phi.values
-    factors = [dt * (model.sigma.deriv(pv[i]) * H[i] + model.b.deriv(pv[i]))
-               for i in range(jt)]
-    mus = eng.adjoint(point, factors)
-    coeffs = np.zeros((grid.nt, lat.ncoords))
-    for i in range(jt):
-        coeffs[i] = lat.extract(model.sigma(pv[i]) * mus[i])
-    return ControlH(lat, coeffs)
+    point = _endpoint(model, grid, eng.lat, x)
+    drive = _drive(eng, h=h)
+    pv = _forward(model, eng, w_tab, drive) if phi is None else phi.values
+    return ControlH(eng.lat, _adjoint_route(model, eng, drive, pv, point))
 
 
 def bare_kernel_control(model: ModelSpec, grid: GridSpec, phi: Field,
@@ -98,10 +66,7 @@ def bare_kernel_control(model: ModelSpec, grid: GridSpec, phi: Field,
     """
     eng, _ = _prepare(model, grid, t)
     lat, jt = eng.lat, eng.jt
-    if x is None:
-        x = np.zeros(lat.d)
-    check_wave_domain(model, grid, x)
-    point = lat.point_index(x)
+    point = _endpoint(model, grid, lat, x)
     onehot = np.zeros(lat.spatial_shape)
     onehot[point] = 1.0 / (grid.dx ** lat.d)
     seed_spec = eng._to_spec(onehot)
@@ -120,31 +85,11 @@ def forward_xi(model: ModelSpec, grid: GridSpec, h: ControlH,
     returns its evaluation at (t, x) as a control; must agree with
     gradient_phi to solver precision.
     """
-    eng, pv, H = _phi_and_engine(model, grid, h, t)
-    lat, jt, dt = eng.lat, eng.jt, grid.dt
-    if x is None:
-        x = np.zeros(lat.d)
-    check_wave_domain(model, grid, x)
-    point = lat.point_index(x)
-    lanes = jt * lat.ncoords
-    phik = lat.synthesize(np.eye(lat.ncoords))
-
-    hist = np.zeros((jt, lanes, lat.nspec), dtype=np.complex128)
-    state = np.zeros((lanes,) + lat.spatial_shape)
-    for j in range(jt):
-        if j > 0:
-            wl = eng.weights[j:0:-1]
-            state = eng._to_field(np.einsum("lf,lgf->gf", wl, hist[:j]))
-        factor = dt * (model.sigma.deriv(pv[j]) * H[j] + model.b.deriv(pv[j]))
-        rho = factor * state
-        rho = rho.reshape(jt, lat.ncoords, *lat.spatial_shape)
-        rho[j] += model.sigma(pv[j]) * phik
-        hist[j] = eng._to_spec(rho.reshape(lanes, *lat.spatial_shape))
-    wl = eng.weights[jt:0:-1]
-    state = eng._to_field(np.einsum("lf,lgf->gf", wl, hist))
-    coeffs = np.zeros((grid.nt, lat.ncoords))
-    coeffs[:jt] = state[(..., *point)].reshape(jt, lat.ncoords)
-    return ControlH(lat, coeffs)
+    eng, w_tab = _prepare(model, grid, t)
+    point = _endpoint(model, grid, eng.lat, x)
+    drive = _drive(eng, h=h)
+    pv = _forward(model, eng, w_tab, drive)
+    return ControlH(eng.lat, _lane_oracle(model, eng, drive, pv, point))
 
 
 def chaos_simulate(model: ModelSpec, grid: GridSpec, h: ControlH, path: NoisePath,
@@ -161,23 +106,21 @@ def chaos_ensemble(model: ModelSpec, grid: GridSpec, h: ControlH, paths,
     slab; the (B, nt, ncoords) increments and the engine's (nspec, jt, B)
     history set peak memory.
     """
-    eng, pv, H = _phi_and_engine(model, grid, h, t)
+    eng, w_tab = _prepare(model, grid, t)
+    point = _endpoint(model, grid, eng.lat, x)
+    drive = _drive(eng, h=h)
+    pv = _forward(model, eng, w_tab, drive)
     lat, jt, dt = eng.lat, eng.jt, grid.dt
-    if x is None:
-        x = np.zeros(lat.d)
-    check_wave_domain(model, grid, x)
-    point = lat.point_index(x)
     if all(isinstance(p, NoisePath) for p in paths):
         inc = np.stack([p.increments for p in paths])
     else:
         inc = sample_increments(lat, list(paths))
 
     sig = [model.sigma(pv[j]) for j in range(jt)]
-    dsig = [model.sigma.deriv(pv[j]) for j in range(jt)]
-    dbv = [model.b.deriv(pv[j]) for j in range(jt)]
+    factors = [_factor(model, dt, pv[j], drive(j)) for j in range(jt)]
 
     def integrand(j, n):
-        return sig[j] * lat.synthesize(inc[:, j]) + dt * (dsig[j] * H[j] + dbv[j]) * n
+        return sig[j] * lat.synthesize(inc[:, j]) + factors[j] * n
 
     zeros = np.zeros((jt + 1, 1) + lat.spatial_shape)
     n_final, _ = eng.forward(zeros, integrand, batch_shape=(inc.shape[0],))

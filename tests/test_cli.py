@@ -1,6 +1,8 @@
 import json
 import math
 
+import pytest
+
 from varadhanlab import mc
 from varadhanlab.cli import main
 
@@ -59,3 +61,23 @@ def test_simulate_samples_do_not_depend_on_jobs(tmp_path):
     one = (tmp_path / "one" / "samples.csv").read_bytes()
     assert one == (tmp_path / "two" / "samples.csv").read_bytes()
     assert len(one.splitlines()) == 1101
+
+
+def test_empty_override_removes_a_key(tmp_path):
+    # the default config sets task.y, which would shadow task.y_grid
+    assert main(["rate", *TINY, "--set", "task.y=", "--set", "task.y_grid=0.5:1.5:3",
+                 "--out", str(tmp_path)]) == 0
+    stored = json.loads((tmp_path / "rate_result.json").read_text())["results"]
+    assert [r["y"] for r in stored] == [0.5, 1.0, 1.5]
+    assert main(["rate", "--set", "task.bogus=", "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.slow
+def test_validate_full_matches_minus_rate(tmp_path):
+    # the headline check: extrapolated eps^2 log p_hat(y) within 15% of -I(y)
+    assert main(["validate", "--full", "--jobs", "2", "--out", str(tmp_path)]) == 0
+    checks = {c["name"]: c for c in
+              json.loads((tmp_path / "validate.json").read_text())}
+    headline = checks["nonlinear log-density limit vs -I"]
+    assert headline["ok"]
+    assert float(headline["detail"].rpartition("rel=")[2]) < 0.15

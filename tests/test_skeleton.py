@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from varadhanlab import presets
+from varadhanlab.funcs import make_func
 from varadhanlab.noise import ControlH, ht_inner, lattice, sample_path
 from varadhanlab.skeleton import (analyze, bare_kernel_control, chaos_ensemble,
                                   chaos_simulate, dphi_window_norm,
@@ -113,6 +114,48 @@ class TestGradient:
             ratios.append(abs(val - base - ht_inner(G, h0)) / h0.norm)
         assert all(b < a for a, b in zip(ratios, ratios[1:]))
         assert ratios[-1] < 1e-3 * ratios[0]
+
+
+# sigma stays bounded away from 0 and every point the solutions visit keeps
+# away from the kinks of affine_clamped (checked in the test)
+_SIGMAS = [make_func("const", 1.3), make_func("cos_perturbed", 1.0, 0.25),
+           make_func("affine_clamped", 1.0, 0.5, 0.25, 4.0)]
+_DRIFTS = [make_func("zero"), make_func("const", 0.3), make_func("affine", 0.1, -0.5),
+           make_func("affine_clamped", 0.0, 0.5, -2.0, 2.0),
+           make_func("cos_perturbed", 0.2, 0.5), make_func("tanh_bounded", 0.5)]
+
+
+@pytest.mark.parametrize("sigma, b", [(_SIGMAS[i % 3], drift)
+                                      for i, drift in enumerate(_DRIFTS)],
+                         ids=lambda f: f.label())
+def test_gradient_routes_across_registry(tiny_grid, sigma, b):
+    from varadhanlab.solver import (ModelSpec, ZeroInitial, first_variation,
+                                    malliavin_adjoint, simulate)
+    m = ModelSpec(COV, sigma, b, ZeroInitial(), 0.7, 0.25)
+    lat = lattice(COV, tiny_grid)
+    rng = np.random.default_rng(8)
+    h = ControlH(lat, 0.4 * rng.standard_normal((tiny_grid.nt, lat.ncoords)))
+    path = sample_path(lat, 3)
+    phi, u = solve_phi(m, tiny_grid, h), simulate(m, tiny_grid, path)
+    for f in (sigma, b):
+        if f.name == "affine_clamped":
+            a_, slope, lo, hi = f.args
+            v = a_ + slope * np.concatenate([phi.values.ravel(), u.values.ravel()])
+            assert np.min(np.minimum(v - lo, hi - v)) > 0.1
+
+    G = gradient_phi(m, tiny_grid, h, x=0.0)
+    delta = 1e-5
+    for _ in range(3):
+        g = ControlH(lat, rng.standard_normal((tiny_grid.nt, lat.ncoords)))
+        fp = solve_phi(m, tiny_grid, h + delta * g).at(1.0, 0.0)
+        fm = solve_phi(m, tiny_grid, h + (-delta) * g).at(1.0, 0.0)
+        fd = (fp - fm) / (2 * delta)
+        assert abs(fd - ht_inner(G, g)) <= 1e-4 * abs(fd)
+    Xi = forward_xi(m, tiny_grid, h, x=0.0)
+    assert np.max(np.abs(G.coeffs - Xi.coeffs)) < 1e-10
+    D = first_variation(m, tiny_grid, path, u, x=0.0)
+    Da = malliavin_adjoint(m, tiny_grid, path, u, x=0.0)
+    assert np.max(np.abs(D - Da)) < 1e-12
 
 
 class TestChaos:

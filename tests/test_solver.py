@@ -179,6 +179,22 @@ class TestShiftIdentity:
             u2 = simulate_shifted(m, mc_grid, p, h)
             assert np.max(np.abs(u1.values - u2.values)) < 1e-8
 
+    @pytest.mark.parametrize("with_h", [False, True])
+    def test_ensemble_matches_single_path_solves(self, mc_grid, with_h):
+        # a batch synthesizes its drive slab by slab, one path all at once:
+        # both give every stream the same endpoint to rounding
+        m = presets.nonlinear_model(eps=0.7)
+        lat = lattice(COV, mc_grid)
+        rng = np.random.default_rng(5)
+        h = ControlH(lat, 0.4 * rng.standard_normal((mc_grid.nt, lat.ncoords))) \
+            if with_h else None
+        streams = [0, 3, 11, 12]
+        batch = endpoint_ensemble(m, mc_grid, streams, 0.0, h=h)
+        single = [(simulate_shifted(m, mc_grid, sample_path(lat, s), h) if with_h
+                   else simulate(m, mc_grid, sample_path(lat, s))).endpoint(0.0)
+                  for s in streams]
+        np.testing.assert_allclose(batch, single, rtol=1e-12, atol=0.0)
+
     def test_zero_control_reduces_to_simulate(self, small_grid):
         m = presets.nonlinear_model()
         lat = lattice(COV, small_grid)
