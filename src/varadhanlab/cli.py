@@ -20,6 +20,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -108,14 +109,12 @@ class Config:
         self.output = self.raw.get("output", {})
 
     def _validate_keys(self, source_text: str):
-        lines = source_text.splitlines()
         for section, items in self.raw.items():
             if section not in _SCHEMA:
                 raise ConfigError(f"unknown section [{section}]")
             for key in items:
                 if key not in _SCHEMA[section]:
-                    lineno = next((i + 1 for i, ln in enumerate(lines)
-                                   if ln.strip().split("=")[0].strip() == key), "?")
+                    lineno = _key_line(source_text, section, key)
                     raise ConfigError(
                         f"line {lineno}: unknown key '{key}' in [{section}]")
 
@@ -165,6 +164,19 @@ class Config:
 
     def hash(self) -> str:
         return hashlib.sha256(self.canonical_text().encode()).hexdigest()
+
+
+def _key_line(text: str, section: str, key: str):
+    """Line number of key inside [section] of an INI text ('?' when absent,
+    e.g. for a key set only by an override)."""
+    current = None
+    for lineno, line in enumerate(text.splitlines(), 1):
+        header = re.match(r"\[(.+)\]", line.strip())
+        if header:
+            current = header.group(1)
+        elif current == section and re.split("[=:]", line, maxsplit=1)[0].strip() == key:
+            return lineno
+    return "?"
 
 
 def load_config(path: str | None, overrides: list[str], seed: int | None) -> Config:
@@ -444,14 +456,21 @@ def _cmd_validate(run: Runner, full: bool = False) -> int:
     return 0 if ok else 1
 
 
-def _estimate_resources(cfg: Config) -> str:
-    lat = lattice(cfg.model.cov, cfg.grid)
-    chunk = min(mc.CHUNK, int(cfg.task.get("n", 10000)))
-    hist = chunk * cfg.grid.nt * lat.nspec * 16
-    inc = chunk * cfg.grid.nt * lat.ncoords * 8
-    flops = 0.5 * cfg.grid.nt ** 2 * lat.nspec * int(cfg.task.get("n", 10000)) * 8
-    return (f"estimated workspace ~{(hist + inc) / 1e6:.0f} MB per chunk, "
-            f"~{flops / 1e9:.1f} GF of kernel gathers")
+def _estimate_resources(cfg: Config) -> tuple[int, float]:
+    """(workspace bytes per chunk, history-sum flops of the run), from shapes.
+
+    A chunk holds one (B, min(_BLOCK, nt), ncoords) increment block and,
+    for wave, the (nspec, nt, B) complex history; the wave history sum
+    costs O(nt^2) per frequency and replica, the heat recursion O(nt).
+    """
+    lat, nt = lattice(cfg.model.cov, cfg.grid), cfg.grid.nt
+    n = int(cfg.task.get("n", 10000))
+    chunk = min(mc.CHUNK, n)
+    block = chunk * min(solver._BLOCK, nt) * lat.ncoords * 8
+    if cfg.model.cov.operator == "heat":
+        return block, nt * lat.nspec * n * 8.0
+    hist = chunk * nt * lat.nspec * 16
+    return block + hist, 0.5 * nt ** 2 * lat.nspec * n * 8
 
 
 def main(argv=None) -> int:
@@ -487,7 +506,9 @@ def main(argv=None) -> int:
     if args.dry_run:
         print(cfg.canonical_text())
         print(f"config hash: {cfg.hash()}")
-        print(_estimate_resources(cfg))
+        workspace, flops = _estimate_resources(cfg)
+        print(f"estimated workspace ~{workspace / 1e6:.0f} MB per chunk, "
+              f"~{flops / 1e9:.1f} GF of history sums")
         return 0
 
     outdir = Path(args.out or os.environ.get("VARADHAN_LAB_OUT", "out"))

@@ -215,11 +215,15 @@ class Lattice:
     def correlation(self, lag) -> float:
         """Truncated-lattice spatial correlation Gamma(lag) = sum mu(cell) e^{2pi i xi.lag}."""
         lag = np.atleast_1d(np.asarray(lag, dtype=float))
-        xi = self._m / (2.0 * self.grid.L)
-        phase = 2.0 * math.pi * (xi @ lag)
+        phase = 2.0 * math.pi * (self.xi @ lag)
         w = (self.mu_weight * self.mu_mult).reshape(-1)
         # stored entries with mult 2 represent +/- m: cos covers both
         return float(np.sum(w * np.cos(phase)))
+
+    @property
+    def xi(self) -> np.ndarray:
+        """Frequency vectors of the flat rfftn spectrum, (nspec, d)."""
+        return self._m / (2.0 * self.grid.L)
 
     def point_index(self, x) -> tuple[int, ...]:
         """Snap a spatial point in [-L, L)^d to grid indices."""
@@ -268,25 +272,57 @@ class NoisePath:
                          stream=self.stream)
 
 
-def sample_path(lat: Lattice, stream: int) -> NoisePath:
-    """Draw the counter-based noise path for (grid.seed, stream).
+def _philox(lat: Lattice, stream: int) -> np.random.Generator:
+    """The Philox generator keyed by (grid.seed, stream).
 
-    Each (seed, stream) pair keys an independent Philox generator, so
-    ensembles are reproducible independently of scheduling.
+    Each (seed, stream) pair keys an independent counter-based generator,
+    so ensembles are reproducible independently of scheduling.
     """
     if stream < 0:
         raise ValueError("stream must be nonnegative")
-    rng = np.random.Generator(np.random.Philox(key=np.array(
+    return np.random.Generator(np.random.Philox(key=np.array(
         [lat.grid.seed, stream], dtype=np.uint64)))
-    inc = rng.standard_normal((lat.grid.nt, lat.ncoords)) * math.sqrt(lat.grid.dt)
-    return NoisePath(lat, inc, stream=stream)
 
 
-def sample_increments(lat: Lattice, streams) -> np.ndarray:
-    """Stack increments for many streams: (n_streams, nt, ncoords)."""
-    out = np.empty((len(streams), lat.grid.nt, lat.ncoords))
-    for row, s in enumerate(streams):
-        out[row] = sample_path(lat, int(s)).increments
+def sample_path(lat: Lattice, stream: int) -> NoisePath:
+    """Draw the counter-based noise path for (grid.seed, stream)."""
+    inc = _philox(lat, stream).standard_normal((lat.grid.nt, lat.ncoords))
+    return NoisePath(lat, inc * math.sqrt(lat.grid.dt), stream=stream)
+
+
+class LiveStreams:
+    """One live Philox generator per stream, keyed on the first draw.
+
+    sample_increments draws each stream on from where its last draw
+    stopped, so drawing r1, r2, ... rows in consecutive calls gives the
+    same increments, bit for bit, as one draw of r1 + r2 + ... rows.
+    """
+
+    def __init__(self, streams):
+        self.ids = [int(s) for s in streams]
+        self.generators = None
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+
+def sample_increments(lat: Lattice, streams, rows: int | None = None) -> np.ndarray:
+    """Increments of many streams, (n_streams, rows, ncoords); rows = nt by default.
+
+    streams is a sequence of stream ids, each drawn from its first row, or
+    a LiveStreams, whose streams continue where their last draw stopped.
+    """
+    rows = lat.grid.nt if rows is None else rows
+    if isinstance(streams, LiveStreams):
+        if streams.generators is None:
+            streams.generators = [_philox(lat, s) for s in streams.ids]
+        generators = streams.generators
+    else:
+        generators = (_philox(lat, int(s)) for s in streams)
+    out = np.empty((len(streams), rows, lat.ncoords))
+    for row, rng in enumerate(generators):
+        rng.standard_normal(out=out[row])
+    out *= math.sqrt(lat.grid.dt)
     return out
 
 
@@ -411,11 +447,16 @@ def localization_holds(path: NoisePath, n: int, theta: float, t: float) -> bool:
 _MAGIC = {"path": b"VLNPATH1", "control": b"VLCTRL01"}
 
 
-def _save_array(path, magic: bytes, arr: np.ndarray, dt: float):
-    with open(path, "wb") as fh:
+def write_binary(filename, magic: bytes, fmt: str, header: tuple, arr: np.ndarray):
+    """Write magic, the struct-packed header and arr as little-endian float64."""
+    with open(filename, "wb") as fh:
         fh.write(magic)
-        fh.write(struct.pack("<QQd", arr.shape[0], arr.shape[1], dt))
+        fh.write(struct.pack(fmt, *header))
         fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+
+
+def _save_array(filename, magic: bytes, arr: np.ndarray, dt: float):
+    write_binary(filename, magic, "<QQd", (arr.shape[0], arr.shape[1], dt), arr)
 
 
 def _load_array(path, magic: bytes) -> tuple[np.ndarray, float]:

@@ -24,9 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridError
-from .noise import ControlH, GridSpec, NoisePath, sample_increments, save_control
+from .noise import ControlH, GridSpec, NoisePath, save_control
 from .solver import (Field, ModelSpec, _adjoint_route, _drive, _endpoint, _factor,
-                     _forward, _lane_oracle, _prepare)
+                     _forward, _Increments, _lane_oracle, _prepare)
 
 __all__ = [
     "SkeletonResult", "solve_phi", "gradient_phi", "forward_xi",
@@ -102,9 +102,10 @@ def chaos_ensemble(model: ModelSpec, grid: GridSpec, h: ControlH, paths,
                    t: float | None = None, x=None) -> np.ndarray:
     """Batched first-chaos draws; paths is a list of NoisePath or stream ids.
 
-    As in solver.endpoint_ensemble, each step synthesizes its own noise
-    slab; the (B, nt, ncoords) increments and the engine's (nspec, jt, B)
-    history set peak memory.
+    As in solver.endpoint_ensemble, stream ids are drawn _BLOCK slabs at a
+    time and each step synthesizes its own noise slab, so one increment
+    block and, for wave, the engine's (nspec, jt, B) history set peak
+    memory; given NoisePaths are stacked whole.
     """
     eng, w_tab = _prepare(model, grid, t)
     point = _endpoint(model, grid, eng.lat, x)
@@ -112,18 +113,21 @@ def chaos_ensemble(model: ModelSpec, grid: GridSpec, h: ControlH, paths,
     pv = _forward(model, eng, w_tab, drive)
     lat, jt, dt = eng.lat, eng.jt, grid.dt
     if all(isinstance(p, NoisePath) for p in paths):
-        inc = np.stack([p.increments for p in paths])
+        stacked = np.stack([p.increments for p in paths])
+
+        def slab(j):
+            return stacked[:, j]
     else:
-        inc = sample_increments(lat, list(paths))
+        slab = _Increments(eng, paths)
 
     sig = [model.sigma(pv[j]) for j in range(jt)]
     factors = [_factor(model, dt, pv[j], drive(j)) for j in range(jt)]
 
     def integrand(j, n):
-        return sig[j] * lat.synthesize(inc[:, j]) + factors[j] * n
+        return sig[j] * lat.synthesize(slab(j)) + factors[j] * n
 
     zeros = np.zeros((jt + 1, 1) + lat.spatial_shape)
-    n_final, _ = eng.forward(zeros, integrand, batch_shape=(inc.shape[0],))
+    n_final, _ = eng.forward(zeros, integrand, batch_shape=(len(paths),))
     return n_final[(slice(None), *point)]
 
 

@@ -16,22 +16,33 @@ slab [(l-1) dt, l dt], which makes the Gaussian stochastic convolution
 variance exact in time: with constant sigma the variance of u(t, x) equals
 eps^2 * g1 restricted to the retained modes, with no dt error.
 
-MildEngine sums the history convolution in blocks of _BLOCK slabs.  Inside
-the open block each step adds its own slabs directly; at each block start
-one batched GEMM adds every closed slab's contribution to the whole next
-block at once.  This is the same O(nt^2) arithmetic as summing all past
-slabs at every step, in another order, but it runs in BLAS instead of a
-memory-bound gather over the whole history.  The block size is a constant,
-not an option: 16 and 32 time alike at 512 replicas and nt = 256, 64 is
-slower, and the result agrees with the direct sum to rounding for any
-block size, so no run depends on it.
+For heat the slab-RMS multipliers are exactly geometric in the lag,
+K_{l+1} = q K_l with q = exp(-4 pi^2 |xi|^2 dt) the heat multiplier over one
+step, so MildEngine runs the history sum as the recursion
+acc_j = q acc_{j-1} + K_1 rho_hat_j: O(1) work per step and no stored
+history.  For wave MildEngine sums the history convolution in blocks of
+_BLOCK slabs.  Inside the open block each step adds its own slabs
+directly; at each block start one batched GEMM adds every closed slab's
+contribution to the whole next block at once.  This is the same O(nt^2)
+arithmetic as summing all past slabs at every step, in another order, but
+it runs in BLAS instead of a memory-bound gather over the whole history.
+The block size is a constant, not an option: 16 and 32 time alike at 512
+replicas and nt = 256, 64 is slower, and the result agrees with the direct
+sum to rounding for any block size, so no run depends on it.
+
+An ensemble of B replica streams is driven slab by slab: every _BLOCK
+steps the next _BLOCK slabs of each stream's Philox increments are drawn
+(each stream's generator stays live between draws, so the increments are
+those of a one-shot draw, bit for bit), and each step synthesizes only its
+own slab.  Per-chunk state is one (B, _BLOCK, ncoords) increment block
+plus, for wave, the (nspec, jt, B) complex history; apart from the
+(jt + 1, *spatial) initial table nothing else grows with nt.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-import struct
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -42,7 +53,8 @@ from . import covkernel
 from .covkernel import CovarianceSpec
 from .errors import BlowUpError, GridError, MemoryBudgetError
 from .funcs import ScalarFunc
-from .noise import ControlH, GridSpec, Lattice, NoisePath, lattice
+from .noise import (ControlH, GridSpec, Lattice, LiveStreams, NoisePath, lattice,
+                    sample_increments, write_binary)
 
 _SIGMA_SAMPLE_RANGE = 50.0
 #: slabs per block of the history sum (see the module docstring)
@@ -159,11 +171,8 @@ class Field:
 
     def save(self, filename):
         g = self.grid
-        with open(filename, "wb") as fh:
-            fh.write(b"VLFIELD1")
-            fh.write(struct.pack("<QQQdd", self.values.shape[0] - 1, g.nx,
-                                 self.cov.d, g.T, g.L))
-            fh.write(np.ascontiguousarray(self.values, dtype="<f8").tobytes())
+        write_binary(filename, b"VLFIELD1", "<QQQdd",
+                     (self.values.shape[0] - 1, g.nx, self.cov.d, g.T, g.L), self.values)
 
     def slice_csv(self, filename, j: int = -1):
         vals = self.values[j].reshape(-1)
@@ -244,7 +253,11 @@ class MildEngine:
         if not 1 <= self.jt <= grid.nt:
             raise GridError("observation index outside the grid")
         self.weights = weight_table(cov, grid)
-        self._wt, self._hankel = _block_weights(cov, grid)
+        if cov.operator == "heat":
+            # K_{l+1} = q K_l: q is the heat multiplier over one step
+            self._decay = covkernel.fourier_lambda(cov, grid.dt, self.lat.xi)
+        else:
+            self._wt, self._hankel = _block_weights(cov, grid)
         self._axes = tuple(range(-self.lat.d, 0))
 
     def _to_spec(self, fields: np.ndarray) -> np.ndarray:
@@ -261,29 +274,45 @@ class MildEngine:
 
         Call step once per n = 0 .. jt-1 with the slab spectrum x_n, shape
         batch_shape + (nspec,) or broadcastable to it, or None for a zero
-        slab.  The pushed spectra are kept frequency-major and newest-first,
-        so slab q sits in row jt-1-q and every lag window is a contiguous
-        slice.  Steps run in blocks of _BLOCK: within the open block acc_n
-        sums its own slabs directly (one batched matmul), and at each block
-        start one batched GEMM against the Hankel panel adds every closed
-        slab's contribution to the block's steps.
+        slab.
+
+        Heat weights are geometric in the lag, K_{l+1} = q K_l, so step runs
+        acc_n = q acc_{n-1} + K_1 x_n and keeps no history.  For wave the
+        pushed spectra are kept frequency-major and newest-first, so slab q
+        sits in row jt-1-q and every lag window is a contiguous slice.
+        Steps run in blocks of _BLOCK: within the open block acc_n sums its
+        own slabs directly (one batched matmul), and at each block start
+        one batched GEMM against the Hankel panel adds every closed slab's
+        contribution to the block's steps.
         """
         jt, nspec = self.jt, self.lat.nspec
+        if self.lat.cov.operator == "heat":
+            q, k1 = self._decay, self.weights[1]
+            acc = np.zeros(batch_shape + (nspec,), dtype=np.complex128)
+
+            def heat_step(x):
+                nonlocal acc
+                acc = q * acc                     # a new array: returned ones stay intact
+                if x is not None:
+                    acc += k1 * x
+                return acc
+
+            return heat_step
         nb = math.prod(batch_shape)
         hist = np.zeros((nspec, jt, nb), dtype=np.complex128)
         real = hist.view(np.float64)              # real weights act on re and im alike
-        far = None
+        far = np.empty((nspec, min(_BLOCK, jt), 2 * nb))  # closed slabs, open block
         n = 0
 
         def step(x):
-            nonlocal far, n
+            nonlocal n
             row, start = jt - 1 - n, n - n % _BLOCK
             if x is not None:
                 hist[:, row] = np.reshape(x, (-1, nspec)).T
             if n == start and start > 0:
                 rows = min(_BLOCK, jt - start)
                 panel = self._hankel[:, :start, :rows].transpose(0, 2, 1)
-                far = np.matmul(panel, real[:, jt - start:])
+                np.matmul(panel, real[:, jt - start:], out=far[:, :rows])
             acc = np.matmul(self._wt[:, None, 1: n - start + 2],
                             real[:, row: jt - start])[:, 0]
             if start > 0:
@@ -298,10 +327,11 @@ class MildEngine:
         """Run u_j = w_j + sum_{i<j} K_{j-i} rho_i with rho_i = integrand(i, u_i).
 
         w_tab has shape (jt + 1, *spatial) and broadcasts over batch axes.
-        The history sum is the blocked causal sum of _causal_sum: the same
-        terms as the direct sum over all past slabs, added in a different
-        order (agreement to rounding is checked against the direct sum in
-        the tests).  Returns (final field, history list or None).
+        The history sum is the causal sum of _causal_sum: the same terms as
+        the direct sum over all past slabs, added in a different order (wave)
+        or by the geometric recursion (heat); agreement to rounding is
+        checked against the direct sum in the tests.  Returns (final field,
+        history list or None).
         """
         jt, lat = self.jt, self.lat
         step = self._causal_sum(batch_shape)
@@ -357,27 +387,66 @@ def _prepare(model: ModelSpec, grid: GridSpec, t: float | None):
 
 
 def _drive(eng: MildEngine, eps: float = 0.0, h: ControlH | None = None,
-           inc: np.ndarray | None = None):
+           inc=None):
     """Return drive(j) = D_j = synthesize(c_j), c_j = h_j + (eps / dt) dW_j.
 
-    h is a control, inc the increments of one path (nt, ncoords) or of a
-    batch (B, nt, ncoords); either may be None.  A batch is synthesized one
+    h is a control; inc is the increments of one path, (nt, ncoords), or
+    the slab source of a batch, a callable with inc(j) the (B, ncoords)
+    increments of slab j; either may be None.  A batch is synthesized one
     slab at a time inside the step, so no (B, jt, *spatial) field is held.
     One path or a control is synthesized once for all slabs: slab by slab,
     a batch-1 solve_phi on mc_grid took 6.2-6.7 ms against 4.1-5.3 ms
     (2 shared vCPUs).
     """
     scale = eps / eng.grid.dt
+    batched = callable(inc)
 
     def coeffs(j):
-        c = None if inc is None else scale * inc[..., j, :]
+        c = None if inc is None else scale * (inc(j) if batched else inc[j])
         if h is None:
             return c
         return h.coeffs[j] if c is None else h.coeffs[j] + c
 
-    if inc is not None and inc.ndim == 3:
+    if batched:
         return lambda j: eng.lat.synthesize(coeffs(j))
     return eng.lat.synthesize(coeffs(slice(0, eng.jt))).__getitem__
+
+
+class _Increments:
+    """The increments of many Philox streams, drawn _BLOCK slabs at a time.
+
+    Calling it with j returns the (B, ncoords) increments of slab j; the
+    forward sweep asks for j = 0, 1, ... in order, and each block start
+    draws the next _BLOCK slabs of every stream through sample_increments.
+    So one (B, _BLOCK, ncoords) block is held, never the (B, nt, ncoords)
+    array, and the increments are bit-identical to a one-shot draw.  With
+    a control h, girsanov() returns sum_{i,k} h(i,k) dW(i,k) per stream,
+    summed block by block; the rows at or beyond jt are drawn only then.
+    """
+
+    def __init__(self, eng: MildEngine, streams, h: ControlH | None = None):
+        self.lat, self.jt, self.h = eng.lat, eng.jt, h
+        self.streams = LiveStreams(streams)
+        self.dots = np.zeros(len(self.streams))
+        self.block = None
+
+    def _draw(self, start: int, rows: int) -> np.ndarray:
+        block = sample_increments(self.lat, self.streams, rows)
+        if self.h is not None:
+            self.dots += np.einsum("bik,ik->b", block, self.h.coeffs[start: start + rows])
+        return block
+
+    def __call__(self, j: int) -> np.ndarray:
+        if j % _BLOCK == 0:
+            self.block = None                     # release the spent block first
+            self.block = self._draw(j, min(_BLOCK, self.jt - j))
+        return self.block[:, j % _BLOCK]
+
+    def girsanov(self) -> np.ndarray:
+        nt = self.lat.grid.nt
+        if self.h is not None and self.jt < nt:
+            self._draw(self.jt, nt - self.jt)
+        return self.dots
 
 
 def _integrand(model: ModelSpec, dt: float, u: np.ndarray, D: np.ndarray):
@@ -503,26 +572,21 @@ def endpoint_ensemble(model: ModelSpec, grid: GridSpec, streams, x,
     returns the discrete stochastic integrals sum_{i,k} h(i,k) dW(i,k)
     needed by the change-of-measure weights.
 
-    The drive is synthesized one slab at a time inside the step, so no
-    (B, jt, *spatial) field is ever held.  Peak memory is set by the
-    increments inc, (B, nt, ncoords) floats kept for the Girsanov dots, and
-    the engine's (nspec, jt, B) complex history.
+    The increments are drawn _BLOCK slabs at a time (_Increments) and the
+    drive is synthesized one slab at a time inside the step, so neither
+    the (B, nt, ncoords) increments nor a (B, jt, *spatial) field is ever
+    held.  Peak memory is one increment block plus, for wave, the
+    engine's (nspec, jt, B) complex history; heat keeps no history.
     """
-    from .noise import sample_increments
-
     eng, w_tab = _prepare(model, grid, t)
     point = _endpoint(model, grid, eng.lat, x)
-    inc = sample_increments(eng.lat, streams)      # (B, nt, ncoords)
+    inc = _Increments(eng, streams, h if with_girsanov else None)
     drive = _drive(eng, model.eps, h=h, inc=inc)
     u = _forward(model, eng, w_tab, drive, batch=len(streams))
     samples = u[(slice(None), *point)]
     if not with_girsanov:
         return samples
-    if h is None:
-        dots = np.zeros(len(streams))
-    else:
-        dots = np.einsum("bik,ik->b", inc, h.coeffs)
-    return samples, dots
+    return samples, inc.girsanov()
 
 
 def first_variation(model: ModelSpec, grid: GridSpec, path: NoisePath,

@@ -1,10 +1,15 @@
+import csv
 import json
 import math
 
+import numpy as np
 import pytest
 
 from varadhanlab import mc
-from varadhanlab.cli import main
+from varadhanlab.cli import _estimate_resources, load_config, main
+from varadhanlab.errors import ConfigError
+from varadhanlab.noise import lattice
+from varadhanlab.solver import _BLOCK
 
 TINY = ["--set", "grid.nx=16", "--set", "grid.nt=16", "--set", "grid.nk=8",
         "--set", "task.y=1.0"]
@@ -70,6 +75,76 @@ def test_empty_override_removes_a_key(tmp_path):
     stored = json.loads((tmp_path / "rate_result.json").read_text())["results"]
     assert [r["y"] for r in stored] == [0.5, 1.0, 1.5]
     assert main(["rate", "--set", "task.bogus=", "--out", str(tmp_path)]) == 2
+
+
+def _read_csv(path):
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    return rows[0], np.array(rows[1:], dtype=float)
+
+
+def test_density_writes_finite_curve(tmp_path):
+    assert main(["density", *TINY, "--set", "task.n=1000",
+                 "--set", "task.y_grid=-1:1:5", "--out", str(tmp_path)]) == 0
+    header, values = _read_csv(tmp_path / "density.csv")
+    assert header == ["eps", "y", "p_hat", "se", "log_p", "log_se"]
+    assert values.shape == (5, 6)
+    assert np.all(np.isfinite(values)) and np.all(values[:, 2] > 0.0)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["n"] == 1000 and manifest["bandwidth"] > 0.0
+
+
+def test_support_writes_finite_tables(tmp_path):
+    # 2^n must divide nt = 16, so the smoothing levels stop at 4
+    assert main(["support", *TINY, "--set", "task.n=40", "--set", "task.n_list=2,3",
+                 "--set", "task.n_controls=2", "--set", "task.budgets=1,10",
+                 "--out", str(tmp_path)]) == 0
+    header, probe = _read_csv(tmp_path / "support_probe.csv")
+    assert header == ["budget", "low", "high", "width"]
+    assert probe.shape == (2, 4) and np.all(np.isfinite(probe))
+    assert np.all(probe[:, 3] >= 0.0)
+    header, conv = _read_csv(tmp_path / "support_convergence.csv")
+    assert header == ["n", "kept", "c1_median"]
+    assert conv.shape == (2, 3) and np.all(np.isfinite(conv))
+    assert list(conv[:, 0]) == [2.0, 3.0] and np.all(conv[:, 1] >= 1)
+
+
+def test_unknown_key_error_names_the_line_in_its_section(tmp_path):
+    # eps is a known key in [model] (line 2) but not in [task] (line 6)
+    config = tmp_path / "bad.ini"
+    config.write_text("[model]\neps = 0.5\n\n[task]\nn = 100\neps = 0.3\n")
+    with pytest.raises(ConfigError, match=r"line 6: unknown key 'eps' in \[task\]"):
+        load_config(str(config), [], None)
+    assert main(["rate", "--config", str(config), "--dry-run"]) == 2
+
+
+def test_config_hash_ignores_key_order_and_tracks_values(tmp_path):
+    one, two = tmp_path / "one.ini", tmp_path / "two.ini"
+    one.write_text("[grid]\nnx = 16\nnk = 8\n\n[task]\nn = 100\ny = 1.0\n")
+    two.write_text("[task]\ny = 1.0\nn = 100\n\n[grid]\nnk = 8\nnx = 16\n")
+    h1 = load_config(str(one), [], None).hash()
+    assert h1 == load_config(str(two), [], None).hash()
+    assert h1 == load_config(str(one), [], None).hash()
+    assert h1 != load_config(str(one), ["task.y=1.5"], None).hash()
+    assert h1 != load_config(str(one), [], 8).hash()
+
+
+@pytest.mark.parametrize("operator", ["wave", "heat"])
+@pytest.mark.parametrize("nt", [16, 256])
+def test_dry_run_estimate_follows_the_shapes(operator, nt, capsys):
+    overrides = [f"model.operator={operator}", f"grid.nt={nt}", "task.n=2000"]
+    cfg = load_config(None, overrides, None)
+    lat = lattice(cfg.model.cov, cfg.grid)
+    B = mc.CHUNK                                     # n = 2000 fills whole chunks
+    block = B * min(_BLOCK, nt) * lat.ncoords * 8    # one increment block
+    if operator == "wave":
+        want = (block + lat.nspec * nt * B * 16, 0.5 * nt ** 2 * lat.nspec * 2000 * 8)
+    else:                                            # no history, O(nt) work
+        want = (block, nt * lat.nspec * 2000 * 8)
+    assert _estimate_resources(cfg) == want
+    args = ["simulate", "--dry-run"] + [a for o in overrides for a in ("--set", o)]
+    assert main(args) == 0
+    assert f"~{want[0] / 1e6:.0f} MB per chunk" in capsys.readouterr().out
 
 
 @pytest.mark.slow

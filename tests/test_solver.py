@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,12 +7,13 @@ from varadhanlab import presets
 from varadhanlab.covkernel import CovarianceSpec, g1
 from varadhanlab.errors import BlowUpError, GridError, MemoryBudgetError
 from varadhanlab.funcs import ONE, ZERO, make_func
-from varadhanlab.noise import ControlH, GridSpec, lattice, sample_path
-from varadhanlab.solver import (BumpInitial, ModelSpec, ZeroInitial,
-                                check_wave_domain, endpoint_ensemble,
-                                first_variation, g1_grid, malliavin_adjoint,
-                                malliavin_normsq, picard_verify, simulate,
-                                simulate_shifted)
+from varadhanlab.noise import (ControlH, GridSpec, LiveStreams, lattice,
+                               sample_increments, sample_path)
+from varadhanlab.solver import (_BLOCK, BumpInitial, MildEngine, ModelSpec,
+                                ZeroInitial, _Increments, check_wave_domain,
+                                endpoint_ensemble, first_variation, g1_grid,
+                                malliavin_adjoint, malliavin_normsq, picard_verify,
+                                simulate, simulate_shifted)
 
 COV = presets.WAVE_WHITE
 
@@ -151,6 +154,68 @@ class TestSimulate:
                  for f in fields]
             diffs.append(np.mean(d))
         assert all(b < a for a, b in zip(diffs, diffs[1:]))
+
+
+class TestStreamedIncrements:
+    @pytest.mark.parametrize("nt", [5, _BLOCK, _BLOCK + 1, 70])
+    @pytest.mark.parametrize("short", [1, 3])
+    def test_block_draws_equal_one_shot_draw(self, nt, short):
+        # jt = nt - short < nt: blocks end at jt, the rest is drawn for the dot
+        grid = GridSpec(L=1.25, nx=16, nt=nt, T=1.0, nk=8, seed=4)
+        lat = lattice(COV, grid)
+        streams = [0, 7, 12345]
+        whole = sample_increments(lat, streams)
+        jt = max(1, nt - short)
+        h = ControlH(lat, np.random.default_rng(nt).standard_normal((nt, lat.ncoords)))
+        inc = _Increments(MildEngine(COV, grid, jt), streams, h)
+        slabs = np.stack([inc(j) for j in range(jt)], axis=1)
+        assert np.array_equal(slabs, whole[:, :jt])
+        dots = inc.girsanov()
+        want = np.einsum("bik,ik->b", whole, h.coeffs)
+        np.testing.assert_allclose(dots, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+        # the live streams went on to row nt, and the next draw continues there
+        live = LiveStreams(streams)
+        rows = [sample_increments(lat, live, r) for r in (jt, nt - jt)]
+        assert np.array_equal(np.concatenate(rows, axis=1), whole)
+
+    def test_tilted_ensemble_dots_before_t(self, mc_grid):
+        # t < T: the Girsanov dot still pairs h with all nt rows of dW
+        m = presets.nonlinear_model(eps=0.5)
+        lat = lattice(COV, mc_grid)
+        h = ControlH(lat, np.random.default_rng(2).standard_normal((mc_grid.nt, lat.ncoords)))
+        streams = list(range(40, 80))
+        _, dots = endpoint_ensemble(m, mc_grid, streams, 0.0, h=h, t=0.4,
+                                    with_girsanov=True)
+        want = np.einsum("bik,ik->b", sample_increments(lat, streams), h.coeffs)
+        np.testing.assert_allclose(dots, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
+class TestChunkMemory:
+    @pytest.mark.parametrize("operator", ["wave", "heat"])
+    def test_traced_peak_has_no_full_increments(self, operator):
+        # peak bytes of one chunk, from shapes: one increment block, the
+        # initial table, for wave the (nspec, nt, B) complex history and the
+        # open block's (nspec, _BLOCK, 2B) far sums, plus an O(B) allowance
+        # for the per-stream generators and per-step spectra and fields;
+        # no (B, nt, ncoords) term
+        cov = CovarianceSpec(operator, 1, "white")
+        grid = GridSpec(L=1.25, nx=16, nt=256, T=1.0, nk=8, seed=1)
+        m = presets.nonlinear_model(cov=cov)
+        lat = lattice(cov, grid)
+        B, nt, nspec = 64, grid.nt, lat.nspec
+        streams = list(range(B))
+        endpoint_ensemble(m, grid, streams, 0.0)       # warm the lattice and weights
+        tracemalloc.start()
+        try:
+            endpoint_ensemble(m, grid, streams, 0.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        bound = (B * _BLOCK * lat.ncoords * 8 + (nt + 1) * grid.nx * 8
+                 + B * (8192 + 32 * (grid.nx + nspec) * 16))
+        if operator == "wave":
+            bound += nspec * nt * B * 16 + nspec * _BLOCK * 2 * B * 8
+        assert peak < bound
 
 
 def _coarsen(path_fine, lat_coarse):
