@@ -306,11 +306,13 @@ class LiveStreams:
         return len(self.ids)
 
 
-def sample_increments(lat: Lattice, streams, rows: int | None = None) -> np.ndarray:
+def sample_increments(lat: Lattice, streams, rows: int | None = None,
+                      out: np.ndarray | None = None) -> np.ndarray:
     """Increments of many streams, (n_streams, rows, ncoords); rows = nt by default.
 
     streams is a sequence of stream ids, each drawn from its first row, or
     a LiveStreams, whose streams continue where their last draw stopped.
+    Given out, an array of that shape, the increments are written into it.
     """
     rows = lat.grid.nt if rows is None else rows
     if isinstance(streams, LiveStreams):
@@ -319,7 +321,11 @@ def sample_increments(lat: Lattice, streams, rows: int | None = None) -> np.ndar
         generators = streams.generators
     else:
         generators = (_philox(lat, int(s)) for s in streams)
-    out = np.empty((len(streams), rows, lat.ncoords))
+    if out is None:
+        out = np.empty((len(streams), rows, lat.ncoords))
+    elif out.shape != (len(streams), rows, lat.ncoords):
+        raise ShapeError(f"out has shape {out.shape}, expected "
+                         f"{(len(streams), rows, lat.ncoords)}")
     for row, rng in enumerate(generators):
         rng.standard_normal(out=out[row])
     out *= math.sqrt(lat.grid.dt)

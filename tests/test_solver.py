@@ -168,7 +168,8 @@ class TestStreamedIncrements:
         jt = max(1, nt - short)
         h = ControlH(lat, np.random.default_rng(nt).standard_normal((nt, lat.ncoords)))
         inc = _Increments(MildEngine(COV, grid, jt), streams, h)
-        slabs = np.stack([inc(j) for j in range(jt)], axis=1)
+        # a slab is a view into the block buffer, which the next draw refills
+        slabs = np.stack([inc(j).copy() for j in range(jt)], axis=1)
         assert np.array_equal(slabs, whole[:, :jt])
         dots = inc.girsanov()
         want = np.einsum("bik,ik->b", whole, h.coeffs)
