@@ -28,7 +28,7 @@ import numpy as np
 
 from . import covkernel, mc, rate as rate_mod, skeleton, solver
 from .covkernel import CovarianceSpec
-from .errors import ConfigError, VaradhanLabError
+from .errors import BlowUpError, ConfigError, VaradhanLabError
 from .funcs import parse_func
 from .noise import ControlH, GridSpec, lattice, load_control
 from .solver import BumpInitial, ModelSpec, ZeroInitial, g1_grid
@@ -282,21 +282,22 @@ def _cmd_density(run: Runner) -> int:
 
 def _cmd_rate(run: Runner) -> int:
     cfg = run.cfg
-    opts = rate_mod.RateOptions(tol_rel=float(cfg.task.get("tol_rel", 1e-6)))
+    tol_rel = float(cfg.task.get("tol_rel", 1e-6))
     if "y_grid" in cfg.task and "y" not in cfg.task:
         y_grid = _parse_grid_expr(cfg.task["y_grid"])
         results = rate_mod.rate_profile(cfg.model, cfg.grid, y_grid, t=cfg.t,
-                                        x=cfg.x, options=opts)
+                                        x=cfg.x, tol_rel=tol_rel)
     else:
         y = float(cfg.task.get("y", 1.0))
         results = [rate_mod.rate_function(cfg.model, cfg.grid, y, t=cfg.t,
-                                          x=cfg.x, options=opts)]
+                                          x=cfg.x, tol_rel=tol_rel)]
     # one minimiser per entry, so varadhan tilts with the h* of the y it compares
     h_files = rate_mod.profile_to_csv(results, run.path("rate.csv"), h_dir=run.out)
     run.artifacts.extend(h_files)
     payload = [{"y": r.y, "I": r.I, "residual": r.residual,
                 "iterations": r.iterations, "converged": r.converged,
-                "gamma_bar": r.gamma_bar_at_hstar, "h_star": f.name}
+                "gamma_bar": r.gamma_bar_at_hstar, "stationarity": r.stationarity,
+                "evaluations": r.evaluations, "h_star": f.name}
                for r, f in zip(results, h_files)]
     run.path("rate_result.json").write_text(
         json.dumps({"results": payload, "t": cfg.t, "x": list(map(float, cfg.x))},
@@ -526,9 +527,12 @@ def main(argv=None) -> int:
         if args.subcommand == "support":
             return _cmd_support(run)
         return _cmd_validate(run, full=args.full)
-    except VaradhanLabError as exc:
+    except (VaradhanLabError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        run.finish(args.subcommand, {"failed": str(exc)})
+        failure = {"failed": str(exc), "error": type(exc).__name__}
+        if isinstance(exc, BlowUpError):
+            failure["step"] = exc.step
+        run.finish(args.subcommand, failure)
         return 1
 
 

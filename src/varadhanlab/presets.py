@@ -26,11 +26,6 @@ def mc_grid(seed: int = 7) -> GridSpec:
     return GridSpec(L=1.25, nx=128, nt=64, T=1.0, nk=64, seed=seed)
 
 
-def rate_grid(seed: int = 7) -> GridSpec:
-    """Rate-function grid: deep mode set for the 1e-3 oracle tolerance."""
-    return GridSpec(L=1.25, nx=2560, nt=64, T=1.0, nk=1280, seed=seed)
-
-
 def tiny_grid(seed: int = 7) -> GridSpec:
     """Smallest sensible grid; adjoint/forward oracle comparisons."""
     return GridSpec(L=1.25, nx=16, nt=16, T=1.0, nk=8, seed=seed)

@@ -1,12 +1,12 @@
 """Variational rate function I(y) = inf { ||h||^2 / 2 : skeleton endpoint = y }.
 
-The constrained problem is solved by an augmented-Lagrangian outer loop
-(multiplier updates, penalty growth on stalls) around an L-BFGS inner
+Each rate point is one augmented-Lagrangian run: an outer loop of
+multiplier updates and penalty growth on stalls around an L-BFGS inner
 minimization over the flattened control coefficients, with gradients from
-the discrete adjoint of the skeleton recursion.  Feasible starting points
-come from the constructive reachability shift: scaled copies of the
-kernel direction Lambda(t-., x-*) sigma(Phi^0) bracket any target when the
-drift is bounded, and the bracket is bisected to a feasible initializer.
+the discrete adjoint of the skeleton recursion.  A cold run starts from the
+constructive reachability shift: scaled copies of the kernel direction
+Lambda(t-., x-*) sigma(Phi^0) bracket any target when the drift is bounded,
+and the bracket is bisected to a feasible initializer.
 """
 
 from __future__ import annotations
@@ -26,10 +26,22 @@ from .noise import ControlH, GridSpec, lattice, save_control
 from .skeleton import bare_kernel_control, gradient_phi, solve_phi
 from .solver import ModelSpec, check_wave_domain, g1_grid
 
+# augmented-Lagrangian budgets: outer iterations, L-BFGS iterations per
+# outer iteration, initial penalty and its growth factor on a stall
+_MAX_OUTER = 14
+_MAX_INNER = 400
+_PENALTY0 = 10.0
+_PENALTY_GROWTH = 10.0
+
 
 @dataclass
 class RateResult:
-    """Outcome of one rate-function minimization."""
+    """Outcome of one rate-function minimization.
+
+    evaluations counts augmented-Lagrangian objective evaluations (one
+    skeleton solve and one adjoint sweep each); it is 0 at the zero-control
+    centre.
+    """
 
     y: float
     I: float
@@ -39,7 +51,7 @@ class RateResult:
     converged: bool
     gamma_bar_at_hstar: float
     stationarity: float = math.nan
-    multistart_spread: float = 0.0
+    evaluations: int = 0
 
     def validate(self, tol_c: float):
         if self.converged and self.residual >= tol_c:
@@ -48,23 +60,6 @@ class RateResult:
             raise AssertionError("rate values are nonnegative")
         if self.converged and self.gamma_bar_at_hstar <= 0.0:
             raise AssertionError("gradient norm at the optimum must be positive")
-
-
-@dataclass
-class RateOptions:
-    """Tolerances and iteration budgets for the augmented-Lagrangian solve."""
-
-    tol_rel: float = 1e-6
-    max_outer: int = 14
-    max_inner: int = 400
-    penalty0: float = 10.0
-    penalty_growth: float = 10.0
-    multistart: int = 3
-    multistart_scale: float = 0.1
-    seed: int = 1234
-
-    def tol_c(self, scale: float) -> float:
-        return self.tol_rel * max(scale, 1e-12)
 
 
 def _endpoint(model, grid, h, t, x):
@@ -121,23 +116,22 @@ def _feasible_start(model, grid, y, t, x, alpha):
     return tau * h_plus
 
 
-def _auglag_solve(model, grid, y, v0, t, x, opts, tol_c):
-    """One augmented-Lagrangian run from the flat coefficient vector v0.
-
-    Returns (h, constraint, outer_iters, converged, stationarity, gradient).
-    """
+def _auglag_solve(model, grid, y, h0: ControlH, t, x, tol_c) -> RateResult:
+    """One augmented-Lagrangian run from the control h0."""
     lat = lattice(model.cov, grid)
     tt = grid.T if t is None else t
     dt = grid.dt
     shape = (grid.nt, lat.ncoords)
-    lam, mu = 0.0, opts.penalty0
-    v = np.asarray(v0, dtype=float).copy()
+    lam, mu = 0.0, _PENALTY0
+    v = np.array(h0.coeffs, dtype=float).reshape(-1)
     prev_c = None
-    h = c = G = None
-    for n_outer in range(1, opts.max_outer + 1):
+    evaluations = 0
+    for n_outer in range(1, _MAX_OUTER + 1):
         cache = {}
 
         def val_grad(vflat):
+            nonlocal evaluations
+            evaluations += 1
             hh = ControlH(lat, vflat.reshape(shape))
             phi = solve_phi(model, grid, hh, t)
             cc = phi.at(tt, x) - y
@@ -148,75 +142,71 @@ def _auglag_solve(model, grid, y, v0, t, x, opts, tol_c):
             return obj, grad.reshape(-1)
 
         res = optimize.minimize(val_grad, v, jac=True, method="L-BFGS-B",
-                                options={"maxiter": opts.max_inner,
+                                options={"maxiter": _MAX_INNER,
                                          "ftol": 1e-16, "gtol": 1e-12})
         v = res.x
         c, G, h = cache["c"], cache["G"], cache["h"]
         lam += mu * c
         stat = np.linalg.norm(h.coeffs + lam * G.coeffs) / \
             max(np.linalg.norm(h.coeffs), 1e-300)
-        if abs(c) < tol_c:
-            return h, c, n_outer, True, float(stat), G
+        converged = abs(c) < tol_c
+        if converged:
+            break
         if prev_c is not None and abs(c) > 0.25 * prev_c:
-            mu *= opts.penalty_growth
+            mu *= _PENALTY_GROWTH
         prev_c = abs(c)
-    return h, c, opts.max_outer, False, float(stat), G
+    return RateResult(y, 0.5 * h.norm_sq, h, abs(c), n_outer, converged,
+                      G.norm_sq, stationarity=float(stat), evaluations=evaluations)
+
+
+class _RatePoints:
+    """Rate points at one (t, x), sharing the wave-domain guard, the
+    constraint tolerance and the zero-control endpoint phi0_end."""
+
+    def __init__(self, model, grid, t, x, tol_rel):
+        self.model, self.grid, self.t = model, grid, t
+        self.lat = lattice(model.cov, grid)
+        self.x = np.zeros(self.lat.d) if x is None else x
+        check_wave_domain(model, grid, self.x)
+        tt = grid.T if t is None else t
+        self.tol_c = tol_rel * max(_spread_scale(model, grid, tt), 1e-12)
+        self.phi0_end = _endpoint(model, grid, ControlH.zeros(self.lat), t, self.x)
+
+    def solve(self, y: float, warm: ControlH | None = None) -> RateResult:
+        """One run from warm; a cold run from the constructive start when
+        there is no warm start or its run does not converge."""
+        model, grid, t, x, tol_c = self.model, self.grid, self.t, self.x, self.tol_c
+        if abs(self.phi0_end - y) < tol_c:
+            zero = ControlH.zeros(self.lat)
+            g0 = gradient_phi(model, grid, zero, t, x)
+            return RateResult(y, 0.0, zero, abs(self.phi0_end - y), 0, True,
+                              g0.norm_sq, stationarity=0.0)
+        res = None if warm is None else _auglag_solve(model, grid, y, warm, t, x, tol_c)
+        if res is None or not res.converged:
+            spent = 0 if res is None else res.evaluations
+            h0 = _feasible_start(model, grid, y, t, x,
+                                 alpha=max(0.1, 0.1 * abs(y - self.phi0_end)))
+            res = _auglag_solve(model, grid, y, h0, t, x, tol_c)
+            res.evaluations += spent
+        res.validate(tol_c)
+        return res
 
 
 def rate_function(model: ModelSpec, grid: GridSpec, y: float,
                   t: float | None = None, x=None,
-                  options: RateOptions | None = None) -> RateResult:
+                  tol_rel: float = 1e-6) -> RateResult:
     """Minimize ||h||^2 / 2 subject to the skeleton endpoint hitting y.
 
-    The start point bisects the constructive bracket; three perturbed
-    restarts guard against local minima and their disagreement is reported
-    as multistart_spread.
+    One augmented-Lagrangian run from the bisected constructive bracket;
+    the run stops once |endpoint - y| falls below tol_rel times the linear
+    endpoint spread.
     """
-    opts = options or RateOptions()
-    lat = lattice(model.cov, grid)
-    if x is None:
-        x = np.zeros(lat.d)
-    check_wave_domain(model, grid, x)
-    tt = grid.T if t is None else t
-    tol_c = opts.tol_c(_spread_scale(model, grid, tt))
-
-    phi0_end = _endpoint(model, grid, ControlH.zeros(lat), t, x)
-    if abs(phi0_end - y) < tol_c:
-        g0 = gradient_phi(model, grid, ControlH.zeros(lat), t, x)
-        return RateResult(y, 0.0, ControlH.zeros(lat), abs(phi0_end - y), 0, True,
-                          g0.norm_sq, stationarity=0.0)
-
-    h0 = _feasible_start(model, grid, y, t, x,
-                         alpha=max(0.1, 0.1 * abs(y - phi0_end)))
-    rng = np.random.Generator(np.random.Philox(key=np.array(
-        [opts.seed, 97], dtype=np.uint64)))
-    starts = [h0.coeffs.reshape(-1)]
-    for _ in range(max(0, opts.multistart - 1)):
-        bump = rng.standard_normal(h0.coeffs.shape)
-        bump *= opts.multistart_scale * max(h0.norm, 1e-6) / \
-            max(math.sqrt(grid.dt) * np.linalg.norm(bump), 1e-300)
-        starts.append((h0.coeffs + bump).reshape(-1))
-
-    best = None
-    values = []
-    for v0 in starts:
-        h, c, iters, ok, stat, G = _auglag_solve(model, grid, y, v0, t, x, opts, tol_c)
-        cand = RateResult(y, 0.5 * h.norm_sq, h, abs(c), iters, ok,
-                          G.norm_sq, stationarity=stat)
-        if ok:
-            values.append(cand.I)
-        if best is None or (cand.converged and not best.converged) or (
-                cand.converged == best.converged and cand.I < best.I):
-            best = cand
-    if len(values) > 1 and min(values) > 0:
-        best.multistart_spread = (max(values) - min(values)) / min(values)
-    best.validate(tol_c)
-    return best
+    return _RatePoints(model, grid, t, x, tol_rel).solve(y)
 
 
 def rate_profile(model: ModelSpec, grid: GridSpec, y_grid,
                  t: float | None = None, x=None,
-                 options: RateOptions | None = None) -> list[RateResult]:
+                 tol_rel: float = 1e-6) -> list[RateResult]:
     """Sweep the rate function over a sorted y grid with warm starts.
 
     Solves outward from the zero-control endpoint, warm-starting each y
@@ -226,30 +216,12 @@ def rate_profile(model: ModelSpec, grid: GridSpec, y_grid,
     y_grid = np.asarray(y_grid, dtype=float)
     if np.any(np.diff(y_grid) <= 0):
         raise ValueError("y_grid must be sorted strictly increasing")
-    opts = options or RateOptions()
-    lat = lattice(model.cov, grid)
-    if x is None:
-        x = np.zeros(lat.d)
-    check_wave_domain(model, grid, x)
-    tt = grid.T if t is None else t
-    tol_c = opts.tol_c(_spread_scale(model, grid, tt))
-    phi0_end = _endpoint(model, grid, ControlH.zeros(lat), t, x)
-    order = np.argsort(np.abs(y_grid - phi0_end), kind="stable")
-
+    points = _RatePoints(model, grid, t, x, tol_rel)
+    order = np.argsort(np.abs(y_grid - points.phi0_end), kind="stable")
     results: dict[int, RateResult] = {}
     warm: ControlH | None = None
     for idx in order:
-        y = float(y_grid[idx])
-        res = None
-        if warm is not None and abs(y - phi0_end) >= tol_c:
-            h, c, iters, ok, stat, G = _auglag_solve(
-                model, grid, y, warm.coeffs.reshape(-1), t, x, opts, tol_c)
-            if ok:
-                res = RateResult(y, 0.5 * h.norm_sq, h, abs(c), iters, True,
-                                 G.norm_sq, stationarity=stat)
-                res.validate(tol_c)
-        if res is None:
-            res = rate_function(model, grid, y, t, x, opts)
+        res = points.solve(float(y_grid[idx]), warm)
         results[int(idx)] = res
         if res.converged:
             warm = res.h_star

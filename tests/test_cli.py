@@ -156,3 +156,51 @@ def test_validate_full_matches_minus_rate(tmp_path):
     headline = checks["nonlinear log-density limit vs -I"]
     assert headline["ok"]
     assert float(headline["detail"].rpartition("rel=")[2]) < 0.15
+
+
+def _manifest(path):
+    return json.loads((path / "manifest.json").read_text())
+
+
+@pytest.mark.parametrize("subcommand, overrides", [
+    ("density", ["task.n=500"]),                        # n >= 1000 guard
+    ("rate", ["task.y=", "task.y_grid=1,0.5"]),         # sorted-grid guard
+])
+def test_value_error_fails_the_run_cleanly(subcommand, overrides, tmp_path, capsys):
+    args = [subcommand, *TINY] + [a for o in overrides for a in ("--set", o)]
+    assert main([*args, "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    manifest = _manifest(tmp_path)
+    assert manifest["failed"] and manifest["error"] == "ValueError"
+    assert "step" not in manifest
+
+
+def test_blow_up_writes_its_step(tmp_path):
+    assert main(["simulate", *TINY, "--set", "model.b=affine:0,1e40",
+                 "--set", "task.n=600", "--out", str(tmp_path)]) == 1
+    manifest = _manifest(tmp_path)
+    assert manifest["failed"] == "time stepping blew up at step 10"
+    assert manifest["error"] == "BlowUpError" and manifest["step"] == 10
+
+
+@pytest.mark.parametrize("y_grid", ["-2:2:3", "-2:2:5"])
+def test_density_on_a_grid_coarser_than_the_bandwidth(y_grid, tmp_path):
+    # steps of 2 and 1 against a bandwidth of about 0.11: the trapezoid sum
+    # is not a mass there, so the mass bound must not fire
+    assert main(["density", *TINY, "--set", "task.n=1000",
+                 "--set", f"task.y_grid={y_grid}", "--out", str(tmp_path)]) == 0
+    assert "failed" not in _manifest(tmp_path)
+
+
+def test_rate_result_carries_solver_diagnostics(tmp_path):
+    assert main(["rate", *TINY, "--out", str(tmp_path)]) == 0
+    entry, = json.loads((tmp_path / "rate_result.json").read_text())["results"]
+    assert math.isfinite(entry["stationarity"])
+    assert entry["evaluations"] >= entry["iterations"] >= 1
+
+
+def test_validate_passes_every_check(tmp_path):
+    assert main(["validate", "--out", str(tmp_path)]) == 0
+    checks = json.loads((tmp_path / "validate.json").read_text())
+    assert checks and all(c["ok"] for c in checks)
+    assert _manifest(tmp_path)["all_pass"]

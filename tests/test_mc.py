@@ -12,7 +12,7 @@ from varadhanlab.mc import (CHUNK, DensityCurve, estimate_density, gaussian_kde,
                             support_convergence, tilted_density,
                             varadhan_sweep, _batch_se)
 from varadhanlab.noise import ControlH, GridSpec, lattice
-from varadhanlab.rate import rate_function, RateOptions
+from varadhanlab.rate import rate_function
 from varadhanlab.solver import endpoint_ensemble, g1_grid
 
 COV = presets.WAVE_WHITE
@@ -20,8 +20,7 @@ COV = presets.WAVE_WHITE
 
 @pytest.fixture(scope="module")
 def linear_rate(mc_grid, linear_model):
-    return rate_function(linear_model, mc_grid, 1.0, x=0.0,
-                         options=RateOptions(multistart=1))
+    return rate_function(linear_model, mc_grid, 1.0, x=0.0)
 
 
 class TestKde:
@@ -73,6 +72,21 @@ class TestEstimateDensity:
         assert np.all(curve.p_hat >= 0.0)
         far = np.abs(y) > 2.5
         assert np.all(np.isnan(curve.log_p[far]) | (curve.p_hat[far] > 3 * curve.se[far]))
+
+    def test_mass_bound_needs_a_grid_that_resolves_the_kernel(self):
+        # the same overshooting trapezoid sum (1.25) fails on steps <= 2 bw
+        # and is not read as a mass on a coarser grid
+        y = np.array([-1.0, 0.0, 1.0])
+        p_hat = np.array([0.25, 1.0, 0.25])
+        for bw, fails in ((0.5, True), (0.49, False)):
+            curve = DensityCurve(1.0, y, p_hat, np.zeros(3), bw, 1000)
+            if fails:
+                with pytest.raises(AssertionError, match="captured mass"):
+                    curve.validate()
+            else:
+                curve.validate()
+        with pytest.raises(AssertionError, match="nonnegative"):
+            DensityCurve(1.0, y, -p_hat, np.zeros(3), 0.49, 1000).validate()
 
     def test_csv_export(self, mc_grid, linear_model, tmp_path):
         curve = estimate_density(linear_model, mc_grid, 2000,

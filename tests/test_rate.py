@@ -1,17 +1,16 @@
 import numpy as np
 import pytest
 
-from varadhanlab import presets
+from varadhanlab import presets, rate
 from varadhanlab.errors import BracketError
 from varadhanlab.funcs import ONE, make_func
 from varadhanlab.noise import ControlH, GridSpec, lattice
-from varadhanlab.rate import (RateOptions, init_shift, rate_function,
-                              rate_profile, support_probe)
+from varadhanlab.rate import (init_shift, rate_function, rate_profile,
+                              support_probe)
 from varadhanlab.skeleton import solve_phi
 from varadhanlab.solver import ModelSpec, ZeroInitial, g1_grid
 
 COV = presets.WAVE_WHITE
-FAST = RateOptions(multistart=1)
 
 
 @pytest.fixture(scope="module")
@@ -56,7 +55,7 @@ class TestInitShift:
 
 class TestRateFunction:
     def test_linear_matches_closed_form(self, grid, linear_model):
-        res = rate_function(linear_model, grid, 1.0, x=0.0, options=FAST)
+        res = rate_function(linear_model, grid, 1.0, x=0.0)
         want = 1.0 / (2.0 * g1_grid(COV, grid, 1.0))
         assert res.converged
         assert res.I == pytest.approx(want, rel=1e-3)
@@ -64,21 +63,20 @@ class TestRateFunction:
     def test_zero_at_reachable_center(self, grid, nonlinear_model):
         lat = lattice(COV, grid)
         y0 = solve_phi(nonlinear_model, grid, ControlH.zeros(lat)).at(1.0, 0.0)
-        res = rate_function(nonlinear_model, grid, y0, x=0.0, options=FAST)
+        res = rate_function(nonlinear_model, grid, y0, x=0.0)
         assert res.converged
         assert res.I == 0.0
         assert res.h_star.norm == 0.0
 
     def test_linear_symmetry(self, grid, linear_model):
-        rp = rate_function(linear_model, grid, 0.8, x=0.0, options=FAST)
-        rm = rate_function(linear_model, grid, -0.8, x=0.0, options=FAST)
+        rp = rate_function(linear_model, grid, 0.8, x=0.0)
+        rm = rate_function(linear_model, grid, -0.8, x=0.0)
         assert rp.I == pytest.approx(rm.I, rel=1e-6)
 
     def test_feasibility_and_stationarity(self, grid, nonlinear_model):
-        res = rate_function(nonlinear_model, grid, 1.2, x=0.0, options=FAST)
+        res = rate_function(nonlinear_model, grid, 1.2, x=0.0)
         assert res.converged
-        assert res.residual < RateOptions().tol_c(
-            np.sqrt(g1_grid(COV, grid, 1.0)) * 1.25)
+        assert res.residual < 1e-6 * np.sqrt(g1_grid(COV, grid, 1.0)) * 1.25
         assert res.stationarity < 1e-4
         assert res.gamma_bar_at_hstar > 0.0
 
@@ -89,14 +87,33 @@ class TestRateFunction:
             for fac in (1, 2):
                 g = GridSpec(L=1.25, nx=64 * fac, nt=32 * fac, T=1.0,
                              nk=32 * fac, seed=13)
-                vals.append(rate_function(model, g, 1.0, x=0.0, options=FAST).I)
+                vals.append(rate_function(model, g, 1.0, x=0.0).I)
             assert abs(vals[1] - vals[0]) / vals[0] < 0.02
+
+
+    def test_one_augmented_lagrangian_run_per_point(self, grid, nonlinear_model,
+                                                    monkeypatch):
+        runs = []
+        solve = rate._auglag_solve
+
+        def spy(*args):
+            runs.append(solve(*args))
+            return runs[-1]
+
+        monkeypatch.setattr(rate, "_auglag_solve", spy)
+        res = rate_function(nonlinear_model, grid, 1.2, x=0.0)
+        assert runs == [res]
+        assert res.evaluations >= res.iterations >= 1
+        lat = lattice(COV, grid)
+        y0 = solve_phi(nonlinear_model, grid, ControlH.zeros(lat)).at(1.0, 0.0)
+        centre = rate_function(nonlinear_model, grid, y0, x=0.0)
+        assert len(runs) == 1 and centre.evaluations == 0
 
 
 class TestRateProfile:
     def test_linear_parabola(self, grid, linear_model):
         y_grid = np.linspace(-1.0, 1.0, 9)
-        results = rate_profile(linear_model, grid, y_grid, x=0.0, options=FAST)
+        results = rate_profile(linear_model, grid, y_grid, x=0.0)
         gg = g1_grid(COV, grid, 1.0)
         for r in results:
             assert r.converged
@@ -106,7 +123,7 @@ class TestRateProfile:
         lat = lattice(COV, grid)
         y0 = solve_phi(nonlinear_model, grid, ControlH.zeros(lat)).at(1.0, 0.0)
         y_grid = np.unique(np.concatenate([np.linspace(-1.5, 1.5, 7), [y0]]))
-        results = rate_profile(nonlinear_model, grid, y_grid, x=0.0, options=FAST)
+        results = rate_profile(nonlinear_model, grid, y_grid, x=0.0)
         vals = np.array([r.I for r in results])
         arg = float(y_grid[np.argmin(vals)])
         cell = np.max(np.diff(y_grid))
