@@ -38,9 +38,11 @@ _SCHEMA = {
               "eps", "eps_list"},
     "grid": {"L", "nx", "nt", "nk", "T", "seed"},
     "task": {"t", "x", "y", "y_grid", "n", "n_list", "budgets", "theta",
-             "alpha", "n_controls", "tol_rel", "rate_artifact"},
-    "output": {"directory", "formats"},
+             "n_controls", "tol_rel", "rate_artifact"},
 }
+
+#: replicas per subcommand when task.n is absent
+_DEFAULT_N = {"simulate": 1000, "density": 10_000, "varadhan": 10_000, "support": 300}
 
 DEFAULT_CONFIG = """\
 [model]
@@ -63,21 +65,13 @@ T = 1.0
 seed = 7
 
 [task]
-t = 1.0
-x = 0.0
 y = 1.0
 y_grid = -1.5:1.5:13
-n = 10000
 n_list = 3,4,5,6
 budgets = 1,10,100
 theta = 0.9
-alpha = 0.5
 n_controls = 6
 tol_rel = 1e-6
-
-[output]
-directory = out
-formats = csv,json
 """
 
 
@@ -106,7 +100,6 @@ class Config:
         self.model = self._build_model()
         self.grid = self._build_grid()
         self.task = self.raw.get("task", {})
-        self.output = self.raw.get("output", {})
 
     def _validate_keys(self, source_text: str):
         for section, items in self.raw.items():
@@ -152,8 +145,12 @@ class Config:
         return float(self.task.get("t", self.grid.T))
 
     @property
-    def x(self) -> np.ndarray:
-        return np.array(_floats(self.task.get("x", "0.0")))
+    def x(self) -> np.ndarray | None:
+        """The observation point; None (the origin of R^d) when task.x is absent."""
+        return np.array(_floats(self.task["x"])) if "x" in self.task else None
+
+    def replicas(self, subcommand: str) -> int:
+        return int(self.task.get("n", _DEFAULT_N[subcommand]))
 
     def canonical_text(self) -> str:
         lines = []
@@ -250,7 +247,7 @@ class Runner:
 
 def _cmd_simulate(run: Runner) -> int:
     cfg = run.cfg
-    n = int(cfg.task.get("n", 1000))
+    n = cfg.replicas("simulate")
     samples = mc.sample_endpoints(cfg.model, cfg.grid, n, cfg.x, t=cfg.t,
                                   executor=run.executor)
     with open(run.path("samples.csv"), "w", newline="") as fh:
@@ -269,7 +266,7 @@ def _cmd_simulate(run: Runner) -> int:
 
 def _cmd_density(run: Runner) -> int:
     cfg = run.cfg
-    n = int(cfg.task.get("n", 10000))
+    n = cfg.replicas("density")
     y_grid = _parse_grid_expr(cfg.task.get("y_grid", "-1.5:1.5:13"))
     curve = mc.estimate_density(cfg.model, cfg.grid, n, y_grid, t=cfg.t, x=cfg.x,
                                 executor=run.executor)
@@ -297,10 +294,12 @@ def _cmd_rate(run: Runner) -> int:
     payload = [{"y": r.y, "I": r.I, "residual": r.residual,
                 "iterations": r.iterations, "converged": r.converged,
                 "gamma_bar": r.gamma_bar_at_hstar, "stationarity": r.stationarity,
-                "evaluations": r.evaluations, "h_star": f.name}
+                "evaluations": r.evaluations, "skeleton_solves": r.skeleton_solves,
+                "h_star": f.name}
                for r, f in zip(results, h_files)]
+    x = lattice(cfg.model.cov, cfg.grid).point(cfg.x)
     run.path("rate_result.json").write_text(
-        json.dumps({"results": payload, "t": cfg.t, "x": list(map(float, cfg.x))},
+        json.dumps({"results": payload, "t": cfg.t, "x": list(map(float, x))},
                    indent=2, sort_keys=True))
     run.finish("rate")
     for r in results:
@@ -326,7 +325,7 @@ def _cmd_varadhan(run: Runner) -> int:
         print(f"note: using stored rate value at y={entry['y']:.6g}")
     lat = lattice(cfg.model.cov, cfg.grid)
     h_star = load_control(lat, art_dir / entry["h_star"])
-    n = int(cfg.task.get("n", 10000))
+    n = cfg.replicas("varadhan")
     sweep = mc.varadhan_sweep(cfg.model, cfg.grid, cfg.eps_list, entry["y"],
                               entry["I"], n=n, t=cfg.t, x=cfg.x, h_star=h_star,
                               executor=run.executor)
@@ -357,7 +356,7 @@ def _cmd_support(run: Runner) -> int:
         writer.writerows([format(v, ".17g") for v in (b, lo, hi, hi - lo)]
                          for b, (lo, hi) in zip(budgets, intervals))
     n_list = _ints(cfg.task.get("n_list", "3,4,5,6"))
-    n = int(cfg.task.get("n", 300))
+    n = cfg.replicas("support")
     theta = float(cfg.task.get("theta", 0.9))
     rows = mc.support_convergence(cfg.model, cfg.grid, n_list, n, theta=theta,
                                   t=cfg.t, x=cfg.x)
@@ -407,18 +406,18 @@ def _cmd_validate(run: Runner, full: bool = False) -> int:
     lat = lattice(model.cov, grid)
     rng = np.random.Generator(np.random.Philox(key=np.array([2, 2], dtype=np.uint64)))
     h = ControlH(lat, 0.4 * rng.standard_normal((grid.nt, lat.ncoords)))
-    G = skeleton.gradient_phi(model, grid, h, x=np.zeros(1))
+    G = skeleton.gradient_phi(model, grid, h)
     worst = 0.0
     for _ in range(3):
         g = ControlH(lat, rng.standard_normal((grid.nt, lat.ncoords)))
         delta = 1e-5
-        fp = skeleton.solve_phi(model, grid, h + delta * g).at(grid.T, 0.0)
-        fm = skeleton.solve_phi(model, grid, h + (-delta) * g).at(grid.T, 0.0)
+        fp = skeleton.solve_phi(model, grid, h + delta * g).endpoint()
+        fm = skeleton.solve_phi(model, grid, h + (-delta) * g).endpoint()
         fd = (fp - fm) / (2 * delta)
         worst = max(worst, abs(fd - ht_inner(G, g)) / max(abs(fd), 1e-12))
     record("adjoint gradient vs central differences", worst < 1e-4,
            f"max rel={worst:.2e}")
-    xi = skeleton.forward_xi(model, grid, h, x=np.zeros(1))
+    xi = skeleton.forward_xi(model, grid, h)
     gap = float(np.max(np.abs(xi.coeffs - G.coeffs)))
     record("adjoint vs forward linearization", gap < 1e-8, f"max abs={gap:.2e}")
 
@@ -426,11 +425,11 @@ def _cmd_validate(run: Runner, full: bool = False) -> int:
     lin = linear_model()
     mg = mc_grid()
     gg = g1_grid(lin.cov, mg, 1.0)
-    res = rate_mod.rate_function(lin, mg, 1.0, x=np.zeros(1))
+    res = rate_mod.rate_function(lin, mg, 1.0)
     rel = abs(res.I - 1.0 / (2 * gg)) * 2 * gg
     record("linear rate function vs closed form", res.converged and rel < 1e-3,
            f"I={res.I:.6f} rel={rel:.2e}")
-    samples = mc.sample_endpoints(lin, mg, 2000, np.zeros(1), executor=run.executor)
+    samples = mc.sample_endpoints(lin, mg, 2000, None, executor=run.executor)
     var = samples.var()
     se = var * math.sqrt(2.0 / len(samples))
     record("linear MC variance vs g1", abs(var - gg) < 3 * se,
@@ -438,12 +437,12 @@ def _cmd_validate(run: Runner, full: bool = False) -> int:
 
     if full:
         nl = nonlinear_model()
-        sd = float(np.std(mc.sample_endpoints(nl, mg, 4000, np.zeros(1),
+        sd = float(np.std(mc.sample_endpoints(nl, mg, 4000, None,
                                               executor=run.executor)))
         y = 1.5 * sd
-        rr = rate_mod.rate_function(nl, mg, y, x=np.zeros(1))
+        rr = rate_mod.rate_function(nl, mg, y)
         sweep = mc.varadhan_sweep(nl, mg, [1.0, 0.7, 0.5, 0.35], y, rr.I,
-                                  n=100_000, x=np.zeros(1), h_star=rr.h_star,
+                                  n=100_000, h_star=rr.h_star,
                                   executor=run.executor)
         record("nonlinear log-density limit vs -I", sweep.rel_gap < 0.15,
                f"limit={sweep.limit:.4f} -I={-rr.I:.4f} rel={sweep.rel_gap:.3f}")
@@ -457,15 +456,16 @@ def _cmd_validate(run: Runner, full: bool = False) -> int:
     return 0 if ok else 1
 
 
-def _estimate_resources(cfg: Config) -> tuple[int, float]:
+def _estimate_resources(cfg: Config, subcommand: str = "simulate") -> tuple[int, float]:
     """(workspace bytes per chunk, history-sum flops of the run), from shapes.
 
     A chunk holds one (B, min(_BLOCK, nt), ncoords) increment block and,
     for wave, the (nspec, nt, B) complex history; the wave history sum
     costs O(nt^2) per frequency and replica, the heat recursion O(nt).
+    The run draws task.n replicas, or the subcommand's default.
     """
     lat, nt = lattice(cfg.model.cov, cfg.grid), cfg.grid.nt
-    n = int(cfg.task.get("n", 10000))
+    n = cfg.replicas(subcommand)
     chunk = min(mc.CHUNK, n)
     block = chunk * min(solver._BLOCK, nt) * lat.ncoords * 8
     if cfg.model.cov.operator == "heat":
@@ -507,9 +507,10 @@ def main(argv=None) -> int:
     if args.dry_run:
         print(cfg.canonical_text())
         print(f"config hash: {cfg.hash()}")
-        workspace, flops = _estimate_resources(cfg)
-        print(f"estimated workspace ~{workspace / 1e6:.0f} MB per chunk, "
-              f"~{flops / 1e9:.1f} GF of history sums")
+        if args.subcommand in _DEFAULT_N:        # the subcommands that draw replicas
+            workspace, flops = _estimate_resources(cfg, args.subcommand)
+            print(f"estimated workspace ~{workspace / 1e6:.0f} MB per chunk, "
+                  f"~{flops / 1e9:.1f} GF of history sums")
         return 0
 
     outdir = Path(args.out or os.environ.get("VARADHAN_LAB_OUT", "out"))

@@ -17,13 +17,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import TiltError, GridError
-from .noise import ControlH, GridSpec, lattice, sample_increments
+from .noise import ControlH, GridSpec, lattice
 from .skeleton import solve_phi
 from .solver import ModelSpec, endpoint_ensemble
 
 #: replicas per work unit; fixed so results never depend on the worker count
 CHUNK = 512
 _N_BATCHES = 16
+#: tilted_density refuses a tilt whose local effective sample size is smaller
+_MIN_ESS = 50.0
 
 
 def _chunks(n: int, start: int = 0):
@@ -147,8 +149,6 @@ def estimate_density(model: ModelSpec, grid: GridSpec, n: int, y_grid,
     if n < 1000:
         raise ValueError("density estimation needs at least 10^3 replicas")
     y_grid = np.atleast_1d(np.asarray(y_grid, dtype=float))
-    if x is None:
-        x = np.zeros(model.cov.d)
     samples = sample_endpoints(model, grid, n, x, t=t, stream0=stream0,
                                executor=executor)
     bw = bandwidth if bandwidth is not None else silverman_bandwidth(samples)
@@ -161,8 +161,7 @@ def estimate_density(model: ModelSpec, grid: GridSpec, n: int, y_grid,
 def tilted_density(model: ModelSpec, grid: GridSpec, n: int, y: float,
                    h_star: ControlH, eps: float | None = None,
                    t: float | None = None, x=None, stream0: int = 0,
-                   bandwidth: float | None = None, executor=None,
-                   min_ess: float = 50.0):
+                   bandwidth: float | None = None, executor=None):
     """Importance-sampled density at y using a converged minimizer as tilt.
 
     Simulates under the shift eps^-1 h* (the shifted mild equation) and
@@ -174,8 +173,6 @@ def tilted_density(model: ModelSpec, grid: GridSpec, n: int, y: float,
     if eps <= 0.0:
         raise ValueError("tilted estimation needs eps > 0")
     model = model.with_eps(eps)
-    if x is None:
-        x = np.zeros(model.cov.d)
     # the shifted equation with pairing control h* realizes the path
     # translation by eps^-1 h*, which is what centers the endpoint law at y
     samples, dots = sample_endpoints(model, grid, n, x, t=t, h=h_star,
@@ -194,9 +191,9 @@ def tilted_density(model: ModelSpec, grid: GridSpec, n: int, y: float,
     # diagnostic is local
     denom = float(np.sum(mass ** 2))
     ess = float(np.sum(mass) ** 2 / denom) if denom > 0 else 0.0
-    if ess < min_ess:
+    if ess < _MIN_ESS:
         raise TiltError(f"poor tilt: local effective sample size {ess:.1f} "
-                        f"< {min_ess} at y = {y}")
+                        f"< {_MIN_ESS} at y = {y}")
     weights = np.exp(log_w)
     yv = np.atleast_1d(float(y))
     p = float(gaussian_kde(samples, yv, bw, weights)[0])
@@ -289,8 +286,6 @@ def varadhan_sweep(model: ModelSpec, grid: GridSpec, eps_list, y: float,
     eps_list = list(eps_list)
     if any(e2 >= e1 for e1, e2 in zip(eps_list, eps_list[1:])):
         raise ValueError("eps_list must be strictly decreasing")
-    if x is None:
-        x = np.zeros(model.cov.d)
     rows = []
     for k, eps in enumerate(eps_list):
         base = stream0 + k * (n + CHUNK)
@@ -335,17 +330,17 @@ def support_convergence(model: ModelSpec, grid: GridSpec, n_list, n_replicas: in
     For each level n (with paths coupled across levels): the median over
     localized replicas of |u(t,x) - Phi^{v^n}| and, when a target control h
     is given, of |u(t,x; omega - v^n + h) - Phi^h| realized as a shifted
-    simulation with the composite control.
+    simulation with the composite control.  The endpoints u(t,x) are drawn
+    in chunks and each replica's path is drawn on its own, so no
+    (n_replicas, nt, ncoords) array is held.
     """
-    from .noise import NoisePath, localization_holds, smooth_vn
+    from .noise import localization_holds, sample_path, smooth_vn
     from .solver import simulate_shifted
 
     n_list = list(n_list)
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ValueError("n_list must be strictly increasing")
     lat = lattice(model.cov, grid)
-    if x is None:
-        x = np.zeros(lat.d)
     tt = grid.T if t is None else t
     for n in n_list:
         if grid.nt % (1 << n) != 0:
@@ -353,31 +348,28 @@ def support_convergence(model: ModelSpec, grid: GridSpec, n_list, n_replicas: in
 
     phi_h_end = None
     if h is not None:
-        phi_h_end = solve_phi(model, grid, h, t).at(tt, x)
+        phi_h_end = solve_phi(model, grid, h, t).endpoint(x)
 
-    inc = sample_increments(lat, range(stream0, stream0 + n_replicas))
-    u_end = endpoint_ensemble(model, grid, range(stream0, stream0 + n_replicas),
-                              x, t=t)
+    u_end = sample_endpoints(model, grid, n_replicas, x, t=t, stream0=stream0)
+    c1 = {n: [] for n in n_list}
+    c2 = {n: [] for n in n_list}
+    for r in range(n_replicas):
+        path = sample_path(lat, stream0 + r)
+        for n in n_list:
+            if not localization_holds(path, n, theta, tt):
+                continue
+            vn = smooth_vn(path, n)
+            c1[n].append(abs(u_end[r] - solve_phi(model, grid, vn, t).endpoint(x)))
+            if h is not None:
+                u_shift = simulate_shifted(model, grid, path, h - vn, t).endpoint(x)
+                c2[n].append(abs(u_shift - phi_h_end))
 
     rows = []
     for n in n_list:
-        c1, c2, kept = [], [], 0
-        for r in range(n_replicas):
-            path = NoisePath(lat, inc[r], stream=stream0 + r)
-            if not localization_holds(path, n, theta, tt):
-                continue
-            kept += 1
-            vn = smooth_vn(path, n)
-            phi_vn = solve_phi(model, grid, vn, t).at(tt, x)
-            c1.append(abs(u_end[r] - phi_vn))
-            if h is not None:
-                comp = h - vn
-                u_shift = simulate_shifted(model, grid, path, comp, t).at(tt, x)
-                c2.append(abs(u_shift - phi_h_end))
-        if kept == 0:
+        if not c1[n]:
             raise GridError(f"empty localization set at level {n}: theta too small")
-        row = {"n": n, "kept": kept, "c1_median": float(np.median(c1))}
+        row = {"n": n, "kept": len(c1[n]), "c1_median": float(np.median(c1[n]))}
         if h is not None:
-            row["c2_median"] = float(np.median(c2))
+            row["c2_median"] = float(np.median(c2[n]))
         rows.append(row)
     return rows

@@ -21,7 +21,6 @@ synthesize just its own time slab.
 
 from __future__ import annotations
 
-import csv
 import math
 import struct
 from dataclasses import dataclass, field
@@ -225,14 +224,18 @@ class Lattice:
         """Frequency vectors of the flat rfftn spectrum, (nspec, d)."""
         return self._m / (2.0 * self.grid.L)
 
-    def point_index(self, x) -> tuple[int, ...]:
-        """Snap a spatial point in [-L, L)^d to grid indices."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
+    def point(self, x=None) -> np.ndarray:
+        """The observation point as a d-vector in [-L, L]^d; None is the origin."""
+        x = np.zeros(self.d) if x is None else np.atleast_1d(np.asarray(x, dtype=float))
         if x.shape != (self.d,):
             raise GridError(f"point must have {self.d} component(s)")
         if np.any(np.abs(x) > self.grid.L):
             raise GridError("observation point outside the torus")
-        return tuple(int(round(v / self.grid.dx)) % self.grid.nx for v in x)
+        return x
+
+    def point_index(self, x=None) -> tuple[int, ...]:
+        """Snap the observation point (the origin when None) to grid indices."""
+        return tuple(int(round(v / self.grid.dx)) % self.grid.nx for v in self.point(x))
 
     def coords(self) -> np.ndarray:
         """Wrapped spatial coordinates along one axis, in [-L, L)."""
@@ -365,9 +368,6 @@ class ControlH:
     def zeros(cls, lat: Lattice) -> "ControlH":
         return cls(lat, np.zeros((lat.grid.nt, lat.ncoords)))
 
-    def copy(self) -> "ControlH":
-        return ControlH(self.lattice, self.coeffs.copy())
-
     def __add__(self, other: "ControlH") -> "ControlH":
         _check_same(self, other)
         return ControlH(self.lattice, self.coeffs + other.coeffs)
@@ -380,9 +380,6 @@ class ControlH:
         return ControlH(self.lattice, self.coeffs * float(c))
 
     __rmul__ = __mul__
-
-    def __neg__(self) -> "ControlH":
-        return ControlH(self.lattice, -self.coeffs)
 
 
 def _check_same(a: ControlH, b: ControlH):
@@ -448,7 +445,7 @@ def localization_holds(path: NoisePath, n: int, theta: float, t: float) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# serialization: flat binary (header nt, ncoords, dt) + CSV for debugging
+# serialization: flat binary (header nt, ncoords, dt)
 
 _MAGIC = {"path": b"VLNPATH1", "control": b"VLCTRL01"}
 
@@ -496,10 +493,3 @@ def load_control(lat: Lattice, filename) -> ControlH:
         raise ShapeError("stored control does not match the lattice")
     return ControlH(lat, data)
 
-
-def to_csv(arr: np.ndarray, filename):
-    with open(filename, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"k{j}" for j in range(arr.shape[1])])
-        for row in arr:
-            writer.writerow([format(v, ".17g") for v in row])

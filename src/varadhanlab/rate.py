@@ -40,7 +40,11 @@ class RateResult:
 
     evaluations counts augmented-Lagrangian objective evaluations (one
     skeleton solve and one adjoint sweep each); it is 0 at the zero-control
-    centre.
+    centre.  skeleton_solves counts every forward skeleton solve of the
+    point: the evaluations, a cold start's (Phi^0 and the two bracket checks
+    of init_shift, then the bisection) and the centre's gradient solve.  The
+    zero-control endpoint shared by the points of one (t, x) is counted in
+    the first point solved, so the counts of a profile sum to its solves.
     """
 
     y: float
@@ -52,6 +56,7 @@ class RateResult:
     gamma_bar_at_hstar: float
     stationarity: float = math.nan
     evaluations: int = 0
+    skeleton_solves: int = 0
 
     def validate(self, tol_c: float):
         if self.converged and self.residual >= tol_c:
@@ -63,7 +68,7 @@ class RateResult:
 
 
 def _endpoint(model, grid, h, t, x):
-    return solve_phi(model, grid, h, t).at(grid.T if t is None else t, x)
+    return solve_phi(model, grid, h, t).endpoint(x)
 
 
 def _spread_scale(model, grid, tt) -> float:
@@ -84,8 +89,6 @@ def init_shift(model: ModelSpec, grid: GridSpec, z: float, alpha: float,
     if alpha <= 0.0:
         raise ValueError("margin alpha must be positive")
     lat = lattice(model.cov, grid)
-    if x is None:
-        x = np.zeros(lat.d)
     tt = grid.T if t is None else t
     if not looks_bounded(model.b):
         raise BracketError("construction hypothesis failed: drift appears unbounded")
@@ -106,20 +109,24 @@ def init_shift(model: ModelSpec, grid: GridSpec, z: float, alpha: float,
 
 
 def _feasible_start(model, grid, y, t, x, alpha):
-    """Bisect the init_shift segment to a control whose endpoint is near y."""
+    """Bisect the init_shift segment to a control whose endpoint is near y.
+
+    Returns the control and the skeleton solves spent: the three of
+    init_shift and one per bisection step.
+    """
     h_plus, _ = init_shift(model, grid, y, alpha, t, x)
 
     def f(tau):
         return _endpoint(model, grid, tau * h_plus, t, x) - y
 
-    tau = optimize.brentq(f, -1.0, 1.0, xtol=1e-10, maxiter=200)
-    return tau * h_plus
+    tau, info = optimize.brentq(f, -1.0, 1.0, xtol=1e-10, maxiter=200,
+                                full_output=True)
+    return tau * h_plus, 3 + info.function_calls
 
 
 def _auglag_solve(model, grid, y, h0: ControlH, t, x, tol_c) -> RateResult:
     """One augmented-Lagrangian run from the control h0."""
     lat = lattice(model.cov, grid)
-    tt = grid.T if t is None else t
     dt = grid.dt
     shape = (grid.nt, lat.ncoords)
     lam, mu = 0.0, _PENALTY0
@@ -134,7 +141,7 @@ def _auglag_solve(model, grid, y, h0: ControlH, t, x, tol_c) -> RateResult:
             evaluations += 1
             hh = ControlH(lat, vflat.reshape(shape))
             phi = solve_phi(model, grid, hh, t)
-            cc = phi.at(tt, x) - y
+            cc = phi.endpoint(x) - y
             GG = gradient_phi(model, grid, hh, t, x, phi=phi)
             obj = 0.5 * hh.norm_sq + lam * cc + 0.5 * mu * cc * cc
             grad = dt * (hh.coeffs + (lam + mu * cc) * GG.coeffs)
@@ -164,30 +171,34 @@ class _RatePoints:
     constraint tolerance and the zero-control endpoint phi0_end."""
 
     def __init__(self, model, grid, t, x, tol_rel):
-        self.model, self.grid, self.t = model, grid, t
+        self.model, self.grid, self.t, self.x = model, grid, t, x
         self.lat = lattice(model.cov, grid)
-        self.x = np.zeros(self.lat.d) if x is None else x
-        check_wave_domain(model, grid, self.x)
+        check_wave_domain(model, grid, x)
         tt = grid.T if t is None else t
         self.tol_c = tol_rel * max(_spread_scale(model, grid, tt), 1e-12)
-        self.phi0_end = _endpoint(model, grid, ControlH.zeros(self.lat), t, self.x)
+        self.phi0_end = _endpoint(model, grid, ControlH.zeros(self.lat), t, x)
+        self._pending_solves = 1     # phi0_end's solve, counted in the next point
 
     def solve(self, y: float, warm: ControlH | None = None) -> RateResult:
         """One run from warm; a cold run from the constructive start when
         there is no warm start or its run does not converge."""
         model, grid, t, x, tol_c = self.model, self.grid, self.t, self.x, self.tol_c
+        solves, self._pending_solves = self._pending_solves, 0
         if abs(self.phi0_end - y) < tol_c:
             zero = ControlH.zeros(self.lat)
-            g0 = gradient_phi(model, grid, zero, t, x)
+            g0 = gradient_phi(model, grid, zero, t, x)     # solves Phi^0 again
             return RateResult(y, 0.0, zero, abs(self.phi0_end - y), 0, True,
-                              g0.norm_sq, stationarity=0.0)
+                              g0.norm_sq, stationarity=0.0,
+                              skeleton_solves=solves + 1)
         res = None if warm is None else _auglag_solve(model, grid, y, warm, t, x, tol_c)
         if res is None or not res.converged:
             spent = 0 if res is None else res.evaluations
-            h0 = _feasible_start(model, grid, y, t, x,
-                                 alpha=max(0.1, 0.1 * abs(y - self.phi0_end)))
+            h0, start = _feasible_start(model, grid, y, t, x,
+                                        alpha=max(0.1, 0.1 * abs(y - self.phi0_end)))
             res = _auglag_solve(model, grid, y, h0, t, x, tol_c)
             res.evaluations += spent
+            solves += start
+        res.skeleton_solves = solves + res.evaluations
         res.validate(tol_c)
         return res
 
@@ -239,12 +250,9 @@ def support_probe(model: ModelSpec, grid: GridSpec, n_controls: int, budget,
     """
     budgets = np.atleast_1d(np.asarray(budget, dtype=float))
     lat = lattice(model.cov, grid)
-    if x is None:
-        x = np.zeros(lat.d)
-    check_wave_domain(model, grid, x)
-    phi0_end = _endpoint(model, grid, ControlH.zeros(lat), t, x)
-    direction = bare_kernel_control(
-        model, grid, solve_phi(model, grid, ControlH.zeros(lat), t), t, x)
+    phi0 = solve_phi(model, grid, ControlH.zeros(lat), t)
+    direction = bare_kernel_control(model, grid, phi0, t, x)   # guards x
+    phi0_end = phi0.endpoint(x)
     unit = (1.0 / max(direction.norm, 1e-300)) * direction
     rng = np.random.Generator(np.random.Philox(key=np.array(
         [seed, 11], dtype=np.uint64)))

@@ -25,8 +25,9 @@ import numpy as np
 
 from .errors import GridError
 from .noise import ControlH, GridSpec, NoisePath, save_control
-from .solver import (Field, ModelSpec, _adjoint_route, _drive, _endpoint, _factor,
-                     _forward, _Increments, _lane_oracle, _prepare)
+from .solver import (Field, ModelSpec, _adjoint_route, _drive, _factor,
+                     _forward, _Increments, _lane_oracle, _observation_index,
+                     _prepare)
 
 __all__ = [
     "SkeletonResult", "solve_phi", "gradient_phi", "forward_xi",
@@ -51,7 +52,7 @@ def gradient_phi(model: ModelSpec, grid: GridSpec, h: ControlH,
     for every grid direction g, exactly for the discrete recursion.
     """
     eng, w_tab = _prepare(model, grid, t)
-    point = _endpoint(model, grid, eng.lat, x)
+    point = _observation_index(model, grid, eng.lat, x)
     drive = _drive(eng, h=h)
     pv = _forward(model, eng, w_tab, drive) if phi is None else phi.values
     return ControlH(eng.lat, _adjoint_route(model, eng, drive, pv, point))
@@ -66,7 +67,7 @@ def bare_kernel_control(model: ModelSpec, grid: GridSpec, phi: Field,
     """
     eng, _ = _prepare(model, grid, t)
     lat, jt = eng.lat, eng.jt
-    point = _endpoint(model, grid, lat, x)
+    point = _observation_index(model, grid, lat, x)
     onehot = np.zeros(lat.spatial_shape)
     onehot[point] = 1.0 / (grid.dx ** lat.d)
     seed_spec = eng._to_spec(onehot)
@@ -86,7 +87,7 @@ def forward_xi(model: ModelSpec, grid: GridSpec, h: ControlH,
     gradient_phi to solver precision.
     """
     eng, w_tab = _prepare(model, grid, t)
-    point = _endpoint(model, grid, eng.lat, x)
+    point = _observation_index(model, grid, eng.lat, x)
     drive = _drive(eng, h=h)
     pv = _forward(model, eng, w_tab, drive)
     return ControlH(eng.lat, _lane_oracle(model, eng, drive, pv, point))
@@ -108,7 +109,7 @@ def chaos_ensemble(model: ModelSpec, grid: GridSpec, h: ControlH, paths,
     memory; given NoisePaths are stacked whole.
     """
     eng, w_tab = _prepare(model, grid, t)
-    point = _endpoint(model, grid, eng.lat, x)
+    point = _observation_index(model, grid, eng.lat, x)
     drive = _drive(eng, h=h)
     pv = _forward(model, eng, w_tab, drive)
     lat, jt, dt = eng.lat, eng.jt, grid.dt
@@ -150,11 +151,8 @@ class SkeletonResult:
 def analyze(model: ModelSpec, grid: GridSpec, h: ControlH,
             t: float | None = None, x=None) -> SkeletonResult:
     phi = solve_phi(model, grid, h, t)
-    if x is None:
-        x = np.zeros(model.cov.d)
     grad = gradient_phi(model, grid, h, t, x, phi=phi)
-    tt = grid.T if t is None else t
-    return SkeletonResult(phi, phi.at(tt, x), grad, grad.norm_sq)
+    return SkeletonResult(phi, phi.endpoint(x), grad, grad.norm_sq)
 
 
 def dphi_window_norm(model: ModelSpec, grid: GridSpec, h: ControlH, rho: float,
@@ -182,10 +180,7 @@ def expansion_check(model: ModelSpec, grid: GridSpec, h: ControlH, streams,
 
     if any(e2 >= e1 for e1, e2 in zip(eps_list, eps_list[1:])):
         raise ValueError("eps_list must be strictly decreasing")
-    tt = grid.T if t is None else t
-    if x is None:
-        x = np.zeros(model.cov.d)
-    phi_end = solve_phi(model, grid, h, t).at(tt, x)
+    phi_end = solve_phi(model, grid, h, t).endpoint(x)
     chaos = chaos_ensemble(model, grid, h, list(streams), t=t, x=x)
     rows = []
     for eps in eps_list:

@@ -160,12 +160,13 @@ class Field:
     def times(self) -> np.ndarray:
         return np.arange(self.values.shape[0]) * self.grid.dt
 
-    def at(self, t: float, x) -> float:
+    def at(self, t: float, x=None) -> float:
         lat = lattice(self.cov, self.grid)
         j = 0 if t == 0.0 else self.grid.time_index(t)
         return float(self.values[(j, *lat.point_index(x))])
 
-    def endpoint(self, x) -> float:
+    def endpoint(self, x=None) -> float:
+        """u(t, x) at the last time the field was solved to (x = None: the origin)."""
         lat = lattice(self.cov, self.grid)
         return float(self.values[(-1, *lat.point_index(x))])
 
@@ -482,10 +483,9 @@ def _forward(model: ModelSpec, eng: MildEngine, w_tab: np.ndarray, drive,
     return eng.forward(w_tab[:, None], integrand, batch_shape=(batch,))[0]
 
 
-def _endpoint(model: ModelSpec, grid: GridSpec, lat: Lattice, x) -> tuple[int, ...]:
-    """Grid index of the observation point x (the origin when None)."""
-    if x is None:
-        x = np.zeros(lat.d)
+def _observation_index(model: ModelSpec, grid: GridSpec, lat: Lattice,
+                       x) -> tuple[int, ...]:
+    """Grid index of the observation point x (the origin when None), guarded."""
     check_wave_domain(model, grid, x)
     return lat.point_index(x)
 
@@ -544,11 +544,11 @@ def _lane_oracle(model: ModelSpec, eng: MildEngine, drive, uvals: np.ndarray,
 # ---------------------------------------------------------------------------
 # public operations
 
-def check_wave_domain(model: ModelSpec, grid: GridSpec, x) -> None:
+def check_wave_domain(model: ModelSpec, grid: GridSpec, x=None) -> None:
     """Wave runs need L > |x|_inf + T so periodic wraparound cannot reach x."""
     if model.cov.operator != "wave":
         return
-    xmax = float(np.max(np.abs(np.atleast_1d(x))))
+    xmax = float(np.max(np.abs(lattice(model.cov, grid).point(x))))
     if grid.L <= xmax + grid.T:
         raise GridError("wave grid needs L > |x| + T (finite propagation speed)")
 
@@ -585,7 +585,7 @@ def endpoint_ensemble(model: ModelSpec, grid: GridSpec, streams, x,
     engine's (nspec, jt, B) complex history; heat keeps no history.
     """
     eng, w_tab = _prepare(model, grid, t)
-    point = _endpoint(model, grid, eng.lat, x)
+    point = _observation_index(model, grid, eng.lat, x)
     inc = _Increments(eng, streams, h if with_girsanov else None)
     drive = _drive(eng, model.eps, h=h, inc=inc)
     u = _forward(model, eng, w_tab, drive, batch=len(streams))
@@ -607,7 +607,7 @@ def first_variation(model: ModelSpec, grid: GridSpec, path: NoisePath,
     memory_budget bytes.
     """
     eng, _ = _prepare(model, grid, t)
-    point = _endpoint(model, grid, eng.lat, x)
+    point = _observation_index(model, grid, eng.lat, x)
     drive = _drive(eng, model.eps, inc=path.increments)
     return model.eps * _lane_oracle(model, eng, drive, u.values, point, memory_budget)
 
@@ -616,7 +616,7 @@ def malliavin_adjoint(model: ModelSpec, grid: GridSpec, path: NoisePath,
                       u: Field, t: float | None = None, x=None) -> np.ndarray:
     """Same derivative as first_variation via the reverse sweep (cheap route)."""
     eng, _ = _prepare(model, grid, t)
-    point = _endpoint(model, grid, eng.lat, x)
+    point = _observation_index(model, grid, eng.lat, x)
     drive = _drive(eng, model.eps, inc=path.increments)
     return model.eps * _adjoint_route(model, eng, drive, u.values, point)
 

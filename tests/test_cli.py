@@ -204,3 +204,57 @@ def test_validate_passes_every_check(tmp_path):
     checks = json.loads((tmp_path / "validate.json").read_text())
     assert checks and all(c["ok"] for c in checks)
     assert _manifest(tmp_path)["all_pass"]
+
+
+def test_removed_config_keys_are_rejected():
+    # task.alpha and [output] were accepted, hashed and never read
+    assert main(["rate", "--set", "task.alpha=0.5", "--dry-run"]) == 2
+    assert main(["rate", "--set", "output.formats=csv", "--dry-run"]) == 2
+    assert not load_config(None, [], None).raw.keys() - {"model", "grid", "task"}
+
+
+def test_rate_runs_a_two_dimensional_riesz_point(tmp_path):
+    # an absent task.x is the origin of R^d, not a one-component point
+    args = ["model.d=2", "model.kind=riesz", "model.beta=1", "grid.nx=16",
+            "grid.nt=8", "grid.nk=4", "grid.L=2.5"]
+    assert main(["rate", *[a for o in args for a in ("--set", o)],
+                 "--out", str(tmp_path)]) == 0
+    stored = json.loads((tmp_path / "rate_result.json").read_text())
+    assert stored["x"] == [0.0, 0.0] and stored["t"] == 1.0
+    entry, = stored["results"]
+    assert entry["converged"] and entry["I"] > 0.0
+
+
+def test_rate_result_counts_skeleton_solves(tmp_path):
+    assert main(["rate", *TINY, "--out", str(tmp_path)]) == 0
+    stored = json.loads((tmp_path / "rate_result.json").read_text())
+    entry, = stored["results"]
+    assert entry["skeleton_solves"] > entry["evaluations"] >= 1
+    assert stored["x"] == [0.0]
+
+
+def test_simulate_defaults_to_a_thousand_replicas(tmp_path):
+    assert main(["simulate", *TINY, "--out", str(tmp_path)]) == 0
+    assert len((tmp_path / "samples.csv").read_bytes().splitlines()) == 1001
+    assert _manifest(tmp_path)["n"] == 1000
+
+
+def test_support_defaults_to_three_hundred_replicas(tmp_path, monkeypatch, capsys):
+    used = []
+    convergence = mc.support_convergence
+
+    def spy(model, grid, n_list, n_replicas, **kw):
+        used.append(n_replicas)
+        return convergence(model, grid, n_list, n_replicas, **kw)
+
+    monkeypatch.setattr(mc, "support_convergence", spy)
+    overrides = ["task.n_list=2", "task.n_controls=1", "task.budgets=1"]
+    args = ["support", *TINY, *[a for o in overrides for a in ("--set", o)]]
+    assert main([*args, "--dry-run"]) == 0
+    assert "task.n=" not in capsys.readouterr().out
+    assert main([*args, "--out", str(tmp_path)]) == 0
+    assert used == [300]
+    cfg = load_config(None, [], None)
+    lat = lattice(cfg.model.cov, cfg.grid)
+    block = 300 * _BLOCK * lat.ncoords * 8
+    assert _estimate_resources(cfg, "support")[0] == block + 300 * 64 * lat.nspec * 16

@@ -312,3 +312,35 @@ class TestSupportConvergence:
         with pytest.raises(GridError):
             support_convergence(nonlinear_model, mc_grid, [6], 5, theta=0.51,
                                 x=0.0)
+
+
+class TestSupportConvergenceMemory:
+    def test_peak_has_no_replica_increments(self, monkeypatch):
+        # the skeleton solves are stubbed (they hold one path's field each),
+        # so the peak is the sampling's: one chunk's increment block, the
+        # initial table and the chunk's O(B) allowance as in
+        # tests/test_solver.py::TestChunkMemory, a few (nt, ncoords) arrays of
+        # the replica in hand and O(n) scalars; no (n, nt, ncoords) term
+        import tracemalloc
+
+        from varadhanlab.skeleton import solve_phi
+        from varadhanlab.solver import _BLOCK
+
+        cov = presets.HEAT_WHITE
+        grid = GridSpec(L=1.25, nx=16, nt=256, T=1.0, nk=8, seed=1)
+        m = presets.nonlinear_model(cov=cov)
+        lat = lattice(cov, grid)
+        phi0 = solve_phi(m, grid, ControlH.zeros(lat))
+        monkeypatch.setattr(mc, "solve_phi", lambda *args: phi0)
+        n, nt, nspec = 2 * CHUNK, grid.nt, lat.nspec
+        support_convergence(m, grid, [2], 8)            # warm the lattice and weights
+        tracemalloc.start()
+        try:
+            support_convergence(m, grid, [2, 3], n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        bound = (CHUNK * _BLOCK * lat.ncoords * 8 + (nt + 1) * grid.nx * 8
+                 + CHUNK * (8192 + 32 * (grid.nx + nspec) * 16)
+                 + 8 * nt * lat.ncoords * 8 + n * 64)
+        assert peak < bound < n * nt * lat.ncoords * 8

@@ -405,3 +405,19 @@ class TestSerialization:
         save_control(h, f)
         with pytest.raises(ShapeError):
             load_path(lat, f)
+
+
+class TestObservationPoint:
+    def test_none_is_the_origin_in_every_dimension(self):
+        for d in (1, 2, 3):
+            lz = lattice(CovarianceSpec("heat", d, "riesz", 0.5),
+                         GridSpec(L=2.0, nx=8, nt=4, T=0.5, nk=3, seed=1))
+            assert np.array_equal(lz.point(), np.zeros(d))
+            assert lz.point_index() == lz.point_index(np.zeros(d)) == (0,) * d
+
+    def test_explicit_point_is_checked(self, lat):
+        assert np.array_equal(lat.point(0.5), [0.5])
+        with pytest.raises(GridError, match="1 component"):
+            lat.point([0.0, 0.0])
+        with pytest.raises(GridError, match="outside the torus"):
+            lat.point(2.0)

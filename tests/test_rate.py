@@ -160,3 +160,41 @@ class TestSupportProbe:
             want = np.sqrt(2.0 * budget * g1(COV, 1.0))
             assert hi == pytest.approx(want, rel=0.01)
             assert lo == pytest.approx(-want, rel=0.01)
+
+
+class TestSkeletonSolves:
+    @pytest.fixture()
+    def calls(self, monkeypatch):
+        # every forward skeleton solve of the rate layer goes through
+        # rate.solve_phi, except gradient_phi's own solve at the centre
+        calls = []
+        solve = rate.solve_phi
+
+        def counting(*args, **kwargs):
+            calls.append(args[2])
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(rate, "solve_phi", counting)
+        return calls
+
+    def test_point_counts_every_solve(self, tiny_grid, nonlinear_model, calls):
+        res = rate_function(nonlinear_model, tiny_grid, 1.0)
+        assert res.skeleton_solves == len(calls)
+        # the cold start's solves are not AL evaluations
+        assert res.skeleton_solves > res.evaluations >= res.iterations >= 1
+
+    def test_centre_counts_the_gradient_solve(self, tiny_grid, nonlinear_model, calls):
+        y0 = solve_phi(nonlinear_model, tiny_grid,
+                       ControlH.zeros(lattice(COV, tiny_grid))).endpoint()
+        del calls[:]
+        res = rate_function(nonlinear_model, tiny_grid, y0)
+        assert res.I == 0.0 and res.evaluations == 0
+        assert res.skeleton_solves == len(calls) + 1 == 2
+
+    def test_profile_counts_sum_to_its_solves(self, tiny_grid, nonlinear_model, calls):
+        y0 = solve_phi(nonlinear_model, tiny_grid,
+                       ControlH.zeros(lattice(COV, tiny_grid))).endpoint()
+        del calls[:]
+        results = rate_profile(nonlinear_model, tiny_grid, sorted([y0, 0.5, 1.0]))
+        assert all(r.skeleton_solves >= r.evaluations for r in results)
+        assert sum(r.skeleton_solves for r in results) == len(calls) + 1
