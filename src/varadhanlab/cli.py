@@ -22,6 +22,7 @@ import math
 import os
 import re
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +31,7 @@ from . import covkernel, mc, rate as rate_mod, skeleton, solver
 from .covkernel import CovarianceSpec
 from .errors import BlowUpError, ConfigError, VaradhanLabError
 from .funcs import parse_func
-from .noise import ControlH, GridSpec, lattice, load_control
+from .noise import ControlH, GridSpec, lattice, load_control, save_control
 from .solver import BumpInitial, ModelSpec, ZeroInitial, g1_grid
 
 _SCHEMA = {
@@ -75,6 +76,21 @@ tol_rel = 1e-6
 """
 
 
+def _parse_ini(text: str) -> configparser.ConfigParser:
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    parser.optionxform = str
+    try:
+        parser.read_string(text)
+    except configparser.Error as exc:
+        raise ConfigError(f"config parse failure: {exc}") from exc
+    return parser
+
+
+#: the built-in values, which also stand in for keys a config file leaves out
+_DEFAULTS = {name: dict(section) for name, section in _parse_ini(DEFAULT_CONFIG).items()
+             if name != configparser.DEFAULTSECT}
+
+
 def _floats(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok.strip()]
 
@@ -101,6 +117,10 @@ class Config:
         self.grid = self._build_grid()
         self.task = self.raw.get("task", {})
 
+    def value(self, section: str, key: str) -> str:
+        """The raw text of section.key, or its built-in default."""
+        return self.raw.get(section, {}).get(key, _DEFAULTS[section][key])
+
     def _validate_keys(self, source_text: str):
         for section, items in self.raw.items():
             if section not in _SCHEMA:
@@ -112,12 +132,13 @@ class Config:
                         f"line {lineno}: unknown key '{key}' in [{section}]")
 
     def _build_model(self) -> ModelSpec:
-        m = self.raw.get("model", {})
-        kind = m.get("kind", "white")
-        beta = float(m["beta"]) if kind == "riesz" else None
-        cov = CovarianceSpec(m.get("operator", "wave"), int(m.get("d", 1)),
-                             kind, beta)
-        w_text = m.get("w", "zero")
+        m = partial(self.value, "model")
+        kind, beta = m("kind"), self.raw.get("model", {}).get("beta")
+        if kind == "riesz" and beta is None:
+            raise ConfigError("model.kind = riesz needs model.beta")
+        beta = float(beta) if kind == "riesz" else None
+        cov = CovarianceSpec(m("operator"), int(m("d")), kind, beta)
+        w_text = m("w")
         if w_text == "zero":
             w = ZeroInitial()
         elif w_text.startswith("bump"):
@@ -126,19 +147,17 @@ class Config:
             w = BumpInitial(**dict(zip(names, args)))
         else:
             raise ConfigError(f"unknown initial data '{w_text}'")
-        return ModelSpec(cov, parse_func(m.get("sigma", "const:1.0")),
-                         parse_func(m.get("b", "zero")), w,
-                         float(m.get("eps", 1.0)), float(m.get("sigma0", 1.0)))
+        return ModelSpec(cov, parse_func(m("sigma")), parse_func(m("b")), w,
+                         float(m("eps")), float(m("sigma0")))
 
     def _build_grid(self) -> GridSpec:
-        g = self.raw.get("grid", {})
-        return GridSpec(L=float(g.get("L", 1.25)), nx=int(g.get("nx", 128)),
-                        nt=int(g.get("nt", 64)), T=float(g.get("T", 1.0)),
-                        nk=int(g.get("nk", 64)), seed=int(g.get("seed", 7)))
+        g = partial(self.value, "grid")
+        return GridSpec(L=float(g("L")), nx=int(g("nx")), nt=int(g("nt")),
+                        T=float(g("T")), nk=int(g("nk")), seed=int(g("seed")))
 
     @property
     def eps_list(self) -> list[float]:
-        return _floats(self.raw.get("model", {}).get("eps_list", "1.0,0.7,0.5,0.35"))
+        return _floats(self.value("model", "eps_list"))
 
     @property
     def t(self) -> float:
@@ -178,12 +197,7 @@ def _key_line(text: str, section: str, key: str):
 
 def load_config(path: str | None, overrides: list[str], seed: int | None) -> Config:
     text = Path(path).read_text() if path else DEFAULT_CONFIG
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    parser.optionxform = str
-    try:
-        parser.read_string(text)
-    except configparser.Error as exc:
-        raise ConfigError(f"config parse failure: {exc}") from exc
+    parser = _parse_ini(text)
     for item in overrides:
         if "=" not in item or "." not in item.split("=", 1)[0]:
             raise ConfigError(f"override must look like section.key=value: '{item}'")
@@ -213,6 +227,19 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    """An artifact table: every float as .17g, every other value as is."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([format(v, ".17g") if isinstance(v, float) else v
+                          for v in row] for row in rows)
+
+
+def _write_json(path: Path, obj) -> None:
+    path.write_text(json.dumps(obj, indent=2, sort_keys=True))
+
+
 class Runner:
     def __init__(self, cfg: Config, outdir: Path, jobs: int):
         self.cfg = cfg
@@ -239,7 +266,7 @@ class Runner:
         if extra:
             manifest.update(extra)
         mp = self.out / "manifest.json"
-        mp.write_text(json.dumps(manifest, indent=2, sort_keys=True))
+        _write_json(mp, manifest)
         if self.executor is not None:
             self.executor.shutdown()
         return mp
@@ -250,10 +277,7 @@ def _cmd_simulate(run: Runner) -> int:
     n = cfg.replicas("simulate")
     samples = mc.sample_endpoints(cfg.model, cfg.grid, n, cfg.x, t=cfg.t,
                                   executor=run.executor)
-    with open(run.path("samples.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["stream", "endpoint"])
-        writer.writerows([s, format(v, ".17g")] for s, v in enumerate(samples))
+    _write_csv(run.path("samples.csv"), ["stream", "endpoint"], enumerate(samples))
     from .noise import sample_path
     lat = lattice(cfg.model.cov, cfg.grid)
     field = solver.simulate(cfg.model, cfg.grid, sample_path(lat, 0), t=cfg.t)
@@ -267,10 +291,12 @@ def _cmd_simulate(run: Runner) -> int:
 def _cmd_density(run: Runner) -> int:
     cfg = run.cfg
     n = cfg.replicas("density")
-    y_grid = _parse_grid_expr(cfg.task.get("y_grid", "-1.5:1.5:13"))
+    y_grid = _parse_grid_expr(cfg.value("task", "y_grid"))
     curve = mc.estimate_density(cfg.model, cfg.grid, n, y_grid, t=cfg.t, x=cfg.x,
                                 executor=run.executor)
-    curve.to_csv(run.path("density.csv"))
+    _write_csv(run.path("density.csv"), ["eps", "y", "p_hat", "se", "log_p", "log_se"],
+               [(curve.eps, *row) for row in zip(curve.y_grid, curve.p_hat, curve.se,
+                                                 curve.log_p, curve.log_se)])
     run.finish("density", {"n": n, "bandwidth": curve.bandwidth})
     print(f"density: n={n}, bandwidth={curve.bandwidth:.4g}, "
           f"max p_hat={curve.p_hat.max():.4g}")
@@ -279,18 +305,23 @@ def _cmd_density(run: Runner) -> int:
 
 def _cmd_rate(run: Runner) -> int:
     cfg = run.cfg
-    tol_rel = float(cfg.task.get("tol_rel", 1e-6))
+    tol_rel = float(cfg.value("task", "tol_rel"))
     if "y_grid" in cfg.task and "y" not in cfg.task:
         y_grid = _parse_grid_expr(cfg.task["y_grid"])
         results = rate_mod.rate_profile(cfg.model, cfg.grid, y_grid, t=cfg.t,
                                         x=cfg.x, tol_rel=tol_rel)
     else:
-        y = float(cfg.task.get("y", 1.0))
+        y = float(cfg.value("task", "y"))
         results = [rate_mod.rate_function(cfg.model, cfg.grid, y, t=cfg.t,
                                           x=cfg.x, tol_rel=tol_rel)]
+    _write_csv(run.path("rate.csv"),
+               ["y", "I", "residual", "iterations", "gamma_bar", "converged"],
+               [(r.y, r.I, r.residual, r.iterations, r.gamma_bar_at_hstar,
+                 int(r.converged)) for r in results])
     # one minimiser per entry, so varadhan tilts with the h* of the y it compares
-    h_files = rate_mod.profile_to_csv(results, run.path("rate.csv"), h_dir=run.out)
-    run.artifacts.extend(h_files)
+    h_files = [run.path(f"h_star_{i:03d}.bin") for i in range(len(results))]
+    for r, f in zip(results, h_files):
+        save_control(r.h_star, f)
     payload = [{"y": r.y, "I": r.I, "residual": r.residual,
                 "iterations": r.iterations, "converged": r.converged,
                 "gamma_bar": r.gamma_bar_at_hstar, "stationarity": r.stationarity,
@@ -298,9 +329,8 @@ def _cmd_rate(run: Runner) -> int:
                 "h_star": f.name}
                for r, f in zip(results, h_files)]
     x = lattice(cfg.model.cov, cfg.grid).point(cfg.x)
-    run.path("rate_result.json").write_text(
-        json.dumps({"results": payload, "t": cfg.t, "x": list(map(float, x))},
-                   indent=2, sort_keys=True))
+    _write_json(run.path("rate_result.json"),
+                {"results": payload, "t": cfg.t, "x": list(map(float, x))})
     run.finish("rate")
     for r in results:
         print(f"rate: y={r.y:.6g} I={r.I:.8g} residual={r.residual:.3g} "
@@ -321,23 +351,33 @@ def _cmd_varadhan(run: Runner) -> int:
         print("error: rate profile required (run the rate subcommand first or "
               "point task.rate_artifact at its output)", file=sys.stderr)
         return 2
+    lat = lattice(cfg.model.cov, cfg.grid)
+    # the tilt is only a minimiser at the point it was solved for
+    if (cfg.grid.time_index(stored["t"]) != cfg.grid.time_index(cfg.t)
+            or lat.point_index(stored["x"]) != lat.point_index(cfg.x)):
+        raise ConfigError(
+            f"rate artifact was solved at t={stored['t']:.6g}, x={stored['x']}, "
+            f"not at this run's t={cfg.t:.6g}, x={list(map(float, lat.point(cfg.x)))}")
     if abs(entry["y"] - y) > 1e-9:
         print(f"note: using stored rate value at y={entry['y']:.6g}")
-    lat = lattice(cfg.model.cov, cfg.grid)
     h_star = load_control(lat, art_dir / entry["h_star"])
     n = cfg.replicas("varadhan")
     sweep = mc.varadhan_sweep(cfg.model, cfg.grid, cfg.eps_list, entry["y"],
                               entry["I"], n=n, t=cfg.t, x=cfg.x, h_star=h_star,
                               executor=run.executor)
-    sweep.to_csv(run.path("sweep.csv"))
+    _write_csv(run.path("sweep.csv"),
+               ["eps", "y", "p_hat", "se", "log_p", "eps2_log_p", "minus_I", "gap",
+                "ess", "mean_weight", "bandwidth"],
+               [(r.eps, sweep.y, r.p_hat, r.se, r.log_p, r.eps2_log_p, sweep.minus_I,
+                 r.eps2_log_p - sweep.minus_I, r.ess, r.mean_weight, r.bandwidth)
+                for r in sweep.rows])
     # per-row values, tilt diagnostics included; NaN (rows without them) -> null
     rows = [{k: None if isinstance(v, float) and math.isnan(v) else v
              for k, v in dataclasses.asdict(r).items()} for r in sweep.rows]
-    run.path("sweep_result.json").write_text(json.dumps(
-        {"y": sweep.y, "minus_I": sweep.minus_I, "limit": sweep.limit,
-         "limit_se": sweep.limit_se, "raw_last": sweep.raw_last,
-         "gap": sweep.gap, "rel_gap": sweep.rel_gap, "rows": rows},
-        indent=2, sort_keys=True))
+    _write_json(run.path("sweep_result.json"),
+                {"y": sweep.y, "minus_I": sweep.minus_I, "limit": sweep.limit,
+                 "limit_se": sweep.limit_se, "raw_last": sweep.raw_last,
+                 "gap": sweep.gap, "rel_gap": sweep.rel_gap, "rows": rows})
     run.finish("varadhan", {"n": n})
     print(f"varadhan: limit={sweep.limit:.6g} (se {sweep.limit_se:.2g}) vs "
           f"-I={sweep.minus_I:.6g}; rel gap {sweep.rel_gap:.3%}")
@@ -346,25 +386,19 @@ def _cmd_varadhan(run: Runner) -> int:
 
 def _cmd_support(run: Runner) -> int:
     cfg = run.cfg
-    budgets = _floats(cfg.task.get("budgets", "1,10,100"))
-    n_controls = int(cfg.task.get("n_controls", 6))
+    budgets = _floats(cfg.value("task", "budgets"))
+    n_controls = int(cfg.value("task", "n_controls"))
     intervals = rate_mod.support_probe(cfg.model, cfg.grid, n_controls, budgets,
-                                       t=cfg.t, x=cfg.x, seed=cfg.grid.seed)
-    with open(run.path("support_probe.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["budget", "low", "high", "width"])
-        writer.writerows([format(v, ".17g") for v in (b, lo, hi, hi - lo)]
-                         for b, (lo, hi) in zip(budgets, intervals))
-    n_list = _ints(cfg.task.get("n_list", "3,4,5,6"))
+                                       t=cfg.t, x=cfg.x)
+    _write_csv(run.path("support_probe.csv"), ["budget", "low", "high", "width"],
+               [(b, lo, hi, hi - lo) for b, (lo, hi) in zip(budgets, intervals)])
+    n_list = _ints(cfg.value("task", "n_list"))
     n = cfg.replicas("support")
-    theta = float(cfg.task.get("theta", 0.9))
+    theta = float(cfg.value("task", "theta"))
     rows = mc.support_convergence(cfg.model, cfg.grid, n_list, n, theta=theta,
                                   t=cfg.t, x=cfg.x)
-    with open(run.path("support_convergence.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "kept", "c1_median"])
-        writer.writerows([r["n"], r["kept"], format(r["c1_median"], ".17g")]
-                         for r in rows)
+    _write_csv(run.path("support_convergence.csv"), ["n", "kept", "c1_median"],
+               [(r["n"], r["kept"], r["c1_median"]) for r in rows])
     run.finish("support")
     widths = [hi - lo for lo, hi in intervals]
     print(f"support: widths {['%.4g' % w for w in widths]}, "
@@ -448,9 +482,8 @@ def _cmd_validate(run: Runner, full: bool = False) -> int:
                f"limit={sweep.limit:.4f} -I={-rr.I:.4f} rel={sweep.rel_gap:.3f}")
 
     ok = all(c[1] for c in checks)
-    run.path("validate.json").write_text(json.dumps(
-        [{"name": n, "ok": o, "detail": d} for n, o, d in checks],
-        indent=2, sort_keys=True))
+    _write_json(run.path("validate.json"),
+                [{"name": n, "ok": o, "detail": d} for n, o, d in checks])
     run.finish("validate", {"full": full, "all_pass": ok})
     print(f"validate: {'all checks passed' if ok else 'FAILURES present'}")
     return 0 if ok else 1

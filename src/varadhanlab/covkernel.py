@@ -14,7 +14,6 @@ and slab-averaged squared multipliers used by the spectral time stepper.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -333,10 +332,3 @@ class KernelTable:
         finite = np.isfinite(self.j1)
         if np.any(self.j1[finite] < 0.0) or np.any(self.j2 < 0.0):
             raise ValueError("j1 and j2 must be nonnegative")
-
-    def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "j1", "j2", "g1"])
-            for row in zip(self.times, self.j1, self.j2, self.g1):
-                writer.writerow([format(v, ".17g") for v in row])

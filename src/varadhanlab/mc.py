@@ -10,7 +10,6 @@ estimation reuses a converged rate minimizer as a Girsanov tilt.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -108,14 +107,6 @@ class DensityCurve:
             mass = float(trapz(self.p_hat, self.y_grid))
             if mass > 1.0 + tol:
                 raise AssertionError(f"captured mass {mass:.4f} exceeds 1")
-
-    def to_csv(self, filename):
-        with open(filename, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["eps", "y", "p_hat", "se", "log_p", "log_se"])
-            for row in zip(self.y_grid, self.p_hat, self.se, self.log_p, self.log_se):
-                writer.writerow([format(self.eps, ".17g")]
-                                + [format(v, ".17g") for v in row])
 
 
 def sample_endpoints(model: ModelSpec, grid: GridSpec, n: int, x,
@@ -238,18 +229,6 @@ class SweepResult:
     @property
     def rel_gap(self) -> float:
         return abs(self.gap) / max(abs(self.minus_I), 1e-300)
-
-    def to_csv(self, filename):
-        with open(filename, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["eps", "y", "p_hat", "se", "log_p", "eps2_log_p",
-                             "minus_I", "gap", "ess", "mean_weight", "bandwidth"])
-            for r in self.rows:
-                gap = r.eps2_log_p - self.minus_I
-                writer.writerow([format(v, ".17g") for v in
-                                 (r.eps, self.y, r.p_hat, r.se, r.log_p,
-                                  r.eps2_log_p, self.minus_I, gap,
-                                  r.ess, r.mean_weight, r.bandwidth)])
 
 
 def _extrapolate(eps, vals, ses):

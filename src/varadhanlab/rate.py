@@ -11,10 +11,8 @@ and the bracket is bisected to a feasible initializer.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy import optimize
@@ -22,7 +20,7 @@ from scipy import optimize
 from . import covkernel
 from .errors import BracketError
 from .funcs import looks_bounded, sup_abs
-from .noise import ControlH, GridSpec, lattice, save_control
+from .noise import ControlH, GridSpec, lattice
 from .skeleton import bare_kernel_control, gradient_phi, solve_phi
 from .solver import ModelSpec, check_wave_domain, g1_grid
 
@@ -240,13 +238,13 @@ def rate_profile(model: ModelSpec, grid: GridSpec, y_grid,
 
 
 def support_probe(model: ModelSpec, grid: GridSpec, n_controls: int, budget,
-                  t: float | None = None, x=None, seed: int = 5150):
+                  t: float | None = None, x=None):
     """Reachable-endpoint interval under a control norm budget.
 
     Evaluates the skeleton along scaled constructive directions and random
     controls with ||h||^2 / 2 <= budget and returns [min, max]; with a list
     of budgets, one interval per budget (widths grow with the budget when
-    the drift is bounded).
+    the drift is bounded).  The random controls are keyed on grid.seed.
     """
     budgets = np.atleast_1d(np.asarray(budget, dtype=float))
     lat = lattice(model.cov, grid)
@@ -255,7 +253,7 @@ def support_probe(model: ModelSpec, grid: GridSpec, n_controls: int, budget,
     phi0_end = phi0.endpoint(x)
     unit = (1.0 / max(direction.norm, 1e-300)) * direction
     rng = np.random.Generator(np.random.Philox(key=np.array(
-        [seed, 11], dtype=np.uint64)))
+        [grid.seed, 11], dtype=np.uint64)))
     randoms = []
     for _ in range(n_controls):
         g = ControlH(lat, rng.standard_normal((grid.nt, lat.ncoords)))
@@ -275,25 +273,3 @@ def support_probe(model: ModelSpec, grid: GridSpec, n_controls: int, budget,
         return intervals[0]
     return intervals
 
-
-def profile_to_csv(results: list[RateResult], filename, h_dir=None) -> list[Path]:
-    """Profile export: CSV columns y, I, residual, iterations, gamma_bar.
-
-    With h_dir, each result's minimiser is also saved there as
-    h_star_{i:03d}.bin; returns those paths in result order.
-    """
-    with open(filename, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["y", "I", "residual", "iterations", "gamma_bar",
-                         "converged"])
-        for r in results:
-            writer.writerow([format(r.y, ".17g"), format(r.I, ".17g"),
-                             format(r.residual, ".17g"), r.iterations,
-                             format(r.gamma_bar_at_hstar, ".17g"),
-                             int(r.converged)])
-    if h_dir is None:
-        return []
-    paths = [Path(h_dir) / f"h_star_{i:03d}.bin" for i in range(len(results))]
-    for r, path in zip(results, paths):
-        save_control(r.h_star, path)
-    return paths

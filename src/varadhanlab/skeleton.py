@@ -17,14 +17,13 @@ same factor, with the stochastic integrand sigma(Phi) dF as its source.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import GridError
-from .noise import ControlH, GridSpec, NoisePath, save_control
+from .noise import ControlH, GridSpec, NoisePath
 from .solver import (Field, ModelSpec, _adjoint_route, _drive, _factor,
                      _forward, _Increments, _lane_oracle, _observation_index,
                      _prepare)
@@ -140,12 +139,6 @@ class SkeletonResult:
     endpoint: float
     gradient: ControlH
     gamma_bar: float
-
-    def export(self, scalar_path, gradient_path):
-        with open(scalar_path, "w") as fh:
-            json.dump({"endpoint": self.endpoint, "gamma_bar": self.gamma_bar}, fh,
-                      indent=2, sort_keys=True)
-        save_control(self.gradient, gradient_path)
 
 
 def analyze(model: ModelSpec, grid: GridSpec, h: ControlH,

@@ -41,7 +41,6 @@ plus, for wave, the (nspec, jt, B) complex history; apart from the
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -174,13 +173,6 @@ class Field:
         g = self.grid
         write_binary(filename, b"VLFIELD1", "<QQQdd",
                      (self.values.shape[0] - 1, g.nx, self.cov.d, g.T, g.L), self.values)
-
-    def slice_csv(self, filename, j: int = -1):
-        vals = self.values[j].reshape(-1)
-        with open(filename, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["index", "value"])
-            writer.writerows([i, format(v, ".17g")] for i, v in enumerate(vals))
 
 
 # ---------------------------------------------------------------------------
@@ -508,21 +500,25 @@ def _adjoint_route(model: ModelSpec, eng: MildEngine, drive, uvals: np.ndarray,
     return out
 
 
+#: bytes the lane-state workspace of _lane_oracle may take
+_LANE_BUDGET = 2 << 30
+
+
 def _lane_oracle(model: ModelSpec, eng: MildEngine, drive, uvals: np.ndarray,
-                 point: tuple[int, ...], memory_budget: int = 2 << 30) -> np.ndarray:
+                 point: tuple[int, ...]) -> np.ndarray:
     """Same R as _adjoint_route, by a forward solve of the linearised equation.
 
     The state carries one lane per (slab, mode), the full H_T-valued field
     history, and sums the history directly, so it is an independent check
     for small grids; the cost guard raises when the workspace would exceed
-    memory_budget bytes.
+    _LANE_BUDGET bytes.
     """
     lat, jt, dt = eng.lat, eng.jt, eng.grid.dt
     lanes = jt * lat.ncoords
     need = (jt * lanes * lat.nspec * 16) + (lanes * int(np.prod(lat.spatial_shape)) * 8)
-    if need > memory_budget:
+    if need > _LANE_BUDGET:
         raise MemoryBudgetError(f"lane-state workspace needs {need} bytes; "
-                                f"grid too large for budget {memory_budget}")
+                                f"grid too large for budget {_LANE_BUDGET}")
     if uvals.shape[0] < jt + 1:
         raise GridError("field history shorter than the observation time")
     phik = lat.synthesize(np.eye(lat.ncoords))                    # (ncoords, *spatial)
@@ -596,20 +592,19 @@ def endpoint_ensemble(model: ModelSpec, grid: GridSpec, streams, x,
 
 
 def first_variation(model: ModelSpec, grid: GridSpec, path: NoisePath,
-                    u: Field, t: float | None = None, x=None,
-                    memory_budget: int = 2 << 30) -> np.ndarray:
+                    u: Field, t: float | None = None, x=None) -> np.ndarray:
     """Solve the first-variation (Malliavin derivative) equation forward.
 
     Returns the derivative of u(t, x) with respect to the noise as an
     (nt, ncoords) array over (time slab, mode); rows at or beyond t are
     zero.  The state is the full H_T-valued field history, so this is for
     small grids; the cost guard raises when the workspace would exceed
-    memory_budget bytes.
+    _LANE_BUDGET (2 GiB).
     """
     eng, _ = _prepare(model, grid, t)
     point = _observation_index(model, grid, eng.lat, x)
     drive = _drive(eng, model.eps, inc=path.increments)
-    return model.eps * _lane_oracle(model, eng, drive, u.values, point, memory_budget)
+    return model.eps * _lane_oracle(model, eng, drive, u.values, point)
 
 
 def malliavin_adjoint(model: ModelSpec, grid: GridSpec, path: NoisePath,

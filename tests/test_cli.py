@@ -22,7 +22,10 @@ def test_varadhan_writes_row_diagnostics(tmp_path):
     result = json.loads((tmp_path / "sweep_result.json").read_text())
     rows = result["rows"]
     assert [r["eps"] for r in rows] == [1.0, 0.7]
-    csv_rows = (tmp_path / "sweep.csv").read_text().splitlines()[1:]
+    header, *csv_rows = (tmp_path / "sweep.csv").read_text().splitlines()
+    assert header == ("eps,y,p_hat,se,log_p,eps2_log_p,minus_I,gap,"
+                      "ess,mean_weight,bandwidth")
+    assert len(csv_rows) == len(rows)
     for row, line in zip(rows, csv_rows):
         assert row["ok"] and row["note"] == "tilted"
         assert row["ess"] >= 50.0 and row["bandwidth"] > 0.0
@@ -258,3 +261,34 @@ def test_support_defaults_to_three_hundred_replicas(tmp_path, monkeypatch, capsy
     lat = lattice(cfg.model.cov, cfg.grid)
     block = 300 * _BLOCK * lat.ncoords * 8
     assert _estimate_resources(cfg, "support")[0] == block + 300 * 64 * lat.nspec * 16
+
+
+def test_varadhan_rejects_the_rate_point_of_another_observation_point(
+        tmp_path, monkeypatch, capsys):
+    assert main(["rate", *TINY, "--set", "task.x=0.2", "--set", "task.t=0.5",
+                 "--out", str(tmp_path)]) == 0
+    calls = []
+    monkeypatch.setattr(mc, "varadhan_sweep", lambda *a, **kw: calls.append(a))
+    assert main(["varadhan", *TINY, "--set", "task.n=2000",
+                 "--out", str(tmp_path)]) == 1
+    assert not calls                              # no row sampled with that tilt
+    err = capsys.readouterr().err
+    assert "t=0.5, x=[0.2]" in err and "t=1, x=[0.0]" in err
+    assert _manifest(tmp_path)["error"] == "ConfigError"
+
+
+def test_riesz_without_beta_is_a_config_error(capsys):
+    assert main(["rate", "--set", "model.kind=riesz", "--dry-run"]) == 2
+    assert "model.beta" in capsys.readouterr().err
+
+
+def test_an_empty_config_resolves_like_the_built_in_one(tmp_path):
+    empty = tmp_path / "empty.ini"
+    empty.write_text("")
+    cfg, builtin = load_config(str(empty), [], None), load_config(None, [], None)
+    assert cfg.raw == {}
+    assert cfg.model == builtin.model and cfg.grid == builtin.grid
+    assert cfg.eps_list == builtin.eps_list
+    assert builtin.task
+    for key, text in builtin.task.items():
+        assert cfg.value("task", key) == text

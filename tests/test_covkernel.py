@@ -181,16 +181,11 @@ class TestSlabMeans:
 
 
 class TestKernelTable:
-    def test_invariants_and_csv(self, tmp_path):
+    def test_invariants(self):
         table = ck.KernelTable.build(WAVE_WHITE, 1.0, n=16)
         assert table.g1[0] == 0.0
         assert np.all(np.diff(table.g1) >= 0)
         assert np.allclose(table.j2, table.times)
-        out = tmp_path / "kern.csv"
-        table.to_csv(out)
-        data = np.genfromtxt(out, delimiter=",", names=True)
-        assert np.allclose(data["g1"], table.g1)
-        assert list(data.dtype.names) == ["t", "j1", "j2", "g1"]
 
     def test_heat_j2_is_one(self):
         table = ck.KernelTable.build(HEAT_R05, 1.0, n=8)

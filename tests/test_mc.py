@@ -88,14 +88,6 @@ class TestEstimateDensity:
         with pytest.raises(AssertionError, match="nonnegative"):
             DensityCurve(1.0, y, -p_hat, np.zeros(3), 0.49, 1000).validate()
 
-    def test_csv_export(self, mc_grid, linear_model, tmp_path):
-        curve = estimate_density(linear_model, mc_grid, 2000,
-                                 np.array([-0.5, 0.0, 0.5]), x=0.0)
-        out = tmp_path / "d.csv"
-        curve.to_csv(out)
-        header = out.read_text().splitlines()[0]
-        assert header == "eps,y,p_hat,se,log_p,log_se"
-
 
 class TestReproducibility:
     def test_bit_identical_reruns(self, mc_grid, linear_model):
@@ -243,16 +235,6 @@ class TestVaradhanSweep:
         assert flagged and all(r.eps <= 0.35 for r in flagged)
         assert "importance sampling" in flagged[0].note
         assert np.isfinite(sweep.limit)
-
-    def test_csv_columns(self, mc_grid, linear_model, linear_rate, tmp_path):
-        sweep = varadhan_sweep(linear_model, mc_grid, [1.0, 0.7], 1.0,
-                               linear_rate.I, n=2000, x=0.0,
-                               h_star=linear_rate.h_star)
-        out = tmp_path / "s.csv"
-        sweep.to_csv(out)
-        head = out.read_text().splitlines()[0]
-        assert head == ("eps,y,p_hat,se,log_p,eps2_log_p,minus_I,gap,"
-                        "ess,mean_weight,bandwidth")
 
     def test_tilted_rows_keep_diagnostics(self, mc_grid, linear_model,
                                           linear_rate):

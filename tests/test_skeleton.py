@@ -286,17 +286,3 @@ class TestWindowNorm:
         m = presets.nonlinear_model()
         for hh in (ControlH.zeros(lat), h, 2.0 * h):
             assert gradient_phi(m, small_grid, hh, x=0.0).norm_sq > 0.0
-
-
-class TestSkeletonResult:
-    def test_export(self, small_grid, setup, tmp_path):
-        import json
-        lat, h = setup
-        res = analyze(presets.nonlinear_model(), small_grid, h, x=0.0)
-        res.export(tmp_path / "s.json", tmp_path / "g.bin")
-        blob = json.loads((tmp_path / "s.json").read_text())
-        assert blob["endpoint"] == pytest.approx(res.endpoint)
-        assert blob["gamma_bar"] == pytest.approx(res.gamma_bar)
-        from varadhanlab.noise import load_control
-        g = load_control(lat, tmp_path / "g.bin")
-        assert np.array_equal(g.coeffs, res.gradient.coeffs)
