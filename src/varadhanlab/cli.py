@@ -490,21 +490,19 @@ def _cmd_validate(run: Runner, full: bool = False) -> int:
 
 
 def _estimate_resources(cfg: Config, subcommand: str = "simulate") -> tuple[int, float]:
-    """(workspace bytes per chunk, history-sum flops of the run), from shapes.
+    """(engine state bytes per chunk, history-sum flops of the run), from shapes.
 
-    A chunk holds one (B, min(_BLOCK, nt), ncoords) increment block and,
-    for wave, the (nspec, nt, B) complex history; the wave history sum
-    costs O(nt^2) per frequency and replica, the heat recursion O(nt).
-    The run draws task.n replicas, or the subcommand's default.
+    A chunk runs in sub-batches and holds one sub-batch's state at a time:
+    its size and the state per replica come from solver._sub_batch, the
+    rule the engine itself runs by.  The wave history sum costs O(nt^2)
+    per frequency and replica, the heat recursion O(nt).  The run draws
+    task.n replicas, or the subcommand's default.
     """
     lat, nt = lattice(cfg.model.cov, cfg.grid), cfg.grid.nt
     n = cfg.replicas(subcommand)
-    chunk = min(mc.CHUNK, n)
-    block = chunk * min(solver._BLOCK, nt) * lat.ncoords * 8
-    if cfg.model.cov.operator == "heat":
-        return block, nt * lat.nspec * n * 8.0
-    hist = chunk * nt * lat.nspec * 16
-    return block + hist, 0.5 * nt ** 2 * lat.nspec * n * 8
+    size, state = solver._sub_batch(lat, nt, min(mc.CHUNK, n))
+    per_mode = nt if cfg.model.cov.operator == "heat" else 0.5 * nt ** 2
+    return size * state, per_mode * lat.nspec * n * 8.0
 
 
 def main(argv=None) -> int:

@@ -244,7 +244,8 @@ def support_probe(model: ModelSpec, grid: GridSpec, n_controls: int, budget,
     Evaluates the skeleton along scaled constructive directions and random
     controls with ||h||^2 / 2 <= budget and returns [min, max]; with a list
     of budgets, one interval per budget (widths grow with the budget when
-    the drift is bounded).  The random controls are keyed on grid.seed.
+    the drift is bounded).  The random controls are keyed on grid.seed,
+    through PCG64 rather than Philox, so no noise stream shares their draws.
     """
     budgets = np.atleast_1d(np.asarray(budget, dtype=float))
     lat = lattice(model.cov, grid)
@@ -252,8 +253,7 @@ def support_probe(model: ModelSpec, grid: GridSpec, n_controls: int, budget,
     direction = bare_kernel_control(model, grid, phi0, t, x)   # guards x
     phi0_end = phi0.endpoint(x)
     unit = (1.0 / max(direction.norm, 1e-300)) * direction
-    rng = np.random.Generator(np.random.Philox(key=np.array(
-        [grid.seed, 11], dtype=np.uint64)))
+    rng = np.random.default_rng(grid.seed)
     randoms = []
     for _ in range(n_controls):
         g = ControlH(lat, rng.standard_normal((grid.nt, lat.ncoords)))

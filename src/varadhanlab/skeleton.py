@@ -26,7 +26,7 @@ from .errors import GridError
 from .noise import ControlH, GridSpec, NoisePath
 from .solver import (Field, ModelSpec, _adjoint_route, _drive, _factor,
                      _forward, _Increments, _lane_oracle, _observation_index,
-                     _prepare)
+                     _prepare, _sub_batch)
 
 __all__ = [
     "SkeletonResult", "solve_phi", "gradient_phi", "forward_xi",
@@ -102,33 +102,41 @@ def chaos_ensemble(model: ModelSpec, grid: GridSpec, h: ControlH, paths,
                    t: float | None = None, x=None) -> np.ndarray:
     """Batched first-chaos draws; paths is a list of NoisePath or stream ids.
 
-    As in solver.endpoint_ensemble, stream ids are drawn _BLOCK slabs at a
-    time and each step synthesizes its own noise slab, so one increment
-    block and, for wave, the engine's (nspec, jt, B) history set peak
-    memory; given NoisePaths are stacked whole.
+    As in solver.endpoint_ensemble, the paths run in sub-batches sized by
+    solver._sub_batch and the draws are concatenated in path order; within
+    a sub-batch stream ids are drawn _BLOCK slabs at a time and each step
+    synthesizes its own noise slab, so one sub-batch's increment block and,
+    for wave, its (nspec, jt, size) history set peak memory; a sub-batch of
+    given NoisePaths is stacked whole.
     """
     eng, w_tab = _prepare(model, grid, t)
     point = _observation_index(model, grid, eng.lat, x)
     drive = _drive(eng, h=h)
     pv = _forward(model, eng, w_tab, drive)
     lat, jt, dt = eng.lat, eng.jt, grid.dt
-    if all(isinstance(p, NoisePath) for p in paths):
-        stacked = np.stack([p.increments for p in paths])
-
-        def slab(j):
-            return stacked[:, j]
-    else:
-        slab = _Increments(eng, paths)
-
+    given = all(isinstance(p, NoisePath) for p in paths)
     sig = [model.sigma(pv[j]) for j in range(jt)]
     factors = [_factor(model, dt, pv[j], drive(j)) for j in range(jt)]
-
-    def integrand(j, n):
-        return sig[j] * lat.synthesize(slab(j)) + factors[j] * n
-
     zeros = np.zeros((jt + 1, 1) + lat.spatial_shape)
-    n_final, _ = eng.forward(zeros, integrand, batch_shape=(len(paths),))
-    return n_final[(slice(None), *point)]
+
+    def run(part):
+        if given:
+            stacked = np.stack([p.increments for p in part])
+
+            def slab(j):
+                return stacked[:, j]
+        else:
+            slab = _Increments(eng, part)
+
+        def integrand(j, n):
+            return sig[j] * lat.synthesize(slab(j)) + factors[j] * n
+
+        n_final, _ = eng.forward(zeros, integrand, batch_shape=(len(part),))
+        return n_final[(slice(None), *point)]
+
+    size = _sub_batch(lat, jt, len(paths))[0]
+    return np.concatenate([run(paths[lo: lo + size])
+                           for lo in range(0, len(paths), size)])
 
 
 @dataclass

@@ -34,9 +34,13 @@ An ensemble of B replica streams is driven slab by slab: every _BLOCK
 steps the next _BLOCK slabs of each stream's Philox increments are drawn
 (each stream's generator stays live between draws, so the increments are
 those of a one-shot draw, bit for bit), and each step synthesizes only its
-own slab.  Per-chunk state is one (B, _BLOCK, ncoords) increment block
-plus, for wave, the (nspec, jt, B) complex history; apart from the
-(jt + 1, *spatial) initial table nothing else grows with nt.
+own slab.  A chunk of B streams runs in equal sub-batches (_sub_batch):
+per replica the engine holds min(_BLOCK, nt) increment rows and, for
+wave, a (jt, nspec) complex history (heat: one (nspec,) accumulator), and
+the sub-batches are the fewest that keep this state near _STATE_BUDGET
+bytes each.  So a chunk's memory is fixed by the grid, not by B or by how
+many chunks run at once; apart from the (jt + 1, *spatial) initial table
+nothing else grows with nt.
 """
 
 from __future__ import annotations
@@ -58,6 +62,8 @@ from .noise import (ControlH, GridSpec, Lattice, LiveStreams, NoisePath, lattice
 _SIGMA_SAMPLE_RANGE = 50.0
 #: slabs per block of the history sum (see the module docstring)
 _BLOCK = 32
+#: bytes of engine state one sub-batch of a chunk aims to hold (see _sub_batch)
+_STATE_BUDGET = 16 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -341,28 +347,28 @@ class MildEngine:
                 trail.append(u.copy())
         return u, trail
 
-    def adjoint(self, point: tuple[int, ...], factors: list[np.ndarray]):
+    def adjoint(self, point: tuple[int, ...], factors: np.ndarray) -> np.ndarray:
         """Reverse sweep of the linearized map, seeded at one grid point.
 
-        factors[i] multiplies the state sensitivity inside slab i (it is
-        the linearised factor dt (sigma'(u_i) D_i + b'(u_i)) of the module
-        docstring).  Returns the fields mu_i = dJ/drho_i for i < jt.
+        factors, shape (jt, *batch, *spatial): factors[i] multiplies the
+        state sensitivity inside slab i (it is the linearised factor
+        dt (sigma'(u_i) D_i + b'(u_i)) of the module docstring).  Returns
+        the fields mu_i = dJ/drho_i for i < jt, stacked like factors.
         mu_i sums K_l over the later adjoint sources l slabs ahead, which is
         the forward causal sum in reversed time: step n of _causal_sum
         yields mu_{jt-1-n}.
         """
         jt, lat = self.jt, self.lat
-        batch_shape = factors[0].shape[:-lat.d] if factors else ()
+        batch_shape = factors.shape[1:-lat.d]
         lam = np.zeros(batch_shape + lat.spatial_shape)
         lam[(..., *point)] = 1.0 / (self.grid.dx ** lat.d)
         step = self._causal_sum(batch_shape)
         src = self._to_spec(lam)
-        mus = [None] * jt
+        mus = np.empty_like(factors)
         for i in range(jt - 1, -1, -1):
-            mu = self._to_field(step(src))
-            mus[i] = mu
+            mus[i] = self._to_field(step(src))
             if i > 0:
-                src = self._to_spec(factors[i] * mu)
+                src = self._to_spec(factors[i] * mus[i])
         return mus
 
 
@@ -387,7 +393,8 @@ def _drive(eng: MildEngine, eps: float = 0.0, h: ControlH | None = None,
     the slab source of a batch, a callable with inc(j) the (B, ncoords)
     increments of slab j; either may be None.  A batch is synthesized one
     slab at a time inside the step, so no (B, jt, *spatial) field is held.
-    One path or a control is synthesized once for all slabs: slab by slab,
+    One path or a control is synthesized once for all slabs, and its drive
+    also takes a slice of slabs and returns them stacked: slab by slab,
     a batch-1 solve_phi on mc_grid took 6.2-6.7 ms against 4.1-5.3 ms
     (2 shared vCPUs).
     """
@@ -448,6 +455,22 @@ class _Increments:
         return self.dots
 
 
+def _sub_batch(lat: Lattice, jt: int, n: int) -> tuple[int, int]:
+    """(streams per sub-batch, engine state bytes per stream) for n streams.
+
+    A stream's state is its min(_BLOCK, nt) rows of the increment block
+    plus, for wave, its (jt, nspec) complex history (heat: its (nspec,)
+    complex accumulator).  The n streams split into
+    k = ceil(n * state / _STATE_BUDGET) sub-batches of ceil(n / k) streams
+    each, the last one possibly shorter, so one sub-batch holds at most
+    _STATE_BUDGET plus one stream's state; a single stream is one sub-batch.
+    """
+    lags = jt if lat.cov.operator == "wave" else 1
+    state = lags * lat.nspec * 16 + min(_BLOCK, lat.grid.nt) * lat.ncoords * 8
+    k = -(-n * state // _STATE_BUDGET)
+    return -(-n // k), state
+
+
 def _integrand(model: ModelSpec, dt: float, u: np.ndarray, D: np.ndarray):
     """The nonlinear slab integrand dt (sigma(u) D + b(u))."""
     return dt * (model.sigma(u) * D + model.b(u))
@@ -492,11 +515,10 @@ def _adjoint_route(model: ModelSpec, eng: MildEngine, drive, uvals: np.ndarray,
     (c = (eps / dt) dW) eps R is the Malliavin derivative.
     """
     lat, jt, dt = eng.lat, eng.jt, eng.grid.dt
-    mus = eng.adjoint(point, [_factor(model, dt, uvals[i], drive(i))
-                              for i in range(jt)])
+    u = uvals[:jt]
+    mus = eng.adjoint(point, _factor(model, dt, u, drive(slice(0, jt))))
     out = np.zeros((eng.grid.nt, lat.ncoords))
-    for i in range(jt):
-        out[i] = lat.extract(model.sigma(uvals[i]) * mus[i])
+    out[:jt] = lat.extract(model.sigma(u) * mus)
     return out
 
 
@@ -574,21 +596,29 @@ def endpoint_ensemble(model: ModelSpec, grid: GridSpec, streams, x,
     returns the discrete stochastic integrals sum_{i,k} h(i,k) dW(i,k)
     needed by the change-of-measure weights.
 
-    The increments are drawn _BLOCK slabs at a time (_Increments) and the
-    drive is synthesized one slab at a time inside the step, so neither
-    the (B, nt, ncoords) increments nor a (B, jt, *spatial) field is ever
-    held.  Peak memory is one increment block plus, for wave, the
-    engine's (nspec, jt, B) complex history; heat keeps no history.
+    The streams run in the sub-batches of _sub_batch, one forward sweep
+    each, concatenated in stream order.  Within one the increments are
+    drawn _BLOCK slabs at a time (_Increments) and the drive is
+    synthesized one slab at a time inside the step, so neither the
+    (B, nt, ncoords) increments nor a (B, jt, *spatial) field is ever
+    held: peak memory is one sub-batch's increment block plus, for wave,
+    its (nspec, jt, size) complex history, about _STATE_BUDGET bytes.
     """
     eng, w_tab = _prepare(model, grid, t)
     point = _observation_index(model, grid, eng.lat, x)
-    inc = _Increments(eng, streams, h if with_girsanov else None)
-    drive = _drive(eng, model.eps, h=h, inc=inc)
-    u = _forward(model, eng, w_tab, drive, batch=len(streams))
-    samples = u[(slice(None), *point)]
+    size = _sub_batch(eng.lat, eng.jt, len(streams))[0]
+
+    def run(part):
+        inc = _Increments(eng, part, h if with_girsanov else None)
+        u = _forward(model, eng, w_tab, _drive(eng, model.eps, h=h, inc=inc),
+                     batch=len(part))
+        return u[(slice(None), *point)], inc.girsanov() if with_girsanov else None
+
+    parts = [run(streams[lo: lo + size]) for lo in range(0, len(streams), size)]
+    samples = np.concatenate([p[0] for p in parts])
     if not with_girsanov:
         return samples
-    return samples, inc.girsanov()
+    return samples, np.concatenate([p[1] for p in parts])
 
 
 def first_variation(model: ModelSpec, grid: GridSpec, path: NoisePath,

@@ -9,7 +9,7 @@ from varadhanlab import mc
 from varadhanlab.cli import _estimate_resources, load_config, main
 from varadhanlab.errors import ConfigError
 from varadhanlab.noise import lattice
-from varadhanlab.solver import _BLOCK
+from varadhanlab.solver import _BLOCK, _STATE_BUDGET
 
 TINY = ["--set", "grid.nx=16", "--set", "grid.nt=16", "--set", "grid.nk=8",
         "--set", "task.y=1.0"]
@@ -139,15 +139,22 @@ def test_dry_run_estimate_follows_the_shapes(operator, nt, capsys):
     cfg = load_config(None, overrides, None)
     lat = lattice(cfg.model.cov, cfg.grid)
     B = mc.CHUNK                                     # n = 2000 fills whole chunks
-    block = B * min(_BLOCK, nt) * lat.ncoords * 8    # one increment block
-    if operator == "wave":
-        want = (block + lat.nspec * nt * B * 16, 0.5 * nt ** 2 * lat.nspec * 2000 * 8)
-    else:                                            # no history, O(nt) work
-        want = (block, nt * lat.nspec * 2000 * 8)
+    # per replica: its increment rows plus the wave history or heat accumulator
+    lags, work = (nt, 0.5 * nt ** 2) if operator == "wave" else (1, nt)
+    state = min(_BLOCK, nt) * lat.ncoords * 8 + lags * lat.nspec * 16
+    k = math.ceil(B * state / _STATE_BUDGET)         # sub-batches per chunk
+    want = (math.ceil(B / k) * state, work * lat.nspec * 2000 * 8)
     assert _estimate_resources(cfg) == want
     args = ["simulate", "--dry-run"] + [a for o in overrides for a in ("--set", o)]
     assert main(args) == 0
     assert f"~{want[0] / 1e6:.0f} MB per chunk" in capsys.readouterr().out
+
+
+def test_dry_run_estimate_stays_within_the_state_budget():
+    # a 512-replica wave chunk at nt = 256 holds one sub-batch at a time,
+    # not its whole (nspec, nt, 512) history
+    cfg = load_config(None, ["grid.nt=256"], None)
+    assert _estimate_resources(cfg)[0] <= _STATE_BUDGET
 
 
 @pytest.mark.slow
@@ -259,8 +266,8 @@ def test_support_defaults_to_three_hundred_replicas(tmp_path, monkeypatch, capsy
     assert used == [300]
     cfg = load_config(None, [], None)
     lat = lattice(cfg.model.cov, cfg.grid)
-    block = 300 * _BLOCK * lat.ncoords * 8
-    assert _estimate_resources(cfg, "support")[0] == block + 300 * 64 * lat.nspec * 16
+    state = _BLOCK * lat.ncoords * 8 + 64 * lat.nspec * 16
+    assert _estimate_resources(cfg, "support")[0] == 150 * state   # two sub-batches
 
 
 def test_varadhan_rejects_the_rate_point_of_another_observation_point(

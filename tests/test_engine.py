@@ -134,8 +134,7 @@ def test_adjoint_matches_direct_sum(operator, d, nt, jt_frac, batch, seed):
     rng = np.random.default_rng(seed)
     lat = eng.lat
     point = tuple(int(i) for i in rng.integers(0, lat.spatial_shape[0], size=lat.d))
-    factors = list(0.2 * rng.standard_normal((eng.jt,) + batch_shape
-                                             + lat.spatial_shape))
+    factors = 0.2 * rng.standard_normal((eng.jt,) + batch_shape + lat.spatial_shape)
     mus = eng.adjoint(point, factors)
-    mus_ref = direct_adjoint(eng, point, factors)
-    _close(np.stack(mus), np.stack(mus_ref))
+    mus_ref = direct_adjoint(eng, point, list(factors))
+    _close(mus, np.stack(mus_ref))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from varadhanlab import mc, presets
+from varadhanlab import mc, presets, solver
 from varadhanlab.errors import TiltError
 from varadhanlab.mc import (CHUNK, DensityCurve, estimate_density, gaussian_kde,
                             sample_endpoints, silverman_bandwidth,
@@ -131,12 +131,19 @@ class TestStreamInvariance:
 
     @settings(max_examples=25, deadline=None)
     @given(stream0=st.integers(0, 20), n=st.integers(1, 20),
-           chunk=st.integers(1, 25), tilt=st.booleans())
+           chunk=st.integers(1, 25), per_batch=st.integers(1, 25),
+           tilt=st.booleans())
     def test_endpoint_independent_of_batching(self, tiny_grid, nonlinear_model,
-                                              alone, stream0, n, chunk, tilt):
+                                              alone, stream0, n, chunk, per_batch,
+                                              tilt):
+        # chunks of `chunk` streams split into equal sub-batches of at most
+        # per_batch streams, the last one possibly shorter
         h, plain, tilted, dots = alone
         window = slice(stream0, stream0 + n)
-        with mock.patch.object(mc, "CHUNK", chunk):
+        lat = lattice(nonlinear_model.cov, tiny_grid)
+        state = solver._sub_batch(lat, tiny_grid.nt, 1)[1]
+        with mock.patch.object(mc, "CHUNK", chunk), \
+                mock.patch.object(solver, "_STATE_BUDGET", per_batch * state):
             if tilt:
                 got, got_dots = sample_endpoints(nonlinear_model, tiny_grid, n, 0.0,
                                                  h=h, stream0=stream0,

@@ -4,7 +4,7 @@ import pytest
 from varadhanlab import presets, rate
 from varadhanlab.errors import BracketError
 from varadhanlab.funcs import ONE, make_func
-from varadhanlab.noise import ControlH, GridSpec, lattice
+from varadhanlab.noise import ControlH, GridSpec, lattice, sample_path
 from varadhanlab.rate import (init_shift, rate_function, rate_profile,
                               support_probe)
 from varadhanlab.skeleton import solve_phi
@@ -150,6 +150,25 @@ class TestSupportProbe:
                                   x=0.0)
         widths = [hi - lo for lo, hi in intervals]
         assert widths[0] < widths[1] < widths[2]
+
+    def test_random_controls_share_no_noise_stream(self, grid, nonlinear_model,
+                                                   monkeypatch):
+        # the probe's random directions must not repeat a replica's noise:
+        # at Philox key (seed, 11) the first one was stream 11's path
+        controls = []
+        endpoint = rate._endpoint
+
+        def spy(model, grid, h, t, x):
+            controls.append(h.coeffs)
+            return endpoint(model, grid, h, t, x)
+
+        monkeypatch.setattr(rate, "_endpoint", spy)
+        support_probe(nonlinear_model, grid, 1, 1.0, x=0.0)
+        first = controls[4]            # after the four scalings of the kernel direction
+        for stream in range(16):
+            path = sample_path(lattice(COV, grid), stream).increments
+            cos = np.sum(first * path) / np.sqrt(np.sum(first ** 2) * np.sum(path ** 2))
+            assert abs(cos) < 0.5
 
     def test_linear_budget_maximum(self, linear_model):
         # optimal direction is the kernel itself: max = sqrt(2 B g1)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from varadhanlab import presets
+from varadhanlab import presets, solver
 from varadhanlab.funcs import make_func
 from varadhanlab.noise import ControlH, ht_inner, lattice, sample_path
 from varadhanlab.skeleton import (analyze, bare_kernel_control, chaos_ensemble,
@@ -196,6 +196,20 @@ class TestChaos:
                              sample_path(lat, 17), x=0.0)
         batch = chaos_ensemble(nonlinear_model, small_grid, h, [17], x=0.0)
         assert one == pytest.approx(float(batch[0]), rel=1e-15)
+
+    @pytest.mark.parametrize("given", [False, True])
+    def test_sub_batches_keep_path_order(self, small_grid, nonlinear_model,
+                                         monkeypatch, given):
+        # ten paths in sub-batches of 3, 3, 3 and 1 give the draws of one batch
+        lat = lattice(COV, small_grid)
+        h = ControlH(lat, 0.3 * np.random.default_rng(8).standard_normal(
+            (small_grid.nt, lat.ncoords)))
+        paths = [sample_path(lat, s) for s in range(10)] if given else range(10)
+        whole = chaos_ensemble(nonlinear_model, small_grid, h, paths, x=0.0)
+        state = solver._sub_batch(lat, small_grid.nt, 1)[1]
+        monkeypatch.setattr(solver, "_STATE_BUDGET", 3 * state)
+        split = chaos_ensemble(nonlinear_model, small_grid, h, paths, x=0.0)
+        assert np.all(np.abs(split - whole) <= 1e-12 * np.abs(whole).max())
 
 
 class TestExpansion:

@@ -3,17 +3,18 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from varadhanlab import presets
+from varadhanlab import mc, presets
 from varadhanlab.covkernel import CovarianceSpec, g1
 from varadhanlab.errors import BlowUpError, GridError, MemoryBudgetError
 from varadhanlab.funcs import ONE, ZERO, make_func
 from varadhanlab.noise import (ControlH, GridSpec, LiveStreams, lattice,
                                sample_increments, sample_path)
 from varadhanlab.solver import (_BLOCK, BumpInitial, MildEngine, ModelSpec,
-                                ZeroInitial, _Increments, check_wave_domain,
-                                endpoint_ensemble, first_variation, g1_grid,
-                                malliavin_adjoint, malliavin_normsq, picard_verify,
-                                simulate, simulate_shifted)
+                                ZeroInitial, _Increments, _sub_batch,
+                                check_wave_domain, endpoint_ensemble,
+                                first_variation, g1_grid, malliavin_adjoint,
+                                malliavin_normsq, picard_verify, simulate,
+                                simulate_shifted)
 
 COV = presets.WAVE_WHITE
 
@@ -194,11 +195,11 @@ class TestStreamedIncrements:
 class TestChunkMemory:
     @pytest.mark.parametrize("operator", ["wave", "heat"])
     def test_traced_peak_has_no_full_increments(self, operator):
-        # peak bytes of one chunk, from shapes: one increment block, the
-        # initial table, for wave the (nspec, nt, B) complex history and the
-        # open block's (nspec, _BLOCK, 2B) far sums, plus an O(B) allowance
-        # for the per-stream generators and per-step spectra and fields;
-        # no (B, nt, ncoords) term
+        # peak bytes of one chunk that fits one sub-batch, from shapes: one
+        # increment block, the initial table, for wave the (nspec, nt, B)
+        # complex history and the open block's (nspec, _BLOCK, 2B) far sums,
+        # plus an O(B) allowance for the per-stream generators and per-step
+        # spectra and fields; no (B, nt, ncoords) term
         cov = CovarianceSpec(operator, 1, "white")
         grid = GridSpec(L=1.25, nx=16, nt=256, T=1.0, nk=8, seed=1)
         m = presets.nonlinear_model(cov=cov)
@@ -217,6 +218,34 @@ class TestChunkMemory:
         if operator == "wave":
             bound += nspec * nt * B * 16 + nspec * _BLOCK * 2 * B * 8
         assert peak < bound
+
+    @pytest.mark.parametrize("entry", ["endpoint_ensemble", "chaos_ensemble"])
+    def test_full_chunk_holds_one_sub_batch_at_a_time(self, entry):
+        # a 512-replica wave chunk at nt = 256 runs in sub-batches of the
+        # size _sub_batch gives, so its peak is one sub-batch's state (the
+        # increment rows and history of each of its streams), far sums and
+        # O(size) allowance as above, plus a few (nt + 1, nx) tables: no
+        # (nspec, nt, 512) history
+        from varadhanlab.skeleton import chaos_ensemble
+
+        grid = GridSpec(L=1.25, nx=32, nt=256, T=1.0, nk=16, seed=1)
+        m = presets.nonlinear_model()
+        lat = lattice(COV, grid)
+        B, nt, nspec = mc.CHUNK, grid.nt, lat.nspec
+        size, state = _sub_batch(lat, nt, B)
+        h = ControlH.zeros(lat)
+        run = {"endpoint_ensemble": lambda: endpoint_ensemble(m, grid, range(B), 0.0),
+               "chaos_ensemble": lambda: chaos_ensemble(m, grid, h, range(B), x=0.0)}
+        run[entry]()                                    # warm the lattice and weights
+        tracemalloc.start()
+        try:
+            run[entry]()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        bound = (size * (state + nspec * _BLOCK * 2 * 8 + 8192 + 32 * (grid.nx + nspec) * 16)
+                 + 4 * (nt + 1) * grid.nx * 8)
+        assert peak < bound < B * nt * nspec * 16
 
 
 def _coarsen(path_fine, lat_coarse):
