@@ -118,6 +118,8 @@ def sample_endpoints(model: ModelSpec, grid: GridSpec, n: int, x,
     The optional executor maps chunks to workers; outputs are merged in
     chunk order so the result is independent of scheduling.
     """
+    if n < 1:
+        raise ValueError("sample_endpoints needs n >= 1 replicas")
     jobs = list(_chunks(n, stream0))
 
     def run(streams):

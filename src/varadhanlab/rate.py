@@ -248,6 +248,8 @@ def support_probe(model: ModelSpec, grid: GridSpec, n_controls: int, budget,
     through PCG64 rather than Philox, so no noise stream shares their draws.
     """
     budgets = np.atleast_1d(np.asarray(budget, dtype=float))
+    if not np.all(budgets >= 0.0):
+        raise ValueError("a control budget ||h||^2 / 2 must be a number >= 0")
     lat = lattice(model.cov, grid)
     phi0 = solve_phi(model, grid, ControlH.zeros(lat), t)
     direction = bare_kernel_control(model, grid, phi0, t, x)   # guards x

@@ -6,13 +6,17 @@ drive D_i = H_i, the spatial field of h's slab i, and no noise term,
 
     Phi_j = w_j + sum_{i<j} K_{j-i} * dt [ sigma(Phi_i) H_i + b(Phi_i) ].
 
-Its endpoint gradient is computed two ways, both shared with the Malliavin
-derivative of solver and both built on the one linearised factor
-dt [ sigma'(Phi_i) H_i + b'(Phi_i) ]: a reverse (adjoint) sweep of exactly
-this recursion, which is the production route, and a forward solve of the
-linearized integral equation carrying the full (slab, mode) state, which
-serves as an independent small-grid oracle.  The first-chaos draw uses the
-same factor, with the stochastic integrand sigma(Phi) dF as its source.
+Its endpoint gradient G = gradient_phi(h) is a reverse (adjoint) sweep of
+exactly this recursion, built on the linearised factor
+dt [ sigma'(Phi_i) H_i + b'(Phi_i) ] it shares with solver's Malliavin
+derivative; forward_xi, a forward solve of the linearized equation carrying
+the full (slab, mode) state, is its independent small-grid oracle.
+
+The noise enters the drive as (eps / dt) dW, along the control direction
+dW / dt, so the first chaos N of u^eps(omega + h / eps) = Phi^h + eps N +
+o(eps) is, exactly in the discrete scheme, one dot with the same G:
+
+    N(t, x) = <G, dW / dt>_{H_T} = sum_{i,k} G(i,k) dW(i,k),  Var N = ||G||^2 = gamma_bar.
 """
 
 from __future__ import annotations
@@ -24,9 +28,9 @@ import numpy as np
 
 from .errors import GridError
 from .noise import ControlH, GridSpec, NoisePath
-from .solver import (Field, ModelSpec, _adjoint_route, _drive, _factor,
-                     _forward, _Increments, _lane_oracle, _observation_index,
-                     _prepare, _sub_batch)
+from .solver import (Field, ModelSpec, _adjoint_route, _drive, _forward,
+                     _Increments, _lane_oracle, _observation_index, _prepare,
+                     _sub_batch)
 
 __all__ = [
     "SkeletonResult", "solve_phi", "gradient_phi", "forward_xi",
@@ -100,42 +104,22 @@ def chaos_simulate(model: ModelSpec, grid: GridSpec, h: ControlH, path: NoisePat
 
 def chaos_ensemble(model: ModelSpec, grid: GridSpec, h: ControlH, paths,
                    t: float | None = None, x=None) -> np.ndarray:
-    """Batched first-chaos draws; paths is a list of NoisePath or stream ids.
+    """First-chaos draws N = sum_{i,k} G(i,k) dW(i,k) around Phi^h at (t, x).
 
-    As in solver.endpoint_ensemble, the paths run in sub-batches sized by
-    solver._sub_batch and the draws are concatenated in path order; within
-    a sub-batch stream ids are drawn _BLOCK slabs at a time and each step
-    synthesizes its own noise slab, so one sub-batch's increment block and,
-    for wave, its (nspec, jt, size) history set peak memory; a sub-batch of
-    given NoisePaths is stacked whole.
+    paths is a list of NoisePath or of stream ids.  G = gradient_phi(h) is
+    one skeleton solve and one adjoint sweep for all paths (see the module
+    docstring).  Stream ids are drawn _BLOCK slabs at a time by
+    solver._Increments in the sub-batches of solver._sub_batch, so one
+    sub-batch's increment block is held.
     """
-    eng, w_tab = _prepare(model, grid, t)
-    point = _observation_index(model, grid, eng.lat, x)
-    drive = _drive(eng, h=h)
-    pv = _forward(model, eng, w_tab, drive)
-    lat, jt, dt = eng.lat, eng.jt, grid.dt
-    given = all(isinstance(p, NoisePath) for p in paths)
-    sig = [model.sigma(pv[j]) for j in range(jt)]
-    factors = [_factor(model, dt, pv[j], drive(j)) for j in range(jt)]
-    zeros = np.zeros((jt + 1, 1) + lat.spatial_shape)
-
-    def run(part):
-        if given:
-            stacked = np.stack([p.increments for p in part])
-
-            def slab(j):
-                return stacked[:, j]
-        else:
-            slab = _Increments(eng, part)
-
-        def integrand(j, n):
-            return sig[j] * lat.synthesize(slab(j)) + factors[j] * n
-
-        n_final, _ = eng.forward(zeros, integrand, batch_shape=(len(part),))
-        return n_final[(slice(None), *point)]
-
-    size = _sub_batch(lat, jt, len(paths))[0]
-    return np.concatenate([run(paths[lo: lo + size])
+    if len(paths) < 1:
+        raise ValueError("chaos_ensemble needs at least one path")
+    G = gradient_phi(model, grid, h, t, x)
+    if all(isinstance(p, NoisePath) for p in paths):
+        return np.array([np.einsum("ik,ik->", p.increments, G.coeffs) for p in paths])
+    eng, _ = _prepare(model, grid, t)
+    size = _sub_batch(eng.lat, eng.jt, len(paths))[0]
+    return np.concatenate([_Increments(eng, paths[lo: lo + size], G).girsanov()
                            for lo in range(0, len(paths), size)])
 
 

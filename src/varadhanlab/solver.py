@@ -168,6 +168,8 @@ class Field:
     def at(self, t: float, x=None) -> float:
         lat = lattice(self.cov, self.grid)
         j = 0 if t == 0.0 else self.grid.time_index(t)
+        if j >= self.values.shape[0]:
+            raise GridError(f"time {t} lies past the field's horizon {self.times[-1]:g}")
         return float(self.values[(j, *lat.point_index(x))])
 
     def endpoint(self, x=None) -> float:
@@ -425,7 +427,7 @@ class _Increments:
     leaves block-sized holes in the allocator's heap, and the peak resident
     memory of identical runs then differed by up to 10 MiB.  With a control h,
     girsanov() returns sum_{i,k} h(i,k) dW(i,k) per stream, summed block by
-    block; the rows at or beyond jt are drawn, in blocks, only then.
+    block; the rows no sweep drew (all nt when none ran) are drawn only then.
     """
 
     def __init__(self, eng: MildEngine, streams, h: ControlH | None = None):
@@ -435,9 +437,11 @@ class _Increments:
         self.buffer = np.empty((len(self.streams), min(_BLOCK, self.lat.grid.nt),
                                 self.lat.ncoords))
         self.block = None
+        self.drawn = 0
 
     def _draw(self, start: int, rows: int) -> np.ndarray:
         block = sample_increments(self.lat, self.streams, rows, out=self.buffer[:, :rows])
+        self.drawn = start + rows
         if self.h is not None:
             self.dots += np.einsum("bik,ik->b", block, self.h.coeffs[start: start + rows])
         return block
@@ -449,9 +453,8 @@ class _Increments:
 
     def girsanov(self) -> np.ndarray:
         nt = self.lat.grid.nt
-        if self.h is not None:
-            for start in range(self.jt, nt, _BLOCK):
-                self._draw(start, min(_BLOCK, nt - start))
+        for start in range(self.drawn, nt, _BLOCK):
+            self._draw(start, min(_BLOCK, nt - start))
         return self.dots
 
 
@@ -594,7 +597,7 @@ def endpoint_ensemble(model: ModelSpec, grid: GridSpec, streams, x,
 
     With a control h the shifted equation is simulated; with_girsanov also
     returns the discrete stochastic integrals sum_{i,k} h(i,k) dW(i,k)
-    needed by the change-of-measure weights.
+    needed by the change-of-measure weights, so it needs h.
 
     The streams run in the sub-batches of _sub_batch, one forward sweep
     each, concatenated in stream order.  Within one the increments are
@@ -604,6 +607,10 @@ def endpoint_ensemble(model: ModelSpec, grid: GridSpec, streams, x,
     held: peak memory is one sub-batch's increment block plus, for wave,
     its (nspec, jt, size) complex history, about _STATE_BUDGET bytes.
     """
+    if len(streams) < 1:
+        raise ValueError("endpoint_ensemble needs at least one stream")
+    if with_girsanov and h is None:
+        raise ValueError("with_girsanov needs the tilt control h")
     eng, w_tab = _prepare(model, grid, t)
     point = _observation_index(model, grid, eng.lat, x)
     size = _sub_batch(eng.lat, eng.jt, len(streams))[0]

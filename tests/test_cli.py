@@ -175,6 +175,9 @@ def _manifest(path):
 @pytest.mark.parametrize("subcommand, overrides", [
     ("density", ["task.n=500"]),                        # n >= 1000 guard
     ("rate", ["task.y=", "task.y_grid=1,0.5"]),         # sorted-grid guard
+    ("simulate", ["task.n=0"]),                         # empty-ensemble guard
+    ("support", ["task.budgets=-1,1", "task.n=40",      # negative-budget guard
+                 "task.n_list=2,3"]),
 ])
 def test_value_error_fails_the_run_cleanly(subcommand, overrides, tmp_path, capsys):
     args = [subcommand, *TINY] + [a for o in overrides for a in ("--set", o)]

@@ -103,6 +103,18 @@ class TestReproducibility:
         assert np.array_equal(a, b)
 
 
+class TestSampleEndpointsGuards:
+    def test_no_replicas_is_a_value_error(self, tiny_grid, nonlinear_model):
+        with pytest.raises(ValueError, match="n >= 1"):
+            sample_endpoints(nonlinear_model, tiny_grid, 0, 0.0)
+
+    def test_girsanov_without_a_tilt_is_a_value_error(self, tiny_grid,
+                                                      nonlinear_model):
+        with pytest.raises(ValueError, match="needs the tilt control h"):
+            sample_endpoints(nonlinear_model, tiny_grid, 4, 0.0,
+                             with_girsanov=True)
+
+
 class TestStreamInvariance:
     """Each stream's endpoint is a function of the stream id alone."""
 

@@ -145,6 +145,12 @@ class TestSupportProbe:
         lo, hi = support_probe(nonlinear_model, grid, 3, 0.0, x=0.0)
         assert lo == hi == pytest.approx(y0)
 
+    @pytest.mark.parametrize("budget", [-1.0, [-1.0, 1.0], [np.nan, 1.0]])
+    def test_negative_budget_is_a_value_error(self, grid, nonlinear_model, budget):
+        # no control has ||h||^2 / 2 < 0 (or NaN), so there is no interval
+        with pytest.raises(ValueError, match="must be a number >= 0"):
+            support_probe(nonlinear_model, grid, 3, budget, x=0.0)
+
     def test_widths_increase_with_budget(self, grid, nonlinear_model):
         intervals = support_probe(nonlinear_model, grid, 4, [1.0, 10.0, 100.0],
                                   x=0.0)

@@ -2,13 +2,16 @@ import numpy as np
 import pytest
 
 from varadhanlab import presets, solver
+from varadhanlab.covkernel import CovarianceSpec
 from varadhanlab.funcs import make_func
-from varadhanlab.noise import ControlH, ht_inner, lattice, sample_path
+from varadhanlab.noise import (ControlH, GridSpec, ht_inner, lattice,
+                               sample_increments, sample_path)
 from varadhanlab.skeleton import (analyze, bare_kernel_control, chaos_ensemble,
                                   chaos_simulate, dphi_window_norm,
                                   expansion_check, forward_xi, gradient_phi,
                                   solve_phi)
-from varadhanlab.solver import g1_grid
+from varadhanlab.solver import (_drive, _factor, _forward, _observation_index,
+                                _prepare, g1_grid)
 
 COV = presets.WAVE_WHITE
 
@@ -210,6 +213,81 @@ class TestChaos:
         monkeypatch.setattr(solver, "_STATE_BUDGET", 3 * state)
         split = chaos_ensemble(nonlinear_model, small_grid, h, paths, x=0.0)
         assert np.all(np.abs(split - whole) <= 1e-12 * np.abs(whole).max())
+
+
+def tangent_chaos(model, grid, h, increments, t=None, x=None):
+    """First chaos at (t, x) by a forward sweep of the tangent equation.
+
+    N_j = sum_{i<j} K_{j-i} * [ sigma(Phi_i) synthesize(dW_i) + f_i N_i ],
+    f_i = dt (sigma'(Phi_i) H_i + b'(Phi_i)), the eps-derivative of the
+    shifted mild map at eps = 0, run as one batch over increments, a
+    (B, nt, ncoords) array.  It never forms the gradient, so it is an
+    independent reference for chaos_ensemble's dots with gradient_phi.
+    """
+    eng, w_tab = _prepare(model, grid, t)
+    point = _observation_index(model, grid, eng.lat, x)
+    drive = _drive(eng, h=h)
+    pv = _forward(model, eng, w_tab, drive)
+    lat, dt = eng.lat, grid.dt
+    zeros = np.zeros((eng.jt + 1, 1) + lat.spatial_shape)
+
+    def integrand(j, n):
+        return (model.sigma(pv[j]) * lat.synthesize(increments[:, j])
+                + _factor(model, dt, pv[j], drive(j)) * n)
+
+    n_final, _ = eng.forward(zeros, integrand, batch_shape=(len(increments),))
+    return n_final[(slice(None), *point)]
+
+
+_CHAOS_CASES = {
+    "wave-d1": (presets.WAVE_WHITE, presets.tiny_grid()),
+    "heat-d1": (presets.HEAT_WHITE, presets.tiny_grid()),
+    "wave-d1-two-blocks": (presets.WAVE_WHITE,      # nt > _BLOCK, ragged last block
+                           GridSpec(L=1.25, nx=16, nt=40, T=1.0, nk=8, seed=7)),
+    "wave-d2-riesz": (CovarianceSpec("wave", 2, "riesz", 1.0),
+                      GridSpec(L=2.5, nx=16, nt=8, T=1.0, nk=4, seed=3)),
+    "heat-d2-riesz": (CovarianceSpec("heat", 2, "riesz", 1.0),
+                      GridSpec(L=2.5, nx=16, nt=8, T=1.0, nk=4, seed=3)),
+}
+
+
+class TestChaosOracle:
+    @pytest.mark.parametrize("given", [False, True], ids=["streams", "paths"])
+    @pytest.mark.parametrize("t", [None, 0.5])
+    @pytest.mark.parametrize("case", sorted(_CHAOS_CASES))
+    def test_dots_match_tangent_sweep(self, case, t, given):
+        cov, grid = _CHAOS_CASES[case]
+        m = presets.nonlinear_model(cov=cov)
+        lat = lattice(cov, grid)
+        h = ControlH(lat, 0.4 * np.random.default_rng(3).standard_normal(
+            (grid.nt, lat.ncoords)))
+        streams = list(range(20, 45))
+        paths = [sample_path(lat, s) for s in streams] if given else streams
+        got = chaos_ensemble(m, grid, h, paths, t=t)
+        want = tangent_chaos(m, grid, h, sample_increments(lat, streams), t=t)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_one_forward_sweep_for_any_number_of_streams(self, tiny_grid,
+                                                         nonlinear_model,
+                                                         monkeypatch):
+        # the skeleton solve is the only forward sweep: the draws are dots
+        calls = []
+        forward = solver.MildEngine.forward
+
+        def spy(self, *args, **kwargs):
+            calls.append(kwargs.get("batch_shape", ()))
+            return forward(self, *args, **kwargs)
+
+        monkeypatch.setattr(solver.MildEngine, "forward", spy)
+        lat = lattice(COV, tiny_grid)
+        draws = chaos_ensemble(nonlinear_model, tiny_grid, ControlH.zeros(lat),
+                               range(600), x=0.0)
+        assert len(draws) == 600 and calls == [()]
+
+    def test_no_paths_is_a_value_error(self, tiny_grid, nonlinear_model):
+        lat = lattice(COV, tiny_grid)
+        with pytest.raises(ValueError, match="at least one path"):
+            chaos_ensemble(nonlinear_model, tiny_grid, ControlH.zeros(lat), [])
 
 
 class TestExpansion:

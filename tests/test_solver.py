@@ -157,6 +157,27 @@ class TestSimulate:
         assert all(b < a for a, b in zip(diffs, diffs[1:]))
 
 
+class TestEnsembleGuards:
+    def test_no_streams_is_a_value_error(self, tiny_grid, nonlinear_model):
+        with pytest.raises(ValueError, match="at least one stream"):
+            endpoint_ensemble(nonlinear_model, tiny_grid, [], 0.0)
+
+    def test_girsanov_without_a_tilt_is_a_value_error(self, tiny_grid,
+                                                      nonlinear_model):
+        # the dots pair the noise with h: without h they would be silent zeros
+        with pytest.raises(ValueError, match="needs the tilt control h"):
+            endpoint_ensemble(nonlinear_model, tiny_grid, range(4), 0.0,
+                              with_girsanov=True)
+
+    def test_field_at_past_its_horizon_is_a_grid_error(self, tiny_grid,
+                                                       nonlinear_model):
+        lat = lattice(COV, tiny_grid)
+        u = simulate(nonlinear_model, tiny_grid, sample_path(lat, 0), t=0.5)
+        assert u.at(0.5) == u.endpoint()
+        with pytest.raises(GridError, match="past the field's horizon"):
+            u.at(1.0)
+
+
 class TestStreamedIncrements:
     @pytest.mark.parametrize("nt", [5, _BLOCK, _BLOCK + 1, 70])
     @pytest.mark.parametrize("short", [1, 3])
