@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import configparser
+import contextlib
 import csv
 import dataclasses
 import datetime
@@ -24,6 +25,7 @@ import re
 import sys
 from functools import partial
 from pathlib import Path
+from time import perf_counter
 
 import numpy as np
 
@@ -241,11 +243,15 @@ def _write_json(path: Path, obj) -> None:
 
 
 class Runner:
+    """One subcommand's run: its artifacts, its worker pool and the wall
+    seconds of each library stage, written to manifest.json by finish."""
+
     def __init__(self, cfg: Config, outdir: Path, jobs: int):
         self.cfg = cfg
         self.out = outdir
         self.jobs = jobs
         self.artifacts: list[Path] = []
+        self.profile: dict[str, float] = {}
         self.executor = (concurrent.futures.ThreadPoolExecutor(max_workers=jobs)
                          if jobs > 1 else None)
 
@@ -253,6 +259,16 @@ class Runner:
         p = self.out / name
         self.artifacts.append(p)
         return p
+
+    @contextlib.contextmanager
+    def stage(self, name: str):
+        """Add the wall time of the enclosed library calls to profile[name],
+        also when they raise."""
+        start = perf_counter()
+        try:
+            yield
+        finally:
+            self.profile[name] = self.profile.get(name, 0.0) + perf_counter() - start
 
     def finish(self, subcommand: str, extra: dict | None = None) -> Path:
         manifest = {
@@ -262,6 +278,7 @@ class Runner:
             "seed": self.cfg.grid.seed,
             "config": self.cfg.canonical_text().splitlines(),
             "artifacts": {p.name: _sha256(p) for p in self.artifacts if p.exists()},
+            "profile": self.profile,
         }
         if extra:
             manifest.update(extra)
@@ -275,12 +292,14 @@ class Runner:
 def _cmd_simulate(run: Runner) -> int:
     cfg = run.cfg
     n = cfg.replicas("simulate")
-    samples = mc.sample_endpoints(cfg.model, cfg.grid, n, cfg.x, t=cfg.t,
-                                  executor=run.executor)
+    with run.stage("sampling"):
+        samples = mc.sample_endpoints(cfg.model, cfg.grid, n, cfg.x, t=cfg.t,
+                                      executor=run.executor)
     _write_csv(run.path("samples.csv"), ["stream", "endpoint"], enumerate(samples))
     from .noise import sample_path
-    lat = lattice(cfg.model.cov, cfg.grid)
-    field = solver.simulate(cfg.model, cfg.grid, sample_path(lat, 0), t=cfg.t)
+    with run.stage("replica_field"):
+        lat = lattice(cfg.model.cov, cfg.grid)
+        field = solver.simulate(cfg.model, cfg.grid, sample_path(lat, 0), t=cfg.t)
     field.save(run.path("field_replica0.bin"))
     run.finish("simulate", {"n": n})
     print(f"simulate: {n} endpoint samples, mean {samples.mean():.6g}, "
@@ -292,8 +311,9 @@ def _cmd_density(run: Runner) -> int:
     cfg = run.cfg
     n = cfg.replicas("density")
     y_grid = _parse_grid_expr(cfg.value("task", "y_grid"))
-    curve = mc.estimate_density(cfg.model, cfg.grid, n, y_grid, t=cfg.t, x=cfg.x,
-                                executor=run.executor)
+    with run.stage("density"):
+        curve = mc.estimate_density(cfg.model, cfg.grid, n, y_grid, t=cfg.t, x=cfg.x,
+                                    executor=run.executor)
     _write_csv(run.path("density.csv"), ["eps", "y", "p_hat", "se", "log_p", "log_se"],
                [(curve.eps, *row) for row in zip(curve.y_grid, curve.p_hat, curve.se,
                                                  curve.log_p, curve.log_se)])
@@ -306,14 +326,15 @@ def _cmd_density(run: Runner) -> int:
 def _cmd_rate(run: Runner) -> int:
     cfg = run.cfg
     tol_rel = float(cfg.value("task", "tol_rel"))
-    if "y_grid" in cfg.task and "y" not in cfg.task:
-        y_grid = _parse_grid_expr(cfg.task["y_grid"])
-        results = rate_mod.rate_profile(cfg.model, cfg.grid, y_grid, t=cfg.t,
-                                        x=cfg.x, tol_rel=tol_rel)
-    else:
-        y = float(cfg.value("task", "y"))
-        results = [rate_mod.rate_function(cfg.model, cfg.grid, y, t=cfg.t,
-                                          x=cfg.x, tol_rel=tol_rel)]
+    with run.stage("rate"):
+        if "y_grid" in cfg.task and "y" not in cfg.task:
+            y_grid = _parse_grid_expr(cfg.task["y_grid"])
+            results = rate_mod.rate_profile(cfg.model, cfg.grid, y_grid, t=cfg.t,
+                                            x=cfg.x, tol_rel=tol_rel)
+        else:
+            y = float(cfg.value("task", "y"))
+            results = [rate_mod.rate_function(cfg.model, cfg.grid, y, t=cfg.t,
+                                              x=cfg.x, tol_rel=tol_rel)]
     _write_csv(run.path("rate.csv"),
                ["y", "I", "residual", "iterations", "gamma_bar", "converged"],
                [(r.y, r.I, r.residual, r.iterations, r.gamma_bar_at_hstar,
@@ -362,9 +383,10 @@ def _cmd_varadhan(run: Runner) -> int:
         print(f"note: using stored rate value at y={entry['y']:.6g}")
     h_star = load_control(lat, art_dir / entry["h_star"])
     n = cfg.replicas("varadhan")
-    sweep = mc.varadhan_sweep(cfg.model, cfg.grid, cfg.eps_list, entry["y"],
-                              entry["I"], n=n, t=cfg.t, x=cfg.x, h_star=h_star,
-                              executor=run.executor)
+    with run.stage("sweep"):
+        sweep = mc.varadhan_sweep(cfg.model, cfg.grid, cfg.eps_list, entry["y"],
+                                  entry["I"], n=n, t=cfg.t, x=cfg.x, h_star=h_star,
+                                  executor=run.executor)
     _write_csv(run.path("sweep.csv"),
                ["eps", "y", "p_hat", "se", "log_p", "eps2_log_p", "minus_I", "gap",
                 "ess", "mean_weight", "bandwidth"],
@@ -388,15 +410,17 @@ def _cmd_support(run: Runner) -> int:
     cfg = run.cfg
     budgets = _floats(cfg.value("task", "budgets"))
     n_controls = int(cfg.value("task", "n_controls"))
-    intervals = rate_mod.support_probe(cfg.model, cfg.grid, n_controls, budgets,
-                                       t=cfg.t, x=cfg.x)
+    with run.stage("support_probe"):
+        intervals = rate_mod.support_probe(cfg.model, cfg.grid, n_controls, budgets,
+                                           t=cfg.t, x=cfg.x)
     _write_csv(run.path("support_probe.csv"), ["budget", "low", "high", "width"],
                [(b, lo, hi, hi - lo) for b, (lo, hi) in zip(budgets, intervals)])
     n_list = _ints(cfg.value("task", "n_list"))
     n = cfg.replicas("support")
     theta = float(cfg.value("task", "theta"))
-    rows = mc.support_convergence(cfg.model, cfg.grid, n_list, n, theta=theta,
-                                  t=cfg.t, x=cfg.x)
+    with run.stage("support_convergence"):
+        rows = mc.support_convergence(cfg.model, cfg.grid, n_list, n, theta=theta,
+                                      t=cfg.t, x=cfg.x)
     _write_csv(run.path("support_convergence.csv"), ["n", "kept", "c1_median"],
                [(r["n"], r["kept"], r["c1_median"]) for r in rows])
     run.finish("support")
@@ -407,8 +431,20 @@ def _cmd_support(run: Runner) -> int:
 
 
 def _cmd_validate(run: Runner, full: bool = False) -> int:
+    with run.stage("validate"):
+        checks = _validation_checks(run.executor, full)
+    ok = all(c[1] for c in checks)
+    _write_json(run.path("validate.json"),
+                [{"name": n, "ok": o, "detail": d} for n, o, d in checks])
+    run.finish("validate", {"full": full, "all_pass": ok})
+    print(f"validate: {'all checks passed' if ok else 'FAILURES present'}")
+    return 0 if ok else 1
+
+
+def _validation_checks(executor, full: bool) -> list[tuple[str, bool, str]]:
+    """Run the validate checks; (name, ok, detail) of each, printed as it ends."""
     from .presets import linear_model, mc_grid, nonlinear_model, tiny_grid
-    from .noise import ht_inner, sample_path
+    from .noise import ht_inner
 
     checks: list[tuple[str, bool, str]] = []
 
@@ -463,7 +499,7 @@ def _cmd_validate(run: Runner, full: bool = False) -> int:
     rel = abs(res.I - 1.0 / (2 * gg)) * 2 * gg
     record("linear rate function vs closed form", res.converged and rel < 1e-3,
            f"I={res.I:.6f} rel={rel:.2e}")
-    samples = mc.sample_endpoints(lin, mg, 2000, None, executor=run.executor)
+    samples = mc.sample_endpoints(lin, mg, 2000, None, executor=executor)
     var = samples.var()
     se = var * math.sqrt(2.0 / len(samples))
     record("linear MC variance vs g1", abs(var - gg) < 3 * se,
@@ -472,21 +508,15 @@ def _cmd_validate(run: Runner, full: bool = False) -> int:
     if full:
         nl = nonlinear_model()
         sd = float(np.std(mc.sample_endpoints(nl, mg, 4000, None,
-                                              executor=run.executor)))
+                                              executor=executor)))
         y = 1.5 * sd
         rr = rate_mod.rate_function(nl, mg, y)
         sweep = mc.varadhan_sweep(nl, mg, [1.0, 0.7, 0.5, 0.35], y, rr.I,
                                   n=100_000, h_star=rr.h_star,
-                                  executor=run.executor)
+                                  executor=executor)
         record("nonlinear log-density limit vs -I", sweep.rel_gap < 0.15,
                f"limit={sweep.limit:.4f} -I={-rr.I:.4f} rel={sweep.rel_gap:.3f}")
-
-    ok = all(c[1] for c in checks)
-    _write_json(run.path("validate.json"),
-                [{"name": n, "ok": o, "detail": d} for n, o, d in checks])
-    run.finish("validate", {"full": full, "all_pass": ok})
-    print(f"validate: {'all checks passed' if ok else 'FAILURES present'}")
-    return 0 if ok else 1
+    return checks
 
 
 def _estimate_resources(cfg: Config, subcommand: str = "simulate") -> tuple[int, float]:
@@ -500,6 +530,8 @@ def _estimate_resources(cfg: Config, subcommand: str = "simulate") -> tuple[int,
     """
     lat, nt = lattice(cfg.model.cov, cfg.grid), cfg.grid.nt
     n = cfg.replicas(subcommand)
+    if n < 1:
+        raise ValueError(f"{subcommand} needs n >= 1 replicas")
     size, state = solver._sub_batch(lat, nt, min(mc.CHUNK, n))
     per_mode = nt if cfg.model.cov.operator == "heat" else 0.5 * nt ** 2
     return size * state, per_mode * lat.nspec * n * 8.0
@@ -539,7 +571,11 @@ def main(argv=None) -> int:
         print(cfg.canonical_text())
         print(f"config hash: {cfg.hash()}")
         if args.subcommand in _DEFAULT_N:        # the subcommands that draw replicas
-            workspace, flops = _estimate_resources(cfg, args.subcommand)
+            try:
+                workspace, flops = _estimate_resources(cfg, args.subcommand)
+            except (VaradhanLabError, ValueError) as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return 1
             print(f"estimated workspace ~{workspace / 1e6:.0f} MB per chunk, "
                   f"~{flops / 1e9:.1f} GF of history sums")
         return 0

@@ -10,6 +10,13 @@ fundamental solution, the energy kernels
 
 their closed power-law forms with constants computed once by quadrature,
 and slab-averaged squared multipliers used by the spectral time stepper.
+
+scipy is imported on first use, inside the functions that call it:
+_wave_sin2_moment, _j1_coefficients, _j1_quadrature and g1's quadrature
+branch.  The Monte Carlo path (noise, solver, mc) calls none of them, and
+loading scipy.integrate, scipy.special and scipy.optimize costs a process
+about 48 MiB resident and 0.6 s (import varadhanlab.cli: 81 MiB and 0.79 s
+with them, 34 MiB and 0.23 s without; scipy 1.17 on a 2-vCPU Xeon).
 """
 
 from __future__ import annotations
@@ -19,7 +26,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate, special
 
 from .errors import QuadratureError, ZeroModeError
 
@@ -142,6 +148,8 @@ def j2_integral(spec: CovarianceSpec, t: float) -> float:
 @lru_cache(maxsize=None)
 def _wave_sin2_moment(beta: float) -> float:
     """int_0^inf sin^2(u) u^(beta-3) du by quadrature with an oscillatory tail."""
+    from scipy import integrate
+
     cut = 40.0
     head, err1 = integrate.quad(lambda u: np.sin(u) ** 2 * u ** (beta - 3.0),
                                 0.0, cut, limit=400, epsabs=_QUAD_TOL, epsrel=1e-12)
@@ -160,6 +168,8 @@ def _wave_sin2_moment(beta: float) -> float:
 @lru_cache(maxsize=None)
 def _j1_coefficients(spec: CovarianceSpec) -> tuple[float, float]:
     """(C, p) with j1(s) = C * s^p for the closed power-law form."""
+    from scipy import special
+
     b = spec.beta_eff
     area = SPHERE_AREA.get(spec.d, 2.0 * math.pi ** (spec.d / 2.0) / special.gamma(spec.d / 2.0))
     if spec.operator == "wave":
@@ -191,6 +201,8 @@ def j1(spec: CovarianceSpec, s: float, method: str = "closed") -> float:
 
 
 def _j1_quadrature(spec: CovarianceSpec, s: float) -> float:
+    from scipy import integrate
+
     b = spec.beta_eff
     area = SPHERE_AREA[spec.d]
     if spec.operator == "heat":
@@ -230,6 +242,8 @@ def g1(spec: CovarianceSpec, t: float, method: str = "closed") -> float:
         return coeff * t ** (p + 1.0) / (p + 1.0)
     if method != "quadrature":
         raise ValueError("method must be 'closed' or 'quadrature'")
+    from scipy import integrate
+
     val, err = integrate.quad(lambda s: _j1_quadrature(spec, s), 0.0, t,
                               limit=200, epsabs=1e-10, epsrel=1e-8)
     if err > 1e-5 * max(1.0, abs(val)):

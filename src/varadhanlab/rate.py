@@ -7,6 +7,11 @@ the discrete adjoint of the skeleton recursion.  A cold run starts from the
 constructive reachability shift: scaled copies of the kernel direction
 Lambda(t-., x-*) sigma(Phi^0) bracket any target when the drift is bounded,
 and the bracket is bisected to a feasible initializer.
+
+scipy.optimize is imported on first use, in _feasible_start (brentq) and
+_auglag_solve (L-BFGS-B), so importing this module does not load it: a
+process that only samples (simulate, density, varadhan, support) saves
+the resident memory and import time that covkernel's docstring gives.
 """
 
 from __future__ import annotations
@@ -15,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from . import covkernel
 from .errors import BracketError
@@ -112,6 +116,8 @@ def _feasible_start(model, grid, y, t, x, alpha):
     Returns the control and the skeleton solves spent: the three of
     init_shift and one per bisection step.
     """
+    from scipy import optimize
+
     h_plus, _ = init_shift(model, grid, y, alpha, t, x)
 
     def f(tau):
@@ -124,6 +130,8 @@ def _feasible_start(model, grid, y, t, x, alpha):
 
 def _auglag_solve(model, grid, y, h0: ControlH, t, x, tol_c) -> RateResult:
     """One augmented-Lagrangian run from the control h0."""
+    from scipy import optimize
+
     lat = lattice(model.cov, grid)
     dt = grid.dt
     shape = (grid.nt, lat.ncoords)

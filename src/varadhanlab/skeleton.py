@@ -108,9 +108,10 @@ def chaos_ensemble(model: ModelSpec, grid: GridSpec, h: ControlH, paths,
 
     paths is a list of NoisePath or of stream ids.  G = gradient_phi(h) is
     one skeleton solve and one adjoint sweep for all paths (see the module
-    docstring).  Stream ids are drawn _BLOCK slabs at a time by
-    solver._Increments in the sub-batches of solver._sub_batch, so one
-    sub-batch's increment block is held.
+    docstring).  G is zero from row jt on, so of each stream id only the
+    first jt rows are drawn, _BLOCK slabs at a time by solver._Increments,
+    in sub-batches that solver._sub_batch sizes by that increment block
+    alone: no stream runs a sweep.
     """
     if len(paths) < 1:
         raise ValueError("chaos_ensemble needs at least one path")
@@ -118,8 +119,8 @@ def chaos_ensemble(model: ModelSpec, grid: GridSpec, h: ControlH, paths,
     if all(isinstance(p, NoisePath) for p in paths):
         return np.array([np.einsum("ik,ik->", p.increments, G.coeffs) for p in paths])
     eng, _ = _prepare(model, grid, t)
-    size = _sub_batch(eng.lat, eng.jt, len(paths))[0]
-    return np.concatenate([_Increments(eng, paths[lo: lo + size], G).girsanov()
+    size = _sub_batch(eng.lat, eng.jt, len(paths), sweep=False)[0]
+    return np.concatenate([_Increments(eng, paths[lo: lo + size], G).girsanov(eng.jt)
                            for lo in range(0, len(paths), size)])
 
 

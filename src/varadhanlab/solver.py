@@ -427,7 +427,8 @@ class _Increments:
     leaves block-sized holes in the allocator's heap, and the peak resident
     memory of identical runs then differed by up to 10 MiB.  With a control h,
     girsanov() returns sum_{i,k} h(i,k) dW(i,k) per stream, summed block by
-    block; the rows no sweep drew (all nt when none ran) are drawn only then.
+    block over the first rows rows (default nt); the rows no sweep drew (all
+    of them when none ran) are drawn only then.
     """
 
     def __init__(self, eng: MildEngine, streams, h: ControlH | None = None):
@@ -451,24 +452,25 @@ class _Increments:
             self.block = self._draw(j, min(_BLOCK, self.jt - j))
         return self.block[:, j % _BLOCK]
 
-    def girsanov(self) -> np.ndarray:
-        nt = self.lat.grid.nt
-        for start in range(self.drawn, nt, _BLOCK):
-            self._draw(start, min(_BLOCK, nt - start))
+    def girsanov(self, rows: int | None = None) -> np.ndarray:
+        end = self.lat.grid.nt if rows is None else rows
+        for start in range(self.drawn, end, _BLOCK):
+            self._draw(start, min(_BLOCK, end - start))
         return self.dots
 
 
-def _sub_batch(lat: Lattice, jt: int, n: int) -> tuple[int, int]:
+def _sub_batch(lat: Lattice, jt: int, n: int,
+               sweep: bool = True) -> tuple[int, int]:
     """(streams per sub-batch, engine state bytes per stream) for n streams.
 
     A stream's state is its min(_BLOCK, nt) rows of the increment block
-    plus, for wave, its (jt, nspec) complex history (heat: its (nspec,)
-    complex accumulator).  The n streams split into
+    plus, when it runs a forward sweep, for wave its (jt, nspec) complex
+    history (heat: its (nspec,) complex accumulator).  The n streams split into
     k = ceil(n * state / _STATE_BUDGET) sub-batches of ceil(n / k) streams
     each, the last one possibly shorter, so one sub-batch holds at most
     _STATE_BUDGET plus one stream's state; a single stream is one sub-batch.
     """
-    lags = jt if lat.cov.operator == "wave" else 1
+    lags = (jt if lat.cov.operator == "wave" else 1) if sweep else 0
     state = lags * lat.nspec * 16 + min(_BLOCK, lat.grid.nt) * lat.ncoords * 8
     k = -(-n * state // _STATE_BUDGET)
     return -(-n // k), state

@@ -1,6 +1,10 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -148,6 +152,16 @@ def test_dry_run_estimate_follows_the_shapes(operator, nt, capsys):
     args = ["simulate", "--dry-run"] + [a for o in overrides for a in ("--set", o)]
     assert main(args) == 0
     assert f"~{want[0] / 1e6:.0f} MB per chunk" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("n", ["0", "-5", "abc"])
+def test_dry_run_rejects_a_bad_replica_count(n, capsys):
+    # the same clean failure as the run itself: no traceback, exit 1
+    assert main(["simulate", "--dry-run", "--set", f"task.n={n}"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    with pytest.raises(ValueError):
+        _estimate_resources(load_config(None, [f"task.n={n}"], None))
 
 
 def test_dry_run_estimate_stays_within_the_state_budget():
@@ -302,3 +316,66 @@ def test_an_empty_config_resolves_like_the_built_in_one(tmp_path):
     assert builtin.task
     for key, text in builtin.task.items():
         assert cfg.value("task", key) == text
+
+
+@pytest.mark.parametrize("subcommand, overrides, stages", [
+    ("simulate", [], {"sampling", "replica_field"}),
+    ("density", ["task.n=1000"], {"density"}),
+    ("rate", [], {"rate"}),
+    ("varadhan", ["task.n=2000", "model.eps_list=1.0,0.7"], {"sweep"}),
+    ("support", ["task.n=40", "task.n_list=2,3", "task.n_controls=1",
+                 "task.budgets=1"], {"support_probe", "support_convergence"}),
+])
+def test_manifest_profiles_the_library_stages(subcommand, overrides, stages, tmp_path):
+    if subcommand == "varadhan":
+        assert main(["rate", *TINY, "--out", str(tmp_path)]) == 0
+    args = [subcommand, *TINY] + [a for o in overrides for a in ("--set", o)]
+    assert main([*args, "--out", str(tmp_path)]) == 0
+    profile = _manifest(tmp_path)["profile"]
+    assert profile.keys() == stages
+    assert all(isinstance(s, float) and s > 0.0 for s in profile.values())
+
+
+def test_failed_run_profiles_the_stage_it_failed_in(tmp_path):
+    # the blow-up of test_blow_up_writes_its_step, inside the sampling stage
+    assert main(["simulate", *TINY, "--set", "model.b=affine:0,1e40",
+                 "--set", "task.n=600", "--out", str(tmp_path)]) == 1
+    manifest = _manifest(tmp_path)
+    assert manifest["error"] == "BlowUpError"
+    assert list(manifest["profile"]) == ["sampling"]
+    assert manifest["profile"]["sampling"] > 0.0
+
+
+_FOOTPRINT = """
+import json, sys
+import varadhanlab
+from varadhanlab import cli, mc, presets, rate
+
+HEAVY = ("scipy.optimize", "scipy.integrate", "scipy.special")
+
+def loaded():
+    return sorted(m for m in HEAVY if m in sys.modules)
+
+grid = presets.tiny_grid()
+for cov in (presets.WAVE_WHITE, presets.HEAT_WHITE):
+    mc.sample_endpoints(presets.nonlinear_model(cov=cov), grid, mc.CHUNK, None)
+code = cli.main(["simulate", *json.loads(sys.argv[1]), "--out", sys.argv[2]])
+after_mc = loaded()
+res = rate.rate_function(presets.nonlinear_model(), grid, 1.0)
+print(json.dumps({"simulate": code, "after_mc": after_mc,
+                  "converged": res.converged, "after_rate": loaded()}))
+"""
+
+
+def test_monte_carlo_path_loads_no_scipy_solver(tmp_path):
+    # ensemble chunks and a simulate run load numpy only; scipy's solvers
+    # and quadrature load with the first rate point that needs them
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", _FOOTPRINT, json.dumps(TINY),
+                          str(tmp_path)], env=env, capture_output=True, text=True,
+                         check=True)
+    report = json.loads(out.stdout.splitlines()[-1])
+    assert report["simulate"] == 0
+    assert report["after_mc"] == []
+    assert report["converged"] and "scipy.optimize" in report["after_rate"]

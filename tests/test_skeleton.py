@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -209,10 +211,52 @@ class TestChaos:
             (small_grid.nt, lat.ncoords)))
         paths = [sample_path(lat, s) for s in range(10)] if given else range(10)
         whole = chaos_ensemble(nonlinear_model, small_grid, h, paths, x=0.0)
-        state = solver._sub_batch(lat, small_grid.nt, 1)[1]
+        state = solver._sub_batch(lat, small_grid.nt, 1, sweep=False)[1]
         monkeypatch.setattr(solver, "_STATE_BUDGET", 3 * state)
         split = chaos_ensemble(nonlinear_model, small_grid, h, paths, x=0.0)
         assert np.all(np.abs(split - whole) <= 1e-12 * np.abs(whole).max())
+
+    @staticmethod
+    def _spy_draws(monkeypatch):
+        """(streams, rows) of every sample_increments call of the solver."""
+        draws = []
+        sample = solver.sample_increments
+
+        def spy(lat, streams, rows=None, out=None):
+            draws.append((len(streams), rows))
+            return sample(lat, streams, rows, out=out)
+
+        monkeypatch.setattr(solver, "sample_increments", spy)
+        return draws
+
+    @pytest.mark.parametrize("t", [0.4, None])
+    def test_stream_ids_draw_only_the_rows_before_t(self, mc_grid, nonlinear_model,
+                                                    monkeypatch, t):
+        # G is zero from row jt on (26 of 64 rows at t = 0.4), so each stream
+        # draws its first jt rows and the dots equal those with all nt rows
+        lat = lattice(COV, mc_grid)
+        h = ControlH(lat, 0.3 * np.random.default_rng(9).standard_normal(
+            (mc_grid.nt, lat.ncoords)))
+        streams = list(range(100, 160))
+        G = gradient_phi(nonlinear_model, mc_grid, h, t, 0.0)
+        want = np.einsum("bik,ik->b", sample_increments(lat, streams), G.coeffs)
+        draws = self._spy_draws(monkeypatch)
+        got = chaos_ensemble(nonlinear_model, mc_grid, h, streams, t=t, x=0.0)
+        jt = mc_grid.time_index(mc_grid.T if t is None else t)
+        assert sum(b * rows for b, rows in draws) == len(streams) * jt
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_sub_batches_are_sized_by_the_increment_block(self, mc_grid,
+                                                          nonlinear_model,
+                                                          monkeypatch):
+        # no stream runs a sweep, so a stream holds its _BLOCK increment rows
+        # and no wave history: 4000 streams run in 8 sub-batches of 500
+        lat = lattice(COV, mc_grid)
+        draws = self._spy_draws(monkeypatch)
+        chaos_ensemble(nonlinear_model, mc_grid, ControlH.zeros(lat), range(4000),
+                       x=0.0)
+        k = math.ceil(4000 * solver._BLOCK * lat.ncoords * 8 / solver._STATE_BUDGET)
+        assert sorted({b for b, _ in draws}) == [4000 // k] and k == 8
 
 
 def tangent_chaos(model, grid, h, increments, t=None, x=None):
