@@ -19,11 +19,10 @@ from .noise import (ControlH, GridSpec, Lattice, NoisePath, ht_inner,
                     lattice, localization_holds, sample_path, smooth_vn)
 from .rate import (RateResult, init_shift, rate_function, rate_profile,
                    support_probe)
-from .skeleton import (SkeletonResult, analyze, chaos_simulate,
-                       dphi_window_norm, expansion_check, forward_xi,
+from .skeleton import (dphi_window_norm, expansion_check, forward_xi,
                        gradient_phi, solve_phi)
 from .solver import (BumpInitial, Field, ModelSpec, ZeroInitial, first_variation,
-                     g1_grid, picard_verify, simulate, simulate_shifted)
+                     g1_grid, picard_verify, simulate)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -366,8 +366,9 @@ def _cmd_varadhan(run: Runner) -> int:
     entry = None
     if result_file.exists():
         stored = json.loads(result_file.read_text())
-        y = float(cfg.task.get("y", stored["results"][0]["y"]))
-        entry = min(stored["results"], key=lambda r: abs(r["y"] - y))
+        if stored["results"]:
+            y = float(cfg.task["y"] if "y" in cfg.task else stored["results"][0]["y"])
+            entry = min(stored["results"], key=lambda r: abs(r["y"] - y))
     if entry is None or not (art_dir / entry.get("h_star", "")).is_file():
         print("error: rate profile required (run the rate subcommand first or "
               "point task.rate_artifact at its output)", file=sys.stderr)

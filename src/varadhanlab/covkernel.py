@@ -29,10 +29,12 @@ import numpy as np
 
 from .errors import QuadratureError, ZeroModeError
 
-#: surface area of the unit sphere in R^d
-SPHERE_AREA = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}
-
 _QUAD_TOL = 1e-9
+
+
+def _sphere_area(d: int) -> float:
+    """Surface area 2 pi^{d/2} / Gamma(d/2) of the unit sphere in R^d."""
+    return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
 
 
 @dataclass(frozen=True)
@@ -171,7 +173,7 @@ def _j1_coefficients(spec: CovarianceSpec) -> tuple[float, float]:
     from scipy import special
 
     b = spec.beta_eff
-    area = SPHERE_AREA.get(spec.d, 2.0 * math.pi ** (spec.d / 2.0) / special.gamma(spec.d / 2.0))
+    area = _sphere_area(spec.d)
     if spec.operator == "wave":
         coeff = area * (2.0 * math.pi) ** (2.0 - b) * _wave_sin2_moment(b) / (4.0 * math.pi ** 2)
         return coeff, 2.0 - b
@@ -204,7 +206,7 @@ def _j1_quadrature(spec: CovarianceSpec, s: float) -> float:
     from scipy import integrate
 
     b = spec.beta_eff
-    area = SPHERE_AREA[spec.d]
+    area = _sphere_area(spec.d)
     if spec.operator == "heat":
         val, err = integrate.quad(
             lambda r: area * np.exp(-8.0 * math.pi ** 2 * s * r * r) * r ** (b - 1.0),

@@ -198,7 +198,7 @@ def tilted_density(model: ModelSpec, grid: GridSpec, n: int, y: float,
 
 @dataclass
 class SweepRow:
-    """One eps of the sweep; tilted rows also keep tilted_density's diagnostics."""
+    """One eps of the sweep, with tilted_density's diagnostics (NaN when its tilt failed)."""
 
     eps: float
     p_hat: float
@@ -255,45 +255,32 @@ def _extrapolate(eps, vals, ses):
 
 def varadhan_sweep(model: ModelSpec, grid: GridSpec, eps_list, y: float,
                    I_of_y: float, n: int = 10_000, t: float | None = None,
-                   x=None, h_star: ControlH | None = None, stream0: int = 0,
+                   x=None, *, h_star: ControlH, stream0: int = 0,
                    executor=None) -> SweepResult:
     """Tabulate eps^2 log p_hat(y) along eps_list and extrapolate the limit.
 
-    With a tilt control the density is importance-sampled (needed once y
-    sits many standard deviations out); otherwise rows whose estimate falls
-    below the Monte Carlo noise floor are flagged and excluded from the
-    extrapolation, with importance sampling suggested in the note.
+    Each row is importance-sampled by tilted_density with the tilt h_star
+    (y may sit many standard deviations out); a row whose tilt fails is
+    flagged with the TiltError in its note and left out of the
+    extrapolation.
     """
     eps_list = list(eps_list)
     if any(e2 >= e1 for e1, e2 in zip(eps_list, eps_list[1:])):
         raise ValueError("eps_list must be strictly decreasing")
     rows = []
     for k, eps in enumerate(eps_list):
-        base = stream0 + k * (n + CHUNK)
-        stats = {}
-        if h_star is not None:
-            try:
-                p, se, diag = tilted_density(model, grid, n, y, h_star, eps=eps,
-                                             t=t, x=x, stream0=base,
-                                             executor=executor)
-                stats = {key: diag[key] for key in ("ess", "mean_weight", "bandwidth")}
-                ok, note = True, "tilted"
-            except TiltError as exc:
-                p, se, ok, note = 0.0, 0.0, False, str(exc)
-        else:
-            curve = estimate_density(model.with_eps(eps), grid, n,
-                                     np.array([y]), t=t, x=x, stream0=base,
-                                     executor=executor)
-            p, se = float(curve.p_hat[0]), float(curve.se[0])
-            ok = bool(p > 3.0 * se and p > 0.0)
-            note = "" if ok else "below noise floor; importance sampling suggested"
-        if ok:
-            logp = math.log(p)
-            rows.append(SweepRow(eps, p, se, logp, eps * eps * logp,
-                                 eps * eps * se / p, True, note, **stats))
-        else:
-            rows.append(SweepRow(eps, p, se, math.nan, math.nan, math.nan,
-                                 False, note, **stats))
+        try:
+            p, se, diag = tilted_density(model, grid, n, y, h_star, eps=eps, t=t, x=x,
+                                         stream0=stream0 + k * (n + CHUNK),
+                                         executor=executor)
+        except TiltError as exc:
+            rows.append(SweepRow(eps, 0.0, 0.0, math.nan, math.nan, math.nan,
+                                 False, str(exc)))
+            continue
+        logp = math.log(p)
+        stats = {key: diag[key] for key in ("ess", "mean_weight", "bandwidth")}
+        rows.append(SweepRow(eps, p, se, logp, eps * eps * logp,
+                             eps * eps * se / p, True, "tilted", **stats))
     good = [r for r in rows if r.ok]
     if len(good) < 2:
         raise TiltError("too few usable rows for extrapolation")
@@ -316,7 +303,7 @@ def support_convergence(model: ModelSpec, grid: GridSpec, n_list, n_replicas: in
     (n_replicas, nt, ncoords) array is held.
     """
     from .noise import localization_holds, sample_path, smooth_vn
-    from .solver import simulate_shifted
+    from .solver import simulate
 
     n_list = list(n_list)
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
@@ -342,7 +329,7 @@ def support_convergence(model: ModelSpec, grid: GridSpec, n_list, n_replicas: in
             vn = smooth_vn(path, n)
             c1[n].append(abs(u_end[r] - solve_phi(model, grid, vn, t).endpoint(x)))
             if h is not None:
-                u_shift = simulate_shifted(model, grid, path, h - vn, t).endpoint(x)
+                u_shift = simulate(model, grid, path, t, h=h - vn).endpoint(x)
                 c2[n].append(abs(u_shift - phi_h_end))
 
     rows = []

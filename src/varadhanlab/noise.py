@@ -44,8 +44,8 @@ class GridSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.L <= 0 or self.T <= 0:
-            raise GridError("L and T must be positive")
+        if not (0 < self.L < math.inf and 0 < self.T < math.inf):
+            raise GridError("L and T must be positive and finite")
         if self.nx < 4 or self.nx % 2 != 0:
             raise GridError("nx must be an even integer >= 4")
         if not 1 <= self.nk <= self.nx // 2:
@@ -229,8 +229,8 @@ class Lattice:
         x = np.zeros(self.d) if x is None else np.atleast_1d(np.asarray(x, dtype=float))
         if x.shape != (self.d,):
             raise GridError(f"point must have {self.d} component(s)")
-        if np.any(np.abs(x) > self.grid.L):
-            raise GridError("observation point outside the torus")
+        if not np.all(np.abs(x) <= self.grid.L):           # NaN fails too
+            raise GridError("observation point not finite or outside the torus")
         return x
 
     def point_index(self, x=None) -> tuple[int, ...]:
@@ -298,7 +298,8 @@ class LiveStreams:
 
     sample_increments draws each stream on from where its last draw
     stopped, so drawing r1, r2, ... rows in consecutive calls gives the
-    same increments, bit for bit, as one draw of r1 + r2 + ... rows.
+    same increments, bit for bit, as the first r1 + r2 + ... rows of
+    sample_path for that stream.
     """
 
     def __init__(self, streams):
@@ -309,27 +310,18 @@ class LiveStreams:
         return len(self.ids)
 
 
-def sample_increments(lat: Lattice, streams, rows: int | None = None,
-                      out: np.ndarray | None = None) -> np.ndarray:
-    """Increments of many streams, (n_streams, rows, ncoords); rows = nt by default.
+def sample_increments(lat: Lattice, streams: LiveStreams, out: np.ndarray) -> np.ndarray:
+    """Draw the next rows increments of every stream into out, (n_streams, rows, ncoords).
 
-    streams is a sequence of stream ids, each drawn from its first row, or
-    a LiveStreams, whose streams continue where their last draw stopped.
-    Given out, an array of that shape, the increments are written into it.
+    Each stream continues where its last draw stopped; the generators are
+    created on the first draw.  Returns out.
     """
-    rows = lat.grid.nt if rows is None else rows
-    if isinstance(streams, LiveStreams):
-        if streams.generators is None:
-            streams.generators = [_philox(lat, s) for s in streams.ids]
-        generators = streams.generators
-    else:
-        generators = (_philox(lat, int(s)) for s in streams)
-    if out is None:
-        out = np.empty((len(streams), rows, lat.ncoords))
-    elif out.shape != (len(streams), rows, lat.ncoords):
+    if out.ndim != 3 or out.shape[::2] != (len(streams), lat.ncoords):
         raise ShapeError(f"out has shape {out.shape}, expected "
-                         f"{(len(streams), rows, lat.ncoords)}")
-    for row, rng in enumerate(generators):
+                         f"({len(streams)}, rows, {lat.ncoords})")
+    if streams.generators is None:
+        streams.generators = [_philox(lat, s) for s in streams.ids]
+    for row, rng in enumerate(streams.generators):
         rng.standard_normal(out=out[row])
     out *= math.sqrt(lat.grid.dt)
     return out
@@ -447,7 +439,7 @@ def localization_holds(path: NoisePath, n: int, theta: float, t: float) -> bool:
 # ---------------------------------------------------------------------------
 # serialization: flat binary (header nt, ncoords, dt)
 
-_MAGIC = {"path": b"VLNPATH1", "control": b"VLCTRL01"}
+_CONTROL_MAGIC = b"VLCTRL01"
 
 
 def write_binary(filename, magic: bytes, fmt: str, header: tuple, arr: np.ndarray):
@@ -458,37 +450,17 @@ def write_binary(filename, magic: bytes, fmt: str, header: tuple, arr: np.ndarra
         fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
-def _save_array(filename, magic: bytes, arr: np.ndarray, dt: float):
-    write_binary(filename, magic, "<QQd", (arr.shape[0], arr.shape[1], dt), arr)
-
-
-def _load_array(path, magic: bytes) -> tuple[np.ndarray, float]:
-    with open(path, "rb") as fh:
-        head = fh.read(8)
-        if head != magic:
-            raise ShapeError(f"bad magic in {path}")
-        nt, nc, dt = struct.unpack("<QQd", fh.read(24))
-        data = np.frombuffer(fh.read(), dtype="<f8").reshape(nt, nc)
-    return data.copy(), dt
-
-
-def save_path(path: NoisePath, filename):
-    _save_array(filename, _MAGIC["path"], path.increments, path.lattice.grid.dt)
-
-
-def load_path(lat: Lattice, filename) -> NoisePath:
-    data, dt = _load_array(filename, _MAGIC["path"])
-    if data.shape != (lat.grid.nt, lat.ncoords) or abs(dt - lat.grid.dt) > 1e-15:
-        raise ShapeError("stored path does not match the lattice")
-    return NoisePath(lat, data)
-
-
 def save_control(h: ControlH, filename):
-    _save_array(filename, _MAGIC["control"], h.coeffs, h.lattice.grid.dt)
+    write_binary(filename, _CONTROL_MAGIC, "<QQd", (*h.coeffs.shape, h.lattice.grid.dt),
+                 h.coeffs)
 
 
 def load_control(lat: Lattice, filename) -> ControlH:
-    data, dt = _load_array(filename, _MAGIC["control"])
+    with open(filename, "rb") as fh:
+        if fh.read(8) != _CONTROL_MAGIC:
+            raise ShapeError(f"bad magic in {filename}")
+        nt, nc, dt = struct.unpack("<QQd", fh.read(24))
+        data = np.frombuffer(fh.read(), dtype="<f8").reshape(nt, nc).copy()
     if data.shape != (lat.grid.nt, lat.ncoords) or abs(dt - lat.grid.dt) > 1e-15:
         raise ShapeError("stored control does not match the lattice")
     return ControlH(lat, data)

@@ -231,6 +231,8 @@ def rate_profile(model: ModelSpec, grid: GridSpec, y_grid,
     the warm solve fails to converge.
     """
     y_grid = np.asarray(y_grid, dtype=float)
+    if y_grid.size == 0:
+        raise ValueError("y_grid is empty")
     if np.any(np.diff(y_grid) <= 0):
         raise ValueError("y_grid must be sorted strictly increasing")
     points = _RatePoints(model, grid, t, x, tol_rel)

@@ -22,20 +22,18 @@ o(eps) is, exactly in the discrete scheme, one dot with the same G:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import GridError
-from .noise import ControlH, GridSpec, NoisePath
+from .noise import ControlH, GridSpec
 from .solver import (Field, ModelSpec, _adjoint_route, _drive, _forward,
                      _Increments, _lane_oracle, _observation_index, _prepare,
                      _sub_batch)
 
 __all__ = [
-    "SkeletonResult", "solve_phi", "gradient_phi", "forward_xi",
-    "chaos_simulate", "expansion_check", "dphi_window_norm", "analyze",
-    "bare_kernel_control",
+    "solve_phi", "gradient_phi", "forward_xi", "expansion_check",
+    "dphi_window_norm", "bare_kernel_control",
 ]
 
 
@@ -96,49 +94,24 @@ def forward_xi(model: ModelSpec, grid: GridSpec, h: ControlH,
     return ControlH(eng.lat, _lane_oracle(model, eng, drive, pv, point))
 
 
-def chaos_simulate(model: ModelSpec, grid: GridSpec, h: ControlH, path: NoisePath,
-                   t: float | None = None, x=None) -> float:
-    """One draw of the first-chaos fluctuation around the skeleton at (t, x)."""
-    return float(chaos_ensemble(model, grid, h, [path], t=t, x=x)[0])
-
-
-def chaos_ensemble(model: ModelSpec, grid: GridSpec, h: ControlH, paths,
+def chaos_ensemble(model: ModelSpec, grid: GridSpec, h: ControlH, streams,
                    t: float | None = None, x=None) -> np.ndarray:
     """First-chaos draws N = sum_{i,k} G(i,k) dW(i,k) around Phi^h at (t, x).
 
-    paths is a list of NoisePath or of stream ids.  G = gradient_phi(h) is
-    one skeleton solve and one adjoint sweep for all paths (see the module
-    docstring).  G is zero from row jt on, so of each stream id only the
+    streams is a sequence of stream ids.  G = gradient_phi(h) is one
+    skeleton solve and one adjoint sweep for all streams (see the module
+    docstring).  G is zero from row jt on, so of each stream only the
     first jt rows are drawn, _BLOCK slabs at a time by solver._Increments,
     in sub-batches that solver._sub_batch sizes by that increment block
     alone: no stream runs a sweep.
     """
-    if len(paths) < 1:
+    if len(streams) < 1:
         raise ValueError("chaos_ensemble needs at least one path")
     G = gradient_phi(model, grid, h, t, x)
-    if all(isinstance(p, NoisePath) for p in paths):
-        return np.array([np.einsum("ik,ik->", p.increments, G.coeffs) for p in paths])
     eng, _ = _prepare(model, grid, t)
-    size = _sub_batch(eng.lat, eng.jt, len(paths), sweep=False)[0]
-    return np.concatenate([_Increments(eng, paths[lo: lo + size], G).girsanov(eng.jt)
-                           for lo in range(0, len(paths), size)])
-
-
-@dataclass
-class SkeletonResult:
-    """Skeleton solve bundled with its endpoint gradient diagnostics."""
-
-    phi: Field
-    endpoint: float
-    gradient: ControlH
-    gamma_bar: float
-
-
-def analyze(model: ModelSpec, grid: GridSpec, h: ControlH,
-            t: float | None = None, x=None) -> SkeletonResult:
-    phi = solve_phi(model, grid, h, t)
-    grad = gradient_phi(model, grid, h, t, x, phi=phi)
-    return SkeletonResult(phi, phi.endpoint(x), grad, grad.norm_sq)
+    size = _sub_batch(eng.lat, eng.jt, len(streams), sweep=False)[0]
+    return np.concatenate([_Increments(eng, streams[lo: lo + size], G).girsanov(eng.jt)
+                           for lo in range(0, len(streams), size)])
 
 
 def dphi_window_norm(model: ModelSpec, grid: GridSpec, h: ControlH, rho: float,

@@ -33,7 +33,7 @@ sum to rounding for any block size, so no run depends on it.
 An ensemble of B replica streams is driven slab by slab: every _BLOCK
 steps the next _BLOCK slabs of each stream's Philox increments are drawn
 (each stream's generator stays live between draws, so the increments are
-those of a one-shot draw, bit for bit), and each step synthesizes only its
+those of sample_path, bit for bit), and each step synthesizes only its
 own slab.  A chunk of B streams runs in equal sub-batches (_sub_batch):
 per replica the engine holds min(_BLOCK, nt) increment rows and, for
 wave, a (jt, nspec) complex history (heat: one (nspec,) accumulator), and
@@ -419,10 +419,10 @@ class _Increments:
 
     Calling it with j returns the (B, ncoords) increments of slab j, a view
     valid until the next block is drawn; the forward sweep asks for
-    j = 0, 1, ... in order, and each block start
-    draws the next _BLOCK slabs of every stream through sample_increments.
+    j = 0, 1, ... in order, and each block start draws the next _BLOCK
+    slabs of every stream of its LiveStreams through sample_increments.
     So one (B, _BLOCK, ncoords) block is held, never the (B, nt, ncoords)
-    array, and the increments are bit-identical to a one-shot draw.  Every
+    array, and the increments are those of sample_path, bit for bit.  Every
     draw fills one buffer allocated per chunk: a fresh array per draw
     leaves block-sized holes in the allocator's heap, and the peak resident
     memory of identical runs then differed by up to 10 MiB.  With a control h,
@@ -441,7 +441,7 @@ class _Increments:
         self.drawn = 0
 
     def _draw(self, start: int, rows: int) -> np.ndarray:
-        block = sample_increments(self.lat, self.streams, rows, out=self.buffer[:, :rows])
+        block = sample_increments(self.lat, self.streams, self.buffer[:, :rows])
         self.drawn = start + rows
         if self.h is not None:
             self.dots += np.einsum("bik,ik->b", block, self.h.coeffs[start: start + rows])
@@ -577,16 +577,8 @@ def check_wave_domain(model: ModelSpec, grid: GridSpec, x=None) -> None:
 
 
 def simulate(model: ModelSpec, grid: GridSpec, path: NoisePath,
-             t: float | None = None) -> Field:
-    """Sample the mild-form field driven by one noise path."""
-    eng, w_tab = _prepare(model, grid, t)
-    drive = _drive(eng, model.eps, inc=path.increments)
-    return Field(_forward(model, eng, w_tab, drive), grid, model.cov)
-
-
-def simulate_shifted(model: ModelSpec, grid: GridSpec, path: NoisePath,
-                     h: ControlH, t: float | None = None) -> Field:
-    """Field driven by the path plus the deterministic control pairing term."""
+             t: float | None = None, h: ControlH | None = None) -> Field:
+    """Field driven by one noise path or, given a control h, by the path shifted by h / eps."""
     eng, w_tab = _prepare(model, grid, t)
     drive = _drive(eng, model.eps, h=h, inc=path.increments)
     return Field(_forward(model, eng, w_tab, drive), grid, model.cov)
@@ -653,11 +645,6 @@ def malliavin_adjoint(model: ModelSpec, grid: GridSpec, path: NoisePath,
     point = _observation_index(model, grid, eng.lat, x)
     drive = _drive(eng, model.eps, inc=path.increments)
     return model.eps * _adjoint_route(model, eng, drive, u.values, point)
-
-
-def malliavin_normsq(deriv: np.ndarray, grid: GridSpec) -> float:
-    """||D u(t,x)||^2 in L^2([0,T]; H) from the (slab, mode) derivative array."""
-    return float(grid.dt * np.sum(deriv ** 2))
 
 
 def picard_verify(model: ModelSpec, grid: GridSpec, path: NoisePath,

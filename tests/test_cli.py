@@ -192,6 +192,7 @@ def _manifest(path):
     ("simulate", ["task.n=0"]),                         # empty-ensemble guard
     ("support", ["task.budgets=-1,1", "task.n=40",      # negative-budget guard
                  "task.n_list=2,3"]),
+    ("rate", ["task.y=", "task.y_grid=0:1:0"]),         # empty-grid guard
 ])
 def test_value_error_fails_the_run_cleanly(subcommand, overrides, tmp_path, capsys):
     args = [subcommand, *TINY] + [a for o in overrides for a in ("--set", o)]
@@ -285,6 +286,14 @@ def test_support_defaults_to_three_hundred_replicas(tmp_path, monkeypatch, capsy
     lat = lattice(cfg.model.cov, cfg.grid)
     state = _BLOCK * lat.ncoords * 8 + 64 * lat.nspec * 16
     assert _estimate_resources(cfg, "support")[0] == 150 * state   # two sub-batches
+
+
+@pytest.mark.parametrize("y", [["--set", "task.y="], []], ids=["no-y", "y"])
+def test_varadhan_on_a_rate_artifact_without_results_exits_2(y, tmp_path, capsys):
+    (tmp_path / "rate_result.json").write_text(
+        json.dumps({"results": [], "t": 1.0, "x": [0.0]}))
+    assert main(["varadhan", *TINY, *y, "--out", str(tmp_path)]) == 2
+    assert "rate profile required" in capsys.readouterr().err
 
 
 def test_varadhan_rejects_the_rate_point_of_another_observation_point(

@@ -94,6 +94,7 @@ class TestG1:
         ck.CovarianceSpec("wave", 2, "riesz", 1.5),
         ck.CovarianceSpec("heat", 2, "riesz", 1.5),
         ck.CovarianceSpec("heat", 1, "white"),
+        ck.CovarianceSpec("heat", 4, "riesz", 1.0),
     ])
     def test_quadrature_matches_closed_form(self, spec):
         for t in (0.3, 1.0):

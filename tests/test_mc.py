@@ -238,22 +238,12 @@ class TestVaradhanSweep:
     def test_center_rows_vanish(self, mc_grid, linear_model):
         # at y = Phi0 the limit is 0 and each row is the vanishing correction
         gg = g1_grid(COV, mc_grid, 1.0)
+        lat = lattice(COV, mc_grid)
         sweep = varadhan_sweep(linear_model, mc_grid, [1.0, 0.5], 0.0, 0.0,
-                               n=4000, x=0.0)
+                               n=4000, x=0.0, h_star=ControlH.zeros(lat))
         for row in sweep.rows:
             want = -row.eps ** 2 * 0.5 * math.log(2 * math.pi * row.eps ** 2 * gg)
             assert abs(row.eps2_log_p - want) < 3 * row.eps2_log_se + 0.02
-
-    def test_untilted_flags_unreachable_rows(self, mc_grid, linear_model,
-                                             linear_rate):
-        # y = 1 sits at 5.7 standard deviations when eps = 0.35: without a
-        # tilt that row must be flagged and the rest still extrapolate
-        sweep = varadhan_sweep(linear_model, mc_grid, [1.0, 0.7, 0.35], 1.0,
-                               linear_rate.I, n=3000, x=0.0)
-        flagged = [r for r in sweep.rows if not r.ok]
-        assert flagged and all(r.eps <= 0.35 for r in flagged)
-        assert "importance sampling" in flagged[0].note
-        assert np.isfinite(sweep.limit)
 
     def test_tilted_rows_keep_diagnostics(self, mc_grid, linear_model,
                                           linear_rate):
@@ -267,14 +257,25 @@ class TestVaradhanSweep:
                                         stream0=k * (2000 + CHUNK))
             assert (row.ess, row.mean_weight, row.bandwidth) == \
                 (diag["ess"], diag["mean_weight"], diag["bandwidth"])
-        untilted = varadhan_sweep(linear_model, mc_grid, [1.0, 0.7], 0.0, 0.0,
-                                  n=2000, x=0.0)
-        assert all(math.isnan(r.ess) for r in untilted.rows)
+        # a row whose tilt fails keeps no diagnostics
+        tilted = mc.tilted_density
+
+        def fail_last(*args, **kwargs):
+            if kwargs["eps"] == 0.5:
+                raise TiltError("poor tilt")
+            return tilted(*args, **kwargs)
+
+        with mock.patch.object(mc, "tilted_density", fail_last):
+            failed = varadhan_sweep(linear_model, mc_grid, [1.0, 0.7, 0.5], 1.0,
+                                    linear_rate.I, n=2000, x=0.0,
+                                    h_star=linear_rate.h_star)
+        assert [r.ok for r in failed.rows] == [True, True, False]
+        assert math.isnan(failed.rows[-1].ess)
 
     def test_eps_list_must_decrease(self, mc_grid, linear_model):
         with pytest.raises(ValueError):
             varadhan_sweep(linear_model, mc_grid, [0.5, 1.0], 1.0, 2.0, n=2000,
-                           x=0.0)
+                           x=0.0, h_star=ControlH.zeros(lattice(COV, mc_grid)))
 
 
 class TestSupportConvergence:

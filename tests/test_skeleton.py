@@ -6,12 +6,10 @@ import pytest
 from varadhanlab import presets, solver
 from varadhanlab.covkernel import CovarianceSpec
 from varadhanlab.funcs import make_func
-from varadhanlab.noise import (ControlH, GridSpec, ht_inner, lattice,
-                               sample_increments, sample_path)
-from varadhanlab.skeleton import (analyze, bare_kernel_control, chaos_ensemble,
-                                  chaos_simulate, dphi_window_norm,
-                                  expansion_check, forward_xi, gradient_phi,
-                                  solve_phi)
+from varadhanlab.noise import ControlH, GridSpec, ht_inner, lattice, sample_path
+from varadhanlab.skeleton import (bare_kernel_control, chaos_ensemble,
+                                  dphi_window_norm, expansion_check, forward_xi,
+                                  gradient_phi, solve_phi)
 from varadhanlab.solver import (_drive, _factor, _forward, _observation_index,
                                 _prepare, g1_grid)
 
@@ -194,26 +192,16 @@ class TestChaos:
         var = draws.var(ddof=1)
         assert abs(var - gamma) < 3.0 * var * np.sqrt(2.0 / len(draws))
 
-    def test_single_draw_matches_ensemble(self, small_grid, nonlinear_model):
-        lat = lattice(COV, small_grid)
-        h = ControlH.zeros(lat)
-        one = chaos_simulate(nonlinear_model, small_grid, h,
-                             sample_path(lat, 17), x=0.0)
-        batch = chaos_ensemble(nonlinear_model, small_grid, h, [17], x=0.0)
-        assert one == pytest.approx(float(batch[0]), rel=1e-15)
-
-    @pytest.mark.parametrize("given", [False, True])
     def test_sub_batches_keep_path_order(self, small_grid, nonlinear_model,
-                                         monkeypatch, given):
+                                         monkeypatch):
         # ten paths in sub-batches of 3, 3, 3 and 1 give the draws of one batch
         lat = lattice(COV, small_grid)
         h = ControlH(lat, 0.3 * np.random.default_rng(8).standard_normal(
             (small_grid.nt, lat.ncoords)))
-        paths = [sample_path(lat, s) for s in range(10)] if given else range(10)
-        whole = chaos_ensemble(nonlinear_model, small_grid, h, paths, x=0.0)
+        whole = chaos_ensemble(nonlinear_model, small_grid, h, range(10), x=0.0)
         state = solver._sub_batch(lat, small_grid.nt, 1, sweep=False)[1]
         monkeypatch.setattr(solver, "_STATE_BUDGET", 3 * state)
-        split = chaos_ensemble(nonlinear_model, small_grid, h, paths, x=0.0)
+        split = chaos_ensemble(nonlinear_model, small_grid, h, range(10), x=0.0)
         assert np.all(np.abs(split - whole) <= 1e-12 * np.abs(whole).max())
 
     @staticmethod
@@ -222,9 +210,9 @@ class TestChaos:
         draws = []
         sample = solver.sample_increments
 
-        def spy(lat, streams, rows=None, out=None):
-            draws.append((len(streams), rows))
-            return sample(lat, streams, rows, out=out)
+        def spy(lat, streams, out):
+            draws.append((len(streams), out.shape[1]))
+            return sample(lat, streams, out)
 
         monkeypatch.setattr(solver, "sample_increments", spy)
         return draws
@@ -239,7 +227,8 @@ class TestChaos:
             (mc_grid.nt, lat.ncoords)))
         streams = list(range(100, 160))
         G = gradient_phi(nonlinear_model, mc_grid, h, t, 0.0)
-        want = np.einsum("bik,ik->b", sample_increments(lat, streams), G.coeffs)
+        whole = np.stack([sample_path(lat, s).increments for s in streams])
+        want = np.einsum("bik,ik->b", whole, G.coeffs)
         draws = self._spy_draws(monkeypatch)
         got = chaos_ensemble(nonlinear_model, mc_grid, h, streams, t=t, x=0.0)
         jt = mc_grid.time_index(mc_grid.T if t is None else t)
@@ -296,19 +285,18 @@ _CHAOS_CASES = {
 
 
 class TestChaosOracle:
-    @pytest.mark.parametrize("given", [False, True], ids=["streams", "paths"])
+    @pytest.mark.parametrize("streams", [list(range(20, 45))], ids=["streams"])
     @pytest.mark.parametrize("t", [None, 0.5])
     @pytest.mark.parametrize("case", sorted(_CHAOS_CASES))
-    def test_dots_match_tangent_sweep(self, case, t, given):
+    def test_dots_match_tangent_sweep(self, case, t, streams):
         cov, grid = _CHAOS_CASES[case]
         m = presets.nonlinear_model(cov=cov)
         lat = lattice(cov, grid)
         h = ControlH(lat, 0.4 * np.random.default_rng(3).standard_normal(
             (grid.nt, lat.ncoords)))
-        streams = list(range(20, 45))
-        paths = [sample_path(lat, s) for s in streams] if given else streams
-        got = chaos_ensemble(m, grid, h, paths, t=t)
-        want = tangent_chaos(m, grid, h, sample_increments(lat, streams), t=t)
+        got = chaos_ensemble(m, grid, h, streams, t=t)
+        whole = np.stack([sample_path(lat, s).increments for s in streams])
+        want = tangent_chaos(m, grid, h, whole, t=t)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_one_forward_sweep_for_any_number_of_streams(self, tiny_grid,
@@ -368,10 +356,9 @@ class TestWindowNorm:
     def test_full_window_is_gamma_bar(self, small_grid, setup):
         lat, h = setup
         m = presets.nonlinear_model()
-        res = analyze(m, small_grid, h, x=0.0)
-        full = dphi_window_norm(m, small_grid, h, rho=1.0, x=0.0,
-                                gradient=res.gradient)
-        assert full == pytest.approx(res.gamma_bar, rel=1e-12)
+        G = gradient_phi(m, small_grid, h, x=0.0)
+        full = dphi_window_norm(m, small_grid, h, rho=1.0, x=0.0, gradient=G)
+        assert full == pytest.approx(G.norm_sq, rel=1e-12)
 
     def test_linear_window_is_g1(self, small_grid):
         m = presets.linear_model()

@@ -13,8 +13,7 @@ from varadhanlab.solver import (_BLOCK, BumpInitial, MildEngine, ModelSpec,
                                 ZeroInitial, _Increments, _sub_batch,
                                 check_wave_domain, endpoint_ensemble,
                                 first_variation, g1_grid, malliavin_adjoint,
-                                malliavin_normsq, picard_verify, simulate,
-                                simulate_shifted)
+                                picard_verify, simulate)
 
 COV = presets.WAVE_WHITE
 
@@ -186,7 +185,7 @@ class TestStreamedIncrements:
         grid = GridSpec(L=1.25, nx=16, nt=nt, T=1.0, nk=8, seed=4)
         lat = lattice(COV, grid)
         streams = [0, 7, 12345]
-        whole = sample_increments(lat, streams)
+        whole = np.stack([sample_path(lat, s).increments for s in streams])
         jt = max(1, nt - short)
         h = ControlH(lat, np.random.default_rng(nt).standard_normal((nt, lat.ncoords)))
         inc = _Increments(MildEngine(COV, grid, jt), streams, h)
@@ -198,7 +197,8 @@ class TestStreamedIncrements:
         np.testing.assert_allclose(dots, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
         # the live streams went on to row nt, and the next draw continues there
         live = LiveStreams(streams)
-        rows = [sample_increments(lat, live, r) for r in (jt, nt - jt)]
+        rows = [sample_increments(lat, live, np.empty((len(streams), r, lat.ncoords)))
+                for r in (jt, nt - jt)]
         assert np.array_equal(np.concatenate(rows, axis=1), whole)
 
     def test_tilted_ensemble_dots_before_t(self, mc_grid):
@@ -209,7 +209,8 @@ class TestStreamedIncrements:
         streams = list(range(40, 80))
         _, dots = endpoint_ensemble(m, mc_grid, streams, 0.0, h=h, t=0.4,
                                     with_girsanov=True)
-        want = np.einsum("bik,ik->b", sample_increments(lat, streams), h.coeffs)
+        whole = np.stack([sample_path(lat, s).increments for s in streams])
+        want = np.einsum("bik,ik->b", whole, h.coeffs)
         np.testing.assert_allclose(dots, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
 
@@ -292,7 +293,7 @@ class TestShiftIdentity:
         for s in range(20):
             p = sample_path(lat, s)
             u1 = simulate(m, mc_grid, p.shifted(h, 1.0 / m.eps))
-            u2 = simulate_shifted(m, mc_grid, p, h)
+            u2 = simulate(m, mc_grid, p, h=h)
             assert np.max(np.abs(u1.values - u2.values)) < 1e-8
 
     @pytest.mark.parametrize("with_h", [False, True])
@@ -306,8 +307,7 @@ class TestShiftIdentity:
             if with_h else None
         streams = [0, 3, 11, 12]
         batch = endpoint_ensemble(m, mc_grid, streams, 0.0, h=h)
-        single = [(simulate_shifted(m, mc_grid, sample_path(lat, s), h) if with_h
-                   else simulate(m, mc_grid, sample_path(lat, s))).endpoint(0.0)
+        single = [simulate(m, mc_grid, sample_path(lat, s), h=h).endpoint(0.0)
                   for s in streams]
         np.testing.assert_allclose(batch, single, rtol=1e-12, atol=0.0)
 
@@ -316,7 +316,7 @@ class TestShiftIdentity:
         lat = lattice(COV, small_grid)
         p = sample_path(lat, 2)
         u1 = simulate(m, small_grid, p)
-        u2 = simulate_shifted(m, small_grid, p, ControlH.zeros(lat))
+        u2 = simulate(m, small_grid, p, h=ControlH.zeros(lat))
         assert np.array_equal(u1.values, u2.values)
 
     def test_linear_limit_matches_skeleton(self, small_grid, rng):
@@ -326,7 +326,7 @@ class TestShiftIdentity:
         lat = lattice(COV, small_grid)
         h = ControlH(lat, rng.standard_normal((small_grid.nt, lat.ncoords)))
         p = sample_path(lat, 0)
-        u = simulate_shifted(m, small_grid, p, h)
+        u = simulate(m, small_grid, p, h=h)
         phi = solve_phi(m, small_grid, h)
         assert np.allclose(u.values, phi.values, atol=1e-12)
 
@@ -339,7 +339,7 @@ class TestFirstVariation:
         u = simulate(m, small_grid, p)
         D = first_variation(m, small_grid, p, u, x=0.0)
         want = 0.25 * g1_grid(COV, small_grid, 1.0)
-        assert malliavin_normsq(D, small_grid) == pytest.approx(want, rel=1e-12)
+        assert ControlH(lat, D).norm_sq == pytest.approx(want, rel=1e-12)
 
     def test_rows_beyond_t_vanish(self, small_grid):
         m = presets.nonlinear_model(eps=0.5)
@@ -371,7 +371,7 @@ class TestFirstVariation:
                 p = sample_path(lat, s)
                 u = simulate(m, small_grid, p)
                 Da = malliavin_adjoint(m, small_grid, p, u, x=0.0)
-                norms.append(malliavin_normsq(Da, small_grid))
+                norms.append(ControlH(lat, Da).norm_sq)
             vals.append(np.mean(norms) / eps ** 2)
         assert max(vals) / min(vals) < 1.05
 
