@@ -21,8 +21,8 @@ from .rate import (RateResult, init_shift, rate_function, rate_profile,
                    support_probe)
 from .skeleton import (dphi_window_norm, expansion_check, forward_xi,
                        gradient_phi, solve_phi)
-from .solver import (BumpInitial, Field, ModelSpec, ZeroInitial, first_variation,
-                     g1_grid, picard_verify, simulate)
+from .solver import (BumpInitial, Field, ModelSpec, ZeroInitial, g1_grid,
+                     picard_verify, simulate)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

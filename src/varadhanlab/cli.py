@@ -368,6 +368,8 @@ def _cmd_varadhan(run: Runner) -> int:
         stored = json.loads(result_file.read_text())
         if stored["results"]:
             y = float(cfg.task["y"] if "y" in cfg.task else stored["results"][0]["y"])
+            if not math.isfinite(y):
+                raise ConfigError(f"task.y = {y} is not finite")
             entry = min(stored["results"], key=lambda r: abs(r["y"] - y))
     if entry is None or not (art_dir / entry.get("h_star", "")).is_file():
         print("error: rate profile required (run the rate subcommand first or "
@@ -561,6 +563,8 @@ def main(argv=None) -> int:
     parser.add_argument("--full", action="store_true",
                         help="validate: include the slow nonlinear cross-validation")
     args = parser.parse_args(argv)
+    if args.jobs < 1:
+        parser.error(f"--jobs must be at least 1, got {args.jobs}")
 
     try:
         cfg = load_config(args.config, args.overrides, args.seed)

@@ -111,24 +111,23 @@ class DensityCurve:
 
 def sample_endpoints(model: ModelSpec, grid: GridSpec, n: int, x,
                      t: float | None = None, h: ControlH | None = None,
-                     stream0: int = 0, with_girsanov: bool = False,
-                     executor=None):
+                     stream0: int = 0, executor=None):
     """Endpoint samples over n replicas, chunked for reproducibility.
 
-    The optional executor maps chunks to workers; outputs are merged in
-    chunk order so the result is independent of scheduling.
+    With a control h, returns (samples, Girsanov dots) as endpoint_ensemble
+    does.  The optional executor maps chunks to workers; outputs are merged
+    in chunk order so the result is independent of scheduling.
     """
     if n < 1:
         raise ValueError("sample_endpoints needs n >= 1 replicas")
     jobs = list(_chunks(n, stream0))
 
     def run(streams):
-        return endpoint_ensemble(model, grid, list(streams), x, h=h, t=t,
-                                 with_girsanov=with_girsanov)
+        return endpoint_ensemble(model, grid, list(streams), x, h=h, t=t)
 
     results = list(executor.map(run, jobs)) if executor is not None \
         else [run(j) for j in jobs]
-    if with_girsanov:
+    if h is not None:
         samples = np.concatenate([r[0] for r in results])
         dots = np.concatenate([r[1] for r in results])
         return samples, dots
@@ -142,6 +141,8 @@ def estimate_density(model: ModelSpec, grid: GridSpec, n: int, y_grid,
     if n < 1000:
         raise ValueError("density estimation needs at least 10^3 replicas")
     y_grid = np.atleast_1d(np.asarray(y_grid, dtype=float))
+    if y_grid.size == 0:
+        raise ValueError("y_grid is empty")
     samples = sample_endpoints(model, grid, n, x, t=t, stream0=stream0,
                                executor=executor)
     bw = bandwidth if bandwidth is not None else silverman_bandwidth(samples)
@@ -169,8 +170,7 @@ def tilted_density(model: ModelSpec, grid: GridSpec, n: int, y: float,
     # the shifted equation with pairing control h* realizes the path
     # translation by eps^-1 h*, which is what centers the endpoint law at y
     samples, dots = sample_endpoints(model, grid, n, x, t=t, h=h_star,
-                                     stream0=stream0, with_girsanov=True,
-                                     executor=executor)
+                                     stream0=stream0, executor=executor)
     log_w = -dots / eps - 0.5 * h_star.norm_sq / (eps * eps)
     bw = bandwidth if bandwidth is not None \
         else silverman_bandwidth(samples, -1.0 / 3.0)
@@ -297,13 +297,12 @@ def support_convergence(model: ModelSpec, grid: GridSpec, n_list, n_replicas: in
 
     For each level n (with paths coupled across levels): the median over
     localized replicas of |u(t,x) - Phi^{v^n}| and, when a target control h
-    is given, of |u(t,x; omega - v^n + h) - Phi^h| realized as a shifted
-    simulation with the composite control.  The endpoints u(t,x) are drawn
+    is given, of |u(t,x; omega - v^n + h) - Phi^h|, the skeleton of the
+    path's control with h - v^n.  The endpoints u(t,x) are drawn
     in chunks and each replica's path is drawn on its own, so no
     (n_replicas, nt, ncoords) array is held.
     """
     from .noise import localization_holds, sample_path, smooth_vn
-    from .solver import simulate
 
     n_list = list(n_list)
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
@@ -329,7 +328,8 @@ def support_convergence(model: ModelSpec, grid: GridSpec, n_list, n_replicas: in
             vn = smooth_vn(path, n)
             c1[n].append(abs(u_end[r] - solve_phi(model, grid, vn, t).endpoint(x)))
             if h is not None:
-                u_shift = simulate(model, grid, path, t, h=h - vn).endpoint(x)
+                u_shift = solve_phi(model, grid, path.control(model.eps, h - vn),
+                                    t).endpoint(x)
                 c2[n].append(abs(u_shift - phi_h_end))
 
     rows = []

@@ -265,14 +265,10 @@ class NoisePath:
     def nt(self) -> int:
         return self.increments.shape[0]
 
-    def shifted(self, h: "ControlH", scale: float = 1.0) -> "NoisePath":
-        """Path translated by scale * h (Cameron-Martin shift of the increments)."""
-        if h.lattice is not self.lattice:
-            raise ShapeError("control and path live on different lattices")
-        dt = self.lattice.grid.dt
-        return NoisePath(self.lattice,
-                         self.increments + scale * dt * h.coeffs,
-                         stream=self.stream)
+    def control(self, eps: float, h: "ControlH | None" = None) -> "ControlH":
+        """The drive c = h + (eps / dt) dW as a control: the path drives the field Phi^c."""
+        c = ControlH(self.lattice, (eps / self.lattice.grid.dt) * self.increments)
+        return c if h is None else h + c
 
 
 def _philox(lat: Lattice, stream: int) -> np.random.Generator:
@@ -344,17 +340,11 @@ class ControlH:
         if self.coeffs.shape != expect:
             raise ShapeError(f"control coefficients must have shape {expect}, "
                              f"got {self.coeffs.shape}")
-        self.norm_sq = self._compute_normsq()
-
-    def _compute_normsq(self) -> float:
-        return float(self.lattice.grid.dt * np.sum(self.coeffs ** 2))
+        self.norm_sq = float(self.lattice.grid.dt * np.sum(self.coeffs ** 2))
 
     @property
     def norm(self) -> float:
         return math.sqrt(self.norm_sq)
-
-    def check_norm(self, tol: float = 1e-12) -> bool:
-        return abs(self.norm_sq - self._compute_normsq()) <= tol * max(1.0, self.norm_sq)
 
     @classmethod
     def zeros(cls, lat: Lattice) -> "ControlH":

@@ -218,6 +218,8 @@ def rate_function(model: ModelSpec, grid: GridSpec, y: float,
     the run stops once |endpoint - y| falls below tol_rel times the linear
     endpoint spread.
     """
+    if not math.isfinite(y):
+        raise ValueError(f"rate target y = {y} is not finite")
     return _RatePoints(model, grid, t, x, tol_rel).solve(y)
 
 
@@ -233,6 +235,8 @@ def rate_profile(model: ModelSpec, grid: GridSpec, y_grid,
     y_grid = np.asarray(y_grid, dtype=float)
     if y_grid.size == 0:
         raise ValueError("y_grid is empty")
+    if not np.all(np.isfinite(y_grid)):
+        raise ValueError("y_grid has a non-finite entry")
     if np.any(np.diff(y_grid) <= 0):
         raise ValueError("y_grid must be sorted strictly increasing")
     points = _RatePoints(model, grid, t, x, tol_rel)

@@ -8,13 +8,16 @@ drive D_i = H_i, the spatial field of h's slab i, and no noise term,
 
 Its endpoint gradient G = gradient_phi(h) is a reverse (adjoint) sweep of
 exactly this recursion, built on the linearised factor
-dt [ sigma'(Phi_i) H_i + b'(Phi_i) ] it shares with solver's Malliavin
-derivative; forward_xi, a forward solve of the linearized equation carrying
-the full (slab, mode) state, is its independent small-grid oracle.
+dt [ sigma'(Phi_i) H_i + b'(Phi_i) ]; forward_xi, a forward solve of the
+linearized equation carrying the full (slab, mode) state, is its
+independent small-grid oracle.
 
 The noise enters the drive as (eps / dt) dW, along the control direction
-dW / dt, so the first chaos N of u^eps(omega + h / eps) = Phi^h + eps N +
-o(eps) is, exactly in the discrete scheme, one dot with the same G:
+dW / dt.  So one noise path is the control c = path.control(eps, h): the
+field it drives, shifted by h / eps, is Phi^c (solver.simulate), and its
+Malliavin derivative is eps G(c), by either route.  The first chaos N of
+u^eps(omega + h / eps) = Phi^h + eps N + o(eps) is, exactly in the
+discrete scheme, one dot with G = G(h):
 
     N(t, x) = <G, dW / dt>_{H_T} = sum_{i,k} G(i,k) dW(i,k),  Var N = ||G||^2 = gamma_bar.
 """
@@ -25,11 +28,10 @@ import math
 
 import numpy as np
 
-from .errors import GridError
+from .errors import GridError, MemoryBudgetError
 from .noise import ControlH, GridSpec
-from .solver import (Field, ModelSpec, _adjoint_route, _drive, _forward,
-                     _Increments, _lane_oracle, _observation_index, _prepare,
-                     _sub_batch)
+from .solver import (Field, ModelSpec, _drive, _factor, _forward, _Increments,
+                     _observation_index, _prepare, _sub_batch)
 
 __all__ = [
     "solve_phi", "gradient_phi", "forward_xi", "expansion_check",
@@ -41,7 +43,7 @@ def solve_phi(model: ModelSpec, grid: GridSpec, h: ControlH,
               t: float | None = None) -> Field:
     """Forward solve of the controlled deterministic equation (eps plays no role)."""
     eng, w_tab = _prepare(model, grid, t)
-    return Field(_forward(model, eng, w_tab, _drive(eng, h=h)), grid, model.cov)
+    return Field(_forward(model, eng, w_tab, _drive(eng, h)), grid, model.cov)
 
 
 def gradient_phi(model: ModelSpec, grid: GridSpec, h: ControlH,
@@ -50,13 +52,19 @@ def gradient_phi(model: ModelSpec, grid: GridSpec, h: ControlH,
     """Discrete adjoint gradient of the endpoint Phi(t, x) with respect to h.
 
     The returned control G satisfies <G, g>_{H_T} = d/dtau Phi[h + tau g]
-    for every grid direction g, exactly for the discrete recursion.
+    for every grid direction g, exactly for the discrete recursion:
+    G[i] = extract(sigma(Phi_i) mu_i) for i < jt, with mu the adjoint sweep
+    seeded at (t, x), and zero rows after.  phi, when given, is Phi^h.
     """
     eng, w_tab = _prepare(model, grid, t)
-    point = _observation_index(model, grid, eng.lat, x)
-    drive = _drive(eng, h=h)
-    pv = _forward(model, eng, w_tab, drive) if phi is None else phi.values
-    return ControlH(eng.lat, _adjoint_route(model, eng, drive, pv, point))
+    lat, jt = eng.lat, eng.jt
+    point = _observation_index(model, grid, lat, x)
+    drive = _drive(eng, h)
+    pv = (_forward(model, eng, w_tab, drive) if phi is None else phi.values)[:jt]
+    mus = eng.adjoint(point, _factor(model, grid.dt, pv, drive(slice(0, jt))))
+    coeffs = np.zeros((grid.nt, lat.ncoords))
+    coeffs[:jt] = lat.extract(model.sigma(pv) * mus)
+    return ControlH(lat, coeffs)
 
 
 def bare_kernel_control(model: ModelSpec, grid: GridSpec, phi: Field,
@@ -79,19 +87,44 @@ def bare_kernel_control(model: ModelSpec, grid: GridSpec, phi: Field,
     return ControlH(lat, coeffs)
 
 
+#: bytes the lane-state workspace of forward_xi may take
+_LANE_BUDGET = 2 << 30
+
+
 def forward_xi(model: ModelSpec, grid: GridSpec, h: ControlH,
                t: float | None = None, x=None) -> ControlH:
     """Forward solve of the linearized integral equation (small-grid oracle).
 
-    Carries the full H_T-valued state, one lane per (slab, mode), and
-    returns its evaluation at (t, x) as a control; must agree with
-    gradient_phi to solver precision.
+    Carries the full H_T-valued state, one lane per (slab, mode), sums its
+    history directly and returns its evaluation at (t, x) as a control;
+    must agree with gradient_phi to solver precision.  The cost guard
+    raises, before any solve, when the workspace would exceed _LANE_BUDGET
+    bytes.
     """
     eng, w_tab = _prepare(model, grid, t)
-    point = _observation_index(model, grid, eng.lat, x)
-    drive = _drive(eng, h=h)
+    lat, jt, dt = eng.lat, eng.jt, grid.dt
+    point = _observation_index(model, grid, lat, x)
+    lanes = jt * lat.ncoords
+    need = (jt * lanes * lat.nspec * 16) + (lanes * int(np.prod(lat.spatial_shape)) * 8)
+    if need > _LANE_BUDGET:
+        raise MemoryBudgetError(f"lane-state workspace needs {need} bytes; "
+                                f"grid too large for budget {_LANE_BUDGET}")
+    drive = _drive(eng, h)
     pv = _forward(model, eng, w_tab, drive)
-    return ControlH(eng.lat, _lane_oracle(model, eng, drive, pv, point))
+    phik = lat.synthesize(np.eye(lat.ncoords))                    # (ncoords, *spatial)
+    hist = np.zeros((jt, lanes, lat.nspec), dtype=np.complex128)
+
+    def state(j):                           # sum_{i<j} K_{j-i} rho_i, (lanes, *spatial)
+        return eng._to_field(np.einsum("lf,lgf->gf", eng.weights[j:0:-1], hist[:j]))
+
+    for j in range(jt):
+        rho = _factor(model, dt, pv[j], drive(j)) * state(j)
+        rho = rho.reshape(jt, lat.ncoords, *lat.spatial_shape)
+        rho[j] += model.sigma(pv[j]) * phik
+        hist[j] = eng._to_spec(rho.reshape(lanes, *lat.spatial_shape))
+    coeffs = np.zeros((grid.nt, lat.ncoords))
+    coeffs[:jt] = state(jt)[(..., *point)].reshape(jt, lat.ncoords)
+    return ControlH(lat, coeffs)
 
 
 def chaos_ensemble(model: ModelSpec, grid: GridSpec, h: ControlH, streams,
@@ -144,7 +177,7 @@ def expansion_check(model: ModelSpec, grid: GridSpec, h: ControlH, streams,
     rows = []
     for eps in eps_list:
         shifted = endpoint_ensemble(model.with_eps(eps), grid, list(streams), x,
-                                    h=h, t=t)
+                                    h=h, t=t)[0]
         resid = np.abs((shifted - phi_end) / eps - chaos)
         rows.append({"eps": float(eps),
                      "median_residual": float(np.median(resid)),

@@ -1,11 +1,12 @@
 """Mild-form time stepping for the noise-driven field and its derived equations.
 
-Every equation here is one discrete mild map with its own drive
-D_j = synthesize(c_j), c_j = h_j + (eps / dt) dW_j, where either term may
-be absent: noise only for u, control only for the skeleton Phi^h, both for
-the shifted field u(omega + h / eps).  The solution at t_j is the initial
-contribution plus kernel convolutions (via FFT multipliers) of the one slab
-integrand,
+Every equation here is one discrete mild map with the drive
+D_j = synthesize(c_j), c_j = h_j + (eps / dt) dW_j.  One noise path is one
+control c = path.control(eps, h), so every single-path solve runs through
+the skeleton routes on c; only the stream batches of endpoint_ensemble
+form c here, slab by slab.  The solution at t_j is the initial
+contribution plus kernel convolutions (via FFT multipliers) of the one
+slab integrand,
 
     u_j = w_j + sum_{i<j} K_{j-i} * dt [ sigma(u_i) D_i + b(u_i) ],
 
@@ -54,7 +55,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import covkernel
 from .covkernel import CovarianceSpec
-from .errors import BlowUpError, GridError, MemoryBudgetError
+from .errors import BlowUpError, GridError
 from .funcs import ScalarFunc
 from .noise import (ControlH, GridSpec, Lattice, LiveStreams, NoisePath, lattice,
                     sample_increments, write_binary)
@@ -375,7 +376,7 @@ class MildEngine:
 
 
 # ---------------------------------------------------------------------------
-# the drive, the one integrand, the one linearised factor and their routes
+# the drive, the one integrand and the one linearised factor
 
 def _prepare(model: ModelSpec, grid: GridSpec, t: float | None):
     jt = grid.nt if t is None else grid.time_index(t)
@@ -387,31 +388,24 @@ def _prepare(model: ModelSpec, grid: GridSpec, t: float | None):
     return eng, w_tab
 
 
-def _drive(eng: MildEngine, eps: float = 0.0, h: ControlH | None = None,
-           inc=None):
-    """Return drive(j) = D_j = synthesize(c_j), c_j = h_j + (eps / dt) dW_j.
+def _drive(eng: MildEngine, h: ControlH | None, eps: float = 0.0, inc=None):
+    """Return drive(j) = D_j = synthesize(c_j) for one control or one stream batch.
 
-    h is a control; inc is the increments of one path, (nt, ncoords), or
-    the slab source of a batch, a callable with inc(j) the (B, ncoords)
-    increments of slab j; either may be None.  A batch is synthesized one
-    slab at a time inside the step, so no (B, jt, *spatial) field is held.
-    One path or a control is synthesized once for all slabs, and its drive
-    also takes a slice of slabs and returns them stacked: slab by slab,
-    a batch-1 solve_phi on mc_grid took 6.2-6.7 ms against 4.1-5.3 ms
-    (2 shared vCPUs).
+    Without inc, c = h is one control (a noise path enters as
+    path.control(eps)), synthesized once for all slabs, and its drive also
+    takes a slice of slabs and returns them stacked: slab by slab, a
+    batch-1 solve_phi on mc_grid took 6.2-6.7 ms against 4.1-5.3 ms (2
+    shared vCPUs).  With inc, the slab source of a batch (inc(j) the
+    (B, ncoords) increments of slab j), c_j = h_j + (eps / dt) inc(j), h
+    possibly None, is synthesized one slab at a time inside the step, so no
+    (B, jt, *spatial) field is held.
     """
+    if inc is None:
+        return eng.lat.synthesize(h.coeffs[: eng.jt]).__getitem__
     scale = eps / eng.grid.dt
-    batched = callable(inc)
-
-    def coeffs(j):
-        c = None if inc is None else scale * (inc(j) if batched else inc[j])
-        if h is None:
-            return c
-        return h.coeffs[j] if c is None else h.coeffs[j] + c
-
-    if batched:
-        return lambda j: eng.lat.synthesize(coeffs(j))
-    return eng.lat.synthesize(coeffs(slice(0, eng.jt))).__getitem__
+    if h is None:
+        return lambda j: eng.lat.synthesize(scale * inc(j))
+    return lambda j: eng.lat.synthesize(h.coeffs[j] + scale * inc(j))
 
 
 class _Increments:
@@ -510,60 +504,6 @@ def _observation_index(model: ModelSpec, grid: GridSpec, lat: Lattice,
     return lat.point_index(x)
 
 
-def _adjoint_route(model: ModelSpec, eng: MildEngine, drive, uvals: np.ndarray,
-                   point: tuple[int, ...]) -> np.ndarray:
-    """Sensitivity of u(t, x) to the drive coefficients, by the reverse sweep.
-
-    Returns R, (nt, ncoords), with R[i] = extract(sigma(u_i) mu_i) for
-    i < jt and zero rows after: d u(t, x) / d c_i = dt R[i].  For the
-    skeleton (c = h) R is the H_T gradient; for the noise
-    (c = (eps / dt) dW) eps R is the Malliavin derivative.
-    """
-    lat, jt, dt = eng.lat, eng.jt, eng.grid.dt
-    u = uvals[:jt]
-    mus = eng.adjoint(point, _factor(model, dt, u, drive(slice(0, jt))))
-    out = np.zeros((eng.grid.nt, lat.ncoords))
-    out[:jt] = lat.extract(model.sigma(u) * mus)
-    return out
-
-
-#: bytes the lane-state workspace of _lane_oracle may take
-_LANE_BUDGET = 2 << 30
-
-
-def _lane_oracle(model: ModelSpec, eng: MildEngine, drive, uvals: np.ndarray,
-                 point: tuple[int, ...]) -> np.ndarray:
-    """Same R as _adjoint_route, by a forward solve of the linearised equation.
-
-    The state carries one lane per (slab, mode), the full H_T-valued field
-    history, and sums the history directly, so it is an independent check
-    for small grids; the cost guard raises when the workspace would exceed
-    _LANE_BUDGET bytes.
-    """
-    lat, jt, dt = eng.lat, eng.jt, eng.grid.dt
-    lanes = jt * lat.ncoords
-    need = (jt * lanes * lat.nspec * 16) + (lanes * int(np.prod(lat.spatial_shape)) * 8)
-    if need > _LANE_BUDGET:
-        raise MemoryBudgetError(f"lane-state workspace needs {need} bytes; "
-                                f"grid too large for budget {_LANE_BUDGET}")
-    if uvals.shape[0] < jt + 1:
-        raise GridError("field history shorter than the observation time")
-    phik = lat.synthesize(np.eye(lat.ncoords))                    # (ncoords, *spatial)
-    hist = np.zeros((jt, lanes, lat.nspec), dtype=np.complex128)
-
-    def state(j):                           # sum_{i<j} K_{j-i} rho_i, (lanes, *spatial)
-        return eng._to_field(np.einsum("lf,lgf->gf", eng.weights[j:0:-1], hist[:j]))
-
-    for j in range(jt):
-        rho = _factor(model, dt, uvals[j], drive(j)) * state(j)
-        rho = rho.reshape(jt, lat.ncoords, *lat.spatial_shape)
-        rho[j] += model.sigma(uvals[j]) * phik
-        hist[j] = eng._to_spec(rho.reshape(lanes, *lat.spatial_shape))
-    out = np.zeros((eng.grid.nt, lat.ncoords))
-    out[:jt] = state(jt)[(..., *point)].reshape(jt, lat.ncoords)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # public operations
 
@@ -577,21 +517,20 @@ def check_wave_domain(model: ModelSpec, grid: GridSpec, x=None) -> None:
 
 
 def simulate(model: ModelSpec, grid: GridSpec, path: NoisePath,
-             t: float | None = None, h: ControlH | None = None) -> Field:
-    """Field driven by one noise path or, given a control h, by the path shifted by h / eps."""
+             t: float | None = None) -> Field:
+    """Field driven by one noise path: the skeleton of its control path.control(eps)."""
     eng, w_tab = _prepare(model, grid, t)
-    drive = _drive(eng, model.eps, h=h, inc=path.increments)
+    drive = _drive(eng, path.control(model.eps))
     return Field(_forward(model, eng, w_tab, drive), grid, model.cov)
 
 
 def endpoint_ensemble(model: ModelSpec, grid: GridSpec, streams, x,
-                      h: ControlH | None = None, t: float | None = None,
-                      with_girsanov: bool = False):
+                      h: ControlH | None = None, t: float | None = None):
     """Batched endpoint samples u(t, x) for many replica streams.
 
-    With a control h the shifted equation is simulated; with_girsanov also
-    returns the discrete stochastic integrals sum_{i,k} h(i,k) dW(i,k)
-    needed by the change-of-measure weights, so it needs h.
+    With a control h the shifted equation is simulated, and the return is
+    (samples, dots) with dots the discrete stochastic integrals
+    sum_{i,k} h(i,k) dW(i,k) needed by the change-of-measure weights.
 
     The streams run in the sub-batches of _sub_batch, one forward sweep
     each, concatenated in stream order.  Within one the increments are
@@ -603,48 +542,20 @@ def endpoint_ensemble(model: ModelSpec, grid: GridSpec, streams, x,
     """
     if len(streams) < 1:
         raise ValueError("endpoint_ensemble needs at least one stream")
-    if with_girsanov and h is None:
-        raise ValueError("with_girsanov needs the tilt control h")
     eng, w_tab = _prepare(model, grid, t)
     point = _observation_index(model, grid, eng.lat, x)
     size = _sub_batch(eng.lat, eng.jt, len(streams))[0]
 
     def run(part):
-        inc = _Increments(eng, part, h if with_girsanov else None)
-        u = _forward(model, eng, w_tab, _drive(eng, model.eps, h=h, inc=inc),
-                     batch=len(part))
-        return u[(slice(None), *point)], inc.girsanov() if with_girsanov else None
+        inc = _Increments(eng, part, h)
+        u = _forward(model, eng, w_tab, _drive(eng, h, model.eps, inc), batch=len(part))
+        return u[(slice(None), *point)], None if h is None else inc.girsanov()
 
     parts = [run(streams[lo: lo + size]) for lo in range(0, len(streams), size)]
     samples = np.concatenate([p[0] for p in parts])
-    if not with_girsanov:
+    if h is None:
         return samples
     return samples, np.concatenate([p[1] for p in parts])
-
-
-def first_variation(model: ModelSpec, grid: GridSpec, path: NoisePath,
-                    u: Field, t: float | None = None, x=None) -> np.ndarray:
-    """Solve the first-variation (Malliavin derivative) equation forward.
-
-    Returns the derivative of u(t, x) with respect to the noise as an
-    (nt, ncoords) array over (time slab, mode); rows at or beyond t are
-    zero.  The state is the full H_T-valued field history, so this is for
-    small grids; the cost guard raises when the workspace would exceed
-    _LANE_BUDGET (2 GiB).
-    """
-    eng, _ = _prepare(model, grid, t)
-    point = _observation_index(model, grid, eng.lat, x)
-    drive = _drive(eng, model.eps, inc=path.increments)
-    return model.eps * _lane_oracle(model, eng, drive, u.values, point)
-
-
-def malliavin_adjoint(model: ModelSpec, grid: GridSpec, path: NoisePath,
-                      u: Field, t: float | None = None, x=None) -> np.ndarray:
-    """Same derivative as first_variation via the reverse sweep (cheap route)."""
-    eng, _ = _prepare(model, grid, t)
-    point = _observation_index(model, grid, eng.lat, x)
-    drive = _drive(eng, model.eps, inc=path.increments)
-    return model.eps * _adjoint_route(model, eng, drive, u.values, point)
 
 
 def picard_verify(model: ModelSpec, grid: GridSpec, path: NoisePath,
@@ -659,7 +570,7 @@ def picard_verify(model: ModelSpec, grid: GridSpec, path: NoisePath,
         raise ValueError("picard verification needs iters >= 2")
     eng, w_tab = _prepare(model, grid, t)
     lat, jt, dt = eng.lat, eng.jt, grid.dt
-    drive = _drive(eng, model.eps, inc=path.increments)
+    drive = _drive(eng, path.control(model.eps))
     wl_all = eng.weights
 
     current = np.broadcast_to(w_tab, (jt + 1,) + lat.spatial_shape).copy()

@@ -9,7 +9,7 @@ PUBLIC = [
     "QuadratureError", "RateResult", "ScalarFunc", "ShapeError", "SweepResult",
     "TiltError", "VaradhanLabError", "ZeroInitial", "ZeroModeError",
     "covkernel", "dphi_window_norm", "errors", "estimate_density",
-    "expansion_check", "first_variation", "fit_exponent", "forward_xi",
+    "expansion_check", "fit_exponent", "forward_xi",
     "fourier_lambda", "funcs", "g1", "g1_grid", "gradient_phi", "ht_inner",
     "init_shift", "j1", "j2", "lattice", "localization_holds", "make_func",
     "mc", "noise", "parse_func", "picard_verify", "rate", "rate_function",

@@ -193,6 +193,8 @@ def _manifest(path):
     ("support", ["task.budgets=-1,1", "task.n=40",      # negative-budget guard
                  "task.n_list=2,3"]),
     ("rate", ["task.y=", "task.y_grid=0:1:0"]),         # empty-grid guard
+    ("rate", ["task.y=nan"]),                           # non-finite target guards,
+    ("rate", ["task.y=", "task.y_grid=0,nan"]),         # not a blow-up at step 1
 ])
 def test_value_error_fails_the_run_cleanly(subcommand, overrides, tmp_path, capsys):
     args = [subcommand, *TINY] + [a for o in overrides for a in ("--set", o)]
@@ -201,6 +203,37 @@ def test_value_error_fails_the_run_cleanly(subcommand, overrides, tmp_path, caps
     manifest = _manifest(tmp_path)
     assert manifest["failed"] and manifest["error"] == "ValueError"
     assert "step" not in manifest
+
+
+def test_varadhan_rejects_a_non_finite_y(tmp_path, monkeypatch, capsys):
+    assert main(["rate", *TINY, "--out", str(tmp_path)]) == 0
+    calls = []
+    monkeypatch.setattr(mc, "varadhan_sweep", lambda *a, **kw: calls.append(a))
+    assert main(["varadhan", *TINY, "--set", "task.y=inf", "--set", "task.n=2000",
+                 "--out", str(tmp_path)]) == 1
+    assert not calls                              # no sweep at the first stored entry
+    assert "task.y = inf is not finite" in capsys.readouterr().err
+    assert _manifest(tmp_path)["error"] == "ConfigError"
+
+
+def test_density_on_an_empty_y_grid_draws_no_replica(tmp_path, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(mc, "sample_endpoints", lambda *a, **kw: calls.append(a))
+    assert main(["density", *TINY, "--set", "task.y_grid=0:1:0", "--set", "task.n=1000",
+                 "--out", str(tmp_path)]) == 1
+    assert not calls
+    assert "error: y_grid is empty" in capsys.readouterr().err
+    assert _manifest(tmp_path)["error"] == "ValueError"
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_exits_2(jobs, tmp_path, capsys):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", *TINY, "--jobs", jobs, "--out", str(out)])
+    assert exc.value.code == 2
+    assert "--jobs must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_blow_up_writes_its_step(tmp_path):

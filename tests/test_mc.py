@@ -108,12 +108,6 @@ class TestSampleEndpointsGuards:
         with pytest.raises(ValueError, match="n >= 1"):
             sample_endpoints(nonlinear_model, tiny_grid, 0, 0.0)
 
-    def test_girsanov_without_a_tilt_is_a_value_error(self, tiny_grid,
-                                                      nonlinear_model):
-        with pytest.raises(ValueError, match="needs the tilt control h"):
-            sample_endpoints(nonlinear_model, tiny_grid, 4, 0.0,
-                             with_girsanov=True)
-
 
 class TestStreamInvariance:
     """Each stream's endpoint is a function of the stream id alone."""
@@ -128,8 +122,7 @@ class TestStreamInvariance:
             (tiny_grid.nt, lat.ncoords)))
         plain = np.array([endpoint_ensemble(nonlinear_model, tiny_grid, [s], 0.0)[0]
                           for s in range(self.N_STREAMS)])
-        tilted = [endpoint_ensemble(nonlinear_model, tiny_grid, [s], 0.0, h=h,
-                                    with_girsanov=True)
+        tilted = [endpoint_ensemble(nonlinear_model, tiny_grid, [s], 0.0, h=h)
                   for s in range(self.N_STREAMS)]
         return h, plain, np.array([t[0][0] for t in tilted]), \
             np.array([t[1][0] for t in tilted])
@@ -158,8 +151,7 @@ class TestStreamInvariance:
                 mock.patch.object(solver, "_STATE_BUDGET", per_batch * state):
             if tilt:
                 got, got_dots = sample_endpoints(nonlinear_model, tiny_grid, n, 0.0,
-                                                 h=h, stream0=stream0,
-                                                 with_girsanov=True)
+                                                 h=h, stream0=stream0)
                 self._close(got, tilted[window])
                 self._close(got_dots, dots[window])
             else:

@@ -268,11 +268,13 @@ class TestSamplePath:
             se = np.std(flat[:, 0] * flat[:, lag_pts]) / np.sqrt(n)
             assert abs(emp - model) < 3.0 * se
 
-    def test_shifted_path(self, lat):
+    def test_control_is_the_drive(self, lat):
+        # c = h + (eps / dt) dW, h = 0 when absent
         h = ControlH(lat, np.ones((lat.grid.nt, lat.ncoords)))
         p = sample_path(lat, 0)
-        q = p.shifted(h, 2.0)
-        assert np.allclose(q.increments - p.increments, 2.0 * lat.grid.dt)
+        c0, c = p.control(0.5), p.control(0.5, h)
+        assert np.array_equal(c0.coeffs, 0.5 / lat.grid.dt * p.increments)
+        assert np.array_equal(c.coeffs, h.coeffs + c0.coeffs)
 
 
 class TestControlH:
@@ -304,10 +306,6 @@ class TestControlH:
     def test_positive_definite(self, lat, rng):
         h = ControlH(lat, 1e-3 * rng.standard_normal((lat.grid.nt, lat.ncoords)))
         assert h.norm_sq > 0.0
-
-    def test_norm_cache_consistent(self, lat, rng):
-        h = ControlH(lat, rng.standard_normal((lat.grid.nt, lat.ncoords)))
-        assert h.check_norm()
 
     def test_shape_mismatch_signals(self, lat):
         other = lattice(COV, GridSpec(L=1.25, nx=64, nt=32, T=1.0, nk=32, seed=0))

@@ -137,6 +137,14 @@ class TestRateProfile:
         with pytest.raises(ValueError):
             rate_profile(linear_model, grid, [0.5, 0.1], x=0.0)
 
+    @pytest.mark.parametrize("y", [np.nan, np.inf, -np.inf])
+    def test_non_finite_target_is_a_value_error(self, grid, linear_model, y):
+        # a NaN target would become a NaN control and read as a blow-up
+        with pytest.raises(ValueError, match="not finite"):
+            rate_function(linear_model, grid, y, x=0.0)
+        with pytest.raises(ValueError, match="non-finite"):
+            rate_profile(linear_model, grid, [0.5, y], x=0.0)
+
 
 class TestSupportProbe:
     def test_budget_zero_degenerate(self, grid, nonlinear_model):

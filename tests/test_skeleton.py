@@ -132,8 +132,7 @@ _DRIFTS = [make_func("zero"), make_func("const", 0.3), make_func("affine", 0.1, 
                                       for i, drift in enumerate(_DRIFTS)],
                          ids=lambda f: f.label())
 def test_gradient_routes_across_registry(tiny_grid, sigma, b):
-    from varadhanlab.solver import (ModelSpec, ZeroInitial, first_variation,
-                                    malliavin_adjoint, simulate)
+    from varadhanlab.solver import ModelSpec, ZeroInitial, simulate
     m = ModelSpec(COV, sigma, b, ZeroInitial(), 0.7, 0.25)
     lat = lattice(COV, tiny_grid)
     rng = np.random.default_rng(8)
@@ -156,8 +155,8 @@ def test_gradient_routes_across_registry(tiny_grid, sigma, b):
         assert abs(fd - ht_inner(G, g)) <= 1e-4 * abs(fd)
     Xi = forward_xi(m, tiny_grid, h, x=0.0)
     assert np.max(np.abs(G.coeffs - Xi.coeffs)) < 1e-10
-    D = first_variation(m, tiny_grid, path, u, x=0.0)
-    Da = malliavin_adjoint(m, tiny_grid, path, u, x=0.0)
+    D = m.eps * forward_xi(m, tiny_grid, path.control(m.eps), x=0.0).coeffs
+    Da = m.eps * gradient_phi(m, tiny_grid, path.control(m.eps), x=0.0, phi=u).coeffs
     assert np.max(np.abs(D - Da)) < 1e-12
 
 

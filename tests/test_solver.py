@@ -7,12 +7,12 @@ from varadhanlab import mc, presets
 from varadhanlab.covkernel import CovarianceSpec, g1
 from varadhanlab.errors import BlowUpError, GridError, MemoryBudgetError
 from varadhanlab.funcs import ONE, ZERO, make_func
-from varadhanlab.noise import (ControlH, GridSpec, LiveStreams, lattice,
-                               sample_increments, sample_path)
+from varadhanlab.noise import (ControlH, GridSpec, LiveStreams, NoisePath,
+                               ht_inner, lattice, sample_increments, sample_path)
+from varadhanlab.skeleton import forward_xi, gradient_phi, solve_phi
 from varadhanlab.solver import (_BLOCK, BumpInitial, MildEngine, ModelSpec,
                                 ZeroInitial, _Increments, _sub_batch,
-                                check_wave_domain, endpoint_ensemble,
-                                first_variation, g1_grid, malliavin_adjoint,
+                                check_wave_domain, endpoint_ensemble, g1_grid,
                                 picard_verify, simulate)
 
 COV = presets.WAVE_WHITE
@@ -34,15 +34,14 @@ class TestModelSpec:
             check_wave_domain(presets.linear_model(), grid, 0.0)
 
     @pytest.mark.parametrize("entry", [
-        "endpoint_ensemble", "sample_endpoints", "gradient_phi", "first_variation",
-        "malliavin_adjoint", "rate_function", "rate_profile", "support_probe",
-        "bare_kernel_control", "forward_xi", "chaos_ensemble"])
+        "endpoint_ensemble", "sample_endpoints", "gradient_phi", "rate_function",
+        "rate_profile", "support_probe", "bare_kernel_control", "forward_xi",
+        "chaos_ensemble"])
     def test_entry_points_enforce_wave_domain(self, entry):
         # L = 0.9 < |x| + T = 1: periodic wraparound would reach x
         from varadhanlab.mc import sample_endpoints
         from varadhanlab.rate import rate_function, rate_profile, support_probe
-        from varadhanlab.skeleton import (bare_kernel_control, chaos_ensemble,
-                                          forward_xi, gradient_phi)
+        from varadhanlab.skeleton import bare_kernel_control, chaos_ensemble
 
         grid = GridSpec(L=0.9, nx=32, nt=16, T=1.0, nk=16, seed=0)
         m = presets.nonlinear_model()
@@ -52,10 +51,6 @@ class TestModelSpec:
             "endpoint_ensemble": lambda: endpoint_ensemble(m, grid, [0, 1], 0.0),
             "sample_endpoints": lambda: sample_endpoints(m, grid, 2, 0.0),
             "gradient_phi": lambda: gradient_phi(m, grid, ControlH.zeros(lat), x=0.0),
-            "first_variation": lambda: first_variation(
-                m, grid, path, simulate(m, grid, path), x=0.0),
-            "malliavin_adjoint": lambda: malliavin_adjoint(
-                m, grid, path, simulate(m, grid, path), x=0.0),
             "rate_function": lambda: rate_function(m, grid, 1.0, x=0.0),
             "rate_profile": lambda: rate_profile(m, grid, [0.5, 1.0], x=0.0),
             "support_probe": lambda: support_probe(m, grid, 2, [1.0], x=0.0),
@@ -161,13 +156,6 @@ class TestEnsembleGuards:
         with pytest.raises(ValueError, match="at least one stream"):
             endpoint_ensemble(nonlinear_model, tiny_grid, [], 0.0)
 
-    def test_girsanov_without_a_tilt_is_a_value_error(self, tiny_grid,
-                                                      nonlinear_model):
-        # the dots pair the noise with h: without h they would be silent zeros
-        with pytest.raises(ValueError, match="needs the tilt control h"):
-            endpoint_ensemble(nonlinear_model, tiny_grid, range(4), 0.0,
-                              with_girsanov=True)
-
     def test_field_at_past_its_horizon_is_a_grid_error(self, tiny_grid,
                                                        nonlinear_model):
         lat = lattice(COV, tiny_grid)
@@ -207,8 +195,7 @@ class TestStreamedIncrements:
         lat = lattice(COV, mc_grid)
         h = ControlH(lat, np.random.default_rng(2).standard_normal((mc_grid.nt, lat.ncoords)))
         streams = list(range(40, 80))
-        _, dots = endpoint_ensemble(m, mc_grid, streams, 0.0, h=h, t=0.4,
-                                    with_girsanov=True)
+        _, dots = endpoint_ensemble(m, mc_grid, streams, 0.0, h=h, t=0.4)
         whole = np.stack([sample_path(lat, s).increments for s in streams])
         want = np.einsum("bik,ik->b", whole, h.coeffs)
         np.testing.assert_allclose(dots, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
@@ -272,7 +259,6 @@ class TestChunkMemory:
 
 def _coarsen(path_fine, lat_coarse):
     """Restrict a fine path to a coarse lattice: sum time pairs, match modes."""
-    from varadhanlab.noise import NoisePath
     lf = path_fine.lattice
     ratio = lf.grid.nt // lat_coarse.grid.nt
     inc = path_fine.increments.reshape(lat_coarse.grid.nt, ratio, -1).sum(axis=1)
@@ -292,8 +278,9 @@ class TestShiftIdentity:
         h = ControlH(lat, 0.4 * rng.standard_normal((mc_grid.nt, lat.ncoords)))
         for s in range(20):
             p = sample_path(lat, s)
-            u1 = simulate(m, mc_grid, p.shifted(h, 1.0 / m.eps))
-            u2 = simulate(m, mc_grid, p, h=h)
+            shifted = NoisePath(lat, p.increments + mc_grid.dt / m.eps * h.coeffs)
+            u1 = simulate(m, mc_grid, shifted)
+            u2 = solve_phi(m, mc_grid, p.control(m.eps, h))
             assert np.max(np.abs(u1.values - u2.values)) < 1e-8
 
     @pytest.mark.parametrize("with_h", [False, True])
@@ -307,7 +294,9 @@ class TestShiftIdentity:
             if with_h else None
         streams = [0, 3, 11, 12]
         batch = endpoint_ensemble(m, mc_grid, streams, 0.0, h=h)
-        single = [simulate(m, mc_grid, sample_path(lat, s), h=h).endpoint(0.0)
+        if with_h:
+            batch = batch[0]
+        single = [solve_phi(m, mc_grid, sample_path(lat, s).control(m.eps, h)).endpoint(0.0)
                   for s in streams]
         np.testing.assert_allclose(batch, single, rtol=1e-12, atol=0.0)
 
@@ -316,28 +305,32 @@ class TestShiftIdentity:
         lat = lattice(COV, small_grid)
         p = sample_path(lat, 2)
         u1 = simulate(m, small_grid, p)
-        u2 = simulate(m, small_grid, p, h=ControlH.zeros(lat))
+        u2 = solve_phi(m, small_grid, p.control(m.eps, ControlH.zeros(lat)))
         assert np.array_equal(u1.values, u2.values)
 
     def test_linear_limit_matches_skeleton(self, small_grid, rng):
         # sigma = 1, b = 0, eps -> 0: shifted field equals w + <Lambda, h>
-        from varadhanlab.skeleton import solve_phi
         m = presets.linear_model(eps=0.0)
         lat = lattice(COV, small_grid)
         h = ControlH(lat, rng.standard_normal((small_grid.nt, lat.ncoords)))
         p = sample_path(lat, 0)
-        u = simulate(m, small_grid, p, h=h)
+        u = solve_phi(m, small_grid, p.control(m.eps, h))
         phi = solve_phi(m, small_grid, h)
         assert np.allclose(u.values, phi.values, atol=1e-12)
 
 
 class TestFirstVariation:
+    """D u(t, x) = eps G(c) for the path's control c = path.control(eps).
+
+    The lane route is eps forward_xi(c), the adjoint route
+    eps gradient_phi(c, phi=u).
+    """
+
     def test_linear_norm_is_exact(self, small_grid):
         m = presets.linear_model(eps=0.5)
         lat = lattice(COV, small_grid)
         p = sample_path(lat, 1)
-        u = simulate(m, small_grid, p)
-        D = first_variation(m, small_grid, p, u, x=0.0)
+        D = m.eps * forward_xi(m, small_grid, p.control(m.eps), x=0.0).coeffs
         want = 0.25 * g1_grid(COV, small_grid, 1.0)
         assert ControlH(lat, D).norm_sq == pytest.approx(want, rel=1e-12)
 
@@ -345,8 +338,7 @@ class TestFirstVariation:
         m = presets.nonlinear_model(eps=0.5)
         lat = lattice(COV, small_grid)
         p = sample_path(lat, 1)
-        u = simulate(m, small_grid, p)
-        D = first_variation(m, small_grid, p, u, t=0.5, x=0.0)
+        D = m.eps * forward_xi(m, small_grid, p.control(m.eps), t=0.5, x=0.0).coeffs
         jt = small_grid.time_index(0.5)
         assert np.all(D[jt:] == 0.0)
         assert np.any(D[:jt] != 0.0)
@@ -356,9 +348,27 @@ class TestFirstVariation:
         lat = lattice(COV, small_grid)
         p = sample_path(lat, 4)
         u = simulate(m, small_grid, p)
-        D = first_variation(m, small_grid, p, u, x=0.0)
-        Da = malliavin_adjoint(m, small_grid, p, u, x=0.0)
+        D = m.eps * forward_xi(m, small_grid, p.control(m.eps), x=0.0).coeffs
+        Da = m.eps * gradient_phi(m, small_grid, p.control(m.eps), x=0.0, phi=u).coeffs
         assert np.max(np.abs(D - Da)) < 1e-12
+
+    @pytest.mark.parametrize("t", [None, 0.5])
+    def test_matches_central_differences_of_simulate(self, small_grid, t):
+        # the path perturbed by tau dt g has the control c + eps tau g, so
+        # d/dtau u(t, x) = <D, g>_{H_T} with D = eps G(c)
+        m = presets.nonlinear_model(eps=0.6)
+        lat = lattice(COV, small_grid)
+        p = sample_path(lat, 5)
+        D = ControlH(lat, m.eps * gradient_phi(m, small_grid, p.control(m.eps), t,
+                                               x=0.0).coeffs)
+        rng = np.random.default_rng(11)
+        dt, tau = small_grid.dt, 1e-5
+        for _ in range(3):
+            g = ControlH(lat, rng.standard_normal((small_grid.nt, lat.ncoords)))
+            up, down = (simulate(m, small_grid, NoisePath(lat, p.increments + s * dt * g.coeffs),
+                                 t).endpoint(0.0) for s in (tau, -tau))
+            fd = (up - down) / (2 * tau)
+            assert abs(fd - ht_inner(D, g)) <= 1e-4 * abs(fd)
 
     def test_eps_scaling_of_norm(self, small_grid):
         # E ||D u||^2 / eps^2 stays within 5% across eps
@@ -370,7 +380,8 @@ class TestFirstVariation:
             for s in range(40):
                 p = sample_path(lat, s)
                 u = simulate(m, small_grid, p)
-                Da = malliavin_adjoint(m, small_grid, p, u, x=0.0)
+                Da = m.eps * gradient_phi(m, small_grid, p.control(m.eps), x=0.0,
+                                          phi=u).coeffs
                 norms.append(ControlH(lat, Da).norm_sq)
             vals.append(np.mean(norms) / eps ** 2)
         assert max(vals) / min(vals) < 1.05
@@ -381,15 +392,26 @@ class TestFirstVariation:
         grid = GridSpec(L=1.25, nx=256, nt=128, T=1.0, nk=127, seed=0)
         m = presets.nonlinear_model()
         p = sample_path(lattice(COV, grid), 0)
-        u = simulate(m, grid, p)
         tracemalloc.start()
         try:
             with pytest.raises(MemoryBudgetError, match="needs 8[0-9]{9} bytes"):
-                first_variation(m, grid, p, u, x=0.0)
+                forward_xi(m, grid, p.control(m.eps), x=0.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 50e6
+
+    def test_budget_guard_runs_before_the_forward_solve(self, monkeypatch):
+        from varadhanlab import skeleton
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("forward solve ran before the budget guard")
+
+        grid = GridSpec(L=1.25, nx=256, nt=128, T=1.0, nk=127, seed=0)
+        m = presets.nonlinear_model()
+        monkeypatch.setattr(skeleton, "_forward", no_solve)
+        with pytest.raises(MemoryBudgetError):
+            forward_xi(m, grid, ControlH.zeros(lattice(COV, grid)), x=0.0)
 
 
 class TestPicard:
