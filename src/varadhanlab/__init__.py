@@ -9,8 +9,8 @@ log-density limit at desk scale.
 
 from .covkernel import (CovarianceSpec, KernelTable, fit_exponent,
                         fourier_lambda, g1, j1, j2, spectral_density)
-from .errors import (BlowUpError, BracketError, ConfigError, GridError,
-                     MemoryBudgetError, QuadratureError, ShapeError,
+from .errors import (BlowUpError, BracketError, ConfigError, FixedPointError,
+                     GridError, MemoryBudgetError, QuadratureError, ShapeError,
                      TiltError, VaradhanLabError, ZeroModeError)
 from .funcs import ScalarFunc, make_func, parse_func
 from .mc import (DensityCurve, SweepResult, estimate_density,

@@ -274,13 +274,14 @@ def fit_exponent(samples) -> float:
 # ---------------------------------------------------------------------------
 # slab-averaged multipliers for the spectral time stepper
 
-def slab_l2_mean(spec: CovarianceSpec, r, a: float, b: float) -> np.ndarray:
+def slab_l2_mean(spec: CovarianceSpec, r, a, b) -> np.ndarray:
     """Mean of F Lambda(u)(r)^2 over the lag slab u in [a, b], per radius r.
 
-    Closed forms; stable branches handle r -> 0.
+    Closed forms; stable branches handle r -> 0.  r, a and b broadcast
+    against each other, so one call evaluates many slabs.
     """
     r = np.asarray(r, dtype=float)
-    if b <= a or a < 0:
+    if np.any(b <= a) or np.any(a < 0):
         raise ValueError("need 0 <= a < b")
     if spec.operator == "heat":
         kappa = 8.0 * math.pi ** 2 * r * r
@@ -290,7 +291,7 @@ def slab_l2_mean(spec: CovarianceSpec, r, a: float, b: float) -> np.ndarray:
         ratio = np.where(small, 1.0, -np.expm1(-xs) / xs)
         return np.exp(-kappa * a) * ratio
     c = 2.0 * math.pi * r
-    small = c * max(b, 1.0) < 1e-3
+    small = c * np.maximum(b, 1.0) < 1e-3
     cs = np.where(small, 1.0, c)
     # mean of sin^2(c u)/c^2 = (1 - cos(c(a+b)) sinc(c(b-a))) / (2 c^2)
     num = 1.0 - np.cos(cs * (a + b)) * np.sinc(cs * (b - a) / math.pi)
@@ -299,7 +300,7 @@ def slab_l2_mean(spec: CovarianceSpec, r, a: float, b: float) -> np.ndarray:
     return np.where(small, series, exact)
 
 
-def slab_sign(spec: CovarianceSpec, r, mid: float) -> np.ndarray:
+def slab_sign(spec: CovarianceSpec, r, mid) -> np.ndarray:
     """Sign of F Lambda at the slab midpoint lag (always +1 for heat)."""
     r = np.asarray(r, dtype=float)
     if spec.operator == "heat":

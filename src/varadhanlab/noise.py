@@ -85,7 +85,9 @@ class Lattice:
     _synth_scale (unused slots read column 0 with scale 0); extract gathers
     the float view of rfftn at _extract_slot times _extract_scale
     (dx^d sqrt(2 w) for cos, its negative for sin, dx^d sqrt(w) for the
-    zero mode).  Immutable after construction; the tables are read-only.
+    zero mode).  The tables are built by array operations over all modes
+    at once (a mask, a lexsort and fancy indexing, no per-mode loop).
+    Immutable after construction; the tables are read-only.
     """
 
     def __init__(self, cov: CovarianceSpec, grid: GridSpec):
@@ -128,68 +130,43 @@ class Lattice:
         self.mu_mult = mult.reshape(self.spec_shape)
 
         # enumerate coordinates: one (cos, sin) pair per representative
-        # entry with weight > 0, one single coordinate for the zero mode;
-        # for d >= 2 a pair on the last-axis-zero plane also fills the flat
-        # index of its conjugate mirror (else -1, None for the zero mode)
-        order_keys = []
-        for idx in np.nonzero(weight > 0)[0].tolist():
-            mm = m[idx]
-            mirror = -1
-            if mm[-1] == 0:
-                lead = mm[:-1]
-                if np.all(lead == 0):
-                    order_keys.append((0.0, tuple(mm), idx, None))
-                    continue
-                nz = lead[lead != 0]
-                if nz[0] < 0:
-                    continue  # conjugate mirror of a representative
-                mir = np.zeros(d, dtype=int)
-                mir[:-1] = -lead
-                mirror = self._flat_index(mir)
-            order_keys.append((radius[idx], tuple(mm), idx, mirror))
-        order_keys.sort(key=lambda k: (k[0], k[1]))
+        # entry with weight > 0, one single coordinate for the zero mode,
+        # ordered by (radius, tuple(m)).  On the last-axis-zero plane
+        # (d >= 2) an entry whose first nonzero leading component is
+        # negative is the conjugate mirror of a representative: the
+        # mixed-radix number of the leading components, digits
+        # |m_a| < nx/2, has the sign of that component.
+        rep = np.flatnonzero(weight > 0)
+        lead = m[rep, :-1] @ (nx ** np.arange(d - 2, -1, -1))
+        rep = rep[(m[rep, -1] != 0) | (lead >= 0)]
+        rep = rep[np.lexsort(tuple(m[rep, a] for a in range(d - 1, -1, -1))
+                             + (radius[rep],))]
+        width = np.where(np.any(m[rep] != 0, axis=-1), 2, 1)   # the zero mode: 1
+        entry = np.repeat(rep, width)             # flat spectrum index per coordinate
+        part = np.arange(entry.size) - np.repeat(np.cumsum(width) - width, width)
+        zero = np.repeat(width == 1, width)
+        sign = 1.0 - 2.0 * part                   # cos and the zero mode +1, sin -1
+        w = weight[entry]
+        self.ncoords = entry.size
+        self.coord_radius = radius[entry]
 
-        # the slot table: per coordinate, the spectrum slots it fills and
-        # the slot extract reads it back from
-        fill, slot, escale, coord_r, coord_label = [], [], [], [], []
-        for r, mm, idx, mirror in order_keys:
-            c, w = len(slot), weight[idx]
-            if mirror is None:
-                fill.append((2 * idx, c, nxd * math.sqrt(w)))
-                slot.append(2 * idx)
-                escale.append(math.sqrt(w) * dxd)
-                coord_r.append(r)
-                coord_label.append(f"{mm}:const")
-                continue
-            sp = nxd * math.sqrt(w / 2.0)
-            fill += [(2 * idx, c, sp), (2 * idx + 1, c + 1, -sp)]
-            if mirror >= 0:
-                fill += [(2 * mirror, c, sp), (2 * mirror + 1, c + 1, sp)]
-            ep = math.sqrt(2.0 * w) * dxd
-            slot += [2 * idx, 2 * idx + 1]
-            escale += [ep, -ep]
-            coord_r += [r, r]
-            coord_label += [f"{mm}:cos", f"{mm}:sin"]
-        self.ncoords = len(slot)
-        self.coord_radius = np.array(coord_r)
-        self.coord_label = coord_label
-        dst, src, scale = zip(*fill)
+        # the slot table: float slot 2f + part holds each coordinate, and
+        # a pair on the plane also fills its conjugate mirror with s (a + i b)
+        self._extract_slot = 2 * entry + part
+        self._extract_scale = np.where(zero, np.sqrt(w), np.sqrt(2.0 * w)) * dxd * sign
+        synth = nxd * np.where(zero, np.sqrt(w), np.sqrt(w / 2.0))
+        mirror = np.flatnonzero((m[entry, -1] == 0) & ~zero)
+        conj = 2 * np.ravel_multi_index(tuple(-m[entry[mirror]].T % nx),
+                                        self.spec_shape) + part[mirror]
         self._synth_col = np.zeros(2 * self.nspec, dtype=np.intp)
-        self._synth_col[list(dst)] = src
         self._synth_scale = np.zeros(2 * self.nspec)
-        self._synth_scale[list(dst)] = scale
-        self._extract_slot = np.array(slot, dtype=np.intp)
-        self._extract_scale = np.array(escale)
+        self._synth_col[self._extract_slot] = np.arange(self.ncoords)
+        self._synth_scale[self._extract_slot] = synth * sign
+        self._synth_col[conj] = mirror
+        self._synth_scale[conj] = synth[mirror]
         for table in (self._synth_col, self._synth_scale,
                       self._extract_slot, self._extract_scale):
             table.setflags(write=False)      # shared by concurrent chunk threads
-
-    def _flat_index(self, m: np.ndarray) -> int:
-        nx = self.grid.nx
-        idx = 0
-        for a in range(self.d - 1):
-            idx = idx * nx + (int(m[a]) % nx)
-        return idx * (nx // 2 + 1) + int(m[-1])
 
     # -- transforms ---------------------------------------------------------
 
@@ -210,14 +187,6 @@ class Lattice:
         out = np.take(spec.view(np.float64), self._extract_slot, axis=-1)
         out *= self._extract_scale
         return out
-
-    def correlation(self, lag) -> float:
-        """Truncated-lattice spatial correlation Gamma(lag) = sum mu(cell) e^{2pi i xi.lag}."""
-        lag = np.atleast_1d(np.asarray(lag, dtype=float))
-        phase = 2.0 * math.pi * (self.xi @ lag)
-        w = (self.mu_weight * self.mu_mult).reshape(-1)
-        # stored entries with mult 2 represent +/- m: cos covers both
-        return float(np.sum(w * np.cos(phase)))
 
     @property
     def xi(self) -> np.ndarray:

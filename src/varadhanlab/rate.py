@@ -47,6 +47,8 @@ class RateResult:
     of init_shift, then the bisection) and the centre's gradient solve.  The
     zero-control endpoint shared by the points of one (t, x) is counted in
     the first point solved, so the counts of a profile sum to its solves.
+    adjoint_sweeps counts the gradient_phi sweeps: one per evaluation, and
+    the centre's one.
     """
 
     y: float
@@ -59,6 +61,7 @@ class RateResult:
     stationarity: float = math.nan
     evaluations: int = 0
     skeleton_solves: int = 0
+    adjoint_sweeps: int = 0
 
     def validate(self, tol_c: float):
         if self.converged and self.residual >= tol_c:
@@ -169,7 +172,8 @@ def _auglag_solve(model, grid, y, h0: ControlH, t, x, tol_c) -> RateResult:
             mu *= _PENALTY_GROWTH
         prev_c = abs(c)
     return RateResult(y, 0.5 * h.norm_sq, h, abs(c), n_outer, converged,
-                      G.norm_sq, stationarity=float(stat), evaluations=evaluations)
+                      G.norm_sq, stationarity=float(stat), evaluations=evaluations,
+                      adjoint_sweeps=evaluations)
 
 
 class _RatePoints:
@@ -195,7 +199,7 @@ class _RatePoints:
             g0 = gradient_phi(model, grid, zero, t, x)     # solves Phi^0 again
             return RateResult(y, 0.0, zero, abs(self.phi0_end - y), 0, True,
                               g0.norm_sq, stationarity=0.0,
-                              skeleton_solves=solves + 1)
+                              skeleton_solves=solves + 1, adjoint_sweeps=1)
         res = None if warm is None else _auglag_solve(model, grid, y, warm, t, x, tol_c)
         if res is None or not res.converged:
             spent = 0 if res is None else res.evaluations
@@ -203,6 +207,7 @@ class _RatePoints:
                                         alpha=max(0.1, 0.1 * abs(y - self.phi0_end)))
             res = _auglag_solve(model, grid, y, h0, t, x, tol_c)
             res.evaluations += spent
+            res.adjoint_sweeps += spent       # one sweep per warm evaluation
             solves += start
         res.skeleton_solves = solves + res.evaluations
         res.validate(tol_c)

@@ -55,7 +55,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import covkernel
 from .covkernel import CovarianceSpec
-from .errors import BlowUpError, GridError
+from .errors import BlowUpError, FixedPointError, GridError
 from .funcs import ScalarFunc
 from .noise import (ControlH, GridSpec, Lattice, LiveStreams, NoisePath, lattice,
                     sample_increments, write_binary)
@@ -193,17 +193,21 @@ def weight_table(cov: CovarianceSpec, grid: GridSpec) -> np.ndarray:
 
     Entry [l] acts on integrands one slab of lag l in the past; entry [0]
     is unused.  Sign follows F Lambda at the midpoint lag so the wave
-    kernel keeps its propagation phase at resolved frequencies.
+    kernel keeps its propagation phase at resolved frequencies.  The rows
+    are built _BLOCK lags at a time, each block one array evaluation over
+    (lags, nspec) with the same arithmetic per entry as one lag alone, so
+    the transient memory stays O(_BLOCK nspec) beside the table.
     """
     lat = lattice(cov, grid)
     dt = grid.dt
     r = lat.xi_radius.reshape(-1)
     out = np.zeros((grid.nt + 1, lat.nspec))
-    for l in range(1, grid.nt + 1):
+    for lo in range(1, grid.nt + 1, _BLOCK):
+        l = np.arange(lo, min(lo + _BLOCK, grid.nt + 1))[:, None]
         a, b = (l - 1) * dt, l * dt
         ms = covkernel.slab_l2_mean(cov, r, a, b)
         sg = covkernel.slab_sign(cov, r, 0.5 * (a + b))
-        out[l] = sg * np.sqrt(ms)
+        out[lo: lo + len(l)] = sg * np.sqrt(ms)
     out.setflags(write=False)
     return out
 
@@ -564,7 +568,9 @@ def picard_verify(model: ModelSpec, grid: GridSpec, path: NoisePath,
 
     Returns the sup-norm residuals between successive iterates.  The map is
     strictly causal, so it reaches the forward solution in at most jt
-    sweeps; the final iterate is checked against simulate to 1e-10.
+    sweeps; the final iterate is checked against simulate to 1e-10, and a
+    larger gap raises FixedPointError with the gap and the sweep count
+    (with fewer than jt sweeps the iteration may not have got there yet).
     """
     if iters < 2:
         raise ValueError("picard verification needs iters >= 2")
@@ -590,5 +596,7 @@ def picard_verify(model: ModelSpec, grid: GridSpec, path: NoisePath,
     ref = simulate(model, grid, path, t).values
     gap = float(np.max(np.abs(current - ref)))
     if gap > 1e-10:
-        raise BlowUpError(f"picard fixed point differs from the forward solve by {gap:.3e}")
+        short = f" (fewer than jt = {jt})" if iters < jt else ""
+        raise FixedPointError(f"picard iterate after {iters} sweeps{short} differs from "
+                              f"the forward solve by {gap:.3e}", gap=gap, sweeps=iters)
     return np.array(residuals)

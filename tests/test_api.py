@@ -4,7 +4,8 @@ import varadhanlab
 # shows up as a diff of this list
 PUBLIC = [
     "BlowUpError", "BracketError", "BumpInitial", "ConfigError", "ControlH",
-    "CovarianceSpec", "DensityCurve", "Field", "GridError", "GridSpec",
+    "CovarianceSpec", "DensityCurve", "Field", "FixedPointError", "GridError",
+    "GridSpec",
     "KernelTable", "Lattice", "MemoryBudgetError", "ModelSpec", "NoisePath",
     "QuadratureError", "RateResult", "ScalarFunc", "ShapeError", "SweepResult",
     "TiltError", "VaradhanLabError", "ZeroInitial", "ZeroModeError",

@@ -294,6 +294,24 @@ def test_rate_result_counts_skeleton_solves(tmp_path):
     assert stored["x"] == [0.0]
 
 
+@pytest.mark.parametrize("y, evaluated", [("1.0", True), ("0.0", False)])
+def test_rate_result_counts_adjoint_sweeps(tmp_path, monkeypatch, y, evaluated):
+    # y = 0 is the zero-control centre of the default model: no evaluation,
+    # one sweep for the gradient there
+    from varadhanlab import rate
+    sweeps, gradient = [], rate.gradient_phi
+    monkeypatch.setattr(rate, "gradient_phi",
+                        lambda *a, **k: sweeps.append(1) or gradient(*a, **k))
+    assert main(["rate", *TINY, "--set", f"task.y={y}", "--out", str(tmp_path)]) == 0
+    entry, = json.loads((tmp_path / "rate_result.json").read_text())["results"]
+    assert entry["adjoint_sweeps"] == len(sweeps)
+    if evaluated:
+        assert entry["adjoint_sweeps"] == entry["evaluations"] >= 1
+    else:
+        assert entry["I"] == 0.0 and entry["evaluations"] == 0
+        assert entry["adjoint_sweeps"] == 1
+
+
 def test_simulate_defaults_to_a_thousand_replicas(tmp_path):
     assert main(["simulate", *TINY, "--out", str(tmp_path)]) == 0
     assert len((tmp_path / "samples.csv").read_bytes().splitlines()) == 1001

@@ -210,6 +210,19 @@ class TestSkeletonSolves:
         monkeypatch.setattr(rate, "solve_phi", counting)
         return calls
 
+    @pytest.fixture()
+    def sweeps(self, monkeypatch):
+        # every adjoint sweep of the rate layer is one rate.gradient_phi call
+        sweeps = []
+        gradient = rate.gradient_phi
+
+        def counting(*args, **kwargs):
+            sweeps.append(args[2])
+            return gradient(*args, **kwargs)
+
+        monkeypatch.setattr(rate, "gradient_phi", counting)
+        return sweeps
+
     def test_point_counts_every_solve(self, tiny_grid, nonlinear_model, calls):
         res = rate_function(nonlinear_model, tiny_grid, 1.0)
         assert res.skeleton_solves == len(calls)
@@ -231,3 +244,20 @@ class TestSkeletonSolves:
         results = rate_profile(nonlinear_model, tiny_grid, sorted([y0, 0.5, 1.0]))
         assert all(r.skeleton_solves >= r.evaluations for r in results)
         assert sum(r.skeleton_solves for r in results) == len(calls) + 1
+
+    def test_point_counts_every_adjoint_sweep(self, tiny_grid, nonlinear_model, sweeps):
+        res = rate_function(nonlinear_model, tiny_grid, 1.0)
+        assert res.adjoint_sweeps == len(sweeps) == res.evaluations >= 1
+
+    def test_centre_counts_its_adjoint_sweep(self, tiny_grid, nonlinear_model, sweeps):
+        y0 = solve_phi(nonlinear_model, tiny_grid,
+                       ControlH.zeros(lattice(COV, tiny_grid))).endpoint()
+        res = rate_function(nonlinear_model, tiny_grid, y0)
+        assert res.evaluations == 0
+        assert res.adjoint_sweeps == len(sweeps) == 1
+
+    def test_profile_sweeps_sum_to_its_gradients(self, tiny_grid, nonlinear_model, sweeps):
+        y0 = solve_phi(nonlinear_model, tiny_grid,
+                       ControlH.zeros(lattice(COV, tiny_grid))).endpoint()
+        results = rate_profile(nonlinear_model, tiny_grid, sorted([y0, 0.5, 1.0]))
+        assert sum(r.adjoint_sweeps for r in results) == len(sweeps)

@@ -5,7 +5,7 @@ import pytest
 
 from varadhanlab import mc, presets
 from varadhanlab.covkernel import CovarianceSpec, g1
-from varadhanlab.errors import BlowUpError, GridError, MemoryBudgetError
+from varadhanlab.errors import BlowUpError, FixedPointError, GridError, MemoryBudgetError
 from varadhanlab.funcs import ONE, ZERO, make_func
 from varadhanlab.noise import (ControlH, GridSpec, LiveStreams, NoisePath,
                                ht_inner, lattice, sample_increments, sample_path)
@@ -258,15 +258,20 @@ class TestChunkMemory:
 
 
 def _coarsen(path_fine, lat_coarse):
-    """Restrict a fine path to a coarse lattice: sum time pairs, match modes."""
+    """Restrict a fine path to a coarse lattice: sum time pairs, match modes.
+
+    A coordinate is named by its mode m and its part, read off the float
+    slot extract reads it from: 0 for cos (or the zero mode), 1 for sin.
+    """
     lf = path_fine.lattice
     ratio = lf.grid.nt // lat_coarse.grid.nt
     inc = path_fine.increments.reshape(lat_coarse.grid.nt, ratio, -1).sum(axis=1)
-    fine_cols = {lbl: i for i, lbl in enumerate(lf.coord_label)}
-    out = np.zeros((lat_coarse.grid.nt, lat_coarse.ncoords))
-    for j, lbl in enumerate(lat_coarse.coord_label):
-        out[:, j] = inc[:, fine_cols[lbl]]
-    return NoisePath(lat_coarse, out)
+
+    def names(lat):
+        return [(tuple(lat._m[s // 2].tolist()), s % 2) for s in lat._extract_slot]
+
+    fine_cols = {name: i for i, name in enumerate(names(lf))}
+    return NoisePath(lat_coarse, inc[:, [fine_cols[name] for name in names(lat_coarse)]])
 
 
 class TestShiftIdentity:
@@ -428,6 +433,18 @@ class TestPicard:
         res = picard_verify(m, small_grid, sample_path(lat, 0), 8)
         tail = res[1:6]
         assert all(b < 0.5 * a for a, b in zip(tail, tail[1:]))
+
+    def test_too_few_sweeps_is_a_fixed_point_error(self, tiny_grid):
+        # 4 sweeps of a 16-step nonlinear solve stop short of the fixed
+        # point; nothing blew up, and the error names the gap and sweeps
+        m = presets.nonlinear_model()
+        path = sample_path(lattice(COV, tiny_grid), 0)
+        with pytest.raises(FixedPointError, match="after 4 sweeps") as err:
+            picard_verify(m, tiny_grid, path, 4)
+        assert not isinstance(err.value, BlowUpError)
+        assert err.value.sweeps == 4 and err.value.gap > 1e-10
+        assert f"{err.value.gap:.3e}" in str(err.value)
+        picard_verify(m, tiny_grid, path, tiny_grid.nt)     # jt sweeps get there
 
     def test_iteration_count_guard(self, small_grid):
         m = presets.linear_model()
