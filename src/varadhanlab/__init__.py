@@ -7,12 +7,12 @@ densities by (optionally tilted) Monte Carlo to check the small-noise
 log-density limit at desk scale.
 """
 
-from .covkernel import (CovarianceSpec, KernelTable, fit_exponent,
-                        fourier_lambda, g1, j1, j2, spectral_density)
+from .covkernel import (CovarianceSpec, fit_exponent, fourier_lambda, g1,
+                        spectral_density)
 from .errors import (BlowUpError, BracketError, ConfigError, FixedPointError,
                      GridError, MemoryBudgetError, QuadratureError, ShapeError,
                      TiltError, VaradhanLabError, ZeroModeError)
-from .funcs import ScalarFunc, make_func, parse_func
+from .funcs import ScalarFunc, parse_func
 from .mc import (DensityCurve, SweepResult, estimate_density,
                  support_convergence, tilted_density, varadhan_sweep)
 from .noise import (ControlH, GridSpec, Lattice, NoisePath, ht_inner,

@@ -197,7 +197,7 @@ def _key_line(text: str, section: str, key: str):
     return "?"
 
 
-def load_config(path: str | None, overrides: list[str], seed: int | None) -> Config:
+def load_config(path: str | None, overrides: list[str]) -> Config:
     text = Path(path).read_text() if path else DEFAULT_CONFIG
     parser = _parse_ini(text)
     for item in overrides:
@@ -215,10 +215,6 @@ def load_config(path: str | None, overrides: list[str], seed: int | None) -> Con
         if not parser.has_section(section):
             parser.add_section(section)
         parser.set(section, key, value.strip())
-    if seed is not None:
-        if not parser.has_section("grid"):
-            parser.add_section("grid")
-        parser.set("grid", "seed", str(seed))
     return Config(parser, text)
 
 
@@ -465,9 +461,10 @@ def _validation_checks(executor, full: bool) -> list[tuple[str, bool, str]]:
         record(f"kernel g1 closed vs quadrature [{spec.label()}]", rel < 1e-3,
                f"rel={rel:.2e}")
 
-    # exponent fits
-    for spec, expect in ((CovarianceSpec("wave", 1, "white"), 2.0),
-                         (CovarianceSpec("heat", 1, "riesz", 0.5), 0.75)):
+    # exponent fits: g1(t) ~ t^gamma
+    for spec in (CovarianceSpec("wave", 1, "white"),
+                 CovarianceSpec("heat", 1, "riesz", 0.5)):
+        expect = spec.exponents[0]
         ts = np.geomspace(0.05, 1.0, 8)
         fitted = covkernel.fit_exponent([(t, covkernel.g1(spec, t)) for t in ts])
         record(f"kernel exponent fit [{spec.label()}]", abs(fitted - expect) < 0.01,
@@ -554,8 +551,6 @@ def main(argv=None) -> int:
                              "empty value (repeatable)")
     parser.add_argument("--jobs", type=int, default=1,
                         help="worker threads for replica chunks")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="override grid.seed")
     parser.add_argument("--out", default=None,
                         help="output directory (default $VARADHAN_LAB_OUT or ./out)")
     parser.add_argument("--dry-run", action="store_true",
@@ -567,7 +562,7 @@ def main(argv=None) -> int:
         parser.error(f"--jobs must be at least 1, got {args.jobs}")
 
     try:
-        cfg = load_config(args.config, args.overrides, args.seed)
+        cfg = load_config(args.config, args.overrides)
     except (ConfigError, VaradhanLabError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

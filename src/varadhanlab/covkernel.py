@@ -2,14 +2,17 @@
 
 Supported operators are the wave and heat operators on R^d with either a
 Riesz spatial correlation (spectral density |xi|^{-(d-beta)}) or white
-spatial noise in d=1.  The module provides the Fourier transform of the
-fundamental solution, the energy kernels
+spatial noise in d=1.  With the energy kernels
 
     j1(s) = int |F Lambda(s)(xi)|^2 mu(dxi),      j2(s) = Lambda(s)(R^d),
     g1(t) = int_0^t j1(s) ds,
 
-their closed power-law forms with constants computed once by quadrature,
-and slab-averaged squared multipliers used by the spectral time stepper.
+the module provides the Fourier transform of the fundamental solution;
+g1 in its closed power-law form, with constants computed once by
+quadrature, and by an independent radial quadrature of j1 (validate
+compares the two); int_0^t j2, which bounds the drift's reach in the
+bracket of rate.init_shift; the scaling exponents of CovarianceSpec; and
+the slab-averaged squared multipliers used by the spectral time stepper.
 
 scipy is imported on first use, inside the functions that call it:
 _wave_sin2_moment, _j1_coefficients, _j1_quadrature and g1's quadrature
@@ -131,15 +134,6 @@ def fourier_lambda(spec: CovarianceSpec, t: float, xi) -> np.ndarray:
     return np.exp(-4.0 * math.pi ** 2 * t * r * r)
 
 
-def j2(spec: CovarianceSpec, t: float) -> float:
-    """Total mass Lambda(t)(R^d): t for wave, 1 for heat."""
-    if t < 0:
-        raise ValueError("time must be nonnegative")
-    if spec.operator == "wave":
-        return float(t)
-    return 1.0
-
-
 def j2_integral(spec: CovarianceSpec, t: float) -> float:
     """int_0^t Lambda(s)(R^d) ds: t^2/2 for wave, t for heat."""
     if spec.operator == "wave":
@@ -181,28 +175,8 @@ def _j1_coefficients(spec: CovarianceSpec) -> tuple[float, float]:
     return coeff, -b / 2.0
 
 
-def j1(spec: CovarianceSpec, s: float, method: str = "closed") -> float:
-    """Energy kernel j1(s) = int |F Lambda(s)|^2 dmu.
-
-    method="closed" evaluates the cached power law; method="quadrature"
-    integrates the radial spectral integral directly (independent route,
-    used for cross-checks).
-    """
-    if s < 0:
-        raise ValueError("time must be nonnegative")
-    if s == 0.0:
-        if spec.operator == "heat":
-            raise ValueError("heat j1 diverges at s = 0")
-        return 0.0
-    if method == "closed":
-        coeff, p = _j1_coefficients(spec)
-        return coeff * s ** p
-    if method != "quadrature":
-        raise ValueError("method must be 'closed' or 'quadrature'")
-    return _j1_quadrature(spec, s)
-
-
 def _j1_quadrature(spec: CovarianceSpec, s: float) -> float:
+    """j1(s) for s > 0 by the radial spectral integral, independent of the closed form."""
     from scipy import integrate
 
     b = spec.beta_eff
@@ -307,45 +281,3 @@ def slab_sign(spec: CovarianceSpec, r, mid) -> np.ndarray:
         return np.ones_like(r)
     s = np.sign(np.sin(2.0 * math.pi * r * mid))
     return np.where(s == 0.0, 1.0, s)
-
-
-# ---------------------------------------------------------------------------
-# tabulated kernels
-
-@dataclass
-class KernelTable:
-    """Tabulated energy kernels on a time grid, with the scaling exponents."""
-
-    spec: CovarianceSpec
-    times: np.ndarray
-    j1: np.ndarray
-    j2: np.ndarray
-    g1: np.ndarray
-    gamma: float
-    eta: float
-    delta: float
-
-    @classmethod
-    def build(cls, spec: CovarianceSpec, T: float, n: int = 64,
-              method: str = "closed") -> "KernelTable":
-        times = np.linspace(0.0, T, n + 1)
-        j1v = np.array([0.0 if (t == 0 and spec.operator == "wave")
-                        else (np.nan if t == 0 else j1(spec, t, method))
-                        for t in times])
-        if spec.operator == "heat":
-            j1v[0] = np.inf
-        j2v = np.array([j2(spec, t) for t in times])
-        g1v = np.array([g1(spec, t, method) for t in times])
-        gamma, eta, delta = spec.exponents
-        table = cls(spec, times, j1v, j2v, g1v, gamma, eta, delta)
-        table.validate()
-        return table
-
-    def validate(self):
-        if self.g1[0] != 0.0:
-            raise ValueError("g1(0) must vanish")
-        if np.any(np.diff(self.g1) < -1e-12):
-            raise ValueError("g1 must be nondecreasing")
-        finite = np.isfinite(self.j1)
-        if np.any(self.j1[finite] < 0.0) or np.any(self.j2 < 0.0):
-            raise ValueError("j1 and j2 must be nonnegative")

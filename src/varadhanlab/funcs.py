@@ -34,11 +34,6 @@ class ScalarFunc:
     def deriv(self, u):
         return _REGISTRY[self.name].df(np.asarray(u, dtype=float), *self.args)
 
-    def label(self) -> str:
-        if not self.args:
-            return self.name
-        return self.name + ":" + ",".join(repr(a) for a in self.args)
-
 
 @dataclass(frozen=True)
 class _Entry:
@@ -75,10 +70,6 @@ SIGMA_DEFAULT = ScalarFunc("cos_perturbed", (1.0, 0.25))
 B_DEFAULT = ScalarFunc("tanh_bounded", (0.5,))
 
 
-def make_func(name: str, *args: float) -> ScalarFunc:
-    return ScalarFunc(name, tuple(float(a) for a in args))
-
-
 def parse_func(text: str) -> ScalarFunc:
     """Parse ``"name"`` or ``"name:1.0,2.0"`` into a ScalarFunc."""
     text = text.strip()
@@ -90,16 +81,16 @@ def parse_func(text: str) -> ScalarFunc:
     return ScalarFunc(name.strip(), args)
 
 
-def sup_abs(fn: ScalarFunc, lo: float = -50.0, hi: float = 50.0, n: int = 4001) -> float:
+def sup_abs(fn: ScalarFunc, lo: float = -50.0, hi: float = 50.0) -> float:
     """Sampled sup of |fn| over a wide test range."""
-    u = np.linspace(lo, hi, n)
+    u = np.linspace(lo, hi, 4001)
     return float(np.max(np.abs(fn(u))))
 
 
-def looks_bounded(fn: ScalarFunc, rtol: float = 1e-2) -> bool:
-    """Heuristic boundedness check: the sampled sup stops growing with the range."""
+def looks_bounded(fn: ScalarFunc) -> bool:
+    """Heuristic boundedness check: the sampled sup grows by at most 1% with the range."""
     near = sup_abs(fn, -100.0, 100.0)
     far = sup_abs(fn, -1e4, 1e4)
     if far == 0.0:
         return True
-    return far <= near * (1.0 + rtol)
+    return far <= near * (1.0 + 1e-2)

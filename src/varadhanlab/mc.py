@@ -136,15 +136,14 @@ def sample_endpoints(model: ModelSpec, grid: GridSpec, n: int, x,
 
 def estimate_density(model: ModelSpec, grid: GridSpec, n: int, y_grid,
                      t: float | None = None, x=None, bandwidth: float | None = None,
-                     stream0: int = 0, executor=None) -> DensityCurve:
+                     executor=None) -> DensityCurve:
     """Gaussian-kernel estimate of the endpoint density at the y_grid points."""
     if n < 1000:
         raise ValueError("density estimation needs at least 10^3 replicas")
     y_grid = np.atleast_1d(np.asarray(y_grid, dtype=float))
     if y_grid.size == 0:
         raise ValueError("y_grid is empty")
-    samples = sample_endpoints(model, grid, n, x, t=t, stream0=stream0,
-                               executor=executor)
+    samples = sample_endpoints(model, grid, n, x, t=t, executor=executor)
     bw = bandwidth if bandwidth is not None else silverman_bandwidth(samples)
     curve = DensityCurve(model.eps, y_grid, gaussian_kde(samples, y_grid, bw),
                          _batch_se(samples, y_grid, bw), bw, n)
@@ -292,7 +291,7 @@ def varadhan_sweep(model: ModelSpec, grid: GridSpec, eps_list, y: float,
 
 def support_convergence(model: ModelSpec, grid: GridSpec, n_list, n_replicas: int,
                         h: ControlH | None = None, theta: float = 0.9,
-                        t: float | None = None, x=None, stream0: int = 0) -> list[dict]:
+                        t: float | None = None, x=None) -> list[dict]:
     """Smoothing/localization approximation errors per smoothing level.
 
     For each level n (with paths coupled across levels): the median over
@@ -305,6 +304,8 @@ def support_convergence(model: ModelSpec, grid: GridSpec, n_list, n_replicas: in
     from .noise import localization_holds, sample_path, smooth_vn
 
     n_list = list(n_list)
+    if not n_list:
+        raise ValueError("n_list is empty")
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ValueError("n_list must be strictly increasing")
     lat = lattice(model.cov, grid)
@@ -317,11 +318,11 @@ def support_convergence(model: ModelSpec, grid: GridSpec, n_list, n_replicas: in
     if h is not None:
         phi_h_end = solve_phi(model, grid, h, t).endpoint(x)
 
-    u_end = sample_endpoints(model, grid, n_replicas, x, t=t, stream0=stream0)
+    u_end = sample_endpoints(model, grid, n_replicas, x, t=t)
     c1 = {n: [] for n in n_list}
     c2 = {n: [] for n in n_list}
     for r in range(n_replicas):
-        path = sample_path(lat, stream0 + r)
+        path = sample_path(lat, r)
         for n in n_list:
             if not localization_holds(path, n, theta, tt):
                 continue

@@ -65,6 +65,8 @@ class GridSpec:
 
     def time_index(self, t: float) -> int:
         """Snap a time in (0, T] to its grid index."""
+        if not math.isfinite(t):
+            raise GridError(f"time {t} is not finite")
         j = int(round(t / self.dt))
         if not 1 <= j <= self.nt:
             raise GridError(f"time {t} outside (0, {self.T}]")
@@ -228,7 +230,6 @@ class NoisePath:
 
     lattice: Lattice
     increments: np.ndarray
-    stream: int = 0
 
     @property
     def nt(self) -> int:
@@ -255,7 +256,7 @@ def _philox(lat: Lattice, stream: int) -> np.random.Generator:
 def sample_path(lat: Lattice, stream: int) -> NoisePath:
     """Draw the counter-based noise path for (grid.seed, stream)."""
     inc = _philox(lat, stream).standard_normal((lat.grid.nt, lat.ncoords))
-    return NoisePath(lat, inc * math.sqrt(lat.grid.dt), stream=stream)
+    return NoisePath(lat, inc * math.sqrt(lat.grid.dt))
 
 
 class LiveStreams:

@@ -29,8 +29,3 @@ def mc_grid(seed: int = 7) -> GridSpec:
 def tiny_grid(seed: int = 7) -> GridSpec:
     """Smallest sensible grid; adjoint/forward oracle comparisons."""
     return GridSpec(L=1.25, nx=16, nt=16, T=1.0, nk=8, seed=seed)
-
-
-def small_grid(seed: int = 7) -> GridSpec:
-    """First-variation scaling grid."""
-    return GridSpec(L=1.25, nx=32, nt=32, T=1.0, nk=16, seed=seed)

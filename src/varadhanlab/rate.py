@@ -181,6 +181,8 @@ class _RatePoints:
     constraint tolerance and the zero-control endpoint phi0_end."""
 
     def __init__(self, model, grid, t, x, tol_rel):
+        if not 0.0 < tol_rel < math.inf:                # NaN fails too
+            raise ValueError(f"tol_rel = {tol_rel} must lie in (0, inf)")
         self.model, self.grid, self.t, self.x = model, grid, t, x
         self.lat = lattice(model.cov, grid)
         check_wave_domain(model, grid, x)
@@ -220,8 +222,8 @@ def rate_function(model: ModelSpec, grid: GridSpec, y: float,
     """Minimize ||h||^2 / 2 subject to the skeleton endpoint hitting y.
 
     One augmented-Lagrangian run from the bisected constructive bracket;
-    the run stops once |endpoint - y| falls below tol_rel times the linear
-    endpoint spread.
+    the run stops once |endpoint - y| falls below tol_rel (0 < tol_rel < inf)
+    times the linear endpoint spread.
     """
     if not math.isfinite(y):
         raise ValueError(f"rate target y = {y} is not finite")
@@ -267,6 +269,10 @@ def support_probe(model: ModelSpec, grid: GridSpec, n_controls: int, budget,
     through PCG64 rather than Philox, so no noise stream shares their draws.
     """
     budgets = np.atleast_1d(np.asarray(budget, dtype=float))
+    if budgets.size == 0:
+        raise ValueError("the budget list is empty")
+    if n_controls < 0:
+        raise ValueError(f"n_controls = {n_controls} must be >= 0")
     if not np.all(budgets >= 0.0):
         raise ValueError("a control budget ||h||^2 / 2 must be a number >= 0")
     lat = lattice(model.cov, grid)

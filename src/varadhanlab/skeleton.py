@@ -72,18 +72,18 @@ def bare_kernel_control(model: ModelSpec, grid: GridSpec, phi: Field,
     """The leading term of the gradient: Lambda(t-., x-*) sigma(Phi) on the h-grid.
 
     This is the constructive direction used by the reachability shifts and
-    the remainder decomposition chi = Xi - Lambda sigma(Phi).
+    the remainder decomposition chi = Xi - Lambda sigma(Phi).  The kernel
+    fields of all jt slabs (slab i at lag jt - i) take one batched transform
+    and one extract.
     """
     eng, _ = _prepare(model, grid, t)
     lat, jt = eng.lat, eng.jt
     point = _observation_index(model, grid, lat, x)
     onehot = np.zeros(lat.spatial_shape)
     onehot[point] = 1.0 / (grid.dx ** lat.d)
-    seed_spec = eng._to_spec(onehot)
+    kernels = eng._to_field(eng.weights[jt:0:-1] * eng._to_spec(onehot))
     coeffs = np.zeros((grid.nt, lat.ncoords))
-    for i in range(jt):
-        kernel = eng._to_field(eng.weights[jt - i] * seed_spec)
-        coeffs[i] = lat.extract(model.sigma(phi.values[i]) * kernel)
+    coeffs[:jt] = lat.extract(model.sigma(phi.values[:jt]) * kernels)
     return ControlH(lat, coeffs)
 
 

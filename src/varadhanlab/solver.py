@@ -136,18 +136,14 @@ class ModelSpec:
     def __post_init__(self):
         if not 0.0 <= self.eps <= 1.0:
             raise ValueError("eps must lie in [0, 1]")
-        if self.sigma0 <= 0.0:
-            raise ValueError("sigma0 must be positive")
+        if not 0.0 < self.sigma0 < math.inf:            # NaN fails too
+            raise ValueError(f"sigma0 must be positive and finite, got {self.sigma0}")
         u = np.linspace(-_SIGMA_SAMPLE_RANGE, _SIGMA_SAMPLE_RANGE, 2001)
         if float(np.min(np.abs(self.sigma(u)))) < self.sigma0 - 1e-9:
             raise ValueError("sampled |sigma| falls below the declared sigma0")
 
     def with_eps(self, eps: float) -> "ModelSpec":
         return ModelSpec(self.cov, self.sigma, self.b, self.w, eps, self.sigma0)
-
-    def label(self) -> str:
-        return (f"{self.cov.label()} sigma={self.sigma.label()} "
-                f"b={self.b.label()} eps={self.eps:g}")
 
 
 @dataclass(eq=False)
@@ -161,17 +157,6 @@ class Field:
     def __post_init__(self):
         if not np.all(np.isfinite(self.values)):
             raise BlowUpError("field contains non-finite values")
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.arange(self.values.shape[0]) * self.grid.dt
-
-    def at(self, t: float, x=None) -> float:
-        lat = lattice(self.cov, self.grid)
-        j = 0 if t == 0.0 else self.grid.time_index(t)
-        if j >= self.values.shape[0]:
-            raise GridError(f"time {t} lies past the field's horizon {self.times[-1]:g}")
-        return float(self.values[(j, *lat.point_index(x))])
 
     def endpoint(self, x=None) -> float:
         """u(t, x) at the last time the field was solved to (x = None: the origin)."""

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from varadhanlab import presets
-from varadhanlab.noise import ControlH, lattice
+from varadhanlab.noise import ControlH, GridSpec, lattice
 
 
 def pytest_addoption(parser):
@@ -31,7 +31,8 @@ def tiny_grid():
 
 @pytest.fixture(scope="session")
 def small_grid():
-    return presets.small_grid()
+    """First-variation scaling grid."""
+    return GridSpec(L=1.25, nx=32, nt=32, T=1.0, nk=16, seed=7)
 
 
 @pytest.fixture(scope="session")

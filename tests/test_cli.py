@@ -121,7 +121,7 @@ def test_unknown_key_error_names_the_line_in_its_section(tmp_path):
     config = tmp_path / "bad.ini"
     config.write_text("[model]\neps = 0.5\n\n[task]\nn = 100\neps = 0.3\n")
     with pytest.raises(ConfigError, match=r"line 6: unknown key 'eps' in \[task\]"):
-        load_config(str(config), [], None)
+        load_config(str(config), [])
     assert main(["rate", "--config", str(config), "--dry-run"]) == 2
 
 
@@ -129,18 +129,18 @@ def test_config_hash_ignores_key_order_and_tracks_values(tmp_path):
     one, two = tmp_path / "one.ini", tmp_path / "two.ini"
     one.write_text("[grid]\nnx = 16\nnk = 8\n\n[task]\nn = 100\ny = 1.0\n")
     two.write_text("[task]\ny = 1.0\nn = 100\n\n[grid]\nnk = 8\nnx = 16\n")
-    h1 = load_config(str(one), [], None).hash()
-    assert h1 == load_config(str(two), [], None).hash()
-    assert h1 == load_config(str(one), [], None).hash()
-    assert h1 != load_config(str(one), ["task.y=1.5"], None).hash()
-    assert h1 != load_config(str(one), [], 8).hash()
+    h1 = load_config(str(one), []).hash()
+    assert h1 == load_config(str(two), []).hash()
+    assert h1 == load_config(str(one), []).hash()
+    assert h1 != load_config(str(one), ["task.y=1.5"]).hash()
+    assert h1 != load_config(str(one), ["grid.seed=8"]).hash()
 
 
 @pytest.mark.parametrize("operator", ["wave", "heat"])
 @pytest.mark.parametrize("nt", [16, 256])
 def test_dry_run_estimate_follows_the_shapes(operator, nt, capsys):
     overrides = [f"model.operator={operator}", f"grid.nt={nt}", "task.n=2000"]
-    cfg = load_config(None, overrides, None)
+    cfg = load_config(None, overrides)
     lat = lattice(cfg.model.cov, cfg.grid)
     B = mc.CHUNK                                     # n = 2000 fills whole chunks
     # per replica: its increment rows plus the wave history or heat accumulator
@@ -161,13 +161,13 @@ def test_dry_run_rejects_a_bad_replica_count(n, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     with pytest.raises(ValueError):
-        _estimate_resources(load_config(None, [f"task.n={n}"], None))
+        _estimate_resources(load_config(None, [f"task.n={n}"]))
 
 
 def test_dry_run_estimate_stays_within_the_state_budget():
     # a 512-replica wave chunk at nt = 256 holds one sub-batch at a time,
     # not its whole (nspec, nt, 512) history
-    cfg = load_config(None, ["grid.nt=256"], None)
+    cfg = load_config(None, ["grid.nt=256"])
     assert _estimate_resources(cfg)[0] <= _STATE_BUDGET
 
 
@@ -195,6 +195,8 @@ def _manifest(path):
     ("rate", ["task.y=", "task.y_grid=0:1:0"]),         # empty-grid guard
     ("rate", ["task.y=nan"]),                           # non-finite target guards,
     ("rate", ["task.y=", "task.y_grid=0,nan"]),         # not a blow-up at step 1
+    ("rate", ["task.tol_rel=nan"]),                     # tolerance guards, not a
+    ("rate", ["task.tol_rel=-1"]),                      # whole unconverged AL budget
 ])
 def test_value_error_fails_the_run_cleanly(subcommand, overrides, tmp_path, capsys):
     args = [subcommand, *TINY] + [a for o in overrides for a in ("--set", o)]
@@ -203,6 +205,34 @@ def test_value_error_fails_the_run_cleanly(subcommand, overrides, tmp_path, caps
     manifest = _manifest(tmp_path)
     assert manifest["failed"] and manifest["error"] == "ValueError"
     assert "step" not in manifest
+
+
+@pytest.mark.parametrize("t", ["inf", "nan"])
+@pytest.mark.parametrize("subcommand", ["simulate", "rate"])
+def test_non_finite_time_is_a_grid_error(subcommand, t, tmp_path, capsys):
+    assert main([subcommand, *TINY, "--set", f"task.t={t}", "--out", str(tmp_path)]) == 1
+    assert f"time {t} is not finite" in capsys.readouterr().err
+    assert _manifest(tmp_path)["error"] == "GridError"
+
+
+def test_non_finite_sigma0_is_a_config_error(capsys):
+    assert main(["rate", *TINY, "--set", "model.sigma0=nan", "--dry-run"]) == 2
+    assert "sigma0 must be positive and finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("overrides", [
+    ["task.n_list=,"], ["task.n_list=2,3", "task.budgets=,"],
+    ["task.n_list=2,3", "task.n_controls=-3"]], ids=["levels", "budgets", "controls"])
+def test_support_rejects_empty_or_negative_inputs_before_any_draw(
+        overrides, tmp_path, monkeypatch, capsys):
+    draws = []
+    monkeypatch.setattr(mc, "sample_endpoints", lambda *a, **kw: draws.append(a))
+    args = ["support", *TINY, "--set", "task.n=40"]
+    args += [a for o in overrides for a in ("--set", o)]
+    assert main([*args, "--out", str(tmp_path)]) == 1
+    assert not draws
+    assert capsys.readouterr().err.startswith("error: ")
+    assert _manifest(tmp_path)["error"] == "ValueError"
 
 
 def test_varadhan_rejects_a_non_finite_y(tmp_path, monkeypatch, capsys):
@@ -271,7 +301,7 @@ def test_removed_config_keys_are_rejected():
     # task.alpha and [output] were accepted, hashed and never read
     assert main(["rate", "--set", "task.alpha=0.5", "--dry-run"]) == 2
     assert main(["rate", "--set", "output.formats=csv", "--dry-run"]) == 2
-    assert not load_config(None, [], None).raw.keys() - {"model", "grid", "task"}
+    assert not load_config(None, []).raw.keys() - {"model", "grid", "task"}
 
 
 def test_rate_runs_a_two_dimensional_riesz_point(tmp_path):
@@ -333,7 +363,7 @@ def test_support_defaults_to_three_hundred_replicas(tmp_path, monkeypatch, capsy
     assert "task.n=" not in capsys.readouterr().out
     assert main([*args, "--out", str(tmp_path)]) == 0
     assert used == [300]
-    cfg = load_config(None, [], None)
+    cfg = load_config(None, [])
     lat = lattice(cfg.model.cov, cfg.grid)
     state = _BLOCK * lat.ncoords * 8 + 64 * lat.nspec * 16
     assert _estimate_resources(cfg, "support")[0] == 150 * state   # two sub-batches
@@ -369,7 +399,7 @@ def test_riesz_without_beta_is_a_config_error(capsys):
 def test_an_empty_config_resolves_like_the_built_in_one(tmp_path):
     empty = tmp_path / "empty.ini"
     empty.write_text("")
-    cfg, builtin = load_config(str(empty), [], None), load_config(None, [], None)
+    cfg, builtin = load_config(str(empty), []), load_config(None, [])
     assert cfg.raw == {}
     assert cfg.model == builtin.model and cfg.grid == builtin.grid
     assert cfg.eps_list == builtin.eps_list

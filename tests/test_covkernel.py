@@ -109,15 +109,6 @@ class TestG1:
 
 
 class TestJ2:
-    def test_wave_total_mass(self):
-        assert ck.j2(WAVE_WHITE, 3.0) == 3.0
-
-    def test_heat_total_mass(self):
-        assert ck.j2(HEAT_R05, 0.1) == 1.0
-
-    def test_zero_time(self):
-        assert ck.j2(WAVE_WHITE, 0.0) == 0.0
-
     def test_integral_exponent_matches_delta(self):
         # int_0^t j2 follows t^delta with delta = 2 (wave), 1 (heat)
         ts = np.geomspace(0.05, 1.0, 6)
@@ -179,22 +170,3 @@ class TestSlabMeans:
         assert np.allclose(vals, vals[0], rtol=1e-6)
         near = ck.slab_l2_mean(WAVE_WHITE, np.array([1e-3, 2e-3]), 0.3, 0.4)
         assert np.allclose(near, vals[0], rtol=1e-3)
-
-
-class TestKernelTable:
-    def test_invariants(self):
-        table = ck.KernelTable.build(WAVE_WHITE, 1.0, n=16)
-        assert table.g1[0] == 0.0
-        assert np.all(np.diff(table.g1) >= 0)
-        assert np.allclose(table.j2, table.times)
-
-    def test_heat_j2_is_one(self):
-        table = ck.KernelTable.build(HEAT_R05, 1.0, n=8)
-        assert np.all(table.j2 == 1.0)
-
-    def test_quadrature_table_close_to_power_law(self):
-        table = ck.KernelTable.build(WAVE_R1D3, 1.0, n=8, method="quadrature")
-        gamma = WAVE_R1D3.exponents[0]
-        ref = table.g1[-1] * (table.times / table.times[-1]) ** gamma
-        mask = table.times > 0
-        assert np.allclose(table.g1[mask], ref[mask], rtol=1e-3)

@@ -301,6 +301,14 @@ class TestSupportConvergence:
         slope = np.polyfit([r["n"] for r in rows], np.log2(med), 1)[0]
         assert -0.75 <= slope <= -0.25
 
+    def test_empty_level_list_draws_no_replica(self, tiny_grid, nonlinear_model,
+                                               monkeypatch):
+        draws = []
+        monkeypatch.setattr(mc, "sample_endpoints", lambda *a, **kw: draws.append(a))
+        with pytest.raises(ValueError, match="n_list is empty"):
+            support_convergence(nonlinear_model, tiny_grid, [], 40)
+        assert not draws
+
     def test_empty_localization_signals(self, mc_grid, nonlinear_model):
         from varadhanlab.errors import GridError
         with pytest.raises(GridError):

@@ -194,6 +194,12 @@ class TestGridSpec:
         with pytest.raises(GridError):
             g.time_index(1.2)
 
+    @pytest.mark.parametrize("t", [float("inf"), float("-inf"), float("nan")])
+    def test_time_index_rejects_a_non_finite_time(self, t):
+        g = GridSpec(L=1.0, nx=16, nt=10, T=1.0, nk=4)
+        with pytest.raises(GridError, match="not finite"):
+            g.time_index(t)
+
 
 class TestLattice:
     def test_mode_ordering_by_radius(self, lat):

@@ -3,7 +3,7 @@ import pytest
 
 from varadhanlab import presets, rate
 from varadhanlab.errors import BracketError
-from varadhanlab.funcs import ONE, make_func
+from varadhanlab.funcs import ONE, ScalarFunc
 from varadhanlab.noise import ControlH, GridSpec, lattice, sample_path
 from varadhanlab.rate import (init_shift, rate_function, rate_profile,
                               support_probe)
@@ -23,8 +23,8 @@ class TestInitShift:
     def test_linear_closed_form_scaling(self, grid, linear_model):
         # sigma=1, b=0, w=0, z=1, alpha=0.1: scale = 1.1/g1, endpoints +-1.1
         hp, hm = init_shift(linear_model, grid, 1.0, 0.1, x=0.0)
-        up = solve_phi(linear_model, grid, hp).at(1.0, 0.0)
-        dn = solve_phi(linear_model, grid, hm).at(1.0, 0.0)
+        up = solve_phi(linear_model, grid, hp).endpoint(0.0)
+        dn = solve_phi(linear_model, grid, hm).endpoint(0.0)
         assert up == pytest.approx(1.1, rel=1e-10)
         assert dn == pytest.approx(-1.1, rel=1e-10)
         # the control is the kernel direction scaled by 1.1/g1
@@ -33,21 +33,21 @@ class TestInitShift:
 
     def test_center_point_any_margin(self, grid, nonlinear_model):
         lat = lattice(COV, grid)
-        z = solve_phi(nonlinear_model, grid, ControlH.zeros(lat)).at(1.0, 0.0)
+        z = solve_phi(nonlinear_model, grid, ControlH.zeros(lat)).endpoint(0.0)
         for alpha in (0.01, 1.0):
             hp, hm = init_shift(nonlinear_model, grid, z, alpha, x=0.0)
-            up = solve_phi(nonlinear_model, grid, hp).at(1.0, 0.0)
-            dn = solve_phi(nonlinear_model, grid, hm).at(1.0, 0.0)
+            up = solve_phi(nonlinear_model, grid, hp).endpoint(0.0)
+            dn = solve_phi(nonlinear_model, grid, hm).endpoint(0.0)
             assert dn < z < up
 
     def test_nonlinear_brackets_target(self, grid, nonlinear_model):
         hp, hm = init_shift(nonlinear_model, grid, 2.0, 0.5, x=0.0)
-        up = solve_phi(nonlinear_model, grid, hp).at(1.0, 0.0)
-        dn = solve_phi(nonlinear_model, grid, hm).at(1.0, 0.0)
+        up = solve_phi(nonlinear_model, grid, hp).endpoint(0.0)
+        dn = solve_phi(nonlinear_model, grid, hm).endpoint(0.0)
         assert dn < 2.0 < up
 
     def test_unbounded_drift_signals(self, grid):
-        m = ModelSpec(COV, ONE, make_func("affine", 0.0, 0.5), ZeroInitial(),
+        m = ModelSpec(COV, ONE, ScalarFunc("affine", (0.0, 0.5)), ZeroInitial(),
                       1.0, 1.0)
         with pytest.raises(BracketError):
             init_shift(m, grid, 1.0, 0.1, x=0.0)
@@ -62,7 +62,7 @@ class TestRateFunction:
 
     def test_zero_at_reachable_center(self, grid, nonlinear_model):
         lat = lattice(COV, grid)
-        y0 = solve_phi(nonlinear_model, grid, ControlH.zeros(lat)).at(1.0, 0.0)
+        y0 = solve_phi(nonlinear_model, grid, ControlH.zeros(lat)).endpoint(0.0)
         res = rate_function(nonlinear_model, grid, y0, x=0.0)
         assert res.converged
         assert res.I == 0.0
@@ -105,7 +105,7 @@ class TestRateFunction:
         assert runs == [res]
         assert res.evaluations >= res.iterations >= 1
         lat = lattice(COV, grid)
-        y0 = solve_phi(nonlinear_model, grid, ControlH.zeros(lat)).at(1.0, 0.0)
+        y0 = solve_phi(nonlinear_model, grid, ControlH.zeros(lat)).endpoint(0.0)
         centre = rate_function(nonlinear_model, grid, y0, x=0.0)
         assert len(runs) == 1 and centre.evaluations == 0
 
@@ -121,7 +121,7 @@ class TestRateProfile:
 
     def test_profile_minimum_at_center(self, grid, nonlinear_model):
         lat = lattice(COV, grid)
-        y0 = solve_phi(nonlinear_model, grid, ControlH.zeros(lat)).at(1.0, 0.0)
+        y0 = solve_phi(nonlinear_model, grid, ControlH.zeros(lat)).endpoint(0.0)
         y_grid = np.unique(np.concatenate([np.linspace(-1.5, 1.5, 7), [y0]]))
         results = rate_profile(nonlinear_model, grid, y_grid, x=0.0)
         vals = np.array([r.I for r in results])
@@ -145,11 +145,24 @@ class TestRateProfile:
         with pytest.raises(ValueError, match="non-finite"):
             rate_profile(linear_model, grid, [0.5, y], x=0.0)
 
+    @pytest.mark.parametrize("tol_rel", [float("nan"), -1.0, 0.0, float("inf")])
+    @pytest.mark.parametrize("profile", [False, True])
+    def test_tolerance_outside_the_open_half_line_is_a_value_error(
+            self, tiny_grid, nonlinear_model, monkeypatch, tol_rel, profile):
+        solves = []
+        monkeypatch.setattr(rate, "solve_phi", lambda *a, **kw: solves.append(a))
+        with pytest.raises(ValueError, match="tol_rel"):
+            if profile:
+                rate_profile(nonlinear_model, tiny_grid, [0.5, 1.0], tol_rel=tol_rel)
+            else:
+                rate_function(nonlinear_model, tiny_grid, 1.0, tol_rel=tol_rel)
+        assert not solves                             # raised before any solve
+
 
 class TestSupportProbe:
     def test_budget_zero_degenerate(self, grid, nonlinear_model):
         lat = lattice(COV, grid)
-        y0 = solve_phi(nonlinear_model, grid, ControlH.zeros(lat)).at(1.0, 0.0)
+        y0 = solve_phi(nonlinear_model, grid, ControlH.zeros(lat)).endpoint(0.0)
         lo, hi = support_probe(nonlinear_model, grid, 3, 0.0, x=0.0)
         assert lo == hi == pytest.approx(y0)
 
@@ -158,6 +171,16 @@ class TestSupportProbe:
         # no control has ||h||^2 / 2 < 0 (or NaN), so there is no interval
         with pytest.raises(ValueError, match="must be a number >= 0"):
             support_probe(nonlinear_model, grid, 3, budget, x=0.0)
+
+    @pytest.mark.parametrize("n_controls, budget, match", [
+        (2, [], "budget list is empty"), (-3, [1.0], "n_controls")])
+    def test_empty_budgets_or_negative_controls_are_value_errors(
+            self, tiny_grid, nonlinear_model, monkeypatch, n_controls, budget, match):
+        solves = []
+        monkeypatch.setattr(rate, "solve_phi", lambda *a, **kw: solves.append(a))
+        with pytest.raises(ValueError, match=match):
+            support_probe(nonlinear_model, tiny_grid, n_controls, budget)
+        assert not solves
 
     def test_widths_increase_with_budget(self, grid, nonlinear_model):
         intervals = support_probe(nonlinear_model, grid, 4, [1.0, 10.0, 100.0],

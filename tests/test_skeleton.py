@@ -5,8 +5,9 @@ import pytest
 
 from varadhanlab import presets, solver
 from varadhanlab.covkernel import CovarianceSpec
-from varadhanlab.funcs import make_func
-from varadhanlab.noise import ControlH, GridSpec, ht_inner, lattice, sample_path
+from varadhanlab.funcs import parse_func
+from varadhanlab.noise import (ControlH, GridSpec, Lattice, ht_inner, lattice,
+                               sample_path)
 from varadhanlab.skeleton import (bare_kernel_control, chaos_ensemble,
                                   dphi_window_norm, expansion_check, forward_xi,
                                   gradient_phi, solve_phi)
@@ -31,7 +32,7 @@ class TestSolvePhi:
         m = ModelSpec(COV, ONE, ZERO, BumpInitial(amp0=0.5, width0=0.3), 1.0, 1.0)
         lat = lattice(COV, small_grid)
         phi = solve_phi(m, small_grid, ControlH.zeros(lat))
-        w = m.w.table(lat, phi.times)
+        w = m.w.table(lat, np.arange(small_grid.nt + 1) * small_grid.dt)
         assert np.allclose(phi.values, w, atol=1e-14)
 
     def test_linear_kernel_control_endpoint(self, small_grid):
@@ -43,7 +44,7 @@ class TestSolvePhi:
         c = 1.7
         phi = solve_phi(m, small_grid, c * direction)
         want = c * g1_grid(COV, small_grid, 1.0)
-        assert phi.at(1.0, 0.0) == pytest.approx(want, rel=1e-12)
+        assert phi.endpoint(0.0) == pytest.approx(want, rel=1e-12)
 
     def test_endpoint_stable_under_refinement(self):
         from varadhanlab.noise import GridSpec
@@ -58,10 +59,48 @@ class TestSolvePhi:
             coeffs[:, 0] = 1.0
             coeffs[:, 1] = -0.5
             phi = solve_phi(m, grid, ControlH(lat, coeffs))
-            endpoints.append(phi.at(1.0, 0.0))
+            endpoints.append(phi.endpoint(0.0))
         d1 = abs(endpoints[1] - endpoints[0])
         d2 = abs(endpoints[2] - endpoints[1])
         assert d2 < d1
+
+
+def _bare_kernel_by_slab(model, grid, phi, t=None, x=None):
+    """bare_kernel_control's coefficients with one transform and one extract per slab."""
+    eng, _ = _prepare(model, grid, t)
+    lat, jt = eng.lat, eng.jt
+    onehot = np.zeros(lat.spatial_shape)
+    onehot[_observation_index(model, grid, lat, x)] = 1.0 / (grid.dx ** lat.d)
+    seed_spec = eng._to_spec(onehot)
+    coeffs = np.zeros((grid.nt, lat.ncoords))
+    for i in range(jt):
+        kernel = eng._to_field(eng.weights[jt - i] * seed_spec)
+        coeffs[i] = lat.extract(model.sigma(phi.values[i]) * kernel)
+    return coeffs
+
+
+@pytest.mark.parametrize("cov, grid, t", [
+    (COV, presets.mc_grid(), None),
+    (CovarianceSpec("heat", 1, "white"), presets.mc_grid(), 0.5),
+    (CovarianceSpec("wave", 2, "riesz", 1.0),
+     GridSpec(L=1.25, nx=16, nt=8, T=1.0, nk=6, seed=3), None),
+    (CovarianceSpec("heat", 3, "riesz", 1.5),
+     GridSpec(L=2.0, nx=8, nt=4, T=0.5, nk=3, seed=3), None)],
+    ids=["wave-white", "heat-white-half", "wave-riesz-d2", "heat-riesz-d3"])
+def test_bare_kernel_control_is_one_batched_extract(cov, grid, t, monkeypatch):
+    model = presets.nonlinear_model(cov=cov)
+    lat = lattice(cov, grid)
+    h = ControlH(lat, 0.3 * np.random.default_rng(5).standard_normal(
+        (grid.nt, lat.ncoords)))
+    phi = solve_phi(model, grid, h, t)
+    want = _bare_kernel_by_slab(model, grid, phi, t)
+    calls = []
+    extract = Lattice.extract
+    monkeypatch.setattr(Lattice, "extract",
+                        lambda self, f: calls.append(f.shape) or extract(self, f))
+    got = bare_kernel_control(model, grid, phi, t)
+    assert len(calls) == 1
+    assert np.array_equal(got.coeffs, want)
 
 
 class TestGradient:
@@ -83,8 +122,8 @@ class TestGradient:
         delta = 1e-5
         for _ in range(10):
             g = ControlH(lat, rng.standard_normal((small_grid.nt, lat.ncoords)))
-            fp = solve_phi(m, small_grid, h + delta * g).at(1.0, 0.0)
-            fm = solve_phi(m, small_grid, h + (-delta) * g).at(1.0, 0.0)
+            fp = solve_phi(m, small_grid, h + delta * g).endpoint(0.0)
+            fm = solve_phi(m, small_grid, h + (-delta) * g).endpoint(0.0)
             fd = (fp - fm) / (2 * delta)
             assert abs(fd - ht_inner(G, g)) / abs(fd) < 1e-4
 
@@ -109,11 +148,11 @@ class TestGradient:
         G = gradient_phi(m, small_grid, h, x=0.0)
         db = ControlH(lat, rng.standard_normal((small_grid.nt, lat.ncoords)))
         db = (1.0 / db.norm) * db
-        base = solve_phi(m, small_grid, h).at(1.0, 0.0)
+        base = solve_phi(m, small_grid, h).endpoint(0.0)
         ratios = []
         for size in (1e-1, 1e-2, 1e-3, 1e-4):
             h0 = size * db
-            val = solve_phi(m, small_grid, h + h0).at(1.0, 0.0)
+            val = solve_phi(m, small_grid, h + h0).endpoint(0.0)
             ratios.append(abs(val - base - ht_inner(G, h0)) / h0.norm)
         assert all(b < a for a, b in zip(ratios, ratios[1:]))
         assert ratios[-1] < 1e-3 * ratios[0]
@@ -121,18 +160,16 @@ class TestGradient:
 
 # sigma stays bounded away from 0 and every point the solutions visit keeps
 # away from the kinks of affine_clamped (checked in the test)
-_SIGMAS = [make_func("const", 1.3), make_func("cos_perturbed", 1.0, 0.25),
-           make_func("affine_clamped", 1.0, 0.5, 0.25, 4.0)]
-_DRIFTS = [make_func("zero"), make_func("const", 0.3), make_func("affine", 0.1, -0.5),
-           make_func("affine_clamped", 0.0, 0.5, -2.0, 2.0),
-           make_func("cos_perturbed", 0.2, 0.5), make_func("tanh_bounded", 0.5)]
+_SIGMAS = ["const:1.3", "cos_perturbed:1.0,0.25", "affine_clamped:1.0,0.5,0.25,4.0"]
+_DRIFTS = ["zero", "const:0.3", "affine:0.1,-0.5", "affine_clamped:0.0,0.5,-2.0,2.0",
+           "cos_perturbed:0.2,0.5", "tanh_bounded:0.5"]
 
 
 @pytest.mark.parametrize("sigma, b", [(_SIGMAS[i % 3], drift)
-                                      for i, drift in enumerate(_DRIFTS)],
-                         ids=lambda f: f.label())
+                                      for i, drift in enumerate(_DRIFTS)])
 def test_gradient_routes_across_registry(tiny_grid, sigma, b):
     from varadhanlab.solver import ModelSpec, ZeroInitial, simulate
+    sigma, b = parse_func(sigma), parse_func(b)
     m = ModelSpec(COV, sigma, b, ZeroInitial(), 0.7, 0.25)
     lat = lattice(COV, tiny_grid)
     rng = np.random.default_rng(8)
@@ -149,8 +186,8 @@ def test_gradient_routes_across_registry(tiny_grid, sigma, b):
     delta = 1e-5
     for _ in range(3):
         g = ControlH(lat, rng.standard_normal((tiny_grid.nt, lat.ncoords)))
-        fp = solve_phi(m, tiny_grid, h + delta * g).at(1.0, 0.0)
-        fm = solve_phi(m, tiny_grid, h + (-delta) * g).at(1.0, 0.0)
+        fp = solve_phi(m, tiny_grid, h + delta * g).endpoint(0.0)
+        fm = solve_phi(m, tiny_grid, h + (-delta) * g).endpoint(0.0)
         fd = (fp - fm) / (2 * delta)
         assert abs(fd - ht_inner(G, g)) <= 1e-4 * abs(fd)
     Xi = forward_xi(m, tiny_grid, h, x=0.0)

@@ -6,7 +6,7 @@ import pytest
 from varadhanlab import mc, presets
 from varadhanlab.covkernel import CovarianceSpec, g1
 from varadhanlab.errors import BlowUpError, FixedPointError, GridError, MemoryBudgetError
-from varadhanlab.funcs import ONE, ZERO, make_func
+from varadhanlab.funcs import ONE, ZERO, ScalarFunc
 from varadhanlab.noise import (ControlH, GridSpec, LiveStreams, NoisePath,
                                ht_inner, lattice, sample_increments, sample_path)
 from varadhanlab.skeleton import forward_xi, gradient_phi, solve_phi
@@ -21,8 +21,13 @@ COV = presets.WAVE_WHITE
 class TestModelSpec:
     def test_sigma0_lower_bound_enforced(self):
         with pytest.raises(ValueError):
-            ModelSpec(COV, make_func("cos_perturbed", 1.0, 0.25), ZERO,
+            ModelSpec(COV, ScalarFunc("cos_perturbed", (1.0, 0.25)), ZERO,
                       ZeroInitial(), 1.0, 0.9)   # inf sigma = 0.75 < 0.9
+
+    @pytest.mark.parametrize("sigma0", [float("nan"), float("inf")])
+    def test_sigma0_must_be_finite(self, sigma0):
+        with pytest.raises(ValueError, match="positive and finite"):
+            ModelSpec(COV, ONE, ZERO, ZeroInitial(), 1.0, sigma0)
 
     def test_eps_range(self):
         with pytest.raises(ValueError):
@@ -86,7 +91,7 @@ class TestSimulate:
                       eps=0.0, sigma0=1.0)
         lat = lattice(COV, tiny_grid)
         u = simulate(m, tiny_grid, sample_path(lat, 0))
-        w = m.w.table(lat, u.times)
+        w = m.w.table(lat, np.arange(tiny_grid.nt + 1) * tiny_grid.dt)
         assert np.allclose(u.values, w, atol=1e-14)
 
     def test_moments_bounded_in_eps(self, mc_grid):
@@ -110,7 +115,7 @@ class TestSimulate:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_blow_up_signals_step(self):
         grid = GridSpec(L=1.25, nx=32, nt=32, T=1.0, nk=16, seed=0)
-        m = ModelSpec(COV, ONE, make_func("affine", 0.0, 1e18), ZeroInitial(),
+        m = ModelSpec(COV, ONE, ScalarFunc("affine", (0.0, 1e18)), ZeroInitial(),
                       1.0, 1.0)
         lat = lattice(COV, grid)
         with pytest.raises(BlowUpError) as err:
@@ -155,14 +160,6 @@ class TestEnsembleGuards:
     def test_no_streams_is_a_value_error(self, tiny_grid, nonlinear_model):
         with pytest.raises(ValueError, match="at least one stream"):
             endpoint_ensemble(nonlinear_model, tiny_grid, [], 0.0)
-
-    def test_field_at_past_its_horizon_is_a_grid_error(self, tiny_grid,
-                                                       nonlinear_model):
-        lat = lattice(COV, tiny_grid)
-        u = simulate(nonlinear_model, tiny_grid, sample_path(lat, 0), t=0.5)
-        assert u.at(0.5) == u.endpoint()
-        with pytest.raises(GridError, match="past the field's horizon"):
-            u.at(1.0)
 
 
 class TestStreamedIncrements:
