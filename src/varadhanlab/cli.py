@@ -412,14 +412,15 @@ def _cmd_support(run: Runner) -> int:
     with run.stage("support_probe"):
         intervals = rate_mod.support_probe(cfg.model, cfg.grid, n_controls, budgets,
                                            t=cfg.t, x=cfg.x)
-    _write_csv(run.path("support_probe.csv"), ["budget", "low", "high", "width"],
-               [(b, lo, hi, hi - lo) for b, (lo, hi) in zip(budgets, intervals)])
     n_list = _ints(cfg.value("task", "n_list"))
     n = cfg.replicas("support")
     theta = float(cfg.value("task", "theta"))
     with run.stage("support_convergence"):
         rows = mc.support_convergence(cfg.model, cfg.grid, n_list, n, theta=theta,
                                       t=cfg.t, x=cfg.x)
+    # both tables are written once both stages ran, so a failed run leaves none
+    _write_csv(run.path("support_probe.csv"), ["budget", "low", "high", "width"],
+               [(b, lo, hi, hi - lo) for b, (lo, hi) in zip(budgets, intervals)])
     _write_csv(run.path("support_convergence.csv"), ["n", "kept", "c1_median"],
                [(r["n"], r["kept"], r["c1_median"]) for r in rows])
     run.finish("support")

@@ -150,7 +150,6 @@ class Lattice:
         sign = 1.0 - 2.0 * part                   # cos and the zero mode +1, sin -1
         w = weight[entry]
         self.ncoords = entry.size
-        self.coord_radius = radius[entry]
 
         # the slot table: float slot 2f + part holds each coordinate, and
         # a pair on the plane also fills its conjugate mirror with s (a + i b)
@@ -235,10 +234,9 @@ class NoisePath:
     def nt(self) -> int:
         return self.increments.shape[0]
 
-    def control(self, eps: float, h: "ControlH | None" = None) -> "ControlH":
-        """The drive c = h + (eps / dt) dW as a control: the path drives the field Phi^c."""
-        c = ControlH(self.lattice, (eps / self.lattice.grid.dt) * self.increments)
-        return c if h is None else h + c
+    def control(self, eps: float) -> "ControlH":
+        """The drive c = (eps / dt) dW as a control: the path drives the field Phi^c."""
+        return ControlH(self.lattice, (eps / self.lattice.grid.dt) * self.increments)
 
 
 def _philox(lat: Lattice, stream: int) -> np.random.Generator:
@@ -386,7 +384,7 @@ def localization_holds(path: NoisePath, n: int, theta: float, t: float) -> bool:
     True iff sup over modes j <= n and slabs i <= floor(2^n t/T - 1) of
     |W_j(Delta_i)| is at most 2^{n(theta-1)}.
     """
-    if theta <= 0.5:
+    if not theta > 0.5:                                 # NaN fails too
         raise ValueError("localization requires theta > 1/2")
     i_max = math.floor((1 << n) * t / path.lattice.grid.T - 1.0)
     if i_max < 0:

@@ -13,11 +13,11 @@ linearized equation carrying the full (slab, mode) state, is its
 independent small-grid oracle.
 
 The noise enters the drive as (eps / dt) dW, along the control direction
-dW / dt.  So one noise path is the control c = path.control(eps, h): the
-field it drives, shifted by h / eps, is Phi^c (solver.simulate), and its
-Malliavin derivative is eps G(c), by either route.  The first chaos N of
-u^eps(omega + h / eps) = Phi^h + eps N + o(eps) is, exactly in the
-discrete scheme, one dot with G = G(h):
+dW / dt.  So one noise path is the control c = h + path.control(eps): the
+field it drives, shifted by h / eps, is Phi^c (solver.simulate at h = 0),
+and its Malliavin derivative is eps G(c), by either route.  The first
+chaos N of u^eps(omega + h / eps) = Phi^h + eps N + o(eps) is, exactly in
+the discrete scheme, one dot with G = G(h):
 
     N(t, x) = <G, dW / dt>_{H_T} = sum_{i,k} G(i,k) dW(i,k),  Var N = ||G||^2 = gamma_bar.
 """
@@ -148,22 +148,18 @@ def chaos_ensemble(model: ModelSpec, grid: GridSpec, h: ControlH, streams,
 
 
 def dphi_window_norm(model: ModelSpec, grid: GridSpec, h: ControlH, rho: float,
-                     t: float | None = None, x=None,
-                     gradient: ControlH | None = None) -> float:
-    """Squared gradient norm restricted to the trailing window [t - rho, t]."""
-    tt = grid.T if t is None else t
-    if not 0.0 < rho <= tt + 1e-12:
-        raise GridError("window must satisfy 0 < rho <= t")
-    G = gradient if gradient is not None else gradient_phi(model, grid, h, t, x)
-    dt = grid.dt
-    jt = grid.time_index(tt)
-    i0 = max(0, int(math.ceil((tt - rho) / dt - 1e-9)))
-    return float(dt * np.sum(G.coeffs[i0:jt] ** 2))
+                     x=None, gradient: ControlH | None = None) -> float:
+    """Squared gradient norm of the endpoint at T restricted to the window [T - rho, T]."""
+    if not 0.0 < rho <= grid.T + 1e-12:
+        raise GridError("window must satisfy 0 < rho <= T")
+    G = gradient if gradient is not None else gradient_phi(model, grid, h, x=x)
+    i0 = max(0, int(math.ceil((grid.T - rho) / grid.dt - 1e-9)))
+    return float(grid.dt * np.sum(G.coeffs[i0:] ** 2))
 
 
 def expansion_check(model: ModelSpec, grid: GridSpec, h: ControlH, streams,
-                    eps_list, t: float | None = None, x=None) -> list[dict]:
-    """Coupled residuals of the first-order expansion around the skeleton.
+                    eps_list, x=None) -> list[dict]:
+    """Coupled residuals of the first-order expansion around the skeleton at T.
 
     For each eps, simulates the shifted field and the first chaos with the
     same paths and tabulates |eps^-1 (u - Phi) - N| medians over replicas.
@@ -172,12 +168,12 @@ def expansion_check(model: ModelSpec, grid: GridSpec, h: ControlH, streams,
 
     if any(e2 >= e1 for e1, e2 in zip(eps_list, eps_list[1:])):
         raise ValueError("eps_list must be strictly decreasing")
-    phi_end = solve_phi(model, grid, h, t).endpoint(x)
-    chaos = chaos_ensemble(model, grid, h, list(streams), t=t, x=x)
+    phi_end = solve_phi(model, grid, h).endpoint(x)
+    chaos = chaos_ensemble(model, grid, h, list(streams), x=x)
     rows = []
     for eps in eps_list:
         shifted = endpoint_ensemble(model.with_eps(eps), grid, list(streams), x,
-                                    h=h, t=t)[0]
+                                    h=h)[0]
         resid = np.abs((shifted - phi_end) / eps - chaos)
         rows.append({"eps": float(eps),
                      "median_residual": float(np.median(resid)),

@@ -2,7 +2,7 @@
 
 Every equation here is one discrete mild map with the drive
 D_j = synthesize(c_j), c_j = h_j + (eps / dt) dW_j.  One noise path is one
-control c = path.control(eps, h), so every single-path solve runs through
+control c = h + path.control(eps), so every single-path solve runs through
 the skeleton routes on c; only the stream batches of endpoint_ensemble
 form c here, slab by slab.  The solution at t_j is the initial
 contribution plus kernel convolutions (via FFT multipliers) of the one
@@ -548,18 +548,18 @@ def endpoint_ensemble(model: ModelSpec, grid: GridSpec, streams, x,
 
 
 def picard_verify(model: ModelSpec, grid: GridSpec, path: NoisePath,
-                  iters: int, t: float | None = None) -> np.ndarray:
-    """Fixed-point iteration of the discrete mild map from u^0 = w.
+                  iters: int) -> np.ndarray:
+    """Fixed-point iteration of the discrete mild map on [0, T] from u^0 = w.
 
     Returns the sup-norm residuals between successive iterates.  The map is
-    strictly causal, so it reaches the forward solution in at most jt
+    strictly causal, so it reaches the forward solution in at most nt
     sweeps; the final iterate is checked against simulate to 1e-10, and a
     larger gap raises FixedPointError with the gap and the sweep count
-    (with fewer than jt sweeps the iteration may not have got there yet).
+    (with fewer than nt sweeps the iteration may not have got there yet).
     """
     if iters < 2:
         raise ValueError("picard verification needs iters >= 2")
-    eng, w_tab = _prepare(model, grid, t)
+    eng, w_tab = _prepare(model, grid, None)
     lat, jt, dt = eng.lat, eng.jt, grid.dt
     drive = _drive(eng, path.control(model.eps))
     wl_all = eng.weights
@@ -578,7 +578,7 @@ def picard_verify(model: ModelSpec, grid: GridSpec, path: NoisePath,
                               step=len(residuals))
         residuals.append(float(np.max(np.abs(new - current))))
         current = new
-    ref = simulate(model, grid, path, t).values
+    ref = simulate(model, grid, path).values
     gap = float(np.max(np.abs(current - ref)))
     if gap > 1e-10:
         short = f" (fewer than jt = {jt})" if iters < jt else ""

@@ -3,6 +3,9 @@ from pathlib import Path
 
 import varadhanlab
 
+SRC = Path(varadhanlab.__file__).parent
+ROOT = Path(__file__).resolve().parents[1]
+
 # the package's public names, spelled out so that adding or dropping one
 # shows up as a diff of this list
 PUBLIC = [
@@ -30,6 +33,20 @@ NO_PIPELINE_CALLER = {
     "spectral_density": "the density of mu, kept for the lattice weights to call",
 }
 
+# the functions whose options count as passed when a test passes them,
+# each with its reason
+ORACLES = {
+    **{name: NO_PIPELINE_CALLER[name]
+       for name in ("picard_verify", "expansion_check", "dphi_window_norm")},
+    "forward_xi": "oracle of the adjoint gradient, which validate runs at its defaults",
+    "chaos_ensemble": "the first-chaos sampler of expansion_check, its only caller",
+}
+
+# the options no pipeline stage passes, each kept for a stated reason
+UNPASSED_OPTIONS = {
+    "main.argv": "the console script calls main() with no arguments",
+}
+
 
 def test_public_names_are_pinned():
     assert sorted(varadhanlab.__all__) == PUBLIC
@@ -39,7 +56,7 @@ def test_every_src_name_has_a_pipeline_caller():
     # a function, class or method counts as called when a name or attribute
     # anywhere in the library spells its name; dunders Python calls itself
     defined, referenced = set(), set()
-    for path in sorted(Path(varadhanlab.__file__).parent.glob("*.py")):
+    for path in sorted(SRC.glob("*.py")):
         if path.name == "__init__.py":
             continue
         for node in ast.walk(ast.parse(path.read_text())):
@@ -51,3 +68,205 @@ def test_every_src_name_has_a_pipeline_caller():
             elif isinstance(node, ast.Attribute):
                 referenced.add(node.attr)
     assert defined - referenced == set(NO_PIPELINE_CALLER)
+
+
+def _callees(func) -> list[str]:
+    """The names a call may reach: f(...) and x.f(...) reach f; both branches
+    of (f if c else g)(...) count."""
+    if isinstance(func, ast.IfExp):
+        return _callees(func.body) + _callees(func.orelse)
+    if isinstance(func, ast.Name):
+        return [func.id]
+    if isinstance(func, ast.Attribute):
+        return [func.attr]
+    return []
+
+
+def _is_dict(node) -> bool:
+    return isinstance(node, ast.Call) and _callees(node.func) == ["dict"]
+
+
+def _passed(trees) -> dict[str, tuple[int, set[str]]]:
+    """Per callee name: the most positional arguments any call passes it, and
+    every keyword, those of a dict(...) the call unpacks with ** included."""
+    passed = {}
+    for tree in trees:
+        dicts = {t.id: node.value for node in ast.walk(tree)
+                 if isinstance(node, ast.Assign) and _is_dict(node.value)
+                 for t in node.targets if isinstance(t, ast.Name)}
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            npos = next((i for i, a in enumerate(call.args) if isinstance(a, ast.Starred)),
+                        len(call.args))
+            names = set()
+            for kw in call.keywords:
+                value = kw.value
+                if kw.arg is None and isinstance(value, ast.Name):
+                    value = dicts.get(value.id)
+                if kw.arg is None and _is_dict(value):
+                    names |= {k.arg for k in value.keywords}
+                names.add(kw.arg)
+            for name in _callees(call.func):
+                pos, seen = passed.get(name, (0, set()))
+                passed[name] = (max(pos, npos), seen | names)
+    return passed
+
+
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    return any("dataclass" in _callees(d.func if isinstance(d, ast.Call) else d)
+               for d in cls.decorator_list)
+
+
+def unused_options(library, callers=(), test_callers=(), oracles=()) -> set[str]:
+    """The options and stored attributes of the library modules that nothing uses.
+
+    library, callers and test_callers are module sources.  An option is a
+    parameter with a default.  It is used when a call in the library or the
+    callers (test_callers too, for a function named in oracles) passes it by
+    keyword or by position.  Calls match definitions by name: f(...) and
+    x.f(...) reach every f, C(...) reaches C.__init__, and a method's
+    positions skip self.  An attribute is a self.x assignment in a method or
+    a dataclass field.  It is used when the library reads .x anywhere, or
+    when its class reaches dataclasses.asdict as r in asdict(r) for r in
+    t.rows, with the field rows annotated list[C].  Exception classes are
+    exempt: what they store is the payload of the fault they report.
+
+    Matching by name cannot tell two methods of one name apart: the
+    RateResult.validate(tol_c) call passes a first argument to every
+    validate, so an unpassed option of another validate goes unseen.
+
+    Returns "function.parameter" and "Class.attribute" names.
+    """
+    lib = [ast.parse(text) for text in library]
+    passed = _passed(lib + [ast.parse(text) for text in callers])
+    by_tests = _passed([ast.parse(text) for text in test_callers])
+    classes = {c.name: c for t in lib for c in ast.walk(t) if isinstance(c, ast.ClassDef)}
+    owner = {id(f): c.name for c in classes.values() for f in c.body
+             if isinstance(f, ast.FunctionDef)}
+    found = set()
+    for fn in (f for t in lib for f in ast.walk(t) if isinstance(f, ast.FunctionDef)):
+        cls = owner.get(id(fn))
+        key = cls if fn.name == "__init__" else fn.name
+        pos, names = passed.get(key, (0, set()))
+        if key in oracles:
+            tpos, tnames = by_tests.get(key, (0, set()))
+            pos, names = max(pos, tpos), names | tnames
+        label = fn.name if cls is None else f"{cls}.{fn.name}"
+        args = fn.args.posonlyargs + fn.args.args
+        skip = 0 if cls is None else 1
+        first = len(args) - len(fn.args.defaults)
+        found |= {f"{label}.{a.arg}" for i, a in enumerate(args[first:], first)
+                  if not (pos > i - skip or a.arg in names)}
+        found |= {f"{label}.{a.arg}" for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+                  if d is not None and a.arg not in names}
+
+    def is_exception(cls):
+        return any(isinstance(b, ast.Name) and (b.id in ("Exception", "BaseException") or (
+            b.id in classes and is_exception(classes[b.id]))) for b in cls.bases)
+
+    reads = {n.attr for t in lib for n in ast.walk(t)
+             if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    annotations = {s.target.id: s.annotation for c in classes.values() if _is_dataclass(c)
+                   for s in c.body if isinstance(s, ast.AnnAssign)}
+    exported = set()
+    for scope in (s for t in lib for s in ast.walk(t)):
+        loops = getattr(scope, "generators", [scope] if isinstance(scope, ast.For) else [])
+        loops = {g.target.id: g.iter for g in loops if isinstance(g.target, ast.Name)}
+        for call in ast.walk(scope) if loops else ():
+            if isinstance(call, ast.Call) and _callees(call.func) == ["asdict"]:
+                rows = loops.get(getattr(call.args[0], "id", None))
+                ann = annotations.get(getattr(rows, "attr", None))
+                if isinstance(ann, ast.Subscript) and isinstance(ann.slice, ast.Name):
+                    exported.add(ann.slice.id)
+    for cls in classes.values():
+        if is_exception(cls) or cls.name in exported:
+            continue
+        stored = {s.target.id for s in cls.body
+                  if _is_dataclass(cls) and isinstance(s, ast.AnnAssign)}
+        stored |= {n.attr for f in cls.body if isinstance(f, ast.FunctionDef)
+                   for n in ast.walk(f) if isinstance(n, ast.Attribute)
+                   and isinstance(n.ctx, ast.Store)
+                   and isinstance(n.value, ast.Name) and n.value.id == "self"}
+        found |= {f"{cls.name}.{a}" for a in stored - reads}
+    return found
+
+
+def _texts(paths):
+    return [p.read_text() for p in sorted(paths)]
+
+
+def test_every_src_option_and_attribute_is_used():
+    # the pipeline is the library and the benchmark that drives it
+    library = _texts(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+    found = unused_options(library, _texts((ROOT / "benchmarks").glob("*.py")),
+                           _texts((ROOT / "tests").glob("*.py")), ORACLES)
+    assert found == set(UNPASSED_OPTIONS)
+
+
+_SYNTHETIC = '''
+from dataclasses import asdict, dataclass
+
+
+@dataclass
+class Row:
+    value: float
+    note: str = ""
+
+
+@dataclass
+class Table:
+    rows: list[Row]
+
+
+class Fault(Exception):
+    def __init__(self, message, gap=None):
+        super().__init__(message)
+        self.gap = gap
+
+
+class Probe:
+    def __init__(self, n, scale=1.0):
+        self.n = n
+        self.scale = scale
+
+    def run(self, k=1):
+        return self.n * self.scale * k
+
+
+def draw(n, stream0=0, executor=None, spare=None):
+    return n
+
+
+def tiny_grid(seed=7):
+    return seed
+
+
+def mc_grid(seed=7):
+    return seed
+
+
+def pipeline(tiny, table):
+    kwargs = dict(stream0=1, executor=None)
+    draw((tiny_grid if tiny else mc_grid)(3), **kwargs)
+    if not Probe(2, 0.5).run(5):
+        raise Fault("empty", gap=1.0)
+    return [asdict(r) for r in table.rows]
+'''
+
+
+def test_the_scan_flags_only_the_option_nothing_passes():
+    # stream0 and executor travel in a dict, seed through a conditional
+    # callee, scale and k by position after self, Row's fields only reach
+    # asdict, and Fault.gap is an exception payload; spare is never passed
+    assert unused_options([_SYNTHETIC]) == {"draw.spare"}
+    # an oracle's option set only in the tests counts; a callee's does not
+    tests = "draw(1, spare=2)\n"
+    assert unused_options([_SYNTHETIC], test_callers=[tests]) == {"draw.spare"}
+    assert unused_options([_SYNTHETIC], test_callers=[tests], oracles={"draw"}) == set()
+    # without the caller, every option it alone passed is flagged
+    bare = _SYNTHETIC[: _SYNTHETIC.index("def pipeline")]
+    assert unused_options([bare]) == {
+        "draw.stream0", "draw.executor", "draw.spare", "tiny_grid.seed",
+        "mc_grid.seed", "Fault.__init__.gap", "Probe.__init__.scale", "Probe.run.k",
+        "Row.value", "Row.note", "Table.rows"}

@@ -221,10 +221,13 @@ def test_non_finite_sigma0_is_a_config_error(capsys):
 
 
 @pytest.mark.parametrize("overrides", [
-    ["task.n_list=,"], ["task.n_list=2,3", "task.budgets=,"],
-    ["task.n_list=2,3", "task.n_controls=-3"]], ids=["levels", "budgets", "controls"])
+    ["task.n_list=,"], ["task.n_list=-1"], ["task.n_list=2,3", "task.theta=nan"],
+    ["task.n_list=2,3", "task.budgets=,"], ["task.n_list=2,3", "task.n_controls=-3"]],
+    ids=["levels", "negative-level", "nan-theta", "budgets", "controls"])
 def test_support_rejects_empty_or_negative_inputs_before_any_draw(
         overrides, tmp_path, monkeypatch, capsys):
+    # bad levels or theta fail before the endpoints are drawn, and no
+    # table is written: the probe's table waits for the convergence stage
     draws = []
     monkeypatch.setattr(mc, "sample_endpoints", lambda *a, **kw: draws.append(a))
     args = ["support", *TINY, "--set", "task.n=40"]
@@ -232,7 +235,21 @@ def test_support_rejects_empty_or_negative_inputs_before_any_draw(
     assert main([*args, "--out", str(tmp_path)]) == 1
     assert not draws
     assert capsys.readouterr().err.startswith("error: ")
-    assert _manifest(tmp_path)["error"] == "ValueError"
+    manifest = _manifest(tmp_path)
+    assert manifest["error"] == "ValueError" and manifest["artifacts"] == {}
+    assert not (tmp_path / "support_probe.csv").exists()
+
+
+def test_support_c1_column_is_pinned(tmp_path):
+    # the default 300 replicas on the tiny grid: kept counts exactly and
+    # c1 medians to 1e-12 relative, so the smoothing route cannot drift
+    assert main(["support", *TINY, "--set", "task.n_list=2,3,4",
+                 "--out", str(tmp_path)]) == 0
+    header, conv = _read_csv(tmp_path / "support_convergence.csv")
+    assert header == ["n", "kept", "c1_median"]
+    assert conv[:, :2].tolist() == [[2, 138], [3, 171], [4, 257]]
+    np.testing.assert_allclose(conv[:, 2], [0.1626796451158713, 0.13179771313461536,
+                                            0.093135772076897438], rtol=1e-12, atol=0)
 
 
 def test_varadhan_rejects_a_non_finite_y(tmp_path, monkeypatch, capsys):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from varadhanlab import mc, presets, solver
-from varadhanlab.errors import TiltError
+from varadhanlab.errors import GridError, TiltError
 from varadhanlab.mc import (CHUNK, DensityCurve, estimate_density, gaussian_kde,
                             sample_endpoints, silverman_bandwidth,
                             support_convergence, tilted_density,
@@ -79,14 +79,14 @@ class TestEstimateDensity:
         y = np.array([-1.0, 0.0, 1.0])
         p_hat = np.array([0.25, 1.0, 0.25])
         for bw, fails in ((0.5, True), (0.49, False)):
-            curve = DensityCurve(1.0, y, p_hat, np.zeros(3), bw, 1000)
+            curve = DensityCurve(1.0, y, p_hat, np.zeros(3), bw)
             if fails:
                 with pytest.raises(AssertionError, match="captured mass"):
                     curve.validate()
             else:
                 curve.validate()
         with pytest.raises(AssertionError, match="nonnegative"):
-            DensityCurve(1.0, y, -p_hat, np.zeros(3), 0.49, 1000).validate()
+            DensityCurve(1.0, y, -p_hat, np.zeros(3), 0.49).validate()
 
 
 class TestReproducibility:
@@ -162,15 +162,17 @@ class TestStreamInvariance:
 
 class TestTiltedDensity:
     def test_null_tilt_matches_plain(self, mc_grid, linear_model):
+        # a zero tilt weighs every draw 1: the plain KDE of the same draws
+        # at the tilted estimator's bandwidth
         lat = lattice(COV, mc_grid)
         h0 = ControlH.zeros(lat)
-        bw = 0.05
         p, se, diag = tilted_density(linear_model, mc_grid, 3000, 0.0, h0,
-                                     eps=1.0, x=0.0, bandwidth=bw)
-        curve = estimate_density(linear_model, mc_grid, 3000, np.array([0.0]),
-                                 x=0.0, bandwidth=bw)
-        assert p == pytest.approx(float(curve.p_hat[0]), rel=1e-12)
-        assert diag["mean_weight"] == 1.0
+                                     eps=1.0, x=0.0)
+        samples = sample_endpoints(linear_model, mc_grid, 3000, 0.0)
+        bw = silverman_bandwidth(samples, -1.0 / 3.0)
+        plain = gaussian_kde(samples, np.array([0.0]), bw)
+        assert p == pytest.approx(float(plain[0]), rel=1e-12)
+        assert diag["mean_weight"] == 1.0 and diag["bandwidth"] == bw
 
     def test_mean_weight_is_martingale(self, mc_grid, linear_model, linear_rate):
         # mild tilt: the weight mean must sit near 1 within MC error
@@ -277,21 +279,6 @@ class TestSupportConvergence:
         med = [r["c1_median"] for r in rows]
         assert all(b < a for a, b in zip(med, med[1:]))
 
-    def test_c2_with_target_control(self, mc_grid, nonlinear_model, rng):
-        lat = lattice(COV, mc_grid)
-        h = ControlH(lat, 0.2 * rng.standard_normal((mc_grid.nt, lat.ncoords)))
-        rows = support_convergence(nonlinear_model, mc_grid, [3, 5], 150, h=h,
-                                   x=0.0)
-        assert rows[-1]["c2_median"] < rows[0]["c2_median"]
-
-    def test_c2_zero_control_reduces_to_c1_form(self, mc_grid, linear_model):
-        lat = lattice(COV, mc_grid)
-        rows = support_convergence(linear_model, mc_grid, [4], 100,
-                                   h=ControlH.zeros(lat), x=0.0)
-        # u(omega - v^n + 0) vs Phi^0 is the C1 statement with target Phi^0
-        assert rows[0]["c2_median"] == pytest.approx(rows[0]["c1_median"],
-                                                     rel=0.7)
-
     def test_linear_gap_rate(self, linear_model):
         # few retained modes isolate the time-smoothing error: the median
         # gap shrinks consistently with 2^{-n/2} within +-1/4 in the slope
@@ -309,8 +296,21 @@ class TestSupportConvergence:
             support_convergence(nonlinear_model, tiny_grid, [], 40)
         assert not draws
 
+    @pytest.mark.parametrize("n_list, theta, error", [
+        ([0, 2], 0.9, ValueError), ([-1], 0.9, ValueError),
+        ([2, 3], float("nan"), ValueError), ([2, 3], float("inf"), ValueError),
+        ([2, 3], 0.5, ValueError), ([2, 5], 0.9, GridError)],
+        ids=["zero", "negative", "nan", "inf", "half", "not-dividing"])
+    def test_bad_levels_or_theta_draw_no_replica(self, tiny_grid, nonlinear_model,
+                                                 monkeypatch, n_list, theta, error):
+        # every level n >= 1 with 2^n | nt = 16, and 1/2 < theta < inf
+        draws = []
+        monkeypatch.setattr(mc, "sample_endpoints", lambda *a, **kw: draws.append(a))
+        with pytest.raises(error):
+            support_convergence(nonlinear_model, tiny_grid, n_list, 40, theta=theta)
+        assert not draws
+
     def test_empty_localization_signals(self, mc_grid, nonlinear_model):
-        from varadhanlab.errors import GridError
         with pytest.raises(GridError):
             support_convergence(nonlinear_model, mc_grid, [6], 5, theta=0.51,
                                 x=0.0)

@@ -201,16 +201,21 @@ class TestGridSpec:
             g.time_index(t)
 
 
+def _coord_radius(lat):
+    """|xi| of each coordinate's mode; _extract_slot // 2 is its flat spectrum entry."""
+    return np.linalg.norm(lat._m[lat._extract_slot // 2], axis=-1) / (2.0 * lat.grid.L)
+
+
 class TestLattice:
     def test_mode_ordering_by_radius(self, lat):
-        assert np.all(np.diff(lat.coord_radius) >= -1e-15)
+        assert np.all(np.diff(_coord_radius(lat)) >= -1e-15)
         # white noise keeps the constant mode first
-        assert lat.coord_radius[0] == 0.0
+        assert _coord_radius(lat)[0] == 0.0
 
     def test_riesz_drops_zero_mode(self):
         lz = lattice(CovarianceSpec("wave", 1, "riesz", 0.5),
                      GridSpec(L=1.25, nx=64, nt=8, T=1.0, nk=32, seed=1))
-        assert lz.coord_radius[0] > 0.0
+        assert _coord_radius(lz)[0] > 0.0
         assert lz.ncoords % 2 == 0
 
     def test_synthesize_extract_adjoint(self, lat, rng):
@@ -283,10 +288,10 @@ class TestSamplePath:
             assert abs(emp - model) < 3.0 * se
 
     def test_control_is_the_drive(self, lat):
-        # c = h + (eps / dt) dW, h = 0 when absent
+        # c = (eps / dt) dW; a shift h enters the drive as h + c
         h = ControlH(lat, np.ones((lat.grid.nt, lat.ncoords)))
         p = sample_path(lat, 0)
-        c0, c = p.control(0.5), p.control(0.5, h)
+        c0, c = p.control(0.5), h + p.control(0.5)
         assert np.array_equal(c0.coeffs, 0.5 / lat.grid.dt * p.increments)
         assert np.array_equal(c.coeffs, h.coeffs + c0.coeffs)
 
@@ -386,6 +391,11 @@ class TestLocalization:
     def test_theta_guard(self, lat):
         with pytest.raises(ValueError):
             localization_holds(sample_path(lat, 0), 4, 0.5, 1.0)
+
+    def test_nan_theta_is_rejected(self, lat):
+        # theta <= 1/2 is False for NaN, which then read as "not localized"
+        with pytest.raises(ValueError, match="theta > 1/2"):
+            localization_holds(sample_path(lat, 0), 4, float("nan"), 1.0)
 
     def test_failure_probability_decreases(self):
         # the failure probability must trend to zero in n for theta = 3/4

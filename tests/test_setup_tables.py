@@ -34,8 +34,9 @@ def weight_table_loop(cov, grid):
 def lattice_tables_loop(lat):
     """The coordinate enumeration and slot table, one retained mode at a time.
 
-    Returns (synth_col, synth_scale, extract_slot, extract_scale,
-    coord_radius, ncoords) from the lattice's modes, radii and weights.
+    Returns (synth_col, synth_scale, extract_slot, extract_scale, the
+    radius |xi| of each coordinate's mode, ncoords) from the lattice's
+    modes, radii and weights.
     """
     d, nx = lat.d, lat.grid.nx
     nxd, dxd = float(nx ** d), lat.grid.dx ** d
@@ -109,6 +110,11 @@ def _ids(cov):
     return cov.label().replace("/", "-")
 
 
+def _coord_radius(lat):
+    """|xi| of each coordinate's mode; _extract_slot // 2 is its flat spectrum entry."""
+    return np.linalg.norm(lat._m[lat._extract_slot // 2], axis=-1) / (2.0 * lat.grid.L)
+
+
 @pytest.mark.parametrize("cov", COVS, ids=_ids)
 def test_lattice_tables_equal_the_mode_loop(cov):
     for nx, nk in GRIDS[cov.d]:
@@ -116,7 +122,7 @@ def test_lattice_tables_equal_the_mode_loop(cov):
             lat = Lattice(cov, GridSpec(L=L, nx=nx, nt=4, T=1.0, nk=nk))
             ref = lattice_tables_loop(lat)
             got = (lat._synth_col, lat._synth_scale, lat._extract_slot,
-                   lat._extract_scale, lat.coord_radius, lat.ncoords)
+                   lat._extract_scale, _coord_radius(lat), lat.ncoords)
             for g, r in zip(got[:-1], ref[:-1]):
                 assert g.dtype == r.dtype and np.array_equal(g, r)
             assert got[-1] == ref[-1]
@@ -128,7 +134,7 @@ def test_lattice_covers_the_zero_mode_policy_and_mirrors(cov):
     # for d >= 2 some pair also fills its conjugate mirror's slots
     nx, nk = GRIDS[cov.d][0]
     lat = Lattice(cov, GridSpec(L=1.25, nx=nx, nt=4, T=1.0, nk=nk))
-    assert (lat.coord_radius[0] == 0.0) == (cov.kind == "white")
+    assert (_coord_radius(lat)[0] == 0.0) == (cov.kind == "white")
     filled = np.count_nonzero(lat._synth_scale)
     owned = np.count_nonzero(lat._extract_scale)
     assert (filled > owned) == (cov.d >= 2)

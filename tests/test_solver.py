@@ -31,7 +31,7 @@ class TestModelSpec:
 
     def test_eps_range(self):
         with pytest.raises(ValueError):
-            presets.linear_model(eps=1.5)
+            presets.linear_model().with_eps(1.5)
 
     def test_wave_domain_guard(self):
         grid = GridSpec(L=0.9, nx=32, nt=16, T=1.0, nk=16, seed=0)
@@ -71,7 +71,7 @@ class TestModelSpec:
 
 @pytest.fixture(scope="module")
 def linear_endpoints(mc_grid):
-    m = presets.linear_model(eps=0.5)
+    m = presets.linear_model().with_eps(0.5)
     return endpoint_ensemble(m, mc_grid, range(10_000), 0.0)
 
 
@@ -99,7 +99,7 @@ class TestSimulate:
         # for p = 2, 4, 8 (uniform moment bound, no blow-up as eps varies)
         worst = 0.0
         for eps in (0.1, 0.4, 0.7, 1.0):
-            m = presets.nonlinear_model(eps=eps)
+            m = presets.nonlinear_model().with_eps(eps)
             u = endpoint_ensemble(m, mc_grid, range(2000), 0.0)
             moments = [np.mean(np.abs(u) ** p) for p in (2, 4, 8)]
             assert np.all(np.isfinite(moments))
@@ -188,7 +188,7 @@ class TestStreamedIncrements:
 
     def test_tilted_ensemble_dots_before_t(self, mc_grid):
         # t < T: the Girsanov dot still pairs h with all nt rows of dW
-        m = presets.nonlinear_model(eps=0.5)
+        m = presets.nonlinear_model().with_eps(0.5)
         lat = lattice(COV, mc_grid)
         h = ControlH(lat, np.random.default_rng(2).standard_normal((mc_grid.nt, lat.ncoords)))
         streams = list(range(40, 80))
@@ -275,21 +275,21 @@ class TestShiftIdentity:
     def test_pathwise_identity_every_replica(self, mc_grid, rng):
         # simulate with the path translated by eps^-1 h equals the shifted
         # equation driven by the original path, pathwise to solver precision
-        m = presets.nonlinear_model(eps=0.5)
+        m = presets.nonlinear_model().with_eps(0.5)
         lat = lattice(COV, mc_grid)
         h = ControlH(lat, 0.4 * rng.standard_normal((mc_grid.nt, lat.ncoords)))
         for s in range(20):
             p = sample_path(lat, s)
             shifted = NoisePath(lat, p.increments + mc_grid.dt / m.eps * h.coeffs)
             u1 = simulate(m, mc_grid, shifted)
-            u2 = solve_phi(m, mc_grid, p.control(m.eps, h))
+            u2 = solve_phi(m, mc_grid, h + p.control(m.eps))
             assert np.max(np.abs(u1.values - u2.values)) < 1e-8
 
     @pytest.mark.parametrize("with_h", [False, True])
     def test_ensemble_matches_single_path_solves(self, mc_grid, with_h):
         # a batch synthesizes its drive slab by slab, one path all at once:
         # both give every stream the same endpoint to rounding
-        m = presets.nonlinear_model(eps=0.7)
+        m = presets.nonlinear_model().with_eps(0.7)
         lat = lattice(COV, mc_grid)
         rng = np.random.default_rng(5)
         h = ControlH(lat, 0.4 * rng.standard_normal((mc_grid.nt, lat.ncoords))) \
@@ -298,8 +298,9 @@ class TestShiftIdentity:
         batch = endpoint_ensemble(m, mc_grid, streams, 0.0, h=h)
         if with_h:
             batch = batch[0]
-        single = [solve_phi(m, mc_grid, sample_path(lat, s).control(m.eps, h)).endpoint(0.0)
-                  for s in streams]
+        controls = [sample_path(lat, s).control(m.eps) for s in streams]
+        single = [solve_phi(m, mc_grid, h + c if with_h else c).endpoint(0.0)
+                  for c in controls]
         np.testing.assert_allclose(batch, single, rtol=1e-12, atol=0.0)
 
     def test_zero_control_reduces_to_simulate(self, small_grid):
@@ -307,16 +308,16 @@ class TestShiftIdentity:
         lat = lattice(COV, small_grid)
         p = sample_path(lat, 2)
         u1 = simulate(m, small_grid, p)
-        u2 = solve_phi(m, small_grid, p.control(m.eps, ControlH.zeros(lat)))
+        u2 = solve_phi(m, small_grid, ControlH.zeros(lat) + p.control(m.eps))
         assert np.array_equal(u1.values, u2.values)
 
     def test_linear_limit_matches_skeleton(self, small_grid, rng):
         # sigma = 1, b = 0, eps -> 0: shifted field equals w + <Lambda, h>
-        m = presets.linear_model(eps=0.0)
+        m = presets.linear_model().with_eps(0.0)
         lat = lattice(COV, small_grid)
         h = ControlH(lat, rng.standard_normal((small_grid.nt, lat.ncoords)))
         p = sample_path(lat, 0)
-        u = solve_phi(m, small_grid, p.control(m.eps, h))
+        u = solve_phi(m, small_grid, h + p.control(m.eps))
         phi = solve_phi(m, small_grid, h)
         assert np.allclose(u.values, phi.values, atol=1e-12)
 
@@ -329,7 +330,7 @@ class TestFirstVariation:
     """
 
     def test_linear_norm_is_exact(self, small_grid):
-        m = presets.linear_model(eps=0.5)
+        m = presets.linear_model().with_eps(0.5)
         lat = lattice(COV, small_grid)
         p = sample_path(lat, 1)
         D = m.eps * forward_xi(m, small_grid, p.control(m.eps), x=0.0).coeffs
@@ -337,7 +338,7 @@ class TestFirstVariation:
         assert ControlH(lat, D).norm_sq == pytest.approx(want, rel=1e-12)
 
     def test_rows_beyond_t_vanish(self, small_grid):
-        m = presets.nonlinear_model(eps=0.5)
+        m = presets.nonlinear_model().with_eps(0.5)
         lat = lattice(COV, small_grid)
         p = sample_path(lat, 1)
         D = m.eps * forward_xi(m, small_grid, p.control(m.eps), t=0.5, x=0.0).coeffs
@@ -346,7 +347,7 @@ class TestFirstVariation:
         assert np.any(D[:jt] != 0.0)
 
     def test_matches_adjoint_route(self, small_grid):
-        m = presets.nonlinear_model(eps=0.75)
+        m = presets.nonlinear_model().with_eps(0.75)
         lat = lattice(COV, small_grid)
         p = sample_path(lat, 4)
         u = simulate(m, small_grid, p)
@@ -358,7 +359,7 @@ class TestFirstVariation:
     def test_matches_central_differences_of_simulate(self, small_grid, t):
         # the path perturbed by tau dt g has the control c + eps tau g, so
         # d/dtau u(t, x) = <D, g>_{H_T} with D = eps G(c)
-        m = presets.nonlinear_model(eps=0.6)
+        m = presets.nonlinear_model().with_eps(0.6)
         lat = lattice(COV, small_grid)
         p = sample_path(lat, 5)
         D = ControlH(lat, m.eps * gradient_phi(m, small_grid, p.control(m.eps), t,
@@ -376,7 +377,7 @@ class TestFirstVariation:
         # E ||D u||^2 / eps^2 stays within 5% across eps
         vals = []
         for eps in (0.25, 0.5, 1.0):
-            m = presets.nonlinear_model(eps=eps)
+            m = presets.nonlinear_model().with_eps(eps)
             lat = lattice(COV, small_grid)
             norms = []
             for s in range(40):
