@@ -41,7 +41,7 @@ _SCHEMA = {
               "eps", "eps_list"},
     "grid": {"L", "nx", "nt", "nk", "T", "seed"},
     "task": {"t", "x", "y", "y_grid", "n", "n_list", "budgets", "theta",
-             "n_controls", "tol_rel", "rate_artifact"},
+             "tol_rel", "rate_artifact"},
 }
 
 #: replicas per subcommand when task.n is absent
@@ -73,7 +73,6 @@ y_grid = -1.5:1.5:13
 n_list = 3,4,5,6
 budgets = 1,10,100
 theta = 0.9
-n_controls = 6
 tol_rel = 1e-6
 """
 
@@ -408,13 +407,14 @@ def _cmd_varadhan(run: Runner) -> int:
 def _cmd_support(run: Runner) -> int:
     cfg = run.cfg
     budgets = _floats(cfg.value("task", "budgets"))
-    n_controls = int(cfg.value("task", "n_controls"))
-    with run.stage("support_probe"):
-        intervals = rate_mod.support_probe(cfg.model, cfg.grid, n_controls, budgets,
-                                           t=cfg.t, x=cfg.x)
     n_list = _ints(cfg.value("task", "n_list"))
-    n = cfg.replicas("support")
     theta = float(cfg.value("task", "theta"))
+    # bad levels or theta fail here, before the probe's skeleton solves
+    mc._check_support_levels(cfg.model, cfg.grid, n_list, theta)
+    with run.stage("support_probe"):
+        intervals = rate_mod.support_probe(cfg.model, cfg.grid, budgets,
+                                           t=cfg.t, x=cfg.x)
+    n = cfg.replicas("support")
     with run.stage("support_convergence"):
         rows = mc.support_convergence(cfg.model, cfg.grid, n_list, n, theta=theta,
                                       t=cfg.t, x=cfg.x)

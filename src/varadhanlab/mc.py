@@ -287,20 +287,11 @@ def varadhan_sweep(model: ModelSpec, grid: GridSpec, eps_list, y: float,
     return SweepResult(y, -I_of_y, rows, limit, limit_se, good[-1].eps2_log_p)
 
 
-def support_convergence(model: ModelSpec, grid: GridSpec, n_list, n_replicas: int,
-                        theta: float = 0.9, t: float | None = None, x=None) -> list[dict]:
-    """Smoothing approximation errors per smoothing level.
-
-    For each level n (with paths coupled across levels): the number of
-    localized replicas and the median over them of |u(t,x) - Phi^{v^n}|,
-    the c1 column.  The levels (each n >= 1, strictly increasing, 2^n
-    dividing nt) and theta (finite, > 1/2) are checked before anything is
-    drawn.  The endpoints u(t,x) are drawn in chunks and each replica's
-    path is drawn on its own, so no (n_replicas, nt, ncoords) array is held.
-    """
-    from .noise import localization_holds, sample_path, smooth_vn
-
-    n_list = list(n_list)
+def _check_support_levels(model: ModelSpec, grid: GridSpec, n_list: list[int],
+                          theta: float) -> None:
+    """support_convergence's input checks: levels nonempty, strictly
+    increasing, each n >= 1 with 2^n dividing nt and n <= ncoords; theta
+    finite and > 1/2."""
     if not n_list:
         raise ValueError("n_list is empty")
     if any(n < 1 for n in n_list):
@@ -309,9 +300,28 @@ def support_convergence(model: ModelSpec, grid: GridSpec, n_list, n_replicas: in
         raise ValueError("n_list must be strictly increasing")
     if not 0.5 < theta < math.inf:                      # NaN fails too
         raise ValueError(f"theta = {theta} must be finite and > 1/2")
+    ncoords = lattice(model.cov, grid).ncoords
     for n in n_list:
         if grid.nt % (1 << n) != 0:
             raise GridError(f"2^{n} must divide nt = {grid.nt}")
+        if n > ncoords:
+            raise GridError(f"smoothing level {n} exceeds available modes {ncoords}")
+
+
+def support_convergence(model: ModelSpec, grid: GridSpec, n_list, n_replicas: int,
+                        theta: float = 0.9, t: float | None = None, x=None) -> list[dict]:
+    """Smoothing approximation errors per smoothing level.
+
+    For each level n (with paths coupled across levels): the number of
+    localized replicas and the median over them of |u(t,x) - Phi^{v^n}|,
+    the c1 column.  The levels and theta are checked before anything is
+    drawn.  The endpoints u(t,x) are drawn in chunks and each replica's
+    path is drawn on its own, so no (n_replicas, nt, ncoords) array is held.
+    """
+    from .noise import localization_holds, sample_path, smooth_vn
+
+    n_list = list(n_list)
+    _check_support_levels(model, grid, n_list, theta)
     lat = lattice(model.cov, grid)
     tt = grid.T if t is None else t
 

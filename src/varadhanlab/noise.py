@@ -322,10 +322,6 @@ class ControlH:
         _check_same(self, other)
         return ControlH(self.lattice, self.coeffs + other.coeffs)
 
-    def __sub__(self, other: "ControlH") -> "ControlH":
-        _check_same(self, other)
-        return ControlH(self.lattice, self.coeffs - other.coeffs)
-
     def __mul__(self, c: float) -> "ControlH":
         return ControlH(self.lattice, self.coeffs * float(c))
 

@@ -70,6 +70,21 @@ def test_every_src_name_has_a_pipeline_caller():
     assert defined - referenced == set(NO_PIPELINE_CALLER)
 
 
+def test_every_random_draw_is_philox():
+    # the noise streams are Philox counters keyed on (grid.seed, stream);
+    # a generator of another kind would be a second stream beside them
+    others = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute)
+                    and node.value.attr == "random"
+                    and isinstance(node.value.value, ast.Name)
+                    and node.value.value.id in ("np", "numpy")
+                    and node.attr not in ("Generator", "Philox")):
+                others.append(f"{path.name}:{node.lineno} np.random.{node.attr}")
+    assert others == []
+
+
 def _callees(func) -> list[str]:
     """The names a call may reach: f(...) and x.f(...) reach f; both branches
     of (f if c else g)(...) count."""

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from varadhanlab import mc
+from varadhanlab import mc, rate
 from varadhanlab.cli import _estimate_resources, load_config, main
 from varadhanlab.errors import ConfigError
 from varadhanlab.noise import lattice
@@ -102,14 +102,22 @@ def test_density_writes_finite_curve(tmp_path):
 
 
 def test_support_writes_finite_tables(tmp_path):
-    # 2^n must divide nt = 16, so the smoothing levels stop at 4
-    assert main(["support", *TINY, "--set", "task.n=40", "--set", "task.n_list=2,3",
-                 "--set", "task.n_controls=2", "--set", "task.budgets=1,10",
+    # 2^n must divide nt = 16, so the smoothing levels stop at 4; sigma is
+    # not even, so the probe's ends are not mirror images
+    overrides = ["task.n=40", "task.n_list=2,3", "task.budgets=0,1,10,100",
+                 "model.sigma=affine_clamped:1,0.8,0.25,3", "model.b=tanh_bounded:1",
+                 "model.sigma0=0.25"]
+    assert main(["support", *TINY, *[a for o in overrides for a in ("--set", o)],
                  "--out", str(tmp_path)]) == 0
     header, probe = _read_csv(tmp_path / "support_probe.csv")
     assert header == ["budget", "low", "high", "width"]
-    assert probe.shape == (2, 4) and np.all(np.isfinite(probe))
+    assert probe.shape == (4, 4) and np.all(np.isfinite(probe))
     assert np.all(probe[:, 3] >= 0.0)
+    # the ends of the constructive ray, exactly as written (.17g round-trips)
+    assert probe[:, 1].tolist() == [0.0, -0.69007841312114604, -1.8338906519648188,
+                                    -4.4419302827477436]
+    assert probe[:, 2].tolist() == [0.0, 0.80988011695347661, 2.9805799451342483,
+                                    12.357274205608078]
     header, conv = _read_csv(tmp_path / "support_convergence.csv")
     assert header == ["n", "kept", "c1_median"]
     assert conv.shape == (2, 3) and np.all(np.isfinite(conv))
@@ -220,23 +228,26 @@ def test_non_finite_sigma0_is_a_config_error(capsys):
     assert "sigma0 must be positive and finite" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("overrides", [
-    ["task.n_list=,"], ["task.n_list=-1"], ["task.n_list=2,3", "task.theta=nan"],
-    ["task.n_list=2,3", "task.budgets=,"], ["task.n_list=2,3", "task.n_controls=-3"]],
-    ids=["levels", "negative-level", "nan-theta", "budgets", "controls"])
+@pytest.mark.parametrize("overrides, error", [
+    (["task.n_list=,"], "ValueError"), (["task.n_list=-1"], "ValueError"),
+    (["task.n_list=2,3", "task.theta=nan"], "ValueError"),
+    (["task.n_list=2,3", "task.budgets=,"], "ValueError"),
+    (["grid.nk=1", "task.n_list=2,4"], "GridError")],       # 3 coordinates < 4
+    ids=["levels", "negative-level", "nan-theta", "budgets", "level-above-modes"])
 def test_support_rejects_empty_or_negative_inputs_before_any_draw(
-        overrides, tmp_path, monkeypatch, capsys):
-    # bad levels or theta fail before the endpoints are drawn, and no
-    # table is written: the probe's table waits for the convergence stage
-    draws = []
+        overrides, error, tmp_path, monkeypatch, capsys):
+    # bad levels, theta or budgets fail before the probe's first skeleton
+    # solve and before the endpoints are drawn, and no table is written
+    draws, solves = [], []
     monkeypatch.setattr(mc, "sample_endpoints", lambda *a, **kw: draws.append(a))
+    monkeypatch.setattr(rate, "solve_phi", lambda *a, **kw: solves.append(a))
     args = ["support", *TINY, "--set", "task.n=40"]
     args += [a for o in overrides for a in ("--set", o)]
     assert main([*args, "--out", str(tmp_path)]) == 1
-    assert not draws
+    assert not draws and not solves
     assert capsys.readouterr().err.startswith("error: ")
     manifest = _manifest(tmp_path)
-    assert manifest["error"] == "ValueError" and manifest["artifacts"] == {}
+    assert manifest["error"] == error and manifest["artifacts"] == {}
     assert not (tmp_path / "support_probe.csv").exists()
 
 
@@ -315,9 +326,11 @@ def test_validate_passes_every_check(tmp_path):
 
 
 def test_removed_config_keys_are_rejected():
-    # task.alpha and [output] were accepted, hashed and never read
+    # task.alpha and [output] were accepted, hashed and never read;
+    # task.n_controls set the probe's random directions, which are gone
     assert main(["rate", "--set", "task.alpha=0.5", "--dry-run"]) == 2
     assert main(["rate", "--set", "output.formats=csv", "--dry-run"]) == 2
+    assert main(["support", "--set", "task.n_controls=6", "--dry-run"]) == 2
     assert not load_config(None, []).raw.keys() - {"model", "grid", "task"}
 
 
@@ -374,7 +387,7 @@ def test_support_defaults_to_three_hundred_replicas(tmp_path, monkeypatch, capsy
         return convergence(model, grid, n_list, n_replicas, **kw)
 
     monkeypatch.setattr(mc, "support_convergence", spy)
-    overrides = ["task.n_list=2", "task.n_controls=1", "task.budgets=1"]
+    overrides = ["task.n_list=2", "task.budgets=1"]
     args = ["support", *TINY, *[a for o in overrides for a in ("--set", o)]]
     assert main([*args, "--dry-run"]) == 0
     assert "task.n=" not in capsys.readouterr().out
@@ -430,8 +443,8 @@ def test_an_empty_config_resolves_like_the_built_in_one(tmp_path):
     ("density", ["task.n=1000"], {"density"}),
     ("rate", [], {"rate"}),
     ("varadhan", ["task.n=2000", "model.eps_list=1.0,0.7"], {"sweep"}),
-    ("support", ["task.n=40", "task.n_list=2,3", "task.n_controls=1",
-                 "task.budgets=1"], {"support_probe", "support_convergence"}),
+    ("support", ["task.n=40", "task.n_list=2,3", "task.budgets=1"],
+     {"support_probe", "support_convergence"}),
 ])
 def test_manifest_profiles_the_library_stages(subcommand, overrides, stages, tmp_path):
     if subcommand == "varadhan":

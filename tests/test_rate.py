@@ -4,7 +4,7 @@ import pytest
 from varadhanlab import presets, rate
 from varadhanlab.errors import BracketError
 from varadhanlab.funcs import ONE, ScalarFunc
-from varadhanlab.noise import ControlH, GridSpec, lattice, sample_path
+from varadhanlab.noise import ControlH, GridSpec, lattice
 from varadhanlab.rate import (init_shift, rate_function, rate_profile,
                               support_probe)
 from varadhanlab.skeleton import solve_phi
@@ -163,55 +163,33 @@ class TestSupportProbe:
     def test_budget_zero_degenerate(self, grid, nonlinear_model):
         lat = lattice(COV, grid)
         y0 = solve_phi(nonlinear_model, grid, ControlH.zeros(lat)).endpoint(0.0)
-        lo, hi = support_probe(nonlinear_model, grid, 3, 0.0, x=0.0)
+        [(lo, hi)] = support_probe(nonlinear_model, grid, [0.0], x=0.0)
         assert lo == hi == pytest.approx(y0)
 
     @pytest.mark.parametrize("budget", [-1.0, [-1.0, 1.0], [np.nan, 1.0]])
     def test_negative_budget_is_a_value_error(self, grid, nonlinear_model, budget):
         # no control has ||h||^2 / 2 < 0 (or NaN), so there is no interval
         with pytest.raises(ValueError, match="must be a number >= 0"):
-            support_probe(nonlinear_model, grid, 3, budget, x=0.0)
+            support_probe(nonlinear_model, grid, budget, x=0.0)
 
-    @pytest.mark.parametrize("n_controls, budget, match", [
-        (2, [], "budget list is empty"), (-3, [1.0], "n_controls")])
-    def test_empty_budgets_or_negative_controls_are_value_errors(
-            self, tiny_grid, nonlinear_model, monkeypatch, n_controls, budget, match):
+    def test_empty_budget_list_is_a_value_error(self, tiny_grid, nonlinear_model,
+                                                monkeypatch):
         solves = []
         monkeypatch.setattr(rate, "solve_phi", lambda *a, **kw: solves.append(a))
-        with pytest.raises(ValueError, match=match):
-            support_probe(nonlinear_model, tiny_grid, n_controls, budget)
+        with pytest.raises(ValueError, match="budget list is empty"):
+            support_probe(nonlinear_model, tiny_grid, [])
         assert not solves
 
     def test_widths_increase_with_budget(self, grid, nonlinear_model):
-        intervals = support_probe(nonlinear_model, grid, 4, [1.0, 10.0, 100.0],
-                                  x=0.0)
+        intervals = support_probe(nonlinear_model, grid, [1.0, 10.0, 100.0], x=0.0)
         widths = [hi - lo for lo, hi in intervals]
         assert widths[0] < widths[1] < widths[2]
-
-    def test_random_controls_share_no_noise_stream(self, grid, nonlinear_model,
-                                                   monkeypatch):
-        # the probe's random directions must not repeat a replica's noise:
-        # at Philox key (seed, 11) the first one was stream 11's path
-        controls = []
-        endpoint = rate._endpoint
-
-        def spy(model, grid, h, t, x):
-            controls.append(h.coeffs)
-            return endpoint(model, grid, h, t, x)
-
-        monkeypatch.setattr(rate, "_endpoint", spy)
-        support_probe(nonlinear_model, grid, 1, 1.0, x=0.0)
-        first = controls[4]            # after the four scalings of the kernel direction
-        for stream in range(16):
-            path = sample_path(lattice(COV, grid), stream).increments
-            cos = np.sum(first * path) / np.sqrt(np.sum(first ** 2) * np.sum(path ** 2))
-            assert abs(cos) < 0.5
 
     def test_linear_budget_maximum(self, linear_model):
         # optimal direction is the kernel itself: max = sqrt(2 B g1)
         g = GridSpec(L=1.25, nx=256, nt=64, T=1.0, nk=128, seed=13)
         for budget in (1.0, 10.0):
-            lo, hi = support_probe(linear_model, g, 2, budget, x=0.0)
+            [(lo, hi)] = support_probe(linear_model, g, [budget], x=0.0)
             from varadhanlab.covkernel import g1
             want = np.sqrt(2.0 * budget * g1(COV, 1.0))
             assert hi == pytest.approx(want, rel=0.01)
@@ -267,6 +245,13 @@ class TestSkeletonSolves:
         results = rate_profile(nonlinear_model, tiny_grid, sorted([y0, 0.5, 1.0]))
         assert all(r.skeleton_solves >= r.evaluations for r in results)
         assert sum(r.skeleton_solves for r in results) == len(calls) + 1
+
+    def test_probe_makes_two_solves_per_positive_budget(self, tiny_grid,
+                                                        nonlinear_model, calls):
+        # Phi^0, then the two ends of the constructive ray per budget b > 0
+        intervals = support_probe(nonlinear_model, tiny_grid, [0.0, 1.0, 10.0])
+        assert isinstance(intervals, list) and len(intervals) == 3
+        assert len(calls) == 1 + 2 * 2
 
     def test_point_counts_every_adjoint_sweep(self, tiny_grid, nonlinear_model, sweeps):
         res = rate_function(nonlinear_model, tiny_grid, 1.0)

@@ -426,7 +426,7 @@ class TestWindowNorm:
         phi = solve_phi(m, small_grid, h)
         G = gradient_phi(m, small_grid, h, x=0.0, phi=phi)
         bare = bare_kernel_control(m, small_grid, phi, x=0.0)
-        chi = G - bare
+        chi = G + (-1.0) * bare
         dt = small_grid.dt
         ratios = []
         for nwin in (32, 16, 8, 4, 2):

@@ -58,7 +58,7 @@ class TestModelSpec:
             "gradient_phi": lambda: gradient_phi(m, grid, ControlH.zeros(lat), x=0.0),
             "rate_function": lambda: rate_function(m, grid, 1.0, x=0.0),
             "rate_profile": lambda: rate_profile(m, grid, [0.5, 1.0], x=0.0),
-            "support_probe": lambda: support_probe(m, grid, 2, [1.0], x=0.0),
+            "support_probe": lambda: support_probe(m, grid, [1.0], x=0.0),
             "bare_kernel_control": lambda: bare_kernel_control(
                 m, grid, simulate(m, grid, path), x=0.0),
             "forward_xi": lambda: forward_xi(m, grid, ControlH.zeros(lat), x=0.0),
