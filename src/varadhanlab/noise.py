@@ -11,9 +11,11 @@ Coordinates are ordered by increasing |xi| with lexicographic tie-breaks,
 which gives "the first n modes" a concrete, refinement-stable meaning for
 the piecewise-constant smoothing v^n and its localization event.
 
+Lattice.to_spec / to_field, real fields (..., *spatial) to flat rfftn
+spectra (..., nspec) and back, hold the package's only FFT calls.
 Synthesis (coordinates -> field) and extraction (field -> coordinates) are
 each one gather through a slot table built once per lattice: viewing the
-flat rfftn spectrum as interleaved floats, every slot reads one coordinate
+flat spectrum as interleaved floats, every slot reads one coordinate
 times a scale, and every coordinate reads one slot back.  Synthesis is
 linear and acts on each leading index alone, so the ensemble step can
 synthesize just its own time slab.
@@ -76,9 +78,9 @@ class GridSpec:
 class Lattice:
     """Realized spectral lattice for a (CovarianceSpec, GridSpec) pair.
 
-    Holds the retained-mode weights mu(cell) and the slot table that
-    converts between coordinate arrays (..., ncoords) and real fields
-    (..., nx, ..., nx) via rfftn.  Float slot 2f / 2f + 1 is the real /
+    Holds the retained-mode weights mu(cell), the transform pair and the
+    slot table that converts between coordinate arrays (..., ncoords) and
+    real fields (..., *spatial).  Float slot 2f / 2f + 1 is the real /
     imaginary part of flat spectrum entry f.  A (cos, sin) pair (a, b) of
     weight w fills its entry with s (a - i b), s = nx^d sqrt(w / 2), and,
     for d >= 2 entries on the last-axis-zero plane, the conjugate mirror
@@ -171,20 +173,26 @@ class Lattice:
 
     # -- transforms ---------------------------------------------------------
 
+    def to_spec(self, fields: np.ndarray) -> np.ndarray:
+        """Real fields (..., *spatial) -> flat rfftn spectra (..., nspec)."""
+        lead = fields.shape[:-self.d]
+        return np.fft.rfftn(fields, s=self.spatial_shape,
+                            axes=tuple(range(-self.d, 0))).reshape(lead + (self.nspec,))
+
+    def to_field(self, spec: np.ndarray) -> np.ndarray:
+        """Flat rfftn spectra (..., nspec) -> real fields (..., *spatial)."""
+        return np.fft.irfftn(spec.reshape(spec.shape[:-1] + self.spec_shape),
+                             s=self.spatial_shape, axes=tuple(range(-self.d, 0)))
+
     def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
         """Coordinate array (..., ncoords) -> real field (..., *spatial)."""
-        coeffs = np.asarray(coeffs, dtype=float)
-        spec = np.take(coeffs, self._synth_col, axis=-1)
+        spec = np.take(np.asarray(coeffs, dtype=float), self._synth_col, axis=-1)
         spec *= self._synth_scale
-        spec = spec.view(np.complex128).reshape(coeffs.shape[:-1] + self.spec_shape)
-        return np.fft.irfftn(spec, s=self.spatial_shape,
-                             axes=tuple(range(-self.d, 0)))
+        return self.to_field(spec.view(np.complex128))
 
     def extract(self, fields: np.ndarray) -> np.ndarray:
         """Real field (..., *spatial) -> H-projection coordinates (..., ncoords)."""
-        fields = np.asarray(fields, dtype=float)
-        lead = fields.shape[:-self.d]
-        spec = np.fft.rfftn(fields, axes=tuple(range(-self.d, 0))).reshape(lead + (self.nspec,))
+        spec = self.to_spec(np.asarray(fields, dtype=float))
         out = np.take(spec.view(np.float64), self._extract_slot, axis=-1)
         out *= self._extract_scale
         return out

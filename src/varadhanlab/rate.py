@@ -34,14 +34,18 @@ _MAX_OUTER = 14
 _MAX_INNER = 400
 _PENALTY0 = 10.0
 _PENALTY_GROWTH = 10.0
+# evaluations _auglag_solve remembers: L-BFGS restarts each outer iteration
+# at its last point and its line search revisits points 2 and 4 back
+_MEMO = 4
 
 
 @dataclass
 class RateResult:
     """Outcome of one rate-function minimization.
 
-    evaluations counts augmented-Lagrangian objective evaluations (one
-    skeleton solve and one adjoint sweep each); it is 0 at the zero-control
+    evaluations counts the controls the augmented-Lagrangian run solved (one
+    skeleton solve and one adjoint sweep each; a control among its last
+    _MEMO evaluations is not solved again); it is 0 at the zero-control
     centre.  skeleton_solves counts every forward skeleton solve of the
     point: the evaluations, a cold start's (Phi^0 and the two bracket checks
     of init_shift, then the bisection) and the centre's gradient solve.  The
@@ -142,16 +146,22 @@ def _auglag_solve(model, grid, y, h0: ControlH, t, x, tol_c) -> RateResult:
     v = np.array(h0.coeffs, dtype=float).reshape(-1)
     prev_c = None
     evaluations = 0
+    recent = {}        # control bytes -> (h, c, G), the last _MEMO evaluations
     for n_outer in range(1, _MAX_OUTER + 1):
         cache = {}
 
         def val_grad(vflat):
             nonlocal evaluations
-            evaluations += 1
-            hh = ControlH(lat, vflat.reshape(shape))
-            phi = solve_phi(model, grid, hh, t)
-            cc = phi.endpoint(x) - y
-            GG = gradient_phi(model, grid, hh, t, x, phi=phi)
+            key = vflat.tobytes()
+            if key not in recent:
+                evaluations += 1
+                hh = ControlH(lat, vflat.reshape(shape))
+                phi = solve_phi(model, grid, hh, t)
+                recent[key] = (hh, phi.endpoint(x) - y,
+                               gradient_phi(model, grid, hh, t, x, phi=phi))
+                if len(recent) > _MEMO:
+                    del recent[next(iter(recent))]
+            hh, cc, GG = recent[key]
             obj = 0.5 * hh.norm_sq + lam * cc + 0.5 * mu * cc * cc
             grad = dt * (hh.coeffs + (lam + mu * cc) * GG.coeffs)
             cache["c"], cache["G"], cache["h"] = cc, GG, hh
@@ -185,7 +195,7 @@ class _RatePoints:
             raise ValueError(f"tol_rel = {tol_rel} must lie in (0, inf)")
         self.model, self.grid, self.t, self.x = model, grid, t, x
         self.lat = lattice(model.cov, grid)
-        check_wave_domain(model, grid, x)
+        check_wave_domain(model.cov, grid, x)
         tt = grid.T if t is None else t
         self.tol_c = tol_rel * max(_spread_scale(model, grid, tt), 1e-12)
         self.phi0_end = _endpoint(model, grid, ControlH.zeros(self.lat), t, x)

@@ -81,7 +81,7 @@ def bare_kernel_control(model: ModelSpec, grid: GridSpec, phi: Field,
     point = _observation_index(model, grid, lat, x)
     onehot = np.zeros(lat.spatial_shape)
     onehot[point] = 1.0 / (grid.dx ** lat.d)
-    kernels = eng._to_field(eng.weights[jt:0:-1] * eng._to_spec(onehot))
+    kernels = lat.to_field(eng.weights[jt:0:-1] * lat.to_spec(onehot))
     coeffs = np.zeros((grid.nt, lat.ncoords))
     coeffs[:jt] = lat.extract(model.sigma(phi.values[:jt]) * kernels)
     return ControlH(lat, coeffs)
@@ -115,13 +115,13 @@ def forward_xi(model: ModelSpec, grid: GridSpec, h: ControlH,
     hist = np.zeros((jt, lanes, lat.nspec), dtype=np.complex128)
 
     def state(j):                           # sum_{i<j} K_{j-i} rho_i, (lanes, *spatial)
-        return eng._to_field(np.einsum("lf,lgf->gf", eng.weights[j:0:-1], hist[:j]))
+        return lat.to_field(np.einsum("lf,lgf->gf", eng.weights[j:0:-1], hist[:j]))
 
     for j in range(jt):
         rho = _factor(model, dt, pv[j], drive(j)) * state(j)
         rho = rho.reshape(jt, lat.ncoords, *lat.spatial_shape)
         rho[j] += model.sigma(pv[j]) * phik
-        hist[j] = eng._to_spec(rho.reshape(lanes, *lat.spatial_shape))
+        hist[j] = lat.to_spec(rho.reshape(lanes, *lat.spatial_shape))
     coeffs = np.zeros((grid.nt, lat.ncoords))
     coeffs[:jt] = state(jt)[(..., *point)].reshape(jt, lat.ncoords)
     return ControlH(lat, coeffs)

@@ -5,7 +5,8 @@ D_j = synthesize(c_j), c_j = h_j + (eps / dt) dW_j.  One noise path is one
 control c = h + path.control(eps), so every single-path solve runs through
 the skeleton routes on c; only the stream batches of endpoint_ensemble
 form c here, slab by slab.  The solution at t_j is the initial
-contribution plus kernel convolutions (via FFT multipliers) of the one
+contribution plus kernel convolutions (Fourier multipliers on the flat
+spectra of Lattice.to_spec / to_field, the one transform pair) of the one
 slab integrand,
 
     u_j = w_j + sum_{i<j} K_{j-i} * dt [ sigma(u_i) D_i + b(u_i) ],
@@ -41,7 +42,8 @@ wave, a (jt, nspec) complex history (heat: one (nspec,) accumulator), and
 the sub-batches are the fewest that keep this state near _STATE_BUDGET
 bytes each.  So a chunk's memory is fixed by the grid, not by B or by how
 many chunks run at once; apart from the (jt + 1, *spatial) initial table
-nothing else grows with nt.
+(for BumpInitial, one to_field call over all its times) nothing else
+grows with nt.
 """
 
 from __future__ import annotations
@@ -100,22 +102,18 @@ class BumpInitial:
         return amp * np.exp(-r2 / (2.0 * width ** 2))
 
     def table(self, lat: Lattice, times: np.ndarray) -> np.ndarray:
-        r = lat.xi_radius
-        out = np.empty((len(times),) + lat.spatial_shape)
-        axes = tuple(range(-lat.d, 0))
-        u0_hat = np.fft.rfftn(self._bump(lat, self.amp0, self.width0), axes=axes)
-        u1_hat = np.fft.rfftn(self._bump(lat, self.amp1, self.width1), axes=axes) \
-            if self.amp1 else None
-        for row, t in enumerate(times):
-            if lat.cov.operator == "wave":
-                spec = np.cos(2.0 * math.pi * t * r) * u0_hat
-                if u1_hat is not None:
-                    # F Lambda(t) = sin(2 pi t r) / (2 pi r) = t sinc(2 t r)
-                    spec = spec + t * np.sinc(2.0 * t * r) * u1_hat
-            else:
-                spec = np.exp(-4.0 * math.pi ** 2 * t * r * r) * u0_hat
-            out[row] = np.fft.irfftn(spec, s=lat.spatial_shape, axes=axes)
-        return out
+        """The contribution at every time, (len(times), *spatial), one to_field call."""
+        r = lat.xi_radius.reshape(-1)
+        t = times[:, None]
+        u0_hat = lat.to_spec(self._bump(lat, self.amp0, self.width0))
+        if lat.cov.operator == "heat":
+            return lat.to_field(np.exp(-4.0 * math.pi ** 2 * t * r * r) * u0_hat)
+        spec = np.cos(2.0 * math.pi * t * r) * u0_hat
+        if self.amp1:
+            # F Lambda(t) = sin(2 pi t r) / (2 pi r) = t sinc(2 t r)
+            u1_hat = lat.to_spec(self._bump(lat, self.amp1, self.width1))
+            spec = spec + t * np.sinc(2.0 * t * r) * u1_hat
+        return lat.to_field(spec)
 
 
 @dataclass(frozen=True)
@@ -159,7 +157,8 @@ class Field:
             raise BlowUpError("field contains non-finite values")
 
     def endpoint(self, x=None) -> float:
-        """u(t, x) at the last time the field was solved to (x = None: the origin)."""
+        """u(t, x) at the last time solved to (x = None: the origin), domain-checked."""
+        check_wave_domain(self.cov, self.grid, x)
         lat = lattice(self.cov, self.grid)
         return float(self.values[(-1, *lat.point_index(x))])
 
@@ -249,23 +248,12 @@ class MildEngine:
             self._decay = covkernel.fourier_lambda(cov, grid.dt, self.lat.xi)
         else:
             self._wt, self._hankel = _block_weights(cov, grid)
-        self._axes = tuple(range(-self.lat.d, 0))
-
-    def _to_spec(self, fields: np.ndarray) -> np.ndarray:
-        lead = fields.shape[:-self.lat.d]
-        return np.fft.rfftn(fields, axes=self._axes).reshape(lead + (self.lat.nspec,))
-
-    def _to_field(self, spec_flat: np.ndarray) -> np.ndarray:
-        lead = spec_flat.shape[:-1]
-        return np.fft.irfftn(spec_flat.reshape(lead + self.lat.spec_shape),
-                             s=self.lat.spatial_shape, axes=self._axes)
 
     def _causal_sum(self, batch_shape: tuple):
         """Return step, with step(x_n) = acc_n = sum_{q<=n} K_{n+1-q} x_q.
 
         Call step once per n = 0 .. jt-1 with the slab spectrum x_n, shape
-        batch_shape + (nspec,) or broadcastable to it, or None for a zero
-        slab.
+        batch_shape + (nspec,) or broadcastable to it.
 
         Heat weights are geometric in the lag, K_{l+1} = q K_l, so step runs
         acc_n = q acc_{n-1} + K_1 x_n and keeps no history.  For wave the
@@ -284,8 +272,7 @@ class MildEngine:
             def heat_step(x):
                 nonlocal acc
                 acc = q * acc                     # a new array: returned ones stay intact
-                if x is not None:
-                    acc += k1 * x
+                acc += k1 * x
                 return acc
 
             return heat_step
@@ -298,8 +285,7 @@ class MildEngine:
         def step(x):
             nonlocal n
             row, start = jt - 1 - n, n - n % _BLOCK
-            if x is not None:
-                hist[:, row] = np.reshape(x, (-1, nspec)).T
+            hist[:, row] = np.reshape(x, (-1, nspec)).T
             if n == start and start > 0:
                 rows = min(_BLOCK, jt - start)
                 panel = self._hankel[:, :start, :rows].transpose(0, 2, 1)
@@ -329,9 +315,7 @@ class MildEngine:
         u = np.broadcast_to(w_tab[0], batch_shape + lat.spatial_shape).copy()
         trail = [u.copy()] if keep_history else None
         for j in range(jt):
-            rho = integrand(j, u)
-            acc = step(None if rho is None else self._to_spec(rho))
-            u = w_tab[j + 1] + self._to_field(acc)
+            u = w_tab[j + 1] + lat.to_field(step(lat.to_spec(integrand(j, u))))
             if not np.all(np.isfinite(u)):
                 raise BlowUpError(f"time stepping blew up at step {j + 1}",
                                   step=j + 1)
@@ -355,12 +339,12 @@ class MildEngine:
         lam = np.zeros(batch_shape + lat.spatial_shape)
         lam[(..., *point)] = 1.0 / (self.grid.dx ** lat.d)
         step = self._causal_sum(batch_shape)
-        src = self._to_spec(lam)
+        src = lat.to_spec(lam)
         mus = np.empty_like(factors)
         for i in range(jt - 1, -1, -1):
-            mus[i] = self._to_field(step(src))
+            mus[i] = lat.to_field(step(src))
             if i > 0:
-                src = self._to_spec(factors[i] * mus[i])
+                src = lat.to_spec(factors[i] * mus[i])
         return mus
 
 
@@ -489,18 +473,18 @@ def _forward(model: ModelSpec, eng: MildEngine, w_tab: np.ndarray, drive,
 def _observation_index(model: ModelSpec, grid: GridSpec, lat: Lattice,
                        x) -> tuple[int, ...]:
     """Grid index of the observation point x (the origin when None), guarded."""
-    check_wave_domain(model, grid, x)
+    check_wave_domain(model.cov, grid, x)
     return lat.point_index(x)
 
 
 # ---------------------------------------------------------------------------
 # public operations
 
-def check_wave_domain(model: ModelSpec, grid: GridSpec, x=None) -> None:
+def check_wave_domain(cov: CovarianceSpec, grid: GridSpec, x=None) -> None:
     """Wave runs need L > |x|_inf + T so periodic wraparound cannot reach x."""
-    if model.cov.operator != "wave":
+    if cov.operator != "wave":
         return
-    xmax = float(np.max(np.abs(lattice(model.cov, grid).point(x))))
+    xmax = float(np.max(np.abs(lattice(cov, grid).point(x))))
     if grid.L <= xmax + grid.T:
         raise GridError("wave grid needs L > |x| + T (finite propagation speed)")
 
@@ -567,12 +551,12 @@ def picard_verify(model: ModelSpec, grid: GridSpec, path: NoisePath,
     current = np.broadcast_to(w_tab, (jt + 1,) + lat.spatial_shape).copy()
     residuals = []
     for _ in range(iters):
-        hist = eng._to_spec(np.stack([_integrand(model, dt, current[j], drive(j))
-                                      for j in range(jt)]))
+        hist = lat.to_spec(np.stack([_integrand(model, dt, current[j], drive(j))
+                                     for j in range(jt)]))
         new = w_tab.copy()
         for j in range(1, jt + 1):
             acc = np.einsum("lf,lf->f", wl_all[j:0:-1], hist[:j])
-            new[j] = w_tab[j] + eng._to_field(acc)
+            new[j] = w_tab[j] + lat.to_field(acc)
         if not np.all(np.isfinite(new)):
             raise BlowUpError(f"picard iteration diverged at sweep {len(residuals)}",
                               step=len(residuals))

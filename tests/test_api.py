@@ -85,6 +85,33 @@ def test_every_random_draw_is_philox():
     assert others == []
 
 
+#: the numpy FFT transforms; fftfreq and the other helpers transform nothing
+FFT_TRANSFORMS = {"rfftn", "irfftn", "rfft", "irfft", "fft", "ifft", "fftn", "ifftn"}
+
+
+def test_every_fft_is_in_the_lattice_transform_pair():
+    # Lattice.to_spec and Lattice.to_field fix the one flat spectrum layout;
+    # a transform elsewhere would be a second copy of it
+    others = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {}
+        for scope in ast.walk(tree):
+            if isinstance(scope, (ast.FunctionDef, ast.ClassDef)):
+                for node in ast.walk(scope):
+                    owner.setdefault(id(node), []).append(scope.name)
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr in FFT_TRANSFORMS
+                    and getattr(node.value, "attr", getattr(node.value, "id", "")) == "fft"):
+                where = ".".join(owner.get(id(node), []))
+                if where not in ("Lattice.to_spec", "Lattice.to_field"):
+                    others.append(f"{path.name}:{node.lineno} {where} .{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").endswith("fft"):
+                others += [f"{path.name}:{node.lineno} import {a.name}"
+                           for a in node.names if a.name in FFT_TRANSFORMS]
+    assert others == []
+
+
 def _callees(func) -> list[str]:
     """The names a call may reach: f(...) and x.f(...) reach f; both branches
     of (f if c else g)(...) count."""

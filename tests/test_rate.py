@@ -230,6 +230,28 @@ class TestSkeletonSolves:
         # the cold start's solves are not AL evaluations
         assert res.skeleton_solves > res.evaluations >= res.iterations >= 1
 
+    def test_al_run_solves_no_control_twice(self, tiny_grid, nonlinear_model,
+                                            calls, monkeypatch):
+        # L-BFGS restarts each outer iteration at its last point and its line
+        # search revisits recent points: the run answers those from memory.
+        # An ABNORMAL L-BFGS stop returns an older iterate, which the memo of
+        # the last _MEMO evaluations may not hold; here none is restarted from.
+        runs = []
+        auglag = rate._auglag_solve
+
+        def spying(*args, **kwargs):
+            start = len(calls)
+            res = auglag(*args, **kwargs)
+            runs.append((calls[start:], res))
+            return res
+
+        monkeypatch.setattr(rate, "_auglag_solve", spying)
+        rate_function(nonlinear_model, tiny_grid, 1.0)
+        (solved, res), = runs
+        keys = {h.coeffs.tobytes() for h in solved}
+        assert res.iterations > 1
+        assert len(keys) == len(solved) == res.evaluations
+
     def test_centre_counts_the_gradient_solve(self, tiny_grid, nonlinear_model, calls):
         y0 = solve_phi(nonlinear_model, tiny_grid,
                        ControlH.zeros(lattice(COV, tiny_grid))).endpoint()

@@ -1,8 +1,9 @@
-"""The set-up tables against their per-lag and per-mode loop references.
+"""The set-up tables against their per-lag, per-mode and per-time loop references.
 
-solver.weight_table and the Lattice slot tables are built by array
-operations.  The loops below build the same tables one lag, or one mode, at
-a time; every table must equal its loop bit for bit (np.array_equal).
+solver.weight_table, the Lattice slot tables and BumpInitial.table are
+built by array operations.  The loops below build the same tables one lag,
+one mode or one time at a time; every table must equal its loop bit for bit
+(np.array_equal).
 """
 
 import math
@@ -14,7 +15,7 @@ import pytest
 from varadhanlab import covkernel
 from varadhanlab.covkernel import CovarianceSpec
 from varadhanlab.noise import GridSpec, Lattice, lattice
-from varadhanlab.solver import weight_table
+from varadhanlab.solver import BumpInitial, weight_table
 
 
 def weight_table_loop(cov, grid):
@@ -91,6 +92,24 @@ def lattice_tables_loop(lat):
     synth_scale[list(dst)] = scale
     return (synth_col, synth_scale, np.array(slot, dtype=np.intp), np.array(escale),
             np.array(coord_r), len(slot))
+
+
+def bump_table_loop(bump, lat, times):
+    """One rfftn per bump and one irfftn per time."""
+    r = lat.xi_radius
+    out = np.empty((len(times),) + lat.spatial_shape)
+    axes = tuple(range(-lat.d, 0))
+    u0_hat = np.fft.rfftn(bump._bump(lat, bump.amp0, bump.width0), axes=axes)
+    u1_hat = np.fft.rfftn(bump._bump(lat, bump.amp1, bump.width1), axes=axes)
+    for row, t in enumerate(times):
+        if lat.cov.operator == "wave":
+            spec = np.cos(2.0 * math.pi * t * r) * u0_hat
+            if bump.amp1:
+                spec = spec + t * np.sinc(2.0 * t * r) * u1_hat
+        else:
+            spec = np.exp(-4.0 * math.pi ** 2 * t * r * r) * u0_hat
+        out[row] = np.fft.irfftn(spec, s=lat.spatial_shape, axes=axes)
+    return out
 
 
 def _covs():
@@ -171,6 +190,19 @@ def test_cold_weight_table_memory_stays_near_the_table(operator):
     finally:
         tracemalloc.stop()
     assert peak <= 3 * table.nbytes
+
+
+@pytest.mark.parametrize("amp1", [0.0, 0.6])
+@pytest.mark.parametrize("cov", [CovarianceSpec(op, 1, "white") for op in ("wave", "heat")]
+                         + [CovarianceSpec(op, 2, "riesz", 0.5) for op in ("wave", "heat")],
+                         ids=_ids)
+def test_bump_table_equals_the_time_loop(cov, amp1):
+    bump = BumpInitial(amp0=0.8, width0=0.3, amp1=amp1, width1=0.2, center=0.1)
+    for nx, nk in GRIDS[cov.d]:
+        grid = GridSpec(L=1.25, nx=nx, nt=40, T=1.0, nk=nk)
+        lat = lattice(cov, grid)
+        for times in (np.arange(grid.nt + 1) * grid.dt, np.array([0.37])):
+            assert np.array_equal(bump.table(lat, times), bump_table_loop(bump, lat, times))
 
 
 @pytest.mark.parametrize("cov", COVS[:2], ids=_ids)

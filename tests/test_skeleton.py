@@ -71,10 +71,10 @@ def _bare_kernel_by_slab(model, grid, phi, t=None, x=None):
     lat, jt = eng.lat, eng.jt
     onehot = np.zeros(lat.spatial_shape)
     onehot[_observation_index(model, grid, lat, x)] = 1.0 / (grid.dx ** lat.d)
-    seed_spec = eng._to_spec(onehot)
+    seed_spec = lat.to_spec(onehot)
     coeffs = np.zeros((grid.nt, lat.ncoords))
     for i in range(jt):
-        kernel = eng._to_field(eng.weights[jt - i] * seed_spec)
+        kernel = lat.to_field(eng.weights[jt - i] * seed_spec)
         coeffs[i] = lat.extract(model.sigma(phi.values[i]) * kernel)
     return coeffs
 

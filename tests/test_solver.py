@@ -36,7 +36,7 @@ class TestModelSpec:
     def test_wave_domain_guard(self):
         grid = GridSpec(L=0.9, nx=32, nt=16, T=1.0, nk=16, seed=0)
         with pytest.raises(GridError):
-            check_wave_domain(presets.linear_model(), grid, 0.0)
+            check_wave_domain(presets.linear_model().cov, grid, 0.0)
 
     @pytest.mark.parametrize("entry", [
         "endpoint_ensemble", "sample_endpoints", "gradient_phi", "rate_function",
@@ -67,6 +67,19 @@ class TestModelSpec:
         }
         with pytest.raises(GridError):
             calls[entry]()
+
+    def test_field_endpoint_enforces_wave_domain(self, tiny_grid, nonlinear_model):
+        # L = 1.25 < |x| + T = 1.5: the wave value at x = 0.5 has wrapped around
+        lat = lattice(COV, tiny_grid)
+        fields = [solve_phi(nonlinear_model, tiny_grid, ControlH.zeros(lat)),
+                  simulate(nonlinear_model, tiny_grid, sample_path(lat, 0))]
+        for f in fields:
+            assert np.isfinite(f.endpoint([0.2]))
+            with pytest.raises(GridError):
+                f.endpoint([0.5])
+        heat = presets.nonlinear_model(cov=presets.HEAT_WHITE)
+        assert np.isfinite(solve_phi(heat, tiny_grid, ControlH.zeros(
+            lattice(presets.HEAT_WHITE, tiny_grid))).endpoint([0.5]))
 
 
 @pytest.fixture(scope="module")
