@@ -17,8 +17,7 @@ from .mc import (DensityCurve, SweepResult, estimate_density,
                  support_convergence, tilted_density, varadhan_sweep)
 from .noise import (ControlH, GridSpec, Lattice, NoisePath, ht_inner,
                     lattice, localization_holds, sample_path, smooth_vn)
-from .rate import (RateResult, init_shift, rate_function, rate_profile,
-                   support_probe)
+from .rate import RateResult, rate_function, rate_profile, support_probe
 from .skeleton import (dphi_window_norm, expansion_check, forward_xi,
                        gradient_phi, solve_phi)
 from .solver import (BumpInitial, Field, ModelSpec, ZeroInitial, g1_grid,

@@ -11,7 +11,7 @@ the module provides the Fourier transform of the fundamental solution;
 g1 in its closed power-law form, with constants computed once by
 quadrature, and by an independent radial quadrature of j1 (validate
 compares the two); int_0^t j2, which bounds the drift's reach in the
-bracket of rate.init_shift; the scaling exponents of CovarianceSpec; and
+bracket of rate._init_shift; the scaling exponents of CovarianceSpec; and
 the slab-averaged squared multipliers used by the spectral time stepper.
 
 scipy is imported on first use, inside the functions that call it:

@@ -6,9 +6,11 @@ minimization over the flattened control coefficients, with gradients from
 the discrete adjoint of the skeleton recursion.  A cold run starts from the
 constructive reachability shift: scaled copies of the kernel direction
 Lambda(t-., x-*) sigma(Phi^0) bracket any target when the drift is bounded,
-and the bracket is bisected to a feasible initializer.
+and brentq bisects the bracket to a feasible initializer.  Every skeleton
+solve and adjoint sweep at one (t, x) runs in its _Skeleton evaluator,
+which solves a control it still remembers no second time.
 
-scipy.optimize is imported on first use, in _feasible_start (brentq) and
+scipy.optimize is imported on first use, in _RatePoints.solve (brentq) and
 _auglag_solve (L-BFGS-B), so importing this module does not load it: a
 process that only samples (simulate, density, varadhan, support) saves
 the resident memory and import time that covkernel's docstring gives.
@@ -34,8 +36,9 @@ _MAX_OUTER = 14
 _MAX_INNER = 400
 _PENALTY0 = 10.0
 _PENALTY_GROWTH = 10.0
-# evaluations _auglag_solve remembers: L-BFGS restarts each outer iteration
-# at its last point and its line search revisits points 2 and 4 back
+# controls a _Skeleton remembers: Phi^0 and the bracket ends until brentq's
+# first calls, its root until the first AL evaluation, and L-BFGS's restart
+# point and line-search points 2 and 4 back
 _MEMO = 4
 
 
@@ -43,16 +46,12 @@ _MEMO = 4
 class RateResult:
     """Outcome of one rate-function minimization.
 
-    evaluations counts the controls the augmented-Lagrangian run solved (one
-    skeleton solve and one adjoint sweep each; a control among its last
-    _MEMO evaluations is not solved again); it is 0 at the zero-control
-    centre.  skeleton_solves counts every forward skeleton solve of the
-    point: the evaluations, a cold start's (Phi^0 and the two bracket checks
-    of init_shift, then the bisection) and the centre's gradient solve.  The
-    zero-control endpoint shared by the points of one (t, x) is counted in
-    the first point solved, so the counts of a profile sum to its solves.
-    adjoint_sweeps counts the gradient_phi sweeps: one per evaluation, and
-    the centre's one.
+    skeleton_solves and adjoint_sweeps count the solve_phi and gradient_phi
+    calls of the point, where its _Skeleton runs them: a control it still
+    remembers is not solved or swept again.  evaluations counts the sweeps
+    of the augmented-Lagrangian runs; it is 0 at the zero-control centre,
+    whose one sweep is its gradient.  Phi^0's first solve counts in the
+    first point of its (t, x), so the counts of a profile sum to its calls.
     """
 
     y: float
@@ -76,102 +75,103 @@ class RateResult:
             raise AssertionError("gradient norm at the optimum must be positive")
 
 
-def _endpoint(model, grid, h, t, x):
-    return solve_phi(model, grid, h, t).endpoint(x)
+class _Skeleton:
+    """The skeleton at one (t, x): its endpoint, gradient and kernel direction.
+
+    The last _MEMO controls are remembered by their coefficient bytes, with
+    field, endpoint and, once asked for, gradient; solves and sweeps count
+    the solve_phi and gradient_phi calls that run.
+    """
+
+    def __init__(self, model, grid, t, x):
+        check_wave_domain(model.cov, grid, x)           # before any solve
+        self.model, self.grid, self.t, self.x = model, grid, t, x
+        self.lat = lattice(model.cov, grid)
+        self.solves = self.sweeps = 0
+        self._memo = {}         # control bytes -> [field, endpoint, gradient]
+
+    def _entry(self, h: ControlH) -> list:
+        key = h.coeffs.tobytes()
+        if key not in self._memo:
+            self.solves += 1
+            phi = solve_phi(self.model, self.grid, h, self.t)
+            self._memo[key] = [phi, phi.endpoint(self.x), None]
+            if len(self._memo) > _MEMO:
+                del self._memo[next(iter(self._memo))]
+        return self._memo[key]
+
+    def endpoint(self, h: ControlH) -> float:
+        return self._entry(h)[1]
+
+    def gradient(self, h: ControlH) -> ControlH:
+        entry = self._entry(h)
+        if entry[2] is None:
+            self.sweeps += 1
+            entry[2] = gradient_phi(self.model, self.grid, h, self.t, self.x,
+                                    phi=entry[0])
+        return entry[2]
+
+    def direction(self) -> ControlH:
+        """The kernel direction Lambda(t-., x-*) sigma(Phi^0)."""
+        phi0 = self._entry(ControlH.zeros(self.lat))[0]
+        return bare_kernel_control(self.model, self.grid, phi0, self.t, self.x)
 
 
-def _spread_scale(model, grid, tt) -> float:
-    """Endpoint spread of the linear surrogate, used to scale tolerances."""
-    sigma_ref = float(np.abs(model.sigma(0.0)))
-    return max(sigma_ref, model.sigma0) * math.sqrt(g1_grid(model.cov, grid, tt))
-
-
-def init_shift(model: ModelSpec, grid: GridSpec, z: float, alpha: float,
-               t: float | None = None, x=None) -> tuple[ControlH, ControlH]:
-    """Constructive controls (+h, -h) whose skeleton endpoints bracket z.
+def _init_shift(sk: _Skeleton, z: float, alpha: float) -> ControlH:
+    """Constructive control +h whose skeleton endpoints at -h and +h bracket z.
 
     The direction is the kernel field sigma(Phi^0) Lambda(t-., x-*) scaled by
     (|z| + alpha + I2 + |w(t,x)|) / I1 with I1 = sigma0^2 ||Lambda||^2 and
-    I2 = |b|_inf int_0^t Lambda(s)(R^d) ds.  Requires bounded drift; the
-    bracket is verified by evaluation.
+    I2 = |b|_inf int_0^t Lambda(s)(R^d) ds.  Requires a finite z, a margin
+    0 < alpha < inf and bounded drift; the bracket is verified by evaluation.
     """
-    if alpha <= 0.0:
-        raise ValueError("margin alpha must be positive")
-    lat = lattice(model.cov, grid)
-    tt = grid.T if t is None else t
+    if not math.isfinite(z):
+        raise ValueError(f"bracket target z = {z} is not finite")
+    if not 0.0 < alpha < math.inf:                      # NaN fails too
+        raise ValueError(f"margin alpha = {alpha} must lie in (0, inf)")
+    model, grid, lat = sk.model, sk.grid, sk.lat
+    tt = grid.T if sk.t is None else sk.t
     if not looks_bounded(model.b):
         raise BracketError("construction hypothesis failed: drift appears unbounded")
-    phi0 = solve_phi(model, grid, ControlH.zeros(lat), t)
-    w_tx = model.w.table(lat, np.array([tt]))[0][lat.point_index(x)]
+    w_tx = model.w.table(lat, np.array([tt]))[0][lat.point_index(sk.x)]
     i1 = model.sigma0 ** 2 * g1_grid(model.cov, grid, tt)
     i2 = sup_abs(model.b) * covkernel.j2_integral(model.cov, tt)
     scale = (abs(z) + alpha + i2 + abs(float(w_tx))) / i1
-    direction = bare_kernel_control(model, grid, phi0, t, x)
-    h_plus = scale * direction
-    up = _endpoint(model, grid, h_plus, t, x)
-    down = _endpoint(model, grid, -1.0 * h_plus, t, x)
+    h_plus = scale * sk.direction()
+    up, down = sk.endpoint(h_plus), sk.endpoint(-1.0 * h_plus)
     if not down < z < up:
         raise BracketError(
             f"construction hypothesis failed: endpoints [{down:.6g}, {up:.6g}] "
             f"do not bracket {z:.6g}")
-    return h_plus, -1.0 * h_plus
+    return h_plus
 
 
-def _feasible_start(model, grid, y, t, x, alpha):
-    """Bisect the init_shift segment to a control whose endpoint is near y.
-
-    Returns the control and the skeleton solves spent: the three of
-    init_shift and one per bisection step.
-    """
-    from scipy import optimize
-
-    h_plus, _ = init_shift(model, grid, y, alpha, t, x)
-
-    def f(tau):
-        return _endpoint(model, grid, tau * h_plus, t, x) - y
-
-    tau, info = optimize.brentq(f, -1.0, 1.0, xtol=1e-10, maxiter=200,
-                                full_output=True)
-    return tau * h_plus, 3 + info.function_calls
-
-
-def _auglag_solve(model, grid, y, h0: ControlH, t, x, tol_c) -> RateResult:
+def _auglag_solve(sk: _Skeleton, y, h0: ControlH, tol_c) -> RateResult:
     """One augmented-Lagrangian run from the control h0."""
     from scipy import optimize
 
-    lat = lattice(model.cov, grid)
-    dt = grid.dt
-    shape = (grid.nt, lat.ncoords)
+    dt, shape = sk.grid.dt, h0.coeffs.shape
     lam, mu = 0.0, _PENALTY0
     v = np.array(h0.coeffs, dtype=float).reshape(-1)
     prev_c = None
-    evaluations = 0
-    recent = {}        # control bytes -> (h, c, G), the last _MEMO evaluations
+
+    def evaluate(vflat):
+        h = ControlH(sk.lat, vflat.reshape(shape))
+        return h, sk.endpoint(h) - y, sk.gradient(h)
+
+    def val_grad(vflat):
+        h, c, G = evaluate(vflat)
+        obj = 0.5 * h.norm_sq + lam * c + 0.5 * mu * c * c
+        grad = dt * (h.coeffs + (lam + mu * c) * G.coeffs)
+        return obj, grad.reshape(-1)
+
     for n_outer in range(1, _MAX_OUTER + 1):
-        cache = {}
-
-        def val_grad(vflat):
-            nonlocal evaluations
-            key = vflat.tobytes()
-            if key not in recent:
-                evaluations += 1
-                hh = ControlH(lat, vflat.reshape(shape))
-                phi = solve_phi(model, grid, hh, t)
-                recent[key] = (hh, phi.endpoint(x) - y,
-                               gradient_phi(model, grid, hh, t, x, phi=phi))
-                if len(recent) > _MEMO:
-                    del recent[next(iter(recent))]
-            hh, cc, GG = recent[key]
-            obj = 0.5 * hh.norm_sq + lam * cc + 0.5 * mu * cc * cc
-            grad = dt * (hh.coeffs + (lam + mu * cc) * GG.coeffs)
-            cache["c"], cache["G"], cache["h"] = cc, GG, hh
-            return obj, grad.reshape(-1)
-
         res = optimize.minimize(val_grad, v, jac=True, method="L-BFGS-B",
                                 options={"maxiter": _MAX_INNER,
                                          "ftol": 1e-16, "gtol": 1e-12})
+        # res.x is the last evaluation, or an earlier iterate after an ABNORMAL stop
         v = res.x
-        c, G, h = cache["c"], cache["G"], cache["h"]
+        h, c, G = evaluate(v)
         lam += mu * c
         stat = np.linalg.norm(h.coeffs + lam * G.coeffs) / \
             max(np.linalg.norm(h.coeffs), 1e-300)
@@ -182,46 +182,45 @@ def _auglag_solve(model, grid, y, h0: ControlH, t, x, tol_c) -> RateResult:
             mu *= _PENALTY_GROWTH
         prev_c = abs(c)
     return RateResult(y, 0.5 * h.norm_sq, h, abs(c), n_outer, converged,
-                      G.norm_sq, stationarity=float(stat), evaluations=evaluations,
-                      adjoint_sweeps=evaluations)
+                      G.norm_sq, stationarity=float(stat))
 
 
 class _RatePoints:
-    """Rate points at one (t, x), sharing the wave-domain guard, the
+    """Rate points at one (t, x), sharing its skeleton evaluator, the
     constraint tolerance and the zero-control endpoint phi0_end."""
 
     def __init__(self, model, grid, t, x, tol_rel):
         if not 0.0 < tol_rel < math.inf:                # NaN fails too
             raise ValueError(f"tol_rel = {tol_rel} must lie in (0, inf)")
-        self.model, self.grid, self.t, self.x = model, grid, t, x
-        self.lat = lattice(model.cov, grid)
-        check_wave_domain(model.cov, grid, x)
+        self.sk = _Skeleton(model, grid, t, x)
+        # tolerances scale with the endpoint spread of the linear surrogate
         tt = grid.T if t is None else t
-        self.tol_c = tol_rel * max(_spread_scale(model, grid, tt), 1e-12)
-        self.phi0_end = _endpoint(model, grid, ControlH.zeros(self.lat), t, x)
-        self._pending_solves = 1     # phi0_end's solve, counted in the next point
+        spread = max(float(np.abs(model.sigma(0.0))), model.sigma0) * \
+            math.sqrt(g1_grid(model.cov, grid, tt))
+        self.tol_c = tol_rel * max(spread, 1e-12)
+        self.phi0_end = self.sk.endpoint(ControlH.zeros(self.sk.lat))
 
     def solve(self, y: float, warm: ControlH | None = None) -> RateResult:
         """One run from warm; a cold run from the constructive start when
         there is no warm start or its run does not converge."""
-        model, grid, t, x, tol_c = self.model, self.grid, self.t, self.x, self.tol_c
-        solves, self._pending_solves = self._pending_solves, 0
+        sk, tol_c = self.sk, self.tol_c
         if abs(self.phi0_end - y) < tol_c:
-            zero = ControlH.zeros(self.lat)
-            g0 = gradient_phi(model, grid, zero, t, x)     # solves Phi^0 again
-            return RateResult(y, 0.0, zero, abs(self.phi0_end - y), 0, True,
-                              g0.norm_sq, stationarity=0.0,
-                              skeleton_solves=solves + 1, adjoint_sweeps=1)
-        res = None if warm is None else _auglag_solve(model, grid, y, warm, t, x, tol_c)
-        if res is None or not res.converged:
-            spent = 0 if res is None else res.evaluations
-            h0, start = _feasible_start(model, grid, y, t, x,
-                                        alpha=max(0.1, 0.1 * abs(y - self.phi0_end)))
-            res = _auglag_solve(model, grid, y, h0, t, x, tol_c)
-            res.evaluations += spent
-            res.adjoint_sweeps += spent       # one sweep per warm evaluation
-            solves += start
-        res.skeleton_solves = solves + res.evaluations
+            zero = ControlH.zeros(sk.lat)
+            res = RateResult(y, 0.0, zero, abs(self.phi0_end - y), 0, True,
+                             sk.gradient(zero).norm_sq, stationarity=0.0)
+        else:
+            res = None if warm is None else _auglag_solve(sk, y, warm, tol_c)
+            if res is None or not res.converged:
+                from scipy import optimize
+
+                h_plus = _init_shift(sk, y, max(0.1, 0.1 * abs(y - self.phi0_end)))
+                tau = optimize.brentq(lambda tau: sk.endpoint(tau * h_plus) - y,
+                                      -1.0, 1.0, xtol=1e-10, maxiter=200)
+                res = _auglag_solve(sk, y, tau * h_plus, tol_c)
+            res.evaluations = sk.sweeps
+        # the counters restart with each point, which takes what they hold
+        res.skeleton_solves, res.adjoint_sweeps = sk.solves, sk.sweeps
+        sk.solves = sk.sweeps = 0
         res.validate(tol_c)
         return res
 
@@ -282,21 +281,19 @@ def support_probe(model: ModelSpec, grid: GridSpec, budget,
     budgets = np.atleast_1d(np.asarray(budget, dtype=float))
     if budgets.size == 0:
         raise ValueError("the budget list is empty")
-    if not np.all(budgets >= 0.0):
-        raise ValueError("a control budget ||h||^2 / 2 must be a number >= 0")
-    lat = lattice(model.cov, grid)
-    phi0 = solve_phi(model, grid, ControlH.zeros(lat), t)
-    direction = bare_kernel_control(model, grid, phi0, t, x)   # guards x
-    phi0_end = phi0.endpoint(x)
+    if not np.all((budgets >= 0.0) & (budgets < math.inf)):
+        raise ValueError("a control budget ||h||^2 / 2 must be a number >= 0 and finite")
+    sk = _Skeleton(model, grid, t, x)
+    phi0_end = sk.endpoint(ControlH.zeros(sk.lat))
+    direction = sk.direction()
     unit = (1.0 / max(direction.norm, 1e-300)) * direction
-
     intervals = []
     for b in budgets:
         lo = hi = phi0_end
         if b > 0.0:
             radius = math.sqrt(2.0 * b)
             for fac in (-1.0, 1.0):
-                val = _endpoint(model, grid, (fac * radius) * unit, t, x)
+                val = sk.endpoint((fac * radius) * unit)
                 lo, hi = min(lo, val), max(hi, val)
         intervals.append((lo, hi))
     return intervals

@@ -18,7 +18,7 @@ PUBLIC = [
     "covkernel", "dphi_window_norm", "errors", "estimate_density",
     "expansion_check", "fit_exponent", "forward_xi",
     "fourier_lambda", "funcs", "g1", "g1_grid", "gradient_phi", "ht_inner",
-    "init_shift", "lattice", "localization_holds",
+    "lattice", "localization_holds",
     "mc", "noise", "parse_func", "picard_verify", "rate", "rate_function",
     "rate_profile", "sample_path", "simulate", "skeleton", "smooth_vn",
     "solve_phi", "solver", "spectral_density", "support_convergence",
@@ -110,6 +110,23 @@ def test_every_fft_is_in_the_lattice_transform_pair():
                 others += [f"{path.name}:{node.lineno} import {a.name}"
                            for a in node.names if a.name in FFT_TRANSFORMS]
     assert others == []
+
+
+#: the skeleton routes the rate layer runs, each solve or sweep a counted one
+SKELETON_ROUTES = {"solve_phi", "gradient_phi", "bare_kernel_control"}
+
+
+def test_the_rate_layer_reaches_the_skeleton_only_through_its_evaluator():
+    # rate._Skeleton counts the solves and sweeps of a rate point and
+    # remembers its recent controls; a call beside it would be uncounted
+    tree = ast.parse((SRC / "rate.py").read_text())
+    inside = {id(node) for cls in ast.walk(tree)
+              if isinstance(cls, ast.ClassDef) and cls.name == "_Skeleton"
+              for node in ast.walk(cls)}
+    others = [f"rate.py:{node.lineno} {name}" for node in ast.walk(tree)
+              if isinstance(node, ast.Call) and id(node) not in inside
+              for name in _callees(node.func) if name in SKELETON_ROUTES]
+    assert inside and others == []
 
 
 def _callees(func) -> list[str]:

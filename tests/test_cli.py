@@ -205,6 +205,8 @@ def _manifest(path):
     ("rate", ["task.y=", "task.y_grid=0,nan"]),         # not a blow-up at step 1
     ("rate", ["task.tol_rel=nan"]),                     # tolerance guards, not a
     ("rate", ["task.tol_rel=-1"]),                      # whole unconverged AL budget
+    ("support", ["task.budgets=1,inf", "task.n=40",     # infinite-budget guard, not
+                 "task.n_list=2,3"]),                   # a blow-up at step 1
 ])
 def test_value_error_fails_the_run_cleanly(subcommand, overrides, tmp_path, capsys):
     args = [subcommand, *TINY] + [a for o in overrides for a in ("--set", o)]
@@ -232,12 +234,15 @@ def test_non_finite_sigma0_is_a_config_error(capsys):
     (["task.n_list=,"], "ValueError"), (["task.n_list=-1"], "ValueError"),
     (["task.n_list=2,3", "task.theta=nan"], "ValueError"),
     (["task.n_list=2,3", "task.budgets=,"], "ValueError"),
-    (["grid.nk=1", "task.n_list=2,4"], "GridError")],       # 3 coordinates < 4
-    ids=["levels", "negative-level", "nan-theta", "budgets", "level-above-modes"])
+    (["grid.nk=1", "task.n_list=2,4"], "GridError"),        # 3 coordinates < 4
+    (["task.n_list=2,3", "task.budgets=1,inf"], "ValueError")],
+    ids=["levels", "negative-level", "nan-theta", "budgets", "level-above-modes",
+         "infinite-budget"])
 def test_support_rejects_empty_or_negative_inputs_before_any_draw(
         overrides, error, tmp_path, monkeypatch, capsys):
-    # bad levels, theta or budgets fail before the probe's first skeleton
-    # solve and before the endpoints are drawn, and no table is written
+    # bad levels, theta or budgets (empty, negative or infinite) fail before
+    # the probe's first skeleton solve and before the endpoints are drawn,
+    # and no table is written
     draws, solves = [], []
     monkeypatch.setattr(mc, "sample_endpoints", lambda *a, **kw: draws.append(a))
     monkeypatch.setattr(rate, "solve_phi", lambda *a, **kw: solves.append(a))

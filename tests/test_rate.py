@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
+from scipy import optimize
 
 from varadhanlab import presets, rate
-from varadhanlab.errors import BracketError
+from varadhanlab.errors import BracketError, GridError
 from varadhanlab.funcs import ONE, ScalarFunc
 from varadhanlab.noise import ControlH, GridSpec, lattice
-from varadhanlab.rate import (init_shift, rate_function, rate_profile,
-                              support_probe)
+from varadhanlab.rate import rate_function, rate_profile, support_probe
 from varadhanlab.skeleton import solve_phi
 from varadhanlab.solver import ModelSpec, ZeroInitial, g1_grid
 
@@ -17,6 +17,12 @@ COV = presets.WAVE_WHITE
 def grid():
     # coarse spectral grid keeps each skeleton solve cheap
     return GridSpec(L=1.25, nx=64, nt=32, T=1.0, nk=32, seed=13)
+
+
+def init_shift(model, grid, z, alpha, x=None):
+    """The constructive bracket (+h, -h) of z at (T, x)."""
+    hp = rate._init_shift(rate._Skeleton(model, grid, None, x), z, alpha)
+    return hp, -1.0 * hp
 
 
 class TestInitShift:
@@ -51,6 +57,17 @@ class TestInitShift:
                       1.0, 1.0)
         with pytest.raises(BracketError):
             init_shift(m, grid, 1.0, 0.1, x=0.0)
+
+    @pytest.mark.parametrize("z, alpha", [(np.nan, 0.1), (np.inf, 0.1), (-np.inf, 0.1),
+                                          (1.0, np.nan), (1.0, np.inf), (1.0, 0.0)])
+    def test_non_finite_target_or_margin_is_a_value_error(
+            self, tiny_grid, nonlinear_model, monkeypatch, z, alpha):
+        # a non-finite scale would make a NaN control and read as a blow-up
+        solves = []
+        monkeypatch.setattr(rate, "solve_phi", lambda *a, **kw: solves.append(a))
+        with pytest.raises(ValueError, match="z = |alpha = "):
+            init_shift(nonlinear_model, tiny_grid, z, alpha)
+        assert not solves
 
 
 class TestRateFunction:
@@ -166,11 +183,17 @@ class TestSupportProbe:
         [(lo, hi)] = support_probe(nonlinear_model, grid, [0.0], x=0.0)
         assert lo == hi == pytest.approx(y0)
 
-    @pytest.mark.parametrize("budget", [-1.0, [-1.0, 1.0], [np.nan, 1.0]])
-    def test_negative_budget_is_a_value_error(self, grid, nonlinear_model, budget):
-        # no control has ||h||^2 / 2 < 0 (or NaN), so there is no interval
+    @pytest.mark.parametrize("budget", [-1.0, [-1.0, 1.0], [np.nan, 1.0],
+                                        np.inf, [1.0, np.inf]])
+    def test_negative_budget_is_a_value_error(self, grid, nonlinear_model, budget,
+                                              monkeypatch):
+        # no control has ||h||^2 / 2 < 0 (or NaN), so there is no interval;
+        # an infinite budget would make an infinite ray and read as a blow-up
+        solves = []
+        monkeypatch.setattr(rate, "solve_phi", lambda *a, **kw: solves.append(a))
         with pytest.raises(ValueError, match="must be a number >= 0"):
             support_probe(nonlinear_model, grid, budget, x=0.0)
+        assert not solves
 
     def test_empty_budget_list_is_a_value_error(self, tiny_grid, nonlinear_model,
                                                 monkeypatch):
@@ -194,6 +217,20 @@ class TestSupportProbe:
             want = np.sqrt(2.0 * budget * g1(COV, 1.0))
             assert hi == pytest.approx(want, rel=0.01)
             assert lo == pytest.approx(-want, rel=0.01)
+
+
+@pytest.mark.parametrize("entry", [
+    lambda m, g: rate_function(m, g, 1.0, x=0.0),
+    lambda m, g: rate_profile(m, g, [0.5, 1.0], x=0.0),
+    lambda m, g: support_probe(m, g, [1.0], x=0.0)],
+    ids=["rate_function", "rate_profile", "support_probe"])
+def test_wave_domain_guard_fires_before_any_solve(nonlinear_model, monkeypatch, entry):
+    # L = 0.9 < |x| + T = 1: periodic wraparound would reach x
+    solves = []
+    monkeypatch.setattr(rate, "solve_phi", lambda *a, **kw: solves.append(a))
+    with pytest.raises(GridError, match="finite propagation speed"):
+        entry(nonlinear_model, GridSpec(L=0.9, nx=32, nt=16, T=1.0, nk=16, seed=0))
+    assert not solves
 
 
 class TestSkeletonSolves:
@@ -224,41 +261,48 @@ class TestSkeletonSolves:
         monkeypatch.setattr(rate, "gradient_phi", counting)
         return sweeps
 
+    @pytest.fixture()
+    def stops(self, monkeypatch):
+        # the result of every L-BFGS-B run, one per outer iteration
+        stops = []
+        minimize = optimize.minimize
+        monkeypatch.setattr(optimize, "minimize",
+                            lambda *a, **kw: stops.append(minimize(*a, **kw)) or stops[-1])
+        return stops
+
     def test_point_counts_every_solve(self, tiny_grid, nonlinear_model, calls):
         res = rate_function(nonlinear_model, tiny_grid, 1.0)
         assert res.skeleton_solves == len(calls)
         # the cold start's solves are not AL evaluations
         assert res.skeleton_solves > res.evaluations >= res.iterations >= 1
 
-    def test_al_run_solves_no_control_twice(self, tiny_grid, nonlinear_model,
-                                            calls, monkeypatch):
-        # L-BFGS restarts each outer iteration at its last point and its line
-        # search revisits recent points: the run answers those from memory.
-        # An ABNORMAL L-BFGS stop returns an older iterate, which the memo of
-        # the last _MEMO evaluations may not hold; here none is restarted from.
-        runs = []
-        auglag = rate._auglag_solve
+    def test_cold_point_solves_no_control_twice(self, tiny_grid, nonlinear_model,
+                                                calls, stops):
+        # Phi^0 serves the kernel direction, the bracket ends brentq's first
+        # calls, its root the first AL evaluation, and L-BFGS restarts each
+        # outer iteration at its last point: each is remembered, not solved
+        # again.  At y = -0.7 every L-BFGS stop returns its last evaluation.
+        res = rate_function(nonlinear_model, tiny_grid, -0.7)
+        assert res.iterations > 1 and [r.status for r in stops] == [0] * res.iterations
+        keys = {h.coeffs.tobytes() for h in calls}
+        assert len(keys) == len(calls) == res.skeleton_solves
 
-        def spying(*args, **kwargs):
-            start = len(calls)
-            res = auglag(*args, **kwargs)
-            runs.append((calls[start:], res))
-            return res
-
-        monkeypatch.setattr(rate, "_auglag_solve", spying)
-        rate_function(nonlinear_model, tiny_grid, 1.0)
-        (solved, res), = runs
-        keys = {h.coeffs.tobytes() for h in solved}
-        assert res.iterations > 1
-        assert len(keys) == len(solved) == res.evaluations
+    def test_minimiser_is_the_last_l_bfgs_iterate(self, tiny_grid, nonlinear_model,
+                                                  stops):
+        # at y = 1 the last L-BFGS run stops ABNORMAL: its res.x is an
+        # earlier iterate than its last trial point, and h* must be res.x
+        res = rate_function(nonlinear_model, tiny_grid, 1.0)
+        assert res.converged and "ABNORMAL" in stops[-1].message
+        assert res.h_star.coeffs.tobytes() == stops[-1].x.tobytes()
 
     def test_centre_counts_the_gradient_solve(self, tiny_grid, nonlinear_model, calls):
+        # the centre's gradient sweeps the remembered Phi^0
         y0 = solve_phi(nonlinear_model, tiny_grid,
                        ControlH.zeros(lattice(COV, tiny_grid))).endpoint()
         del calls[:]
         res = rate_function(nonlinear_model, tiny_grid, y0)
         assert res.I == 0.0 and res.evaluations == 0
-        assert res.skeleton_solves == len(calls) + 1 == 2
+        assert res.skeleton_solves == len(calls) == 1
 
     def test_profile_counts_sum_to_its_solves(self, tiny_grid, nonlinear_model, calls):
         y0 = solve_phi(nonlinear_model, tiny_grid,
@@ -266,7 +310,25 @@ class TestSkeletonSolves:
         del calls[:]
         results = rate_profile(nonlinear_model, tiny_grid, sorted([y0, 0.5, 1.0]))
         assert all(r.skeleton_solves >= r.evaluations for r in results)
-        assert sum(r.skeleton_solves for r in results) == len(calls) + 1
+        assert sum(r.skeleton_solves for r in results) == len(calls)
+
+    def test_profile_warm_start_is_a_memo_hit(self, tiny_grid, nonlinear_model,
+                                              calls, sweeps, monkeypatch):
+        # the second point starts from the first's minimiser, whose field and
+        # gradient the evaluator of their (t, x) still holds
+        starts = []
+        auglag = rate._auglag_solve
+        monkeypatch.setattr(rate, "_auglag_solve",
+                            lambda sk, y, h0, tol_c: starts.append(
+                                (h0.coeffs.tobytes(), len(calls), len(sweeps)))
+                            or auglag(sk, y, h0, tol_c))
+        results = rate_profile(nonlinear_model, tiny_grid, [1.0, 1.1])
+        assert len(starts) == 2 and all(r.converged for r in results)
+        warm, solved, swept = starts[1]
+        assert warm in {r.h_star.coeffs.tobytes() for r in results}
+        assert warm in {h.coeffs.tobytes() for h in calls[:solved]}
+        assert warm not in {h.coeffs.tobytes() for h in calls[solved:] + sweeps[swept:]}
+        assert sum(r.skeleton_solves for r in results) == len(calls)
 
     def test_probe_makes_two_solves_per_positive_budget(self, tiny_grid,
                                                         nonlinear_model, calls):
