@@ -341,8 +341,8 @@ def _cmd_rate(run: Runner) -> int:
     payload = [{"y": r.y, "I": r.I, "residual": r.residual,
                 "iterations": r.iterations, "converged": r.converged,
                 "gamma_bar": r.gamma_bar_at_hstar, "stationarity": r.stationarity,
-                "evaluations": r.evaluations, "skeleton_solves": r.skeleton_solves,
-                "adjoint_sweeps": r.adjoint_sweeps, "h_star": f.name}
+                "skeleton_solves": r.skeleton_solves, "adjoint_sweeps": r.adjoint_sweeps,
+                "h_star": f.name}
                for r, f in zip(results, h_files)]
     x = lattice(cfg.model.cov, cfg.grid).point(cfg.x)
     _write_json(run.path("rate_result.json"),

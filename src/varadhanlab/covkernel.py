@@ -8,18 +8,18 @@ spatial noise in d=1.  With the energy kernels
     g1(t) = int_0^t j1(s) ds,
 
 the module provides the Fourier transform of the fundamental solution;
-g1 in its closed power-law form, with constants computed once by
-quadrature, and by an independent radial quadrature of j1 (validate
-compares the two); int_0^t j2, which bounds the drift's reach in the
-bracket of rate._init_shift; the scaling exponents of CovarianceSpec; and
-the slab-averaged squared multipliers used by the spectral time stepper.
+g1 in its closed power-law form, with constants from math.gamma, and by
+an independent radial quadrature of j1 (validate compares the two);
+int_0^t j2, which bounds the drift's reach in the bracket of
+rate._init_shift; the scaling exponents of CovarianceSpec; and the
+slab-averaged squared multipliers used by the spectral time stepper.
 
 scipy is imported on first use, inside the functions that call it:
-_wave_sin2_moment, _j1_coefficients, _j1_quadrature and g1's quadrature
-branch.  The Monte Carlo path (noise, solver, mc) calls none of them, and
-loading scipy.integrate, scipy.special and scipy.optimize costs a process
-about 48 MiB resident and 0.6 s (import varadhanlab.cli: 81 MiB and 0.79 s
-with them, 34 MiB and 0.23 s without; scipy 1.17 on a 2-vCPU Xeon).
+_j1_quadrature and g1's quadrature branch.  The Monte Carlo path (noise,
+solver, mc) and closed-form g1 call neither, and loading scipy.integrate,
+scipy.special and scipy.optimize costs a process about 48 MiB resident
+and 0.6 s (import varadhanlab.cli: 81 MiB and 0.79 s with them, 34 MiB
+and 0.23 s without; scipy 1.17 on a 2-vCPU Xeon).
 """
 
 from __future__ import annotations
@@ -141,37 +141,23 @@ def j2_integral(spec: CovarianceSpec, t: float) -> float:
     return float(t)
 
 
-@lru_cache(maxsize=None)
 def _wave_sin2_moment(beta: float) -> float:
-    """int_0^inf sin^2(u) u^(beta-3) du by quadrature with an oscillatory tail."""
-    from scipy import integrate
+    """int_0^inf sin^2(u) u^(beta-3) du = pi / (2^beta sin(pi beta / 2) Gamma(3 - beta)).
 
-    cut = 40.0
-    head, err1 = integrate.quad(lambda u: np.sin(u) ** 2 * u ** (beta - 3.0),
-                                0.0, cut, limit=400, epsabs=_QUAD_TOL, epsrel=1e-12)
-    # tail: sin^2 = (1 - cos 2u)/2; the monotone part is explicit, the
-    # oscillatory remainder uses QUADPACK's infinite-range cosine rule.
-    mono = 0.5 * cut ** (beta - 2.0) / (2.0 - beta)
-    osc, err2 = integrate.quad(lambda u: 0.5 * u ** (beta - 3.0), cut, np.inf,
-                               weight="cos", wvar=2.0)
-    achieved = err1 + abs(err2)
-    if achieved > 1e-6:
-        raise QuadratureError(f"sin^2 moment quadrature reached only {achieved:.3e}",
-                              achieved=achieved)
-    return head + mono - osc
+    The closed form holds for 0 < beta < 2; at beta = 1 it is pi / 2.
+    """
+    return math.pi / (2.0 ** beta * math.sin(0.5 * math.pi * beta) * math.gamma(3.0 - beta))
 
 
 @lru_cache(maxsize=None)
 def _j1_coefficients(spec: CovarianceSpec) -> tuple[float, float]:
     """(C, p) with j1(s) = C * s^p for the closed power-law form."""
-    from scipy import special
-
     b = spec.beta_eff
     area = _sphere_area(spec.d)
     if spec.operator == "wave":
         coeff = area * (2.0 * math.pi) ** (2.0 - b) * _wave_sin2_moment(b) / (4.0 * math.pi ** 2)
         return coeff, 2.0 - b
-    coeff = area * 0.5 * special.gamma(b / 2.0) * (8.0 * math.pi ** 2) ** (-b / 2.0)
+    coeff = area * 0.5 * math.gamma(b / 2.0) * (8.0 * math.pi ** 2) ** (-b / 2.0)
     return coeff, -b / 2.0
 
 

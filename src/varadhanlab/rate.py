@@ -10,7 +10,7 @@ and brentq bisects the bracket to a feasible initializer.  Every skeleton
 solve and adjoint sweep at one (t, x) runs in its _Skeleton evaluator,
 which solves a control it still remembers no second time.
 
-scipy.optimize is imported on first use, in _RatePoints.solve (brentq) and
+scipy.optimize is imported on first use, in rate_profile (brentq) and
 _auglag_solve (L-BFGS-B), so importing this module does not load it: a
 process that only samples (simulate, density, varadhan, support) saves
 the resident memory and import time that covkernel's docstring gives.
@@ -48,10 +48,10 @@ class RateResult:
 
     skeleton_solves and adjoint_sweeps count the solve_phi and gradient_phi
     calls of the point, where its _Skeleton runs them: a control it still
-    remembers is not solved or swept again.  evaluations counts the sweeps
-    of the augmented-Lagrangian runs; it is 0 at the zero-control centre,
-    whose one sweep is its gradient.  Phi^0's first solve counts in the
-    first point of its (t, x), so the counts of a profile sum to its calls.
+    remembers is not solved or swept again.  At the zero-control centre
+    (iterations 0) the one sweep is its gradient.  Phi^0's first solve
+    counts in the first point of its (t, x), so the counts of a profile sum
+    to its calls.
     """
 
     y: float
@@ -62,7 +62,6 @@ class RateResult:
     converged: bool
     gamma_bar_at_hstar: float
     stationarity: float = math.nan
-    evaluations: int = 0
     skeleton_solves: int = 0
     adjoint_sweeps: int = 0
 
@@ -185,58 +184,18 @@ def _auglag_solve(sk: _Skeleton, y, h0: ControlH, tol_c) -> RateResult:
                       G.norm_sq, stationarity=float(stat))
 
 
-class _RatePoints:
-    """Rate points at one (t, x), sharing its skeleton evaluator, the
-    constraint tolerance and the zero-control endpoint phi0_end."""
-
-    def __init__(self, model, grid, t, x, tol_rel):
-        if not 0.0 < tol_rel < math.inf:                # NaN fails too
-            raise ValueError(f"tol_rel = {tol_rel} must lie in (0, inf)")
-        self.sk = _Skeleton(model, grid, t, x)
-        # tolerances scale with the endpoint spread of the linear surrogate
-        tt = grid.T if t is None else t
-        spread = max(float(np.abs(model.sigma(0.0))), model.sigma0) * \
-            math.sqrt(g1_grid(model.cov, grid, tt))
-        self.tol_c = tol_rel * max(spread, 1e-12)
-        self.phi0_end = self.sk.endpoint(ControlH.zeros(self.sk.lat))
-
-    def solve(self, y: float, warm: ControlH | None = None) -> RateResult:
-        """One run from warm; a cold run from the constructive start when
-        there is no warm start or its run does not converge."""
-        sk, tol_c = self.sk, self.tol_c
-        if abs(self.phi0_end - y) < tol_c:
-            zero = ControlH.zeros(sk.lat)
-            res = RateResult(y, 0.0, zero, abs(self.phi0_end - y), 0, True,
-                             sk.gradient(zero).norm_sq, stationarity=0.0)
-        else:
-            res = None if warm is None else _auglag_solve(sk, y, warm, tol_c)
-            if res is None or not res.converged:
-                from scipy import optimize
-
-                h_plus = _init_shift(sk, y, max(0.1, 0.1 * abs(y - self.phi0_end)))
-                tau = optimize.brentq(lambda tau: sk.endpoint(tau * h_plus) - y,
-                                      -1.0, 1.0, xtol=1e-10, maxiter=200)
-                res = _auglag_solve(sk, y, tau * h_plus, tol_c)
-            res.evaluations = sk.sweeps
-        # the counters restart with each point, which takes what they hold
-        res.skeleton_solves, res.adjoint_sweeps = sk.solves, sk.sweeps
-        sk.solves = sk.sweeps = 0
-        res.validate(tol_c)
-        return res
-
-
 def rate_function(model: ModelSpec, grid: GridSpec, y: float,
                   t: float | None = None, x=None,
                   tol_rel: float = 1e-6) -> RateResult:
     """Minimize ||h||^2 / 2 subject to the skeleton endpoint hitting y.
 
-    One augmented-Lagrangian run from the bisected constructive bracket;
-    the run stops once |endpoint - y| falls below tol_rel (0 < tol_rel < inf)
-    times the linear endpoint spread.
+    The one-point rate_profile: one augmented-Lagrangian run from the
+    bisected constructive bracket; the run stops once |endpoint - y| falls
+    below tol_rel (0 < tol_rel < inf) times the linear endpoint spread.
     """
     if not math.isfinite(y):
         raise ValueError(f"rate target y = {y} is not finite")
-    return _RatePoints(model, grid, t, x, tol_rel).solve(y)
+    return rate_profile(model, grid, [y], t, x, tol_rel)[0]
 
 
 def rate_profile(model: ModelSpec, grid: GridSpec, y_grid,
@@ -245,8 +204,9 @@ def rate_profile(model: ModelSpec, grid: GridSpec, y_grid,
     """Sweep the rate function over a sorted y grid with warm starts.
 
     Solves outward from the zero-control endpoint, warm-starting each y
-    from its neighbor's minimizer, with a cold constructive restart when
-    the warm solve fails to converge.
+    from its neighbor's minimizer, with a cold run from the constructive
+    start when there is no warm start or its run does not converge.  The
+    points share the skeleton evaluator of their (t, x).
     """
     y_grid = np.asarray(y_grid, dtype=float)
     if y_grid.size == 0:
@@ -255,12 +215,37 @@ def rate_profile(model: ModelSpec, grid: GridSpec, y_grid,
         raise ValueError("y_grid has a non-finite entry")
     if np.any(np.diff(y_grid) <= 0):
         raise ValueError("y_grid must be sorted strictly increasing")
-    points = _RatePoints(model, grid, t, x, tol_rel)
-    order = np.argsort(np.abs(y_grid - points.phi0_end), kind="stable")
+    if not 0.0 < tol_rel < math.inf:                    # NaN fails too
+        raise ValueError(f"tol_rel = {tol_rel} must lie in (0, inf)")
+    sk = _Skeleton(model, grid, t, x)
+    # tolerances scale with the endpoint spread of the linear surrogate
+    tt = grid.T if t is None else t
+    spread = max(float(np.abs(model.sigma(0.0))), model.sigma0) * \
+        math.sqrt(g1_grid(model.cov, grid, tt))
+    tol_c = tol_rel * max(spread, 1e-12)
+    phi0_end = sk.endpoint(ControlH.zeros(sk.lat))
+    order = np.argsort(np.abs(y_grid - phi0_end), kind="stable")
     results: dict[int, RateResult] = {}
     warm: ControlH | None = None
     for idx in order:
-        res = points.solve(float(y_grid[idx]), warm)
+        y = float(y_grid[idx])
+        if abs(phi0_end - y) < tol_c:
+            zero = ControlH.zeros(sk.lat)
+            res = RateResult(y, 0.0, zero, abs(phi0_end - y), 0, True,
+                             sk.gradient(zero).norm_sq, stationarity=0.0)
+        else:
+            res = None if warm is None else _auglag_solve(sk, y, warm, tol_c)
+            if res is None or not res.converged:
+                from scipy import optimize
+
+                h_plus = _init_shift(sk, y, max(0.1, 0.1 * abs(y - phi0_end)))
+                tau = optimize.brentq(lambda tau: sk.endpoint(tau * h_plus) - y,
+                                      -1.0, 1.0, xtol=1e-10, maxiter=200)
+                res = _auglag_solve(sk, y, tau * h_plus, tol_c)
+        # the counters restart with each point, which takes what they hold
+        res.skeleton_solves, res.adjoint_sweeps = sk.solves, sk.sweeps
+        sk.solves = sk.sweeps = 0
+        res.validate(tol_c)
         results[int(idx)] = res
         if res.converged:
             warm = res.h_star

@@ -157,23 +157,23 @@ def dphi_window_norm(model: ModelSpec, grid: GridSpec, h: ControlH, rho: float,
     return float(grid.dt * np.sum(G.coeffs[i0:] ** 2))
 
 
-def expansion_check(model: ModelSpec, grid: GridSpec, h: ControlH, streams,
+def expansion_check(model: ModelSpec, grid: GridSpec, h: ControlH, n: int,
                     eps_list, x=None) -> list[dict]:
     """Coupled residuals of the first-order expansion around the skeleton at T.
 
     For each eps, simulates the shifted field and the first chaos with the
-    same paths and tabulates |eps^-1 (u - Phi) - N| medians over replicas.
+    same paths (replica streams 0 .. n - 1) and tabulates
+    |eps^-1 (u - Phi) - N| medians over replicas.
     """
-    from .solver import endpoint_ensemble
+    from .mc import sample_endpoints
 
     if any(e2 >= e1 for e1, e2 in zip(eps_list, eps_list[1:])):
         raise ValueError("eps_list must be strictly decreasing")
     phi_end = solve_phi(model, grid, h).endpoint(x)
-    chaos = chaos_ensemble(model, grid, h, list(streams), x=x)
+    chaos = chaos_ensemble(model, grid, h, range(n), x=x)
     rows = []
     for eps in eps_list:
-        shifted = endpoint_ensemble(model.with_eps(eps), grid, list(streams), x,
-                                    h=h)[0]
+        shifted = sample_endpoints(model.with_eps(eps), grid, n, x, h=h)[0]
         resid = np.abs((shifted - phi_end) / eps - chaos)
         rows.append({"eps": float(eps),
                      "median_residual": float(np.median(resid)),

@@ -3,11 +3,11 @@
 Every equation here is one discrete mild map with the drive
 D_j = synthesize(c_j), c_j = h_j + (eps / dt) dW_j.  One noise path is one
 control c = h + path.control(eps), so every single-path solve runs through
-the skeleton routes on c; only the stream batches of endpoint_ensemble
-form c here, slab by slab.  The solution at t_j is the initial
-contribution plus kernel convolutions (Fourier multipliers on the flat
-spectra of Lattice.to_spec / to_field, the one transform pair) of the one
-slab integrand,
+the skeleton routes on c; only the stream batches of mc.sample_endpoints
+form c slab by slab, through _Increments and _drive.  The solution at t_j
+is the initial contribution plus kernel convolutions (Fourier multipliers
+on the flat spectra of Lattice.to_spec / to_field, the one transform
+pair) of the one slab integrand,
 
     u_j = w_j + sum_{i<j} K_{j-i} * dt [ sigma(u_i) D_i + b(u_i) ],
 
@@ -31,19 +31,6 @@ it runs in BLAS instead of a memory-bound gather over the whole history.
 The block size is a constant, not an option: 16 and 32 time alike at 512
 replicas and nt = 256, 64 is slower, and the result agrees with the direct
 sum to rounding for any block size, so no run depends on it.
-
-An ensemble of B replica streams is driven slab by slab: every _BLOCK
-steps the next _BLOCK slabs of each stream's Philox increments are drawn
-(each stream's generator stays live between draws, so the increments are
-those of sample_path, bit for bit), and each step synthesizes only its
-own slab.  A chunk of B streams runs in equal sub-batches (_sub_batch):
-per replica the engine holds min(_BLOCK, nt) increment rows and, for
-wave, a (jt, nspec) complex history (heat: one (nspec,) accumulator), and
-the sub-batches are the fewest that keep this state near _STATE_BUDGET
-bytes each.  So a chunk's memory is fixed by the grid, not by B or by how
-many chunks run at once; apart from the (jt + 1, *spatial) initial table
-(for BumpInitial, one to_field call over all its times) nothing else
-grows with nt.
 """
 
 from __future__ import annotations
@@ -390,7 +377,7 @@ class _Increments:
     slabs of every stream of its LiveStreams through sample_increments.
     So one (B, _BLOCK, ncoords) block is held, never the (B, nt, ncoords)
     array, and the increments are those of sample_path, bit for bit.  Every
-    draw fills one buffer allocated per chunk: a fresh array per draw
+    draw fills one buffer allocated per sub-batch: a fresh array per draw
     leaves block-sized holes in the allocator's heap, and the peak resident
     memory of identical runs then differed by up to 10 MiB.  With a control h,
     girsanov() returns sum_{i,k} h(i,k) dW(i,k) per stream, summed block by
@@ -495,40 +482,6 @@ def simulate(model: ModelSpec, grid: GridSpec, path: NoisePath,
     eng, w_tab = _prepare(model, grid, t)
     drive = _drive(eng, path.control(model.eps))
     return Field(_forward(model, eng, w_tab, drive), grid, model.cov)
-
-
-def endpoint_ensemble(model: ModelSpec, grid: GridSpec, streams, x,
-                      h: ControlH | None = None, t: float | None = None):
-    """Batched endpoint samples u(t, x) for many replica streams.
-
-    With a control h the shifted equation is simulated, and the return is
-    (samples, dots) with dots the discrete stochastic integrals
-    sum_{i,k} h(i,k) dW(i,k) needed by the change-of-measure weights.
-
-    The streams run in the sub-batches of _sub_batch, one forward sweep
-    each, concatenated in stream order.  Within one the increments are
-    drawn _BLOCK slabs at a time (_Increments) and the drive is
-    synthesized one slab at a time inside the step, so neither the
-    (B, nt, ncoords) increments nor a (B, jt, *spatial) field is ever
-    held: peak memory is one sub-batch's increment block plus, for wave,
-    its (nspec, jt, size) complex history, about _STATE_BUDGET bytes.
-    """
-    if len(streams) < 1:
-        raise ValueError("endpoint_ensemble needs at least one stream")
-    eng, w_tab = _prepare(model, grid, t)
-    point = _observation_index(model, grid, eng.lat, x)
-    size = _sub_batch(eng.lat, eng.jt, len(streams))[0]
-
-    def run(part):
-        inc = _Increments(eng, part, h)
-        u = _forward(model, eng, w_tab, _drive(eng, h, model.eps, inc), batch=len(part))
-        return u[(slice(None), *point)], None if h is None else inc.girsanov()
-
-    parts = [run(streams[lo: lo + size]) for lo in range(0, len(streams), size)]
-    samples = np.concatenate([p[0] for p in parts])
-    if h is None:
-        return samples
-    return samples, np.concatenate([p[1] for p in parts])
 
 
 def picard_verify(model: ModelSpec, grid: GridSpec, path: NoisePath,

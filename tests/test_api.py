@@ -89,17 +89,23 @@ def test_every_random_draw_is_philox():
 FFT_TRANSFORMS = {"rfftn", "irfftn", "rfft", "irfft", "fft", "ifft", "fftn", "ifftn"}
 
 
+def _owners(tree) -> dict[int, list[str]]:
+    """Per node id, the names of the functions and classes around it, outermost first."""
+    owner = {}
+    for scope in ast.walk(tree):
+        if isinstance(scope, (ast.FunctionDef, ast.ClassDef)):
+            for node in ast.walk(scope):
+                owner.setdefault(id(node), []).append(scope.name)
+    return owner
+
+
 def test_every_fft_is_in_the_lattice_transform_pair():
     # Lattice.to_spec and Lattice.to_field fix the one flat spectrum layout;
     # a transform elsewhere would be a second copy of it
     others = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text())
-        owner = {}
-        for scope in ast.walk(tree):
-            if isinstance(scope, (ast.FunctionDef, ast.ClassDef)):
-                for node in ast.walk(scope):
-                    owner.setdefault(id(node), []).append(scope.name)
+        owner = _owners(tree)
         for node in ast.walk(tree):
             if (isinstance(node, ast.Attribute) and node.attr in FFT_TRANSFORMS
                     and getattr(node.value, "attr", getattr(node.value, "id", "")) == "fft"):
@@ -110,6 +116,24 @@ def test_every_fft_is_in_the_lattice_transform_pair():
                 others += [f"{path.name}:{node.lineno} import {a.name}"
                            for a in node.names if a.name in FFT_TRANSFORMS]
     assert others == []
+
+
+def test_every_batched_sweep_is_in_sample_endpoints():
+    # mc.sample_endpoints cuts a stream batch into chunks and sub-batches
+    # and sweeps each; a batched _forward elsewhere would be a second route
+    inside, others = [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = _owners(tree)
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and "_forward" in _callees(node.func)
+                    and (len(node.args) > 4 or any(k.arg == "batch" for k in node.keywords))):
+                where = owner.get(id(node), [])
+                if path.name == "mc.py" and where[:1] == ["sample_endpoints"]:
+                    inside.append(node.lineno)
+                else:
+                    others.append(f"{path.name}:{node.lineno} {'.'.join(where)}")
+    assert inside and others == []
 
 
 #: the skeleton routes the rate layer runs, each solve or sweep a counted one

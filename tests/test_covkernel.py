@@ -1,3 +1,9 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -75,9 +81,28 @@ class TestFourierLambda:
 
 class TestG1:
     def test_wave_white_exact(self):
-        # t^2 / 4 via the radial integral of sin^2 / xi^2
-        assert ck.g1(WAVE_WHITE, 2.0) == pytest.approx(1.0, rel=1e-9)
+        # t^2 / 4 via the radial integral of sin^2 / xi^2; the closed form
+        # holds it to rounding, the quadrature to its tolerance
+        assert ck.g1(WAVE_WHITE, 2.0) == pytest.approx(1.0, rel=1e-14)
         assert ck.g1(WAVE_WHITE, 2.0, method="quadrature") == pytest.approx(1.0, rel=1e-6)
+
+    def test_closed_form_loads_no_scipy(self):
+        # the power-law constants are Gamma values from math, so closed-form
+        # g1 for wave and heat imports neither scipy.integrate nor scipy.special
+        code = ("import json, sys\n"
+                "from varadhanlab import covkernel as ck\n"
+                "for spec in (ck.CovarianceSpec('wave', 1, 'white'),\n"
+                "             ck.CovarianceSpec('wave', 3, 'riesz', 1.5),\n"
+                "             ck.CovarianceSpec('heat', 1, 'white'),\n"
+                "             ck.CovarianceSpec('heat', 2, 'riesz', 0.5)):\n"
+                "    assert ck.g1(spec, 0.7) > 0.0\n"
+                "print(json.dumps(sorted(m for m in ('scipy.integrate', 'scipy.special')\n"
+                "                        if m in sys.modules)))\n")
+        src = Path(__file__).resolve().parents[1] / "src"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": str(src)}, check=True,
+                             timeout=120)
+        assert json.loads(out.stdout.splitlines()[-1]) == []
 
     def test_heat_scaling_ratio(self):
         # g1(4t)/g1(t) = 4^{(2-beta)/2} at beta = 1/2

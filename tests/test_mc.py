@@ -13,7 +13,7 @@ from varadhanlab.mc import (CHUNK, DensityCurve, estimate_density, gaussian_kde,
                             varadhan_sweep, _batch_se)
 from varadhanlab.noise import ControlH, GridSpec, lattice
 from varadhanlab.rate import rate_function
-from varadhanlab.solver import endpoint_ensemble, g1_grid
+from varadhanlab.solver import g1_grid
 
 COV = presets.WAVE_WHITE
 
@@ -95,11 +95,30 @@ class TestReproducibility:
         b = sample_endpoints(linear_model, mc_grid, 1500, 0.0)
         assert np.array_equal(a, b)
 
-    def test_executor_does_not_change_results(self, mc_grid, linear_model):
+    @pytest.mark.parametrize("tilt", [False, True], ids=["plain", "tilted"])
+    @pytest.mark.parametrize("cov", [presets.WAVE_WHITE, presets.HEAT_WHITE],
+                             ids=["wave", "heat"])
+    def test_executor_does_not_change_results(self, mc_grid, cov, tilt):
+        # the workers share one engine and initial table; with more workers
+        # than chunks and frequent thread switches, the three chunks must
+        # still come out as the serial run's, dots included
         import concurrent.futures
-        a = sample_endpoints(linear_model, mc_grid, 1500, 0.0)
-        with concurrent.futures.ThreadPoolExecutor(max_workers=4) as ex:
-            b = sample_endpoints(linear_model, mc_grid, 1500, 0.0, executor=ex)
+        import sys
+        m = presets.nonlinear_model(cov=cov).with_eps(0.5)
+        lat = lattice(cov, mc_grid)
+        h = ControlH(lat, 0.3 * np.random.default_rng(3).standard_normal(
+            (mc_grid.nt, lat.ncoords))) if tilt else None
+        a = sample_endpoints(m, mc_grid, 1300, 0.0, h=h, stream0=5)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with concurrent.futures.ThreadPoolExecutor(max_workers=4) as ex:
+                b = sample_endpoints(m, mc_grid, 1300, 0.0, h=h, stream0=5, executor=ex)
+        finally:
+            sys.setswitchinterval(interval)
+        if tilt:
+            assert np.array_equal(a[1], b[1])
+            a, b = a[0], b[0]
         assert np.array_equal(a, b)
 
 
@@ -120,9 +139,10 @@ class TestStreamInvariance:
         lat = lattice(nonlinear_model.cov, tiny_grid)
         h = ControlH(lat, 0.3 * np.random.default_rng(5).standard_normal(
             (tiny_grid.nt, lat.ncoords)))
-        plain = np.array([endpoint_ensemble(nonlinear_model, tiny_grid, [s], 0.0)[0]
+        plain = np.array([sample_endpoints(nonlinear_model, tiny_grid, 1, 0.0,
+                                           stream0=s)[0]
                           for s in range(self.N_STREAMS)])
-        tilted = [endpoint_ensemble(nonlinear_model, tiny_grid, [s], 0.0, h=h)
+        tilted = [sample_endpoints(nonlinear_model, tiny_grid, 1, 0.0, h=h, stream0=s)
                   for s in range(self.N_STREAMS)]
         return h, plain, np.array([t[0][0] for t in tilted]), \
             np.array([t[1][0] for t in tilted])

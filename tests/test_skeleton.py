@@ -363,7 +363,7 @@ class TestExpansion:
         lat = lattice(COV, small_grid)
         rng = np.random.default_rng(9)
         h = ControlH(lat, rng.standard_normal((small_grid.nt, lat.ncoords)))
-        rows = expansion_check(linear_model, small_grid, h, range(50),
+        rows = expansion_check(linear_model, small_grid, h, 50,
                                [0.4, 0.2, 0.1], x=0.0)
         for row in rows:
             assert row["median_residual"] < 1e-10
@@ -372,17 +372,17 @@ class TestExpansion:
         lat = lattice(COV, mc_grid)
         rng = np.random.default_rng(10)
         h = ControlH(lat, 0.3 * rng.standard_normal((mc_grid.nt, lat.ncoords)))
-        rows = expansion_check(nonlinear_model, mc_grid, h, range(300),
+        rows = expansion_check(nonlinear_model, mc_grid, h, 300,
                                [0.4, 0.2, 0.1, 0.05], x=0.0)
         med = [r["median_residual"] for r in rows]
         assert all(b < a for a, b in zip(med, med[1:]))
 
     def test_gaussian_identity_at_h_zero(self, small_grid, linear_model):
         # eps^-1 (u - w) has variance g1(t) for every eps
-        from varadhanlab.solver import endpoint_ensemble
+        from varadhanlab.mc import sample_endpoints
         for eps in (0.5, 0.25):
             m = linear_model.with_eps(eps)
-            u = endpoint_ensemble(m, small_grid, range(3000), 0.0)
+            u = sample_endpoints(m, small_grid, 3000, 0.0)
             var = (u / eps).var()
             gg = g1_grid(COV, small_grid, 1.0)
             assert abs(var - gg) < 3.0 * gg * np.sqrt(2.0 / len(u))

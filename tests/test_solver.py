@@ -7,13 +7,13 @@ from varadhanlab import mc, presets
 from varadhanlab.covkernel import CovarianceSpec, g1
 from varadhanlab.errors import BlowUpError, FixedPointError, GridError, MemoryBudgetError
 from varadhanlab.funcs import ONE, ZERO, ScalarFunc
+from varadhanlab.mc import sample_endpoints
 from varadhanlab.noise import (ControlH, GridSpec, LiveStreams, NoisePath,
                                ht_inner, lattice, sample_increments, sample_path)
 from varadhanlab.skeleton import forward_xi, gradient_phi, solve_phi
 from varadhanlab.solver import (_BLOCK, BumpInitial, MildEngine, ModelSpec,
                                 ZeroInitial, _Increments, _sub_batch,
-                                check_wave_domain, endpoint_ensemble, g1_grid,
-                                picard_verify, simulate)
+                                check_wave_domain, g1_grid, picard_verify, simulate)
 
 COV = presets.WAVE_WHITE
 
@@ -39,12 +39,11 @@ class TestModelSpec:
             check_wave_domain(presets.linear_model().cov, grid, 0.0)
 
     @pytest.mark.parametrize("entry", [
-        "endpoint_ensemble", "sample_endpoints", "gradient_phi", "rate_function",
+        "sample_endpoints", "gradient_phi", "rate_function",
         "rate_profile", "support_probe", "bare_kernel_control", "forward_xi",
         "chaos_ensemble"])
     def test_entry_points_enforce_wave_domain(self, entry):
         # L = 0.9 < |x| + T = 1: periodic wraparound would reach x
-        from varadhanlab.mc import sample_endpoints
         from varadhanlab.rate import rate_function, rate_profile, support_probe
         from varadhanlab.skeleton import bare_kernel_control, chaos_ensemble
 
@@ -53,7 +52,6 @@ class TestModelSpec:
         lat = lattice(COV, grid)
         path = sample_path(lat, 0)
         calls = {
-            "endpoint_ensemble": lambda: endpoint_ensemble(m, grid, [0, 1], 0.0),
             "sample_endpoints": lambda: sample_endpoints(m, grid, 2, 0.0),
             "gradient_phi": lambda: gradient_phi(m, grid, ControlH.zeros(lat), x=0.0),
             "rate_function": lambda: rate_function(m, grid, 1.0, x=0.0),
@@ -85,7 +83,7 @@ class TestModelSpec:
 @pytest.fixture(scope="module")
 def linear_endpoints(mc_grid):
     m = presets.linear_model().with_eps(0.5)
-    return endpoint_ensemble(m, mc_grid, range(10_000), 0.0)
+    return sample_endpoints(m, mc_grid, 10_000, 0.0)
 
 
 class TestSimulate:
@@ -113,7 +111,7 @@ class TestSimulate:
         worst = 0.0
         for eps in (0.1, 0.4, 0.7, 1.0):
             m = presets.nonlinear_model().with_eps(eps)
-            u = endpoint_ensemble(m, mc_grid, range(2000), 0.0)
+            u = sample_endpoints(m, mc_grid, 2000, 0.0)
             moments = [np.mean(np.abs(u) ** p) for p in (2, 4, 8)]
             assert np.all(np.isfinite(moments))
             worst = max(worst, max(moments))
@@ -169,12 +167,6 @@ class TestSimulate:
         assert all(b < a for a, b in zip(diffs, diffs[1:]))
 
 
-class TestEnsembleGuards:
-    def test_no_streams_is_a_value_error(self, tiny_grid, nonlinear_model):
-        with pytest.raises(ValueError, match="at least one stream"):
-            endpoint_ensemble(nonlinear_model, tiny_grid, [], 0.0)
-
-
 class TestStreamedIncrements:
     @pytest.mark.parametrize("nt", [5, _BLOCK, _BLOCK + 1, 70])
     @pytest.mark.parametrize("short", [1, 3])
@@ -204,8 +196,8 @@ class TestStreamedIncrements:
         m = presets.nonlinear_model().with_eps(0.5)
         lat = lattice(COV, mc_grid)
         h = ControlH(lat, np.random.default_rng(2).standard_normal((mc_grid.nt, lat.ncoords)))
-        streams = list(range(40, 80))
-        _, dots = endpoint_ensemble(m, mc_grid, streams, 0.0, h=h, t=0.4)
+        streams = range(40, 80)
+        _, dots = sample_endpoints(m, mc_grid, len(streams), 0.0, t=0.4, h=h, stream0=40)
         whole = np.stack([sample_path(lat, s).increments for s in streams])
         want = np.einsum("bik,ik->b", whole, h.coeffs)
         np.testing.assert_allclose(dots, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
@@ -224,11 +216,10 @@ class TestChunkMemory:
         m = presets.nonlinear_model(cov=cov)
         lat = lattice(cov, grid)
         B, nt, nspec = 64, grid.nt, lat.nspec
-        streams = list(range(B))
-        endpoint_ensemble(m, grid, streams, 0.0)       # warm the lattice and weights
+        sample_endpoints(m, grid, B, 0.0)              # warm the lattice and weights
         tracemalloc.start()
         try:
-            endpoint_ensemble(m, grid, streams, 0.0)
+            sample_endpoints(m, grid, B, 0.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -238,7 +229,7 @@ class TestChunkMemory:
             bound += nspec * nt * B * 16 + nspec * _BLOCK * 2 * B * 8
         assert peak < bound
 
-    @pytest.mark.parametrize("entry", ["endpoint_ensemble", "chaos_ensemble"])
+    @pytest.mark.parametrize("entry", ["sample_endpoints", "chaos_ensemble"])
     def test_full_chunk_holds_one_sub_batch_at_a_time(self, entry):
         # a 512-replica wave chunk at nt = 256 runs in sub-batches of the
         # size _sub_batch gives, so its peak is one sub-batch's state (the
@@ -253,7 +244,7 @@ class TestChunkMemory:
         B, nt, nspec = mc.CHUNK, grid.nt, lat.nspec
         size, state = _sub_batch(lat, nt, B)
         h = ControlH.zeros(lat)
-        run = {"endpoint_ensemble": lambda: endpoint_ensemble(m, grid, range(B), 0.0),
+        run = {"sample_endpoints": lambda: sample_endpoints(m, grid, B, 0.0),
                "chaos_ensemble": lambda: chaos_ensemble(m, grid, h, range(B), x=0.0)}
         run[entry]()                                    # warm the lattice and weights
         tracemalloc.start()
@@ -307,8 +298,8 @@ class TestShiftIdentity:
         rng = np.random.default_rng(5)
         h = ControlH(lat, 0.4 * rng.standard_normal((mc_grid.nt, lat.ncoords))) \
             if with_h else None
-        streams = [0, 3, 11, 12]
-        batch = endpoint_ensemble(m, mc_grid, streams, 0.0, h=h)
+        streams = range(4)
+        batch = sample_endpoints(m, mc_grid, len(streams), 0.0, h=h)
         if with_h:
             batch = batch[0]
         controls = [sample_path(lat, s).control(m.eps) for s in streams]
