@@ -118,9 +118,13 @@ class Config:
         self.grid = self._build_grid()
         self.task = self.raw.get("task", {})
 
-    def value(self, section: str, key: str) -> str:
-        """The raw text of section.key, or its built-in default."""
-        return self.raw.get(section, {}).get(key, _DEFAULTS[section][key])
+    def value(self, section: str, key: str) -> str | None:
+        """The raw text of section.key, else its built-in default, else None; task.y
+        has none beside a task.y_grid (rate profiles it, varadhan reads the artifact)."""
+        raw = self.raw.get(section, {})
+        if (section, key) == ("task", "y") and "y_grid" in raw:
+            return raw.get(key)
+        return raw.get(key, _DEFAULTS[section].get(key))
 
     def _validate_keys(self, source_text: str):
         for section, items in self.raw.items():
@@ -134,7 +138,7 @@ class Config:
 
     def _build_model(self) -> ModelSpec:
         m = partial(self.value, "model")
-        kind, beta = m("kind"), self.raw.get("model", {}).get("beta")
+        kind, beta = m("kind"), m("beta")
         if kind == "riesz" and beta is None:
             raise ConfigError("model.kind = riesz needs model.beta")
         beta = float(beta) if kind == "riesz" else None
@@ -173,11 +177,9 @@ class Config:
         return int(self.task.get("n", _DEFAULT_N[subcommand]))
 
     def canonical_text(self) -> str:
-        lines = []
-        for section in sorted(self.raw):
-            for key in sorted(self.raw[section]):
-                lines.append(f"{section}.{key}={self.raw[section][key]}")
-        return "\n".join(lines)
+        """Every schema key at its resolved value (value), 'section.key=' where none."""
+        return "\n".join(f"{section}.{key}={self.value(section, key) or ''}"
+                         for section in sorted(_SCHEMA) for key in sorted(_SCHEMA[section]))
 
     def hash(self) -> str:
         return hashlib.sha256(self.canonical_text().encode()).hexdigest()
@@ -322,13 +324,13 @@ def _cmd_rate(run: Runner) -> int:
     cfg = run.cfg
     tol_rel = float(cfg.value("task", "tol_rel"))
     with run.stage("rate"):
-        if "y_grid" in cfg.task and "y" not in cfg.task:
-            y_grid = _parse_grid_expr(cfg.task["y_grid"])
+        y = cfg.value("task", "y")
+        if y is None:
+            y_grid = _parse_grid_expr(cfg.value("task", "y_grid"))
             results = rate_mod.rate_profile(cfg.model, cfg.grid, y_grid, t=cfg.t,
                                             x=cfg.x, tol_rel=tol_rel)
         else:
-            y = float(cfg.value("task", "y"))
-            results = [rate_mod.rate_function(cfg.model, cfg.grid, y, t=cfg.t,
+            results = [rate_mod.rate_function(cfg.model, cfg.grid, float(y), t=cfg.t,
                                               x=cfg.x, tol_rel=tol_rel)]
     _write_csv(run.path("rate.csv"),
                ["y", "I", "residual", "iterations", "gamma_bar", "converged"],
@@ -362,7 +364,8 @@ def _cmd_varadhan(run: Runner) -> int:
     if result_file.exists():
         stored = json.loads(result_file.read_text())
         if stored["results"]:
-            y = float(cfg.task["y"] if "y" in cfg.task else stored["results"][0]["y"])
+            y = cfg.value("task", "y")
+            y = float(stored["results"][0]["y"] if y is None else y)
             if not math.isfinite(y):
                 raise ConfigError(f"task.y = {y} is not finite")
             entry = min(stored["results"], key=lambda r: abs(r["y"] - y))
@@ -521,11 +524,11 @@ def _validation_checks(executor, full: bool) -> list[tuple[str, bool, str]]:
 
 
 def _estimate_resources(cfg: Config, subcommand: str = "simulate") -> tuple[int, float]:
-    """(engine state bytes per chunk, history-sum flops of the run), from shapes.
+    """(workspace bytes per chunk, history-sum flops of the run), from shapes.
 
-    A chunk runs in sub-batches and holds one sub-batch's state at a time:
-    its size and the state per replica come from solver._sub_batch, the
-    rule the engine itself runs by.  The wave history sum costs O(nt^2)
+    A chunk runs its sub-batches in one workspace sized for the first: its
+    size and buffers come from solver._sub_batch and _workspace, the rules
+    the engine itself runs by.  The wave history sum costs O(nt^2)
     per frequency and replica, the heat recursion O(nt).  The run draws
     task.n replicas, or the subcommand's default.
     """
@@ -533,9 +536,10 @@ def _estimate_resources(cfg: Config, subcommand: str = "simulate") -> tuple[int,
     n = cfg.replicas(subcommand)
     if n < 1:
         raise ValueError(f"{subcommand} needs n >= 1 replicas")
-    size, state = solver._sub_batch(lat, nt, min(mc.CHUNK, n))
+    size = solver._sub_batch(lat, nt, min(mc.CHUNK, n))[0]
+    workspace = solver._workspace(lat, nt, size)(size).values()   # pages never touched
     per_mode = nt if cfg.model.cov.operator == "heat" else 0.5 * nt ** 2
-    return size * state, per_mode * lat.nspec * n * 8.0
+    return sum(a.nbytes for a in workspace), per_mode * lat.nspec * n * 8.0
 
 
 def main(argv=None) -> int:

@@ -19,7 +19,7 @@ from .errors import TiltError, GridError
 from .noise import ControlH, GridSpec, lattice
 from .skeleton import solve_phi
 from .solver import (ModelSpec, _drive, _forward, _Increments, _observation_index,
-                     _prepare, _sub_batch)
+                     _prepare, _sub_batch, _workspace)
 
 #: replicas per work unit; fixed so results never depend on the worker count
 CHUNK = 512
@@ -119,35 +119,37 @@ def sample_endpoints(model: ModelSpec, grid: GridSpec, n: int, x,
     the engine holds min(_BLOCK, nt) increment rows and, for wave, a
     (jt, nspec) complex history (heat: one (nspec,) accumulator), and the
     sub-batches are the fewest that keep this state near _STATE_BUDGET
-    bytes each.  Every _BLOCK steps the next _BLOCK slabs of each stream's
-    Philox increments are drawn (solver._Increments: each stream's
-    generator stays live between draws, so the increments are those of
-    sample_path, bit for bit), and each step synthesizes only its own
-    slab, so neither the (B, nt, ncoords) increments nor a
-    (B, jt, *spatial) field is ever held.  A unit's memory is thus fixed by
-    the grid, not by its size or by how many units run at once; apart from
-    the (jt + 1, *spatial) initial table (for BumpInitial, one to_field
-    call over all its times) nothing else grows with nt.
+    bytes each.  A unit allocates these buffers, and the wave far sums,
+    once, for its first and largest sub-batch (solver._workspace), and
+    each sub-batch sweeps in their leading contiguous views without
+    clearing them: a sweep reads no row it has not written.  Fresh buffers
+    per sub-batch let the allocator return their pages in between, to be
+    faulted in anew (2.5-2.7 times the minor faults on mc_grid).  Each
+    _BLOCK steps draw the next _BLOCK slabs of each stream's Philox
+    increments (solver._Increments: each stream's generator stays live
+    between draws, so the increments are those of sample_path, bit for
+    bit), and each step synthesizes only its own slab, so neither the
+    (B, nt, ncoords) increments nor a (B, jt, *spatial) field is ever held.
+    A unit's memory is thus fixed by the grid, not by its size or by how
+    many units run at once; apart from the (jt + 1, *spatial) initial
+    table (for BumpInitial, one to_field call over all its times) nothing
+    else grows with nt.
     """
     if n < 1:
         raise ValueError("sample_endpoints needs n >= 1 replicas")
     eng, w_tab = _prepare(model, grid, t)
     point = _observation_index(model, grid, eng.lat, x)
 
-    def sweep(streams: range):
-        # a call per sub-batch frees its increments before the next one draws
-        inc = _Increments(eng, streams, h)
-        u = _forward(model, eng, w_tab, _drive(eng, h, model.eps, inc), batch=len(streams))
-        return u[(slice(None), *point)], inc.dots if h is None else inc.girsanov()
-
     def run(streams: range) -> np.ndarray:
-        # the endpoint views keep each sub-batch's final fields until the
-        # unit's stack: freed at once, they let the allocator trim its heap
-        # between sub-batches, whose state then faults in anew (on mc_grid
-        # 8,600 against 2,300 minor faults per unit, 6% slower)
         size = _sub_batch(eng.lat, eng.jt, len(streams))[0]
-        parts = [sweep(streams[lo: lo + size]) for lo in range(0, len(streams), size)]
-        return np.concatenate([np.stack(p) for p in parts], axis=1)
+        views, parts = _workspace(eng.lat, eng.jt, size), []
+        for part in (streams[lo: lo + size] for lo in range(0, len(streams), size)):
+            work = views(len(part))
+            inc = _Increments(eng, part, h, work["block"])
+            u = _forward(model, eng, w_tab, _drive(eng, h, model.eps, inc), work)
+            parts.append(np.stack((u[(slice(None), *point)],
+                                   inc.dots if h is None else inc.girsanov())))
+        return np.concatenate(parts, axis=1)
 
     jobs = [range(lo, min(lo + CHUNK, stream0 + n))
             for lo in range(stream0, stream0 + n, CHUNK)]

@@ -30,8 +30,7 @@ import numpy as np
 
 from .errors import GridError, MemoryBudgetError
 from .noise import ControlH, GridSpec
-from .solver import (Field, ModelSpec, _drive, _factor, _forward, _Increments,
-                     _observation_index, _prepare, _sub_batch)
+from .solver import Field, ModelSpec, _drive, _factor, _forward, _observation_index, _prepare
 
 __all__ = [
     "solve_phi", "gradient_phi", "forward_xi", "expansion_check",
@@ -127,26 +126,6 @@ def forward_xi(model: ModelSpec, grid: GridSpec, h: ControlH,
     return ControlH(lat, coeffs)
 
 
-def chaos_ensemble(model: ModelSpec, grid: GridSpec, h: ControlH, streams,
-                   t: float | None = None, x=None) -> np.ndarray:
-    """First-chaos draws N = sum_{i,k} G(i,k) dW(i,k) around Phi^h at (t, x).
-
-    streams is a sequence of stream ids.  G = gradient_phi(h) is one
-    skeleton solve and one adjoint sweep for all streams (see the module
-    docstring).  G is zero from row jt on, so of each stream only the
-    first jt rows are drawn, _BLOCK slabs at a time by solver._Increments,
-    in sub-batches that solver._sub_batch sizes by that increment block
-    alone: no stream runs a sweep.
-    """
-    if len(streams) < 1:
-        raise ValueError("chaos_ensemble needs at least one path")
-    G = gradient_phi(model, grid, h, t, x)
-    eng, _ = _prepare(model, grid, t)
-    size = _sub_batch(eng.lat, eng.jt, len(streams), sweep=False)[0]
-    return np.concatenate([_Increments(eng, streams[lo: lo + size], G).girsanov(eng.jt)
-                           for lo in range(0, len(streams), size)])
-
-
 def dphi_window_norm(model: ModelSpec, grid: GridSpec, h: ControlH, rho: float,
                      x=None, gradient: ControlH | None = None) -> float:
     """Squared gradient norm of the endpoint at T restricted to the window [T - rho, T]."""
@@ -163,14 +142,18 @@ def expansion_check(model: ModelSpec, grid: GridSpec, h: ControlH, n: int,
 
     For each eps, simulates the shifted field and the first chaos with the
     same paths (replica streams 0 .. n - 1) and tabulates
-    |eps^-1 (u - Phi) - N| medians over replicas.
+    |eps^-1 (u - Phi) - N| medians over replicas.  The chaos draws
+    N = sum_{i,k} G(i,k) dW(i,k), G = gradient_phi(h), are the dots of an
+    eps = 0 sample_endpoints run tilted by G, whose sweeps, the noiseless
+    skeleton of G, no draw can blow up.
     """
     from .mc import sample_endpoints
 
     if any(e2 >= e1 for e1, e2 in zip(eps_list, eps_list[1:])):
         raise ValueError("eps_list must be strictly decreasing")
     phi_end = solve_phi(model, grid, h).endpoint(x)
-    chaos = chaos_ensemble(model, grid, h, range(n), x=x)
+    chaos = sample_endpoints(model.with_eps(0.0), grid, n, x,
+                             h=gradient_phi(model, grid, h, x=x))[1]
     rows = []
     for eps in eps_list:
         shifted = sample_endpoints(model.with_eps(eps), grid, n, x, h=h)[0]

@@ -3,8 +3,9 @@
 Every equation here is one discrete mild map with the drive
 D_j = synthesize(c_j), c_j = h_j + (eps / dt) dW_j.  One noise path is one
 control c = h + path.control(eps), so every single-path solve runs through
-the skeleton routes on c; only the stream batches of mc.sample_endpoints
-form c slab by slab, through _Increments and _drive.  The solution at t_j
+the skeleton routes on c; every stream batch, first-chaos draws included,
+forms c slab by slab in the one loop of mc.sample_endpoints, through
+_Increments and _drive in a _workspace per unit.  The solution at t_j
 is the initial contribution plus kernel convolutions (Fourier multipliers
 on the flat spectra of Lattice.to_spec / to_field, the one transform
 pair) of the one slab integrand,
@@ -236,11 +237,12 @@ class MildEngine:
         else:
             self._wt, self._hankel = _block_weights(cov, grid)
 
-    def _causal_sum(self, batch_shape: tuple):
+    def _causal_sum(self, batch_shape: tuple, work: dict | None = None):
         """Return step, with step(x_n) = acc_n = sum_{q<=n} K_{n+1-q} x_q.
 
         Call step once per n = 0 .. jt-1 with the slab spectrum x_n, shape
-        batch_shape + (nspec,) or broadcastable to it.
+        batch_shape + (nspec,) or broadcastable to it.  work (a _workspace
+        view) holds the wave buffers; step n reads no row it has not written.
 
         Heat weights are geometric in the lag, K_{l+1} = q K_l, so step runs
         acc_n = q acc_{n-1} + K_1 x_n and keeps no history.  For wave the
@@ -264,9 +266,9 @@ class MildEngine:
 
             return heat_step
         nb = math.prod(batch_shape)
-        hist = np.zeros((nspec, jt, nb), dtype=np.complex128)
-        real = hist.view(np.float64)              # real weights act on re and im alike
-        far = np.empty((nspec, min(_BLOCK, jt), 2 * nb))  # closed slabs, open block
+        work = _workspace(self.lat, jt, nb)(nb) if work is None else work
+        real, far = work["hist"], work["far"]     # real weights act on re and im alike
+        hist = real.view(np.complex128)
         n = 0
 
         def step(x):
@@ -287,18 +289,18 @@ class MildEngine:
         return step
 
     def forward(self, w_tab: np.ndarray, integrand, batch_shape=(),
-                keep_history: bool = False):
+                keep_history: bool = False, work: dict | None = None):
         """Run u_j = w_j + sum_{i<j} K_{j-i} rho_i with rho_i = integrand(i, u_i).
 
         w_tab has shape (jt + 1, *spatial) and broadcasts over batch axes.
-        The history sum is the causal sum of _causal_sum: the same terms as
-        the direct sum over all past slabs, added in a different order (wave)
-        or by the geometric recursion (heat); agreement to rounding is
+        The history sum is the causal sum of _causal_sum (in work): the same
+        terms as the direct sum over all past slabs, added in a different order
+        (wave) or by the geometric recursion (heat); agreement to rounding is
         checked against the direct sum in the tests.  Returns (final field,
         history list or None).
         """
         jt, lat = self.jt, self.lat
-        step = self._causal_sum(batch_shape)
+        step = self._causal_sum(batch_shape, work)
         u = np.broadcast_to(w_tab[0], batch_shape + lat.spatial_shape).copy()
         trail = [u.copy()] if keep_history else None
         for j in range(jt):
@@ -374,60 +376,67 @@ class _Increments:
     Calling it with j returns the (B, ncoords) increments of slab j, a view
     valid until the next block is drawn; the forward sweep asks for
     j = 0, 1, ... in order, and each block start draws the next _BLOCK
-    slabs of every stream of its LiveStreams through sample_increments.
-    So one (B, _BLOCK, ncoords) block is held, never the (B, nt, ncoords)
-    array, and the increments are those of sample_path, bit for bit.  Every
-    draw fills one buffer allocated per sub-batch: a fresh array per draw
-    leaves block-sized holes in the allocator's heap, and the peak resident
-    memory of identical runs then differed by up to 10 MiB.  With a control h,
-    girsanov() returns sum_{i,k} h(i,k) dW(i,k) per stream, summed block by
-    block over the first rows rows (default nt); the rows no sweep drew (all
-    of them when none ran) are drawn only then.
+    slabs of every stream of its LiveStreams through sample_increments into
+    buffer, the (B, min(_BLOCK, nt), ncoords) block of a _workspace.  So one
+    block is held, never the (B, nt, ncoords) array, and the increments are
+    those of sample_path, bit for bit.  With a control h, girsanov()
+    returns sum_{i,k} h(i,k) dW(i,k) per stream, summed block by block over
+    all nt rows; the rows no sweep drew (all of them when none ran) are
+    drawn only then.
     """
 
-    def __init__(self, eng: MildEngine, streams, h: ControlH | None = None):
+    def __init__(self, eng: MildEngine, streams, h: ControlH | None, buffer: np.ndarray):
         self.lat, self.jt, self.h = eng.lat, eng.jt, h
         self.streams = LiveStreams(streams)
         self.dots = np.zeros(len(self.streams))
-        self.buffer = np.empty((len(self.streams), min(_BLOCK, self.lat.grid.nt),
-                                self.lat.ncoords))
-        self.block = None
+        self.buffer = buffer
         self.drawn = 0
 
-    def _draw(self, start: int, rows: int) -> np.ndarray:
+    def _draw(self, start: int, rows: int) -> None:
         block = sample_increments(self.lat, self.streams, self.buffer[:, :rows])
         self.drawn = start + rows
         if self.h is not None:
             self.dots += np.einsum("bik,ik->b", block, self.h.coeffs[start: start + rows])
-        return block
 
     def __call__(self, j: int) -> np.ndarray:
         if j % _BLOCK == 0:
-            self.block = self._draw(j, min(_BLOCK, self.jt - j))
-        return self.block[:, j % _BLOCK]
+            self._draw(j, min(_BLOCK, self.jt - j))
+        return self.buffer[:, j % _BLOCK]
 
-    def girsanov(self, rows: int | None = None) -> np.ndarray:
-        end = self.lat.grid.nt if rows is None else rows
-        for start in range(self.drawn, end, _BLOCK):
-            self._draw(start, min(_BLOCK, end - start))
+    def girsanov(self) -> np.ndarray:
+        nt = self.lat.grid.nt
+        for start in range(self.drawn, nt, _BLOCK):
+            self._draw(start, min(_BLOCK, nt - start))
         return self.dots
 
 
-def _sub_batch(lat: Lattice, jt: int, n: int,
-               sweep: bool = True) -> tuple[int, int]:
+def _sub_batch(lat: Lattice, jt: int, n: int) -> tuple[int, int]:
     """(streams per sub-batch, engine state bytes per stream) for n streams.
 
     A stream's state is its min(_BLOCK, nt) rows of the increment block
-    plus, when it runs a forward sweep, for wave its (jt, nspec) complex
-    history (heat: its (nspec,) complex accumulator).  The n streams split into
+    plus, for wave, its (jt, nspec) complex history (heat: its (nspec,)
+    complex accumulator).  The n streams split into
     k = ceil(n * state / _STATE_BUDGET) sub-batches of ceil(n / k) streams
-    each, the last one possibly shorter, so one sub-batch holds at most
-    _STATE_BUDGET plus one stream's state; a single stream is one sub-batch.
+    each, the last one possibly shorter, so this state of one sub-batch is
+    at most _STATE_BUDGET plus one stream's; the wave far sums of a
+    _workspace, nspec min(_BLOCK, jt) 16 bytes a stream, come on top.
     """
-    lags = (jt if lat.cov.operator == "wave" else 1) if sweep else 0
+    lags = jt if lat.cov.operator == "wave" else 1
     state = lags * lat.nspec * 16 + min(_BLOCK, lat.grid.nt) * lat.ncoords * 8
     k = -(-n * state // _STATE_BUDGET)
     return -(-n // k), state
+
+
+def _workspace(lat: Lattice, jt: int, size: int):
+    """Buffers for up to size streams; views(b) gives their leading parts for b streams."""
+    def shapes(b: int) -> dict[str, tuple[int, ...]]:
+        out = {"block": (b, min(_BLOCK, lat.grid.nt), lat.ncoords)}
+        if lat.cov.operator == "wave":        # the complex history as (re, im) pairs
+            out.update(hist=(lat.nspec, jt, 2 * b), far=(lat.nspec, min(_BLOCK, jt), 2 * b))
+        return out
+
+    flat = {k: np.empty(math.prod(s)) for k, s in shapes(size).items()}
+    return lambda b: {k: flat[k][: math.prod(s)].reshape(s) for k, s in shapes(b).items()}
 
 
 def _integrand(model: ModelSpec, dt: float, u: np.ndarray, D: np.ndarray):
@@ -441,20 +450,21 @@ def _factor(model: ModelSpec, dt: float, u: np.ndarray, D: np.ndarray):
 
 
 def _forward(model: ModelSpec, eng: MildEngine, w_tab: np.ndarray, drive,
-             batch: int | None = None) -> np.ndarray:
+             work: dict | None = None) -> np.ndarray:
     """Forward solve of the mild map driven by drive(j).
 
-    Without batch, returns the (jt + 1, *spatial) trajectory of one path;
-    with batch = B, only the final (B, *spatial) fields.
+    Without work, returns the (jt + 1, *spatial) trajectory of one path;
+    with work, a _workspace view for B streams, only the final (B, *spatial) fields.
     """
     dt = eng.grid.dt
 
     def integrand(j, u):
         return _integrand(model, dt, u, drive(j))
 
-    if batch is None:
+    if work is None:
         return np.stack(eng.forward(w_tab, integrand, keep_history=True)[1])
-    return eng.forward(w_tab[:, None], integrand, batch_shape=(batch,))[0]
+    return eng.forward(w_tab[:, None], integrand, batch_shape=(len(work["block"]),),
+                       work=work)[0]
 
 
 def _observation_index(model: ModelSpec, grid: GridSpec, lat: Lattice,

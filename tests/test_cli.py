@@ -13,7 +13,7 @@ from varadhanlab import mc, rate
 from varadhanlab.cli import _estimate_resources, load_config, main
 from varadhanlab.errors import ConfigError
 from varadhanlab.noise import lattice
-from varadhanlab.solver import _BLOCK, _STATE_BUDGET
+from varadhanlab.solver import _BLOCK, _STATE_BUDGET, _sub_batch
 
 TINY = ["--set", "grid.nx=16", "--set", "grid.nt=16", "--set", "grid.nk=8",
         "--set", "task.y=1.0"]
@@ -142,6 +142,16 @@ def test_config_hash_ignores_key_order_and_tracks_values(tmp_path):
     assert h1 == load_config(str(one), []).hash()
     assert h1 != load_config(str(one), ["task.y=1.5"]).hash()
     assert h1 != load_config(str(one), ["grid.seed=8"]).hash()
+    # defaults fill in: an empty file is the built-in config, and deleting
+    # keys at their default values (grid.seed, model.eps) gives one's hash
+    empty, full = tmp_path / "empty.ini", tmp_path / "full.ini"
+    empty.write_text("")
+    full.write_text("[model]\neps = 1.0\n\n[grid]\nnx = 16\nnk = 8\nseed = 7\n\n"
+                    "[task]\nn = 100\ny = 1.0\n")
+    assert load_config(str(empty), []).hash() == load_config(None, []).hash()
+    assert load_config(str(full), []).hash() == h1
+    # removing task.y turns rate into the y_grid profile: not a default
+    assert load_config(None, ["task.y="]).hash() != load_config(None, []).hash()
 
 
 @pytest.mark.parametrize("operator", ["wave", "heat"])
@@ -151,11 +161,15 @@ def test_dry_run_estimate_follows_the_shapes(operator, nt, capsys):
     cfg = load_config(None, overrides)
     lat = lattice(cfg.model.cov, cfg.grid)
     B = mc.CHUNK                                     # n = 2000 fills whole chunks
-    # per replica: its increment rows plus the wave history or heat accumulator
+    # the state a sub-batch is sized by, per replica: its increment rows
+    # plus the wave history or heat accumulator
     lags, work = (nt, 0.5 * nt ** 2) if operator == "wave" else (1, nt)
-    state = min(_BLOCK, nt) * lat.ncoords * 8 + lags * lat.nspec * 16
+    block = min(_BLOCK, nt) * lat.ncoords * 8
+    state = block + lags * lat.nspec * 16
     k = math.ceil(B * state / _STATE_BUDGET)         # sub-batches per chunk
-    want = (math.ceil(B / k) * state, work * lat.nspec * 2000 * 8)
+    # the workspace per replica: the block, and for wave the history and far sums
+    per = block + ((nt + min(_BLOCK, nt)) * lat.nspec * 16 if operator == "wave" else 0)
+    want = (math.ceil(B / k) * per, work * lat.nspec * 2000 * 8)
     assert _estimate_resources(cfg) == want
     args = ["simulate", "--dry-run"] + [a for o in overrides for a in ("--set", o)]
     assert main(args) == 0
@@ -174,9 +188,13 @@ def test_dry_run_rejects_a_bad_replica_count(n, capsys):
 
 def test_dry_run_estimate_stays_within_the_state_budget():
     # a 512-replica wave chunk at nt = 256 holds one sub-batch at a time,
-    # not its whole (nspec, nt, 512) history
+    # not its whole (nspec, nt, 512) history: the budget bounds the state
+    # it counts, and the sub-batch's far sums come on top
     cfg = load_config(None, ["grid.nt=256"])
-    assert _estimate_resources(cfg)[0] <= _STATE_BUDGET
+    lat = lattice(cfg.model.cov, cfg.grid)
+    size, state = _sub_batch(lat, 256, mc.CHUNK)
+    far = size * lat.nspec * _BLOCK * 16
+    assert _estimate_resources(cfg)[0] == size * state + far <= _STATE_BUDGET + far
 
 
 @pytest.mark.slow
@@ -396,13 +414,14 @@ def test_support_defaults_to_three_hundred_replicas(tmp_path, monkeypatch, capsy
     overrides = ["task.n_list=2", "task.budgets=1"]
     args = ["support", *TINY, *[a for o in overrides for a in ("--set", o)]]
     assert main([*args, "--dry-run"]) == 0
-    assert "task.n=" not in capsys.readouterr().out
+    assert "task.n=" in capsys.readouterr().out.splitlines()      # listed unset
     assert main([*args, "--out", str(tmp_path)]) == 0
     assert used == [300]
     cfg = load_config(None, [])
     lat = lattice(cfg.model.cov, cfg.grid)
+    # two sub-batches of 150; the workspace adds the far sums to their state
     state = _BLOCK * lat.ncoords * 8 + 64 * lat.nspec * 16
-    assert _estimate_resources(cfg, "support")[0] == 150 * state   # two sub-batches
+    assert _estimate_resources(cfg, "support")[0] == 150 * (state + _BLOCK * lat.nspec * 16)
 
 
 @pytest.mark.parametrize("y", [["--set", "task.y="], []], ids=["no-y", "y"])

@@ -128,6 +128,32 @@ class TestSampleEndpointsGuards:
             sample_endpoints(nonlinear_model, tiny_grid, 0, 0.0)
 
 
+class TestUnitWorkspace:
+    def test_no_stale_workspace_row_is_read(self, monkeypatch):
+        # the seed-7 ensemble chunk runs in four sub-batches of one unit
+        # workspace; each starting from buffers filled with NaN, a row read
+        # before its sub-batch wrote it would turn the endpoints NaN
+        model, grid, stream0 = presets.nonlinear_model(), presets.mc_grid(7), 7 << 24
+        want = sample_endpoints(model, grid, CHUNK, 0.0, stream0=stream0)
+        workspace, sizes = mc._workspace, []
+
+        def poisoned(lat, jt, size):
+            views = workspace(lat, jt, size)
+
+            def fill(b):
+                sizes.append(b)
+                for buffer in views(size).values():
+                    buffer.fill(np.nan)
+                return views(b)
+
+            return fill
+
+        monkeypatch.setattr(mc, "_workspace", poisoned)
+        got = sample_endpoints(model, grid, CHUNK, 0.0, stream0=stream0)
+        assert sizes == [CHUNK // 4] * 4
+        assert np.array_equal(got, want)
+
+
 class TestStreamInvariance:
     """Each stream's endpoint is a function of the stream id alone."""
 

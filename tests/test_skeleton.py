@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -8,9 +6,10 @@ from varadhanlab.covkernel import CovarianceSpec
 from varadhanlab.funcs import parse_func
 from varadhanlab.noise import (ControlH, GridSpec, Lattice, ht_inner, lattice,
                                sample_path)
-from varadhanlab.skeleton import (bare_kernel_control, chaos_ensemble,
-                                  dphi_window_norm, expansion_check, forward_xi,
-                                  gradient_phi, solve_phi)
+from varadhanlab.mc import sample_endpoints
+from varadhanlab.skeleton import (bare_kernel_control, dphi_window_norm,
+                                  expansion_check, forward_xi, gradient_phi,
+                                  solve_phi)
 from varadhanlab.solver import (_drive, _factor, _forward, _observation_index,
                                 _prepare, g1_grid)
 
@@ -197,12 +196,22 @@ def test_gradient_routes_across_registry(tiny_grid, sigma, b):
     assert np.max(np.abs(D - Da)) < 1e-12
 
 
+def chaos_draws(model, grid, h, n, t=None, x=None, stream0=0):
+    """First-chaos draws around Phi^h at (t, x) of streams stream0 .. stream0 + n - 1.
+
+    The route of expansion_check: the Girsanov dots of an eps = 0
+    sample_endpoints run tilted by G = gradient_phi(h).
+    """
+    G = gradient_phi(model, grid, h, t, x)
+    return sample_endpoints(model.with_eps(0.0), grid, n, x, t=t, h=G, stream0=stream0)[1]
+
+
 class TestChaos:
     def test_centered(self, mc_grid, nonlinear_model):
         lat = lattice(COV, mc_grid)
         rng = np.random.default_rng(5)
         h = ControlH(lat, 0.3 * rng.standard_normal((mc_grid.nt, lat.ncoords)))
-        draws = chaos_ensemble(nonlinear_model, mc_grid, h, range(4000), x=0.0)
+        draws = chaos_draws(nonlinear_model, mc_grid, h, 4000, x=0.0)
         assert abs(draws.mean()) < 3.0 * draws.std() / np.sqrt(len(draws))
 
     def test_variance_identity_three_controls(self, mc_grid, nonlinear_model):
@@ -212,7 +221,7 @@ class TestChaos:
                     ControlH(lat, 0.3 * rng.standard_normal((mc_grid.nt, lat.ncoords))),
                     ControlH(lat, 0.7 * rng.standard_normal((mc_grid.nt, lat.ncoords)))]
         for h in controls:
-            draws = chaos_ensemble(nonlinear_model, mc_grid, h, range(4000), x=0.0)
+            draws = chaos_draws(nonlinear_model, mc_grid, h, 4000, x=0.0)
             gamma = gradient_phi(nonlinear_model, mc_grid, h, x=0.0).norm_sq
             var = draws.var(ddof=1)
             se = var * np.sqrt(2.0 / len(draws))
@@ -221,8 +230,7 @@ class TestChaos:
 
     def test_linear_zero_control_variance_is_g1(self, small_grid, linear_model):
         lat = lattice(COV, small_grid)
-        draws = chaos_ensemble(linear_model, small_grid, ControlH.zeros(lat),
-                               range(2000), x=0.0)
+        draws = chaos_draws(linear_model, small_grid, ControlH.zeros(lat), 2000, x=0.0)
         # in the linear case each draw is the Gaussian convolution itself
         gamma = g1_grid(COV, small_grid, 1.0)
         var = draws.var(ddof=1)
@@ -234,15 +242,24 @@ class TestChaos:
         lat = lattice(COV, small_grid)
         h = ControlH(lat, 0.3 * np.random.default_rng(8).standard_normal(
             (small_grid.nt, lat.ncoords)))
-        whole = chaos_ensemble(nonlinear_model, small_grid, h, range(10), x=0.0)
-        state = solver._sub_batch(lat, small_grid.nt, 1, sweep=False)[1]
+        whole = chaos_draws(nonlinear_model, small_grid, h, 10, x=0.0)
+        state = solver._sub_batch(lat, small_grid.nt, 1)[1]
         monkeypatch.setattr(solver, "_STATE_BUDGET", 3 * state)
-        split = chaos_ensemble(nonlinear_model, small_grid, h, range(10), x=0.0)
+        split = chaos_draws(nonlinear_model, small_grid, h, 10, x=0.0)
         assert np.all(np.abs(split - whole) <= 1e-12 * np.abs(whole).max())
 
-    @staticmethod
-    def _spy_draws(monkeypatch):
-        """(streams, rows) of every sample_increments call of the solver."""
+    @pytest.mark.parametrize("t", [0.4, None])
+    def test_dots_pair_the_gradient_with_every_stream_row(self, mc_grid, nonlinear_model,
+                                                          monkeypatch, t):
+        # G is zero from row jt on (26 of 64 rows at t = 0.4); each stream
+        # draws each of its nt rows once, and its dot is the one with G
+        lat = lattice(COV, mc_grid)
+        h = ControlH(lat, 0.3 * np.random.default_rng(9).standard_normal(
+            (mc_grid.nt, lat.ncoords)))
+        streams = list(range(100, 160))
+        G = gradient_phi(nonlinear_model, mc_grid, h, t, 0.0)
+        whole = np.stack([sample_path(lat, s).increments for s in streams])
+        want = np.einsum("bik,ik->b", whole, G.coeffs)
         draws = []
         sample = solver.sample_increments
 
@@ -251,37 +268,10 @@ class TestChaos:
             return sample(lat, streams, out)
 
         monkeypatch.setattr(solver, "sample_increments", spy)
-        return draws
-
-    @pytest.mark.parametrize("t", [0.4, None])
-    def test_stream_ids_draw_only_the_rows_before_t(self, mc_grid, nonlinear_model,
-                                                    monkeypatch, t):
-        # G is zero from row jt on (26 of 64 rows at t = 0.4), so each stream
-        # draws its first jt rows and the dots equal those with all nt rows
-        lat = lattice(COV, mc_grid)
-        h = ControlH(lat, 0.3 * np.random.default_rng(9).standard_normal(
-            (mc_grid.nt, lat.ncoords)))
-        streams = list(range(100, 160))
-        G = gradient_phi(nonlinear_model, mc_grid, h, t, 0.0)
-        whole = np.stack([sample_path(lat, s).increments for s in streams])
-        want = np.einsum("bik,ik->b", whole, G.coeffs)
-        draws = self._spy_draws(monkeypatch)
-        got = chaos_ensemble(nonlinear_model, mc_grid, h, streams, t=t, x=0.0)
-        jt = mc_grid.time_index(mc_grid.T if t is None else t)
-        assert sum(b * rows for b, rows in draws) == len(streams) * jt
+        got = chaos_draws(nonlinear_model, mc_grid, h, len(streams), t=t, x=0.0,
+                          stream0=streams[0])
+        assert sum(b * rows for b, rows in draws) == len(streams) * mc_grid.nt
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-
-    def test_sub_batches_are_sized_by_the_increment_block(self, mc_grid,
-                                                          nonlinear_model,
-                                                          monkeypatch):
-        # no stream runs a sweep, so a stream holds its _BLOCK increment rows
-        # and no wave history: 4000 streams run in 8 sub-batches of 500
-        lat = lattice(COV, mc_grid)
-        draws = self._spy_draws(monkeypatch)
-        chaos_ensemble(nonlinear_model, mc_grid, ControlH.zeros(lat), range(4000),
-                       x=0.0)
-        k = math.ceil(4000 * solver._BLOCK * lat.ncoords * 8 / solver._STATE_BUDGET)
-        assert sorted({b for b, _ in draws}) == [4000 // k] and k == 8
 
 
 def tangent_chaos(model, grid, h, increments, t=None, x=None):
@@ -291,7 +281,7 @@ def tangent_chaos(model, grid, h, increments, t=None, x=None):
     f_i = dt (sigma'(Phi_i) H_i + b'(Phi_i)), the eps-derivative of the
     shifted mild map at eps = 0, run as one batch over increments, a
     (B, nt, ncoords) array.  It never forms the gradient, so it is an
-    independent reference for chaos_ensemble's dots with gradient_phi.
+    independent reference for the dots with gradient_phi of chaos_draws.
     """
     eng, w_tab = _prepare(model, grid, t)
     point = _observation_index(model, grid, eng.lat, x)
@@ -330,32 +320,15 @@ class TestChaosOracle:
         lat = lattice(cov, grid)
         h = ControlH(lat, 0.4 * np.random.default_rng(3).standard_normal(
             (grid.nt, lat.ncoords)))
-        got = chaos_ensemble(m, grid, h, streams, t=t)
+        got = chaos_draws(m, grid, h, len(streams), t=t, stream0=streams[0])
         whole = np.stack([sample_path(lat, s).increments for s in streams])
         want = tangent_chaos(m, grid, h, whole, t=t)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
-    def test_one_forward_sweep_for_any_number_of_streams(self, tiny_grid,
-                                                         nonlinear_model,
-                                                         monkeypatch):
-        # the skeleton solve is the only forward sweep: the draws are dots
-        calls = []
-        forward = solver.MildEngine.forward
-
-        def spy(self, *args, **kwargs):
-            calls.append(kwargs.get("batch_shape", ()))
-            return forward(self, *args, **kwargs)
-
-        monkeypatch.setattr(solver.MildEngine, "forward", spy)
-        lat = lattice(COV, tiny_grid)
-        draws = chaos_ensemble(nonlinear_model, tiny_grid, ControlH.zeros(lat),
-                               range(600), x=0.0)
-        assert len(draws) == 600 and calls == [()]
-
     def test_no_paths_is_a_value_error(self, tiny_grid, nonlinear_model):
         lat = lattice(COV, tiny_grid)
-        with pytest.raises(ValueError, match="at least one path"):
-            chaos_ensemble(nonlinear_model, tiny_grid, ControlH.zeros(lat), [])
+        with pytest.raises(ValueError, match="n >= 1"):
+            expansion_check(nonlinear_model, tiny_grid, ControlH.zeros(lat), 0, [0.5])
 
 
 class TestExpansion:

@@ -41,11 +41,11 @@ class TestModelSpec:
     @pytest.mark.parametrize("entry", [
         "sample_endpoints", "gradient_phi", "rate_function",
         "rate_profile", "support_probe", "bare_kernel_control", "forward_xi",
-        "chaos_ensemble"])
+        "expansion_check"])
     def test_entry_points_enforce_wave_domain(self, entry):
         # L = 0.9 < |x| + T = 1: periodic wraparound would reach x
         from varadhanlab.rate import rate_function, rate_profile, support_probe
-        from varadhanlab.skeleton import bare_kernel_control, chaos_ensemble
+        from varadhanlab.skeleton import bare_kernel_control, expansion_check
 
         grid = GridSpec(L=0.9, nx=32, nt=16, T=1.0, nk=16, seed=0)
         m = presets.nonlinear_model()
@@ -60,8 +60,8 @@ class TestModelSpec:
             "bare_kernel_control": lambda: bare_kernel_control(
                 m, grid, simulate(m, grid, path), x=0.0),
             "forward_xi": lambda: forward_xi(m, grid, ControlH.zeros(lat), x=0.0),
-            "chaos_ensemble": lambda: chaos_ensemble(
-                m, grid, ControlH.zeros(lat), [0, 1], x=0.0),
+            "expansion_check": lambda: expansion_check(
+                m, grid, ControlH.zeros(lat), 2, [0.5], x=0.0),
         }
         with pytest.raises(GridError):
             calls[entry]()
@@ -178,7 +178,8 @@ class TestStreamedIncrements:
         whole = np.stack([sample_path(lat, s).increments for s in streams])
         jt = max(1, nt - short)
         h = ControlH(lat, np.random.default_rng(nt).standard_normal((nt, lat.ncoords)))
-        inc = _Increments(MildEngine(COV, grid, jt), streams, h)
+        buffer = np.empty((len(streams), min(_BLOCK, nt), lat.ncoords))
+        inc = _Increments(MildEngine(COV, grid, jt), streams, h, buffer)
         # a slab is a view into the block buffer, which the next draw refills
         slabs = np.stack([inc(j).copy() for j in range(jt)], axis=1)
         assert np.array_equal(slabs, whole[:, :jt])
@@ -229,14 +230,15 @@ class TestChunkMemory:
             bound += nspec * nt * B * 16 + nspec * _BLOCK * 2 * B * 8
         assert peak < bound
 
-    @pytest.mark.parametrize("entry", ["sample_endpoints", "chaos_ensemble"])
+    @pytest.mark.parametrize("entry", ["sample_endpoints", "expansion_check"])
     def test_full_chunk_holds_one_sub_batch_at_a_time(self, entry):
         # a 512-replica wave chunk at nt = 256 runs in sub-batches of the
         # size _sub_batch gives, so its peak is one sub-batch's state (the
         # increment rows and history of each of its streams), far sums and
         # O(size) allowance as above, plus a few (nt + 1, nx) tables: no
-        # (nspec, nt, 512) history
-        from varadhanlab.skeleton import chaos_ensemble
+        # (nspec, nt, 512) history; expansion_check's first-chaos and
+        # shifted draws are such chunks
+        from varadhanlab.skeleton import expansion_check
 
         grid = GridSpec(L=1.25, nx=32, nt=256, T=1.0, nk=16, seed=1)
         m = presets.nonlinear_model()
@@ -245,7 +247,7 @@ class TestChunkMemory:
         size, state = _sub_batch(lat, nt, B)
         h = ControlH.zeros(lat)
         run = {"sample_endpoints": lambda: sample_endpoints(m, grid, B, 0.0),
-               "chaos_ensemble": lambda: chaos_ensemble(m, grid, h, range(B), x=0.0)}
+               "expansion_check": lambda: expansion_check(m, grid, h, B, [0.5], x=0.0)}
         run[entry]()                                    # warm the lattice and weights
         tracemalloc.start()
         try:
