@@ -9,9 +9,9 @@ log-density limit at desk scale.
 
 from .covkernel import (CovarianceSpec, fit_exponent, fourier_lambda, g1,
                         spectral_density)
-from .errors import (BlowUpError, BracketError, ConfigError, FixedPointError,
-                     GridError, MemoryBudgetError, QuadratureError, ShapeError,
-                     TiltError, VaradhanLabError, ZeroModeError)
+from .errors import (BlowUpError, BracketError, ConfigError, GridError,
+                     MemoryBudgetError, QuadratureError, ShapeError, TiltError,
+                     VaradhanLabError, ZeroModeError)
 from .funcs import ScalarFunc, parse_func
 from .mc import (DensityCurve, SweepResult, estimate_density,
                  support_convergence, tilted_density, varadhan_sweep)
@@ -21,7 +21,7 @@ from .rate import RateResult, rate_function, rate_profile, support_probe
 from .skeleton import (dphi_window_norm, expansion_check, forward_xi,
                        gradient_phi, solve_phi)
 from .solver import (BumpInitial, Field, ModelSpec, ZeroInitial, g1_grid,
-                     picard_verify, simulate)
+                     simulate)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

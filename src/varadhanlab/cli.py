@@ -527,18 +527,18 @@ def _estimate_resources(cfg: Config, subcommand: str = "simulate") -> tuple[int,
     """(workspace bytes per chunk, history-sum flops of the run), from shapes.
 
     A chunk runs its sub-batches in one workspace sized for the first: its
-    size and buffers come from solver._sub_batch and _workspace, the rules
-    the engine itself runs by.  The wave history sum costs O(nt^2)
-    per frequency and replica, the heat recursion O(nt).  The run draws
-    task.n replicas, or the subcommand's default.
+    size and buffers come from solver._sub_batch and _workspace at the time
+    index jt of task.t, the rules the engine itself runs by.  The wave
+    history sum costs O(jt^2) per frequency and replica, the heat recursion
+    O(jt).  The run draws task.n replicas, or the subcommand's default.
     """
-    lat, nt = lattice(cfg.model.cov, cfg.grid), cfg.grid.nt
+    lat, jt = lattice(cfg.model.cov, cfg.grid), cfg.grid.time_index(cfg.t)
     n = cfg.replicas(subcommand)
     if n < 1:
         raise ValueError(f"{subcommand} needs n >= 1 replicas")
-    size = solver._sub_batch(lat, nt, min(mc.CHUNK, n))[0]
-    workspace = solver._workspace(lat, nt, size)(size).values()   # pages never touched
-    per_mode = nt if cfg.model.cov.operator == "heat" else 0.5 * nt ** 2
+    size = solver._sub_batch(lat, jt, min(mc.CHUNK, n))[0]
+    workspace = solver._workspace(lat, jt, size)(size).values()   # pages never touched
+    per_mode = jt if cfg.model.cov.operator == "heat" else 0.5 * jt ** 2
     return sum(a.nbytes for a in workspace), per_mode * lat.nspec * n * 8.0
 
 

@@ -33,15 +33,6 @@ class BlowUpError(VaradhanLabError):
         self.step = step
 
 
-class FixedPointError(VaradhanLabError):
-    """An iterate differs from the fixed point it was checked against."""
-
-    def __init__(self, message, gap=None, sweeps=None):
-        super().__init__(message)
-        self.gap = gap
-        self.sweeps = sweeps
-
-
 class MemoryBudgetError(VaradhanLabError):
     """Requested computation exceeds the configured memory budget."""
 

@@ -45,7 +45,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import covkernel
 from .covkernel import CovarianceSpec
-from .errors import BlowUpError, FixedPointError, GridError
+from .errors import BlowUpError, GridError
 from .funcs import ScalarFunc
 from .noise import (ControlH, GridSpec, Lattice, LiveStreams, NoisePath, lattice,
                     sample_increments, write_binary)
@@ -492,43 +492,3 @@ def simulate(model: ModelSpec, grid: GridSpec, path: NoisePath,
     eng, w_tab = _prepare(model, grid, t)
     drive = _drive(eng, path.control(model.eps))
     return Field(_forward(model, eng, w_tab, drive), grid, model.cov)
-
-
-def picard_verify(model: ModelSpec, grid: GridSpec, path: NoisePath,
-                  iters: int) -> np.ndarray:
-    """Fixed-point iteration of the discrete mild map on [0, T] from u^0 = w.
-
-    Returns the sup-norm residuals between successive iterates.  The map is
-    strictly causal, so it reaches the forward solution in at most nt
-    sweeps; the final iterate is checked against simulate to 1e-10, and a
-    larger gap raises FixedPointError with the gap and the sweep count
-    (with fewer than nt sweeps the iteration may not have got there yet).
-    """
-    if iters < 2:
-        raise ValueError("picard verification needs iters >= 2")
-    eng, w_tab = _prepare(model, grid, None)
-    lat, jt, dt = eng.lat, eng.jt, grid.dt
-    drive = _drive(eng, path.control(model.eps))
-    wl_all = eng.weights
-
-    current = np.broadcast_to(w_tab, (jt + 1,) + lat.spatial_shape).copy()
-    residuals = []
-    for _ in range(iters):
-        hist = lat.to_spec(np.stack([_integrand(model, dt, current[j], drive(j))
-                                     for j in range(jt)]))
-        new = w_tab.copy()
-        for j in range(1, jt + 1):
-            acc = np.einsum("lf,lf->f", wl_all[j:0:-1], hist[:j])
-            new[j] = w_tab[j] + lat.to_field(acc)
-        if not np.all(np.isfinite(new)):
-            raise BlowUpError(f"picard iteration diverged at sweep {len(residuals)}",
-                              step=len(residuals))
-        residuals.append(float(np.max(np.abs(new - current))))
-        current = new
-    ref = simulate(model, grid, path).values
-    gap = float(np.max(np.abs(current - ref)))
-    if gap > 1e-10:
-        short = f" (fewer than jt = {jt})" if iters < jt else ""
-        raise FixedPointError(f"picard iterate after {iters} sweeps{short} differs from "
-                              f"the forward solve by {gap:.3e}", gap=gap, sweeps=iters)
-    return np.array(residuals)

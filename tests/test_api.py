@@ -10,8 +10,7 @@ ROOT = Path(__file__).resolve().parents[1]
 # shows up as a diff of this list
 PUBLIC = [
     "BlowUpError", "BracketError", "BumpInitial", "ConfigError", "ControlH",
-    "CovarianceSpec", "DensityCurve", "Field", "FixedPointError", "GridError",
-    "GridSpec",
+    "CovarianceSpec", "DensityCurve", "Field", "GridError", "GridSpec",
     "Lattice", "MemoryBudgetError", "ModelSpec", "NoisePath",
     "QuadratureError", "RateResult", "ScalarFunc", "ShapeError", "SweepResult",
     "TiltError", "VaradhanLabError", "ZeroInitial", "ZeroModeError",
@@ -19,7 +18,7 @@ PUBLIC = [
     "expansion_check", "fit_exponent", "forward_xi",
     "fourier_lambda", "funcs", "g1", "g1_grid", "gradient_phi", "ht_inner",
     "lattice", "localization_holds",
-    "mc", "noise", "parse_func", "picard_verify", "rate", "rate_function",
+    "mc", "noise", "parse_func", "rate", "rate_function",
     "rate_profile", "sample_path", "simulate", "skeleton", "smooth_vn",
     "solve_phi", "solver", "spectral_density", "support_convergence",
     "support_probe", "tilted_density", "varadhan_sweep",
@@ -27,7 +26,6 @@ PUBLIC = [
 
 # the functions no pipeline stage calls, each kept for a stated reason
 NO_PIPELINE_CALLER = {
-    "picard_verify": "oracle of the Picard fixed-point lemma for the mild map",
     "expansion_check": "oracle of the first-order expansion around the skeleton",
     "dphi_window_norm": "oracle of the windowed Malliavin-derivative norm bound",
     "spectral_density": "the density of mu, kept for the lattice weights to call",
@@ -37,7 +35,7 @@ NO_PIPELINE_CALLER = {
 # each with its reason
 ORACLES = {
     **{name: NO_PIPELINE_CALLER[name]
-       for name in ("picard_verify", "expansion_check", "dphi_window_norm")},
+       for name in ("expansion_check", "dphi_window_norm")},
     "forward_xi": "oracle of the adjoint gradient, which validate runs at its defaults",
 }
 
@@ -150,6 +148,31 @@ def test_every_stream_batch_is_drawn_in_sample_endpoints():
                 else:
                     others.append(f"{path.name}:{node.lineno} {'.'.join(where)}")
     assert inside and others == []
+
+
+#: the reads of the lag weights outside MildEngine, each with its reason
+WEIGHT_READS = {
+    "skeleton.bare_kernel_control": "the kernel field of each slab, one batched "
+                                    "transform, no history",
+    "skeleton.forward_xi": "the adjoint's independent oracle, which validate runs",
+}
+
+
+def test_every_history_sum_is_in_the_engine():
+    # MildEngine sums the mild map's history K_{j-i} * rho_i; a read of its
+    # lag weights elsewhere would be a second sweep of the same map
+    others = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = _owners(tree)
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr == "weights"
+                    and isinstance(node.ctx, ast.Load)):
+                where = owner.get(id(node), [])
+                scope = ".".join([path.stem, *where[:1]])    # module and outermost def
+                if scope != "solver.MildEngine" and scope not in WEIGHT_READS:
+                    others.append(f"{path.name}:{node.lineno} {'.'.join(where)}")
+    assert others == []
 
 
 #: the skeleton routes the rate layer runs, each solve or sweep a counted one

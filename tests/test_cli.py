@@ -155,20 +155,23 @@ def test_config_hash_ignores_key_order_and_tracks_values(tmp_path):
 
 
 @pytest.mark.parametrize("operator", ["wave", "heat"])
-@pytest.mark.parametrize("nt", [16, 256])
-def test_dry_run_estimate_follows_the_shapes(operator, nt, capsys):
+@pytest.mark.parametrize("nt, t", [(16, None), (256, None), (64, 0.5)],
+                         ids=["16", "256", "64-t0.5"])
+def test_dry_run_estimate_follows_the_shapes(operator, nt, t, capsys):
     overrides = [f"model.operator={operator}", f"grid.nt={nt}", "task.n=2000"]
+    overrides += [] if t is None else [f"task.t={t}"]
     cfg = load_config(None, overrides)
     lat = lattice(cfg.model.cov, cfg.grid)
+    jt = nt if t is None else cfg.grid.time_index(t)  # the sweeps stop at task.t
     B = mc.CHUNK                                     # n = 2000 fills whole chunks
     # the state a sub-batch is sized by, per replica: its increment rows
     # plus the wave history or heat accumulator
-    lags, work = (nt, 0.5 * nt ** 2) if operator == "wave" else (1, nt)
+    lags, work = (jt, 0.5 * jt ** 2) if operator == "wave" else (1, jt)
     block = min(_BLOCK, nt) * lat.ncoords * 8
     state = block + lags * lat.nspec * 16
     k = math.ceil(B * state / _STATE_BUDGET)         # sub-batches per chunk
     # the workspace per replica: the block, and for wave the history and far sums
-    per = block + ((nt + min(_BLOCK, nt)) * lat.nspec * 16 if operator == "wave" else 0)
+    per = block + ((jt + min(_BLOCK, jt)) * lat.nspec * 16 if operator == "wave" else 0)
     want = (math.ceil(B / k) * per, work * lat.nspec * 2000 * 8)
     assert _estimate_resources(cfg) == want
     args = ["simulate", "--dry-run"] + [a for o in overrides for a in ("--set", o)]

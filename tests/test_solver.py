@@ -5,7 +5,7 @@ import pytest
 
 from varadhanlab import mc, presets
 from varadhanlab.covkernel import CovarianceSpec, g1
-from varadhanlab.errors import BlowUpError, FixedPointError, GridError, MemoryBudgetError
+from varadhanlab.errors import BlowUpError, GridError, MemoryBudgetError
 from varadhanlab.funcs import ONE, ZERO, ScalarFunc
 from varadhanlab.mc import sample_endpoints
 from varadhanlab.noise import (ControlH, GridSpec, LiveStreams, NoisePath,
@@ -13,7 +13,7 @@ from varadhanlab.noise import (ControlH, GridSpec, LiveStreams, NoisePath,
 from varadhanlab.skeleton import forward_xi, gradient_phi, solve_phi
 from varadhanlab.solver import (_BLOCK, BumpInitial, MildEngine, ModelSpec,
                                 ZeroInitial, _Increments, _sub_batch,
-                                check_wave_domain, g1_grid, picard_verify, simulate)
+                                check_wave_domain, g1_grid, simulate)
 
 COV = presets.WAVE_WHITE
 
@@ -421,40 +421,6 @@ class TestFirstVariation:
         monkeypatch.setattr(skeleton, "_forward", no_solve)
         with pytest.raises(MemoryBudgetError):
             forward_xi(m, grid, ControlH.zeros(lattice(COV, grid)), x=0.0)
-
-
-class TestPicard:
-    def test_linear_converges_after_one_sweep(self, small_grid):
-        m = presets.linear_model()
-        lat = lattice(COV, small_grid)
-        res = picard_verify(m, small_grid, sample_path(lat, 0), 3)
-        assert res[0] > 0.0
-        assert res[1] == 0.0
-
-    def test_geometric_decay_nonlinear(self, small_grid):
-        m = presets.nonlinear_model()
-        lat = lattice(COV, small_grid)
-        res = picard_verify(m, small_grid, sample_path(lat, 0), 8)
-        tail = res[1:6]
-        assert all(b < 0.5 * a for a, b in zip(tail, tail[1:]))
-
-    def test_too_few_sweeps_is_a_fixed_point_error(self, tiny_grid):
-        # 4 sweeps of a 16-step nonlinear solve stop short of the fixed
-        # point; nothing blew up, and the error names the gap and sweeps
-        m = presets.nonlinear_model()
-        path = sample_path(lattice(COV, tiny_grid), 0)
-        with pytest.raises(FixedPointError, match="after 4 sweeps") as err:
-            picard_verify(m, tiny_grid, path, 4)
-        assert not isinstance(err.value, BlowUpError)
-        assert err.value.sweeps == 4 and err.value.gap > 1e-10
-        assert f"{err.value.gap:.3e}" in str(err.value)
-        picard_verify(m, tiny_grid, path, tiny_grid.nt)     # jt sweeps get there
-
-    def test_iteration_count_guard(self, small_grid):
-        m = presets.linear_model()
-        lat = lattice(COV, small_grid)
-        with pytest.raises(ValueError):
-            picard_verify(m, small_grid, sample_path(lat, 0), 0)
 
 
 class TestFieldExport:
