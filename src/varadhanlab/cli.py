@@ -347,8 +347,10 @@ def _cmd_rate(run: Runner) -> int:
                 "h_star": f.name}
                for r, f in zip(results, h_files)]
     x = lattice(cfg.model.cov, cfg.grid).point(cfg.x)
+    # a varadhan run here overwrites the manifest, so the results keep the hash
     _write_json(run.path("rate_result.json"),
-                {"results": payload, "t": cfg.t, "x": list(map(float, x))})
+                {"results": payload, "t": cfg.t, "x": list(map(float, x)),
+                 "config_hash": cfg.hash()})
     run.finish("rate")
     for r in results:
         print(f"rate: y={r.y:.6g} I={r.I:.8g} residual={r.residual:.3g} "
@@ -383,6 +385,7 @@ def _cmd_varadhan(run: Runner) -> int:
     if abs(entry["y"] - y) > 1e-9:
         print(f"note: using stored rate value at y={entry['y']:.6g}")
     h_star = load_control(lat, art_dir / entry["h_star"])
+    inputs = {p.name: _sha256(p) for p in (result_file, art_dir / entry["h_star"])}
     n = cfg.replicas("varadhan")
     with run.stage("sweep"):
         sweep = mc.varadhan_sweep(cfg.model, cfg.grid, cfg.eps_list, entry["y"],
@@ -401,7 +404,7 @@ def _cmd_varadhan(run: Runner) -> int:
                 {"y": sweep.y, "minus_I": sweep.minus_I, "limit": sweep.limit,
                  "limit_se": sweep.limit_se, "raw_last": sweep.raw_last,
                  "gap": sweep.gap, "rel_gap": sweep.rel_gap, "rows": rows})
-    run.finish("varadhan", {"n": n})
+    run.finish("varadhan", {"n": n, "inputs": inputs})
     print(f"varadhan: limit={sweep.limit:.6g} (se {sweep.limit_se:.2g}) vs "
           f"-I={sweep.minus_I:.6g}; rel gap {sweep.rel_gap:.3%}")
     return 0

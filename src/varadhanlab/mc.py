@@ -18,8 +18,8 @@ import numpy as np
 from .errors import TiltError, GridError
 from .noise import ControlH, GridSpec, lattice
 from .skeleton import solve_phi
-from .solver import (ModelSpec, _drive, _forward, _Increments, _observation_index,
-                     _prepare, _sub_batch, _workspace)
+from .solver import (ModelSpec, _forward, _Increments, _observation_index, _prepare,
+                     _sub_batch, _workspace)
 
 #: replicas per work unit; fixed so results never depend on the worker count
 CHUNK = 512
@@ -70,7 +70,7 @@ def _batch_se(samples, y_grid, bandwidth, weights=None) -> np.ndarray:
 
 @dataclass
 class DensityCurve:
-    """Kernel density estimate of the endpoint law on a y grid."""
+    """Kernel density estimate of the endpoint law on a y grid, checked when built."""
 
     eps: float
     y_grid: np.ndarray
@@ -81,14 +81,6 @@ class DensityCurve:
     log_se: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ok = self.p_hat > 3.0 * self.se
-            self.log_p = np.where(ok, np.log(np.where(self.p_hat > 0,
-                                                      self.p_hat, 1.0)), np.nan)
-            self.log_se = np.where(ok, self.se / np.where(self.p_hat > 0,
-                                                          self.p_hat, 1.0), np.nan)
-
-    def validate(self):
         if np.any(self.p_hat < 0):
             raise AssertionError("densities are nonnegative")
         # the trapezoid sum bounds the mass only on a grid that resolves the
@@ -100,6 +92,12 @@ class DensityCurve:
             mass = float(trapz(self.p_hat, self.y_grid))
             if mass > 1.05:
                 raise AssertionError(f"captured mass {mass:.4f} exceeds 1")
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ok = self.p_hat > 3.0 * self.se
+            self.log_p = np.where(ok, np.log(np.where(self.p_hat > 0,
+                                                      self.p_hat, 1.0)), np.nan)
+            self.log_se = np.where(ok, self.se / np.where(self.p_hat > 0,
+                                                          self.p_hat, 1.0), np.nan)
 
 
 def sample_endpoints(model: ModelSpec, grid: GridSpec, n: int, x,
@@ -124,12 +122,13 @@ def sample_endpoints(model: ModelSpec, grid: GridSpec, n: int, x,
     each sub-batch sweeps in their leading contiguous views without
     clearing them: a sweep reads no row it has not written.  Fresh buffers
     per sub-batch let the allocator return their pages in between, to be
-    faulted in anew (2.5-2.7 times the minor faults on mc_grid).  Each
-    _BLOCK steps draw the next _BLOCK slabs of each stream's Philox
-    increments (solver._Increments: each stream's generator stays live
-    between draws, so the increments are those of sample_path, bit for
-    bit), and each step synthesizes only its own slab, so neither the
-    (B, nt, ncoords) increments nor a (B, jt, *spatial) field is ever held.
+    faulted in anew (2.5-2.7 times the minor faults on mc_grid).  A
+    sub-batch is one solver._Increments, which the sweep calls as its
+    drive: each _BLOCK steps it draws the next _BLOCK slabs of each
+    stream's Philox increments (its generators stay live between draws, so
+    the increments are those of sample_path, bit for bit), and each step
+    synthesizes only its own slab, so neither the (B, nt, ncoords)
+    increments nor a (B, jt, *spatial) field is ever held.
     A unit's memory is thus fixed by the grid, not by its size or by how
     many units run at once; apart from the (jt + 1, *spatial) initial
     table (for BumpInitial, one to_field call over all its times) nothing
@@ -145,8 +144,8 @@ def sample_endpoints(model: ModelSpec, grid: GridSpec, n: int, x,
         views, parts = _workspace(eng.lat, eng.jt, size), []
         for part in (streams[lo: lo + size] for lo in range(0, len(streams), size)):
             work = views(len(part))
-            inc = _Increments(eng, part, h, work["block"])
-            u = _forward(model, eng, w_tab, _drive(eng, h, model.eps, inc), work)
+            inc = _Increments(eng, part, h, model.eps, work["block"])
+            u = _forward(model, eng, w_tab, inc, work)
             parts.append(np.stack((u[(slice(None), *point)],
                                    inc.dots if h is None else inc.girsanov())))
         return np.concatenate(parts, axis=1)
@@ -166,12 +165,12 @@ def estimate_density(model: ModelSpec, grid: GridSpec, n: int, y_grid,
     y_grid = np.atleast_1d(np.asarray(y_grid, dtype=float))
     if y_grid.size == 0:
         raise ValueError("y_grid is empty")
+    if not np.all(np.isfinite(y_grid)):
+        raise ValueError("y_grid has a non-finite entry")
     samples = sample_endpoints(model, grid, n, x, t=t, executor=executor)
     bw = silverman_bandwidth(samples)
-    curve = DensityCurve(model.eps, y_grid, gaussian_kde(samples, y_grid, bw),
-                         _batch_se(samples, y_grid, bw), bw)
-    curve.validate()
-    return curve
+    return DensityCurve(model.eps, y_grid, gaussian_kde(samples, y_grid, bw),
+                        _batch_se(samples, y_grid, bw), bw)
 
 
 def tilted_density(model: ModelSpec, grid: GridSpec, n: int, y: float,

@@ -4,8 +4,10 @@ The spatial domain is the torus [-L, L)^d sampled at nx points per axis.
 Retained spectral modes (integer frequency vectors m with max|m_i| <= nk)
 are paired into cosine/sine coordinates; each coordinate carries one
 independent Brownian motion, so a noise path is an (nt x ncoords) array of
-N(0, dt) increments.  The same coordinate system hosts deterministic
-controls h with the L^2([0,T]; H) norm ||h||^2 = sum_i dt sum_k h(i,k)^2.
+N(0, dt) increments (sample_increments makes every draw of a stream;
+sample_path is its one-stream case).  The same coordinate system hosts
+deterministic controls h with the L^2([0,T]; H) norm
+||h||^2 = sum_i dt sum_k h(i,k)^2.
 
 Coordinates are ordered by increasing |xi| with lexicographic tie-breaks,
 which gives "the first n modes" a concrete, refinement-stable meaning for
@@ -260,40 +262,24 @@ def _philox(lat: Lattice, stream: int) -> np.random.Generator:
 
 
 def sample_path(lat: Lattice, stream: int) -> NoisePath:
-    """Draw the counter-based noise path for (grid.seed, stream)."""
-    inc = _philox(lat, stream).standard_normal((lat.grid.nt, lat.ncoords))
-    return NoisePath(lat, inc * math.sqrt(lat.grid.dt))
+    """Draw the counter-based noise path for (grid.seed, stream), all nt rows at once."""
+    out = np.empty((1, lat.grid.nt, lat.ncoords))
+    return NoisePath(lat, sample_increments(lat, [_philox(lat, stream)], out)[0])
 
 
-class LiveStreams:
-    """One live Philox generator per stream, keyed on the first draw.
+def sample_increments(lat: Lattice, generators, out: np.ndarray) -> np.ndarray:
+    """Draw the next rows increments of each generator into out, (n_streams, rows, ncoords).
 
-    sample_increments draws each stream on from where its last draw
-    stopped, so drawing r1, r2, ... rows in consecutive calls gives the
-    same increments, bit for bit, as the first r1 + r2 + ... rows of
-    sample_path for that stream.
+    The package's one standard_normal call on a noise stream.  Each
+    generator goes on from where its last draw stopped, so drawing r1, r2,
+    ... rows in consecutive calls gives the same increments, bit for bit,
+    as the first r1 + r2 + ... rows of sample_path for that stream.
+    Returns out.
     """
-
-    def __init__(self, streams):
-        self.ids = [int(s) for s in streams]
-        self.generators = None
-
-    def __len__(self) -> int:
-        return len(self.ids)
-
-
-def sample_increments(lat: Lattice, streams: LiveStreams, out: np.ndarray) -> np.ndarray:
-    """Draw the next rows increments of every stream into out, (n_streams, rows, ncoords).
-
-    Each stream continues where its last draw stopped; the generators are
-    created on the first draw.  Returns out.
-    """
-    if out.ndim != 3 or out.shape[::2] != (len(streams), lat.ncoords):
+    if out.ndim != 3 or out.shape[::2] != (len(generators), lat.ncoords):
         raise ShapeError(f"out has shape {out.shape}, expected "
-                         f"({len(streams)}, rows, {lat.ncoords})")
-    if streams.generators is None:
-        streams.generators = [_philox(lat, s) for s in streams.ids]
-    for row, rng in enumerate(streams.generators):
+                         f"({len(generators)}, rows, {lat.ncoords})")
+    for row, rng in enumerate(generators):
         rng.standard_normal(out=out[row])
     out *= math.sqrt(lat.grid.dt)
     return out

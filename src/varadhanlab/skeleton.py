@@ -142,7 +142,8 @@ def expansion_check(model: ModelSpec, grid: GridSpec, h: ControlH, n: int,
 
     For each eps, simulates the shifted field and the first chaos with the
     same paths (replica streams 0 .. n - 1) and tabulates
-    |eps^-1 (u - Phi) - N| medians over replicas.  The chaos draws
+    |eps^-1 (u - Phi) - N| medians over replicas; every eps must lie in
+    (0, 1], checked before any draw.  The chaos draws
     N = sum_{i,k} G(i,k) dW(i,k), G = gradient_phi(h), are the dots of an
     eps = 0 sample_endpoints run tilted by G, whose sweeps, the noiseless
     skeleton of G, no draw can blow up.
@@ -151,6 +152,8 @@ def expansion_check(model: ModelSpec, grid: GridSpec, h: ControlH, n: int,
 
     if any(e2 >= e1 for e1, e2 in zip(eps_list, eps_list[1:])):
         raise ValueError("eps_list must be strictly decreasing")
+    if not all(0.0 < eps <= 1.0 for eps in eps_list):    # NaN fails too
+        raise ValueError(f"every eps must lie in (0, 1], got {list(eps_list)}")
     phi_end = solve_phi(model, grid, h).endpoint(x)
     chaos = sample_endpoints(model.with_eps(0.0), grid, n, x,
                              h=gradient_phi(model, grid, h, x=x))[1]

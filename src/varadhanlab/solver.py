@@ -3,12 +3,12 @@
 Every equation here is one discrete mild map with the drive
 D_j = synthesize(c_j), c_j = h_j + (eps / dt) dW_j.  One noise path is one
 control c = h + path.control(eps), so every single-path solve runs through
-the skeleton routes on c; every stream batch, first-chaos draws included,
-forms c slab by slab in the one loop of mc.sample_endpoints, through
-_Increments and _drive in a _workspace per unit.  The solution at t_j
-is the initial contribution plus kernel convolutions (Fourier multipliers
-on the flat spectra of Lattice.to_spec / to_field, the one transform
-pair) of the one slab integrand,
+the skeleton routes on c (_drive); every stream batch, first-chaos draws
+included, is one _Increments in the one loop of mc.sample_endpoints: it
+draws its streams into a _workspace per unit and forms D_j slab by slab.
+The solution at t_j is the initial contribution plus kernel convolutions
+(Fourier multipliers on the flat spectra of Lattice.to_spec / to_field,
+the one transform pair) of the one slab integrand,
 
     u_j = w_j + sum_{i<j} K_{j-i} * dt [ sigma(u_i) D_i + b(u_i) ],
 
@@ -47,7 +47,7 @@ from . import covkernel
 from .covkernel import CovarianceSpec
 from .errors import BlowUpError, GridError
 from .funcs import ScalarFunc
-from .noise import (ControlH, GridSpec, Lattice, LiveStreams, NoisePath, lattice,
+from .noise import (ControlH, GridSpec, Lattice, NoisePath, _philox, lattice,
                     sample_increments, write_binary)
 
 _SIGMA_SAMPLE_RANGE = 50.0
@@ -350,50 +350,46 @@ def _prepare(model: ModelSpec, grid: GridSpec, t: float | None):
     return eng, w_tab
 
 
-def _drive(eng: MildEngine, h: ControlH | None, eps: float = 0.0, inc=None):
-    """Return drive(j) = D_j = synthesize(c_j) for one control or one stream batch.
+def _drive(eng: MildEngine, h: ControlH):
+    """Return drive(j) = D_j = synthesize(h_j) for one control h.
 
-    Without inc, c = h is one control (a noise path enters as
-    path.control(eps)), synthesized once for all slabs, and its drive also
-    takes a slice of slabs and returns them stacked: slab by slab, a
-    batch-1 solve_phi on mc_grid took 6.2-6.7 ms against 4.1-5.3 ms (2
-    shared vCPUs).  With inc, the slab source of a batch (inc(j) the
-    (B, ncoords) increments of slab j), c_j = h_j + (eps / dt) inc(j), h
-    possibly None, is synthesized one slab at a time inside the step, so no
-    (B, jt, *spatial) field is held.
+    A noise path enters as h = path.control(eps).  The control is
+    synthesized once for all slabs, so drive also takes a slice of slabs
+    and returns them stacked: slab by slab, a batch-1 solve_phi on mc_grid
+    took 6.2-6.7 ms against 4.1-5.3 ms (2 shared vCPUs).
     """
-    if inc is None:
-        return eng.lat.synthesize(h.coeffs[: eng.jt]).__getitem__
-    scale = eps / eng.grid.dt
-    if h is None:
-        return lambda j: eng.lat.synthesize(scale * inc(j))
-    return lambda j: eng.lat.synthesize(h.coeffs[j] + scale * inc(j))
+    return eng.lat.synthesize(h.coeffs[: eng.jt]).__getitem__
 
 
 class _Increments:
-    """The increments of many Philox streams, drawn _BLOCK slabs at a time.
+    """One batch of Philox streams as the drive of its sweep.
 
-    Calling it with j returns the (B, ncoords) increments of slab j, a view
-    valid until the next block is drawn; the forward sweep asks for
-    j = 0, 1, ... in order, and each block start draws the next _BLOCK
-    slabs of every stream of its LiveStreams through sample_increments into
-    buffer, the (B, min(_BLOCK, nt), ncoords) block of a _workspace.  So one
-    block is held, never the (B, nt, ncoords) array, and the increments are
-    those of sample_path, bit for bit.  With a control h, girsanov()
-    returns sum_{i,k} h(i,k) dW(i,k) per stream, summed block by block over
-    all nt rows; the rows no sweep drew (all of them when none ran) are
-    drawn only then.
+    Calling it with j returns the (B, *spatial) drive of slab j,
+    D_j = synthesize(h_j + (eps / dt) dW_j) (h possibly None), so no
+    (B, jt, *spatial) field is held.  The sweep asks for j = 0, 1, ... in
+    order; each block start draws the next _BLOCK slabs of every stream
+    through sample_increments into buffer, a _workspace's
+    (B, min(_BLOCK, nt), ncoords) block, with one generator per stream made
+    on the first draw and live after it, so the increments are those of
+    sample_path, bit for bit.  With a control h, girsanov() returns
+    sum_{i,k} h(i,k) dW(i,k) per stream over all nt rows, drawing the rows
+    no sweep drew.
     """
 
-    def __init__(self, eng: MildEngine, streams, h: ControlH | None, buffer: np.ndarray):
+    def __init__(self, eng: MildEngine, streams, h: ControlH | None, eps: float,
+                 buffer: np.ndarray):
         self.lat, self.jt, self.h = eng.lat, eng.jt, h
-        self.streams = LiveStreams(streams)
-        self.dots = np.zeros(len(self.streams))
+        self.scale = eps / eng.grid.dt
+        self.streams = streams
+        self.generators = None
+        self.dots = np.zeros(len(streams))
         self.buffer = buffer
         self.drawn = 0
 
     def _draw(self, start: int, rows: int) -> None:
-        block = sample_increments(self.lat, self.streams, self.buffer[:, :rows])
+        if self.generators is None:
+            self.generators = [_philox(self.lat, s) for s in self.streams]
+        block = sample_increments(self.lat, self.generators, self.buffer[:, :rows])
         self.drawn = start + rows
         if self.h is not None:
             self.dots += np.einsum("bik,ik->b", block, self.h.coeffs[start: start + rows])
@@ -401,7 +397,8 @@ class _Increments:
     def __call__(self, j: int) -> np.ndarray:
         if j % _BLOCK == 0:
             self._draw(j, min(_BLOCK, self.jt - j))
-        return self.buffer[:, j % _BLOCK]
+        c = self.scale * self.buffer[:, j % _BLOCK]
+        return self.lat.synthesize(c if self.h is None else self.h.coeffs[j] + c)
 
     def girsanov(self) -> np.ndarray:
         nt = self.lat.grid.nt

@@ -124,7 +124,7 @@ def test_every_batched_sweep_is_in_sample_endpoints():
         owner = _owners(tree)
         for node in ast.walk(tree):
             if (isinstance(node, ast.Call) and "_forward" in _callees(node.func)
-                    and (len(node.args) > 4 or any(k.arg == "batch" for k in node.keywords))):
+                    and (len(node.args) > 4 or any(k.arg == "work" for k in node.keywords))):
                 where = owner.get(id(node), [])
                 if path.name == "mc.py" and where[:1] == ["sample_endpoints"]:
                     inside.append(node.lineno)
@@ -147,6 +147,31 @@ def test_every_stream_batch_is_drawn_in_sample_endpoints():
                     inside.append(node.lineno)
                 else:
                     others.append(f"{path.name}:{node.lineno} {'.'.join(where)}")
+    assert inside and others == []
+
+
+#: the standard_normal calls outside noise.sample_increments, each with its reason
+NORMAL_DRAWS = {
+    "cli._validation_checks": "the random directions of validate's finite-difference "
+                              "gradient check, not a noise stream",
+}
+
+
+def test_every_stream_draw_is_in_sample_increments():
+    # noise.sample_increments draws every noise stream, sample_path and the
+    # stream batches of solver._Increments alike; a standard_normal call
+    # elsewhere would be a second draw routine beside it
+    inside, others = [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = _owners(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "standard_normal":
+                scope = ".".join([path.stem, *owner.get(id(node), [])])
+                if scope == "noise.sample_increments":
+                    inside.append(node.lineno)
+                elif scope not in NORMAL_DRAWS:
+                    others.append(f"{path.name}:{node.lineno} {scope}")
     assert inside and others == []
 
 
@@ -253,10 +278,6 @@ def unused_options(library, callers=(), test_callers=(), oracles=()) -> set[str]
     when its class reaches dataclasses.asdict as r in asdict(r) for r in
     t.rows, with the field rows annotated list[C].  Exception classes are
     exempt: what they store is the payload of the fault they report.
-
-    Matching by name cannot tell two methods of one name apart: the
-    RateResult.validate(tol_c) call passes a first argument to every
-    validate, so an unpassed option of another validate goes unseen.
 
     Returns "function.parameter" and "Class.attribute" names.
     """

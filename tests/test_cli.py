@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import os
@@ -308,6 +309,35 @@ def test_density_on_an_empty_y_grid_draws_no_replica(tmp_path, monkeypatch, caps
     assert not calls
     assert "error: y_grid is empty" in capsys.readouterr().err
     assert _manifest(tmp_path)["error"] == "ValueError"
+
+
+@pytest.mark.parametrize("y_grid", ["nan,0,0.5", "-1,inf"])
+def test_density_on_a_non_finite_y_grid_draws_no_replica(y_grid, tmp_path, monkeypatch,
+                                                         capsys):
+    # a non-finite entry would give a NaN row; it fails before any draw
+    calls = []
+    monkeypatch.setattr(mc, "sample_endpoints", lambda *a, **kw: calls.append(a))
+    assert main(["density", *TINY, "--set", f"task.y_grid={y_grid}", "--set", "task.n=1000",
+                 "--out", str(tmp_path)]) == 1
+    assert not calls
+    assert "error: y_grid has a non-finite entry" in capsys.readouterr().err
+    assert _manifest(tmp_path)["error"] == "ValueError"
+
+
+def test_varadhan_in_a_rate_directory_keeps_the_rate_provenance(tmp_path):
+    # varadhan overwrites the rate run's manifest; rate_result.json keeps
+    # that run's config hash, and varadhan's manifest the hashes of the
+    # rate artifacts it read
+    assert main(["rate", *TINY, "--out", str(tmp_path)]) == 0
+    rate_hash = _manifest(tmp_path)["config_hash"]
+    assert json.loads((tmp_path / "rate_result.json").read_text())["config_hash"] == rate_hash
+    assert main(["varadhan", *TINY, "--set", "task.n=2000", "--set", "model.eps_list=1.0,0.7",
+                 "--out", str(tmp_path)]) == 0
+    manifest = _manifest(tmp_path)
+    assert manifest["subcommand"] == "varadhan" and manifest["config_hash"] != rate_hash
+    assert manifest["inputs"] == {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in ("rate_result.json", "h_star_000.bin")}
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])

@@ -56,7 +56,6 @@ class TestEstimateDensity:
         gg = g1_grid(COV, mc_grid, 1.0)
         curve = estimate_density(linear_model, mc_grid, 5000,
                                  np.array([0.0]), x=0.0)
-        curve.validate()
         want = -0.5 * math.log(2.0 * math.pi * gg)
         bias = 0.5 * curve.bandwidth ** 2 / gg
         assert abs(curve.log_p[0] - want) < 3.0 * curve.log_se[0] + bias
@@ -68,25 +67,21 @@ class TestEstimateDensity:
     def test_mass_and_log_masking(self, mc_grid, linear_model):
         y = np.linspace(-3.0, 3.0, 41)
         curve = estimate_density(linear_model, mc_grid, 2000, y, x=0.0)
-        curve.validate()
         assert np.all(curve.p_hat >= 0.0)
         far = np.abs(y) > 2.5
         assert np.all(np.isnan(curve.log_p[far]) | (curve.p_hat[far] > 3 * curve.se[far]))
 
     def test_mass_bound_needs_a_grid_that_resolves_the_kernel(self):
         # the same overshooting trapezoid sum (1.25) fails on steps <= 2 bw
-        # and is not read as a mass on a coarser grid
+        # and is not read as a mass on a coarser grid; a curve is checked
+        # when it is built
         y = np.array([-1.0, 0.0, 1.0])
         p_hat = np.array([0.25, 1.0, 0.25])
-        for bw, fails in ((0.5, True), (0.49, False)):
-            curve = DensityCurve(1.0, y, p_hat, np.zeros(3), bw)
-            if fails:
-                with pytest.raises(AssertionError, match="captured mass"):
-                    curve.validate()
-            else:
-                curve.validate()
+        with pytest.raises(AssertionError, match="captured mass"):
+            DensityCurve(1.0, y, p_hat, np.zeros(3), 0.5)
+        DensityCurve(1.0, y, p_hat, np.zeros(3), 0.49)
         with pytest.raises(AssertionError, match="nonnegative"):
-            DensityCurve(1.0, y, -p_hat, np.zeros(3), 0.49).validate()
+            DensityCurve(1.0, y, -p_hat, np.zeros(3), 0.49)
 
 
 class TestReproducibility:

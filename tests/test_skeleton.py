@@ -350,6 +350,19 @@ class TestExpansion:
         med = [r["median_residual"] for r in rows]
         assert all(b < a for a, b in zip(med, med[1:]))
 
+    @pytest.mark.parametrize("eps_list", [[0.5, 0.0], [0.5, -0.1], [float("nan")], [2.0]])
+    def test_eps_outside_zero_one_draws_nothing(self, tiny_grid, nonlinear_model,
+                                                monkeypatch, eps_list):
+        # eps = 0 would divide by zero into NaN medians; with_eps rejects
+        # eps > 1 only after the chaos draws
+        calls = []
+        monkeypatch.setattr(solver, "sample_increments",
+                            lambda *a: calls.append(a))
+        with pytest.raises(ValueError, match=r"every eps must lie in \(0, 1\]"):
+            expansion_check(nonlinear_model, tiny_grid,
+                            ControlH.zeros(lattice(COV, tiny_grid)), 10, eps_list)
+        assert not calls
+
     def test_gaussian_identity_at_h_zero(self, small_grid, linear_model):
         # eps^-1 (u - w) has variance g1(t) for every eps
         from varadhanlab.mc import sample_endpoints

@@ -8,8 +8,8 @@ from varadhanlab.covkernel import CovarianceSpec, g1
 from varadhanlab.errors import BlowUpError, GridError, MemoryBudgetError
 from varadhanlab.funcs import ONE, ZERO, ScalarFunc
 from varadhanlab.mc import sample_endpoints
-from varadhanlab.noise import (ControlH, GridSpec, LiveStreams, NoisePath,
-                               ht_inner, lattice, sample_increments, sample_path)
+from varadhanlab.noise import (ControlH, GridSpec, NoisePath, ht_inner, lattice,
+                               sample_increments, sample_path)
 from varadhanlab.skeleton import forward_xi, gradient_phi, solve_phi
 from varadhanlab.solver import (_BLOCK, BumpInitial, MildEngine, ModelSpec,
                                 ZeroInitial, _Increments, _sub_batch,
@@ -179,18 +179,25 @@ class TestStreamedIncrements:
         jt = max(1, nt - short)
         h = ControlH(lat, np.random.default_rng(nt).standard_normal((nt, lat.ncoords)))
         buffer = np.empty((len(streams), min(_BLOCK, nt), lat.ncoords))
-        inc = _Increments(MildEngine(COV, grid, jt), streams, h, buffer)
-        # a slab is a view into the block buffer, which the next draw refills
-        slabs = np.stack([inc(j).copy() for j in range(jt)], axis=1)
-        assert np.array_equal(slabs, whole[:, :jt])
+        inc = _Increments(MildEngine(COV, grid, jt), streams, h, 0.5, buffer)
+        scale = 0.5 / grid.dt
+        slabs = []
+        for j in range(jt):
+            # the drive of slab j; its increments sit in the block buffer
+            # until the next draw refills it
+            drive = inc(j)
+            slabs.append(inc.buffer[:, j % _BLOCK].copy())
+            assert np.array_equal(drive, lat.synthesize(h.coeffs[j] + scale * slabs[-1]))
+        assert np.array_equal(np.stack(slabs, axis=1), whole[:, :jt])
         dots = inc.girsanov()
         want = np.einsum("bik,ik->b", whole, h.coeffs)
         np.testing.assert_allclose(dots, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
-        # the live streams went on to row nt, and the next draw continues there
-        live = LiveStreams(streams)
-        rows = [sample_increments(lat, live, np.empty((len(streams), r, lat.ncoords)))
-                for r in (jt, nt - jt)]
-        assert np.array_equal(np.concatenate(rows, axis=1), whole)
+        # the live generators went on to row nt, and the next draw continues
+        # there: rows nt .. 2 nt of the same streams on a grid twice as long
+        longer = lattice(COV, GridSpec(L=1.25, nx=16, nt=2 * nt, T=2.0, nk=8, seed=4))
+        more = sample_increments(lat, inc.generators, np.empty_like(whole))
+        assert np.array_equal(more, np.stack([sample_path(longer, s).increments[nt:]
+                                              for s in streams]))
 
     def test_tilted_ensemble_dots_before_t(self, mc_grid):
         # t < T: the Girsanov dot still pairs h with all nt rows of dW
