@@ -20,8 +20,7 @@ from .noise import (ControlH, GridSpec, Lattice, NoisePath, ht_inner,
 from .rate import RateResult, rate_function, rate_profile, support_probe
 from .skeleton import (dphi_window_norm, expansion_check, forward_xi,
                        gradient_phi, solve_phi)
-from .solver import (BumpInitial, Field, ModelSpec, ZeroInitial, g1_grid,
-                     simulate)
+from .solver import BumpInitial, Field, ModelSpec, ZeroInitial, g1_grid
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -296,7 +296,8 @@ def _cmd_simulate(run: Runner) -> int:
     from .noise import sample_path
     with run.stage("replica_field"):
         lat = lattice(cfg.model.cov, cfg.grid)
-        field = solver.simulate(cfg.model, cfg.grid, sample_path(lat, 0), t=cfg.t)
+        field = skeleton.solve_phi(cfg.model, cfg.grid,
+                                   sample_path(lat, 0).control(cfg.model.eps), t=cfg.t)
     field.save(run.path("field_replica0.bin"))
     run.finish("simulate", {"n": n})
     print(f"simulate: {n} endpoint samples, mean {samples.mean():.6g}, "
@@ -415,12 +416,12 @@ def _cmd_support(run: Runner) -> int:
     budgets = _floats(cfg.value("task", "budgets"))
     n_list = _ints(cfg.value("task", "n_list"))
     theta = float(cfg.value("task", "theta"))
-    # bad levels or theta fail here, before the probe's skeleton solves
-    mc._check_support_levels(cfg.model, cfg.grid, n_list, theta)
+    n = cfg.replicas("support")
+    # bad levels, replica counts or theta fail here, before the probe's skeleton solves
+    mc._check_support_levels(cfg.model, cfg.grid, n_list, n, theta)
     with run.stage("support_probe"):
         intervals = rate_mod.support_probe(cfg.model, cfg.grid, budgets,
                                            t=cfg.t, x=cfg.x)
-    n = cfg.replicas("support")
     with run.stage("support_convergence"):
         rows = mc.support_convergence(cfg.model, cfg.grid, n_list, n, theta=theta,
                                       t=cfg.t, x=cfg.x)

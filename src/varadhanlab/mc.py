@@ -279,14 +279,19 @@ def varadhan_sweep(model: ModelSpec, grid: GridSpec, eps_list, y: float,
                    executor=None) -> SweepResult:
     """Tabulate eps^2 log p_hat(y) along eps_list and extrapolate the limit.
 
-    Each row is importance-sampled by tilted_density with the tilt h_star
-    (y may sit many standard deviations out); a row whose tilt fails is
-    flagged with the TiltError in its note and left out of the
-    extrapolation.
+    eps_list must hold at least 2 strictly decreasing eps in (0, 1],
+    checked before any draw.  Each row is importance-sampled by
+    tilted_density with the tilt h_star (y may sit many standard deviations
+    out); a row whose tilt fails is flagged with the TiltError in its note
+    and left out of the extrapolation.
     """
     eps_list = list(eps_list)
+    if len(eps_list) < 2:
+        raise ValueError(f"the extrapolation needs at least 2 eps, got {eps_list}")
     if any(e2 >= e1 for e1, e2 in zip(eps_list, eps_list[1:])):
         raise ValueError("eps_list must be strictly decreasing")
+    if not all(0.0 < eps <= 1.0 for eps in eps_list):    # NaN fails too
+        raise ValueError(f"every eps must lie in (0, 1], got {eps_list}")
     rows = []
     for k, eps in enumerate(eps_list):
         try:
@@ -311,10 +316,12 @@ def varadhan_sweep(model: ModelSpec, grid: GridSpec, eps_list, y: float,
 
 
 def _check_support_levels(model: ModelSpec, grid: GridSpec, n_list: list[int],
-                          theta: float) -> None:
+                          n_replicas: int, theta: float) -> None:
     """support_convergence's input checks: levels nonempty, strictly
-    increasing, each n >= 1 with 2^n dividing nt and n <= ncoords; theta
-    finite and > 1/2."""
+    increasing, each n >= 1 with 2^n dividing nt and n <= ncoords; at least
+    one replica; theta finite and > 1/2."""
+    if n_replicas < 1:
+        raise ValueError(f"support needs n >= 1 replicas, got {n_replicas}")
     if not n_list:
         raise ValueError("n_list is empty")
     if any(n < 1 for n in n_list):
@@ -337,14 +344,15 @@ def support_convergence(model: ModelSpec, grid: GridSpec, n_list, n_replicas: in
 
     For each level n (with paths coupled across levels): the number of
     localized replicas and the median over them of |u(t,x) - Phi^{v^n}|,
-    the c1 column.  The levels and theta are checked before anything is
-    drawn.  The endpoints u(t,x) are drawn in chunks and each replica's
-    path is drawn on its own, so no (n_replicas, nt, ncoords) array is held.
+    the c1 column.  The levels, n_replicas and theta are checked before
+    anything is drawn.  The endpoints u(t,x) are drawn in chunks and each
+    replica's path is drawn on its own, so no (n_replicas, nt, ncoords)
+    array is held.
     """
     from .noise import localization_holds, sample_path, smooth_vn
 
     n_list = list(n_list)
-    _check_support_levels(model, grid, n_list, theta)
+    _check_support_levels(model, grid, n_list, n_replicas, theta)
     lat = lattice(model.cov, grid)
     tt = grid.T if t is None else t
 

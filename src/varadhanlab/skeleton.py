@@ -14,10 +14,10 @@ independent small-grid oracle.
 
 The noise enters the drive as (eps / dt) dW, along the control direction
 dW / dt.  So one noise path is the control c = h + path.control(eps): the
-field it drives, shifted by h / eps, is Phi^c (solver.simulate at h = 0),
-and its Malliavin derivative is eps G(c), by either route.  The first
-chaos N of u^eps(omega + h / eps) = Phi^h + eps N + o(eps) is, exactly in
-the discrete scheme, one dot with G = G(h):
+field it drives, shifted by h / eps, is Phi^c = solve_phi(c), and its
+Malliavin derivative is eps G(c), by either route.  The first chaos N of
+u^eps(omega + h / eps) = Phi^h + eps N + o(eps) is, exactly in the
+discrete scheme, one dot with G = G(h):
 
     N(t, x) = <G, dW / dt>_{H_T} = sum_{i,k} G(i,k) dW(i,k),  Var N = ||G||^2 = gamma_bar.
 """
@@ -71,16 +71,15 @@ def bare_kernel_control(model: ModelSpec, grid: GridSpec, phi: Field,
     """The leading term of the gradient: Lambda(t-., x-*) sigma(Phi) on the h-grid.
 
     This is the constructive direction used by the reachability shifts and
-    the remainder decomposition chi = Xi - Lambda sigma(Phi).  The kernel
-    fields of all jt slabs (slab i at lag jt - i) take one batched transform
-    and one extract.
+    the remainder decomposition chi = Xi - Lambda sigma(Phi).  It is the
+    adjoint sweep of gradient_phi without the linearised factor: the
+    sweep's fields are then the kernel fields of the jt slabs, and all of
+    them take one extract.
     """
     eng, _ = _prepare(model, grid, t)
     lat, jt = eng.lat, eng.jt
     point = _observation_index(model, grid, lat, x)
-    onehot = np.zeros(lat.spatial_shape)
-    onehot[point] = 1.0 / (grid.dx ** lat.d)
-    kernels = lat.to_field(eng.weights[jt:0:-1] * lat.to_spec(onehot))
+    kernels = eng.adjoint(point, np.zeros((jt, *lat.spatial_shape)))
     coeffs = np.zeros((grid.nt, lat.ncoords))
     coeffs[:jt] = lat.extract(model.sigma(phi.values[:jt]) * kernels)
     return ControlH(lat, coeffs)
@@ -114,7 +113,7 @@ def forward_xi(model: ModelSpec, grid: GridSpec, h: ControlH,
     hist = np.zeros((jt, lanes, lat.nspec), dtype=np.complex128)
 
     def state(j):                           # sum_{i<j} K_{j-i} rho_i, (lanes, *spatial)
-        return lat.to_field(np.einsum("lf,lgf->gf", eng.weights[j:0:-1], hist[:j]))
+        return lat.to_field(np.einsum("fl,lgf->gf", eng.weights[:, j:0:-1], hist[:j]))
 
     for j in range(jt):
         rho = _factor(model, dt, pv[j], drive(j)) * state(j)

@@ -17,7 +17,10 @@ sensitivity in slab i by the one factor dt [ sigma'(u_i) D_i + b'(u_i) ].
 The multiplier K_l is the signed root-mean-square of F Lambda over the lag
 slab [(l-1) dt, l dt], which makes the Gaussian stochastic convolution
 variance exact in time: with constant sigma the variance of u(t, x) equals
-eps^2 * g1 restricted to the retained modes, with no dt error.
+eps^2 * g1 restricted to the retained modes, with no dt error.  The
+multipliers are one cached table per (cov, grid), weight_table, laid out
+as the wave GEMM reads it; MildEngine.weights is that table, and besides
+the engine only its small-grid oracle skeleton.forward_xi reads it.
 
 For heat the slab-RMS multipliers are exactly geometric in the lag,
 K_{l+1} = q K_l with q = exp(-4 pi^2 |xi|^2 dt) the heat multiplier over one
@@ -47,8 +50,8 @@ from . import covkernel
 from .covkernel import CovarianceSpec
 from .errors import BlowUpError, GridError
 from .funcs import ScalarFunc
-from .noise import (ControlH, GridSpec, Lattice, NoisePath, _philox, lattice,
-                    sample_increments, write_binary)
+from .noise import (ControlH, GridSpec, Lattice, _philox, lattice, sample_increments,
+                    write_binary)
 
 _SIGMA_SAMPLE_RANGE = 50.0
 #: slabs per block of the history sum (see the module docstring)
@@ -161,43 +164,30 @@ class Field:
 
 @lru_cache(maxsize=32)
 def weight_table(cov: CovarianceSpec, grid: GridSpec) -> np.ndarray:
-    """Signed slab-RMS Fourier multipliers, shape (nt + 1, nspec).
+    """Signed slab-RMS Fourier multipliers, frequency-major: (nspec, nt + 1 + _BLOCK).
 
-    Entry [l] acts on integrands one slab of lag l in the past; entry [0]
-    is unused.  Sign follows F Lambda at the midpoint lag so the wave
-    kernel keeps its propagation phase at resolved frequencies.  The rows
-    are built _BLOCK lags at a time, each block one array evaluation over
-    (lags, nspec) with the same arithmetic per entry as one lag alone, so
-    the transient memory stays O(_BLOCK nspec) beside the table.
+    Entry [f, l] is the lag-l weight of frequency f: it acts on integrands
+    one slab of lag l in the past.  Column 0 and the _BLOCK padding columns
+    after lag nt are zero, so every block's Hankel panel of MildEngine is a
+    view inside the table.  Sign follows F Lambda at the midpoint lag so the
+    wave kernel keeps its propagation phase at resolved frequencies.  The
+    lags are built _BLOCK at a time, each block one array evaluation over
+    (lags, nspec), with the same arithmetic per entry as one lag alone,
+    written transposed, so the transient memory stays O(_BLOCK nspec)
+    beside the table.
     """
     lat = lattice(cov, grid)
     dt = grid.dt
     r = lat.xi_radius.reshape(-1)
-    out = np.zeros((grid.nt + 1, lat.nspec))
+    out = np.zeros((lat.nspec, grid.nt + 1 + _BLOCK))
     for lo in range(1, grid.nt + 1, _BLOCK):
         l = np.arange(lo, min(lo + _BLOCK, grid.nt + 1))[:, None]
         a, b = (l - 1) * dt, l * dt
         ms = covkernel.slab_l2_mean(cov, r, a, b)
         sg = covkernel.slab_sign(cov, r, 0.5 * (a + b))
-        out[lo: lo + len(l)] = sg * np.sqrt(ms)
+        out[:, lo: lo + len(l)] = (sg * np.sqrt(ms)).T
     out.setflags(write=False)
     return out
-
-
-@lru_cache(maxsize=32)
-def _block_weights(cov: CovarianceSpec, grid: GridSpec):
-    """weight_table frequency-major, zero-padded, plus its Hankel panel view.
-
-    wt[f, l] is the lag-l weight of frequency f, padded with zeros to lag
-    nt + _BLOCK so every block's panel stays inside the array.  The panel
-    hankel[f, k, r] = wt[f, k + r + 2] weights closed slab s-1-k in step
-    s+r of the block that starts at s; it is a strided view, not a copy.
-    """
-    nspec = lattice(cov, grid).nspec
-    wt = np.zeros((nspec, grid.nt + 1 + _BLOCK))
-    wt[:, : grid.nt + 1] = weight_table(cov, grid).T
-    wt.setflags(write=False)
-    return wt, sliding_window_view(wt[:, 2:], _BLOCK, axis=-1)
 
 
 def j1_grid(cov: CovarianceSpec, grid: GridSpec, l: int) -> float:
@@ -205,7 +195,7 @@ def j1_grid(cov: CovarianceSpec, grid: GridSpec, l: int) -> float:
     lat = lattice(cov, grid)
     wt = weight_table(cov, grid)
     w = (lat.mu_weight * lat.mu_mult).reshape(-1)
-    return float(np.sum(w * wt[l] ** 2))
+    return float(np.sum(w * wt[:, l] ** 2))
 
 
 def g1_grid(cov: CovarianceSpec, grid: GridSpec, t: float) -> float:
@@ -235,7 +225,9 @@ class MildEngine:
             # K_{l+1} = q K_l: q is the heat multiplier over one step
             self._decay = covkernel.fourier_lambda(cov, grid.dt, self.lat.xi)
         else:
-            self._wt, self._hankel = _block_weights(cov, grid)
+            # hankel[f, k, r] = weights[f, k + r + 2] weights closed slab
+            # s-1-k in step s+r of the block that starts at s
+            self._hankel = sliding_window_view(self.weights[:, 2:], _BLOCK, axis=-1)
 
     def _causal_sum(self, batch_shape: tuple, work: dict | None = None):
         """Return step, with step(x_n) = acc_n = sum_{q<=n} K_{n+1-q} x_q.
@@ -255,7 +247,7 @@ class MildEngine:
         """
         jt, nspec = self.jt, self.lat.nspec
         if self.lat.cov.operator == "heat":
-            q, k1 = self._decay, self.weights[1]
+            q, k1 = self._decay, self.weights[:, 1]
             acc = np.zeros(batch_shape + (nspec,), dtype=np.complex128)
 
             def heat_step(x):
@@ -279,7 +271,7 @@ class MildEngine:
                 rows = min(_BLOCK, jt - start)
                 panel = self._hankel[:, :start, :rows].transpose(0, 2, 1)
                 np.matmul(panel, real[:, jt - start:], out=far[:, :rows])
-            acc = np.matmul(self._wt[:, None, 1: n - start + 2],
+            acc = np.matmul(self.weights[:, None, 1: n - start + 2],
                             real[:, row: jt - start])[:, 0]
             if start > 0:
                 acc += far[:, n - start]
@@ -481,11 +473,3 @@ def check_wave_domain(cov: CovarianceSpec, grid: GridSpec, x=None) -> None:
     xmax = float(np.max(np.abs(lattice(cov, grid).point(x))))
     if grid.L <= xmax + grid.T:
         raise GridError("wave grid needs L > |x| + T (finite propagation speed)")
-
-
-def simulate(model: ModelSpec, grid: GridSpec, path: NoisePath,
-             t: float | None = None) -> Field:
-    """Field driven by one noise path: the skeleton of its control path.control(eps)."""
-    eng, w_tab = _prepare(model, grid, t)
-    drive = _drive(eng, path.control(model.eps))
-    return Field(_forward(model, eng, w_tab, drive), grid, model.cov)

@@ -19,7 +19,7 @@ PUBLIC = [
     "fourier_lambda", "funcs", "g1", "g1_grid", "gradient_phi", "ht_inner",
     "lattice", "localization_holds",
     "mc", "noise", "parse_func", "rate", "rate_function",
-    "rate_profile", "sample_path", "simulate", "skeleton", "smooth_vn",
+    "rate_profile", "sample_path", "skeleton", "smooth_vn",
     "solve_phi", "solver", "spectral_density", "support_convergence",
     "support_probe", "tilted_density", "varadhan_sweep",
 ]
@@ -177,8 +177,6 @@ def test_every_stream_draw_is_in_sample_increments():
 
 #: the reads of the lag weights outside MildEngine, each with its reason
 WEIGHT_READS = {
-    "skeleton.bare_kernel_control": "the kernel field of each slab, one batched "
-                                    "transform, no history",
     "skeleton.forward_xi": "the adjoint's independent oracle, which validate runs",
 }
 

@@ -257,14 +257,16 @@ def test_non_finite_sigma0_is_a_config_error(capsys):
     (["task.n_list=2,3", "task.theta=nan"], "ValueError"),
     (["task.n_list=2,3", "task.budgets=,"], "ValueError"),
     (["grid.nk=1", "task.n_list=2,4"], "GridError"),        # 3 coordinates < 4
-    (["task.n_list=2,3", "task.budgets=1,inf"], "ValueError")],
+    (["task.n_list=2,3", "task.budgets=1,inf"], "ValueError"),
+    (["task.n_list=2,3", "task.n=0"], "ValueError"),
+    (["task.n_list=2,3", "task.n=-3"], "ValueError")],
     ids=["levels", "negative-level", "nan-theta", "budgets", "level-above-modes",
-         "infinite-budget"])
+         "infinite-budget", "no-replicas", "negative-replicas"])
 def test_support_rejects_empty_or_negative_inputs_before_any_draw(
         overrides, error, tmp_path, monkeypatch, capsys):
-    # bad levels, theta or budgets (empty, negative or infinite) fail before
-    # the probe's first skeleton solve and before the endpoints are drawn,
-    # and no table is written
+    # bad levels, replica counts, theta or budgets (empty, negative or
+    # infinite) fail before the probe's first skeleton solve and before the
+    # endpoints are drawn, and no table is written
     draws, solves = [], []
     monkeypatch.setattr(mc, "sample_endpoints", lambda *a, **kw: draws.append(a))
     monkeypatch.setattr(rate, "solve_phi", lambda *a, **kw: solves.append(a))

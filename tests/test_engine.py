@@ -26,8 +26,8 @@ def direct_forward(eng, w_tab, integrand, batch_shape=(), keep_history=False):
     trail = [u.copy()] if keep_history else None
     for j in range(jt):
         hist[j] = eng.lat.to_spec(integrand(j, u))
-        wl = eng.weights[j + 1:0:-1]                      # lags j+1 .. 1
-        acc = np.einsum("lf,l...f->...f", wl, hist[: j + 1])
+        wl = eng.weights[:, j + 1:0:-1]                   # lags j+1 .. 1
+        acc = np.einsum("fl,l...f->...f", wl, hist[: j + 1])
         u = w_tab[j + 1] + eng.lat.to_field(acc)
         if not np.all(np.isfinite(u)):
             raise BlowUpError(f"time stepping blew up at step {j + 1}", step=j + 1)
@@ -46,8 +46,8 @@ def direct_adjoint(eng, point, factors):
     lam_hist[jt] = lat.to_spec(lam)
     mus = [None] * jt
     for i in range(jt - 1, -1, -1):
-        wl = eng.weights[1: jt - i + 1]                   # lags 1 .. jt - i
-        acc = np.einsum("lf,l...f->...f", wl, lam_hist[i + 1: jt + 1])
+        wl = eng.weights[:, 1: jt - i + 1]                # lags 1 .. jt - i
+        acc = np.einsum("fl,l...f->...f", wl, lam_hist[i + 1: jt + 1])
         mu = lat.to_field(acc)
         mus[i] = mu
         if i > 0:

@@ -307,10 +307,18 @@ class TestVaradhanSweep:
         assert [r.ok for r in failed.rows] == [True, True, False]
         assert math.isnan(failed.rows[-1].ess)
 
-    def test_eps_list_must_decrease(self, mc_grid, linear_model):
+    @pytest.mark.parametrize("eps_list", [[0.5, 1.0], [1.0, 0.7, 0.0],
+                                          [1.0, 0.5, math.nan], [0.5]],
+                             ids=["increasing", "zero", "nan", "one-entry"])
+    def test_eps_list_must_decrease(self, mc_grid, linear_model, eps_list,
+                                    monkeypatch):
+        # a bad list fails before the first tilted row draws anything
+        draws = []
+        monkeypatch.setattr(mc, "sample_endpoints", lambda *a, **kw: draws.append(a))
         with pytest.raises(ValueError):
-            varadhan_sweep(linear_model, mc_grid, [0.5, 1.0], 1.0, 2.0, n=2000,
+            varadhan_sweep(linear_model, mc_grid, eps_list, 1.0, 2.0, n=2000,
                            x=0.0, h_star=ControlH.zeros(lattice(COV, mc_grid)))
+        assert not draws
 
 
 class TestSupportConvergence:

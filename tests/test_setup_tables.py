@@ -3,7 +3,8 @@
 solver.weight_table, the Lattice slot tables and BumpInitial.table are
 built by array operations.  The loops below build the same tables one lag,
 one mode or one time at a time; every table must equal its loop bit for bit
-(np.array_equal).
+(np.array_equal).  weight_table is frequency-major with zero padding, so
+its lags 0 .. nt, transposed, are what the lag loop builds.
 """
 
 import math
@@ -15,7 +16,7 @@ import pytest
 from varadhanlab import covkernel
 from varadhanlab.covkernel import CovarianceSpec
 from varadhanlab.noise import GridSpec, Lattice, lattice
-from varadhanlab.solver import BumpInitial, weight_table
+from varadhanlab.solver import _BLOCK, BumpInitial, MildEngine, weight_table
 
 
 def weight_table_loop(cov, grid):
@@ -30,6 +31,13 @@ def weight_table_loop(cov, grid):
         sg = covkernel.slab_sign(cov, r, 0.5 * (a + b))
         out[l] = sg * np.sqrt(ms)
     return out
+
+
+def assert_weight_table_is_the_lag_loop(cov, grid):
+    table = weight_table(cov, grid)
+    assert table.shape == (lattice(cov, grid).nspec, grid.nt + 1 + _BLOCK)
+    assert np.array_equal(table[:, : grid.nt + 1].T, weight_table_loop(cov, grid))
+    assert not np.any(table[:, grid.nt + 1:])                # the padding is zero
 
 
 def lattice_tables_loop(lat):
@@ -166,19 +174,31 @@ def test_weight_table_equals_the_lag_loop(cov, nt):
     nx, nk = GRIDS[cov.d][0]
     for L in (1.25, 20.0):
         grid = GridSpec(L=L, nx=nx, nt=nt, T=1.0, nk=nk)
-        assert np.array_equal(weight_table(cov, grid), weight_table_loop(cov, grid))
+        assert_weight_table_is_the_lag_loop(cov, grid)
 
 
 def test_weight_table_on_a_long_torus():
     cov = CovarianceSpec("wave", 1, "white")
     grid = GridSpec(L=20.0, nx=2048, nt=64, T=1.0, nk=1024)
-    assert np.array_equal(weight_table(cov, grid), weight_table_loop(cov, grid))
+    assert_weight_table_is_the_lag_loop(cov, grid)
+
+
+@pytest.mark.parametrize("operator", ["wave", "heat"])
+def test_the_engine_reads_the_one_cached_table(operator):
+    # one table per (cov, grid): the engine's weights are the cached table,
+    # and the wave Hankel panel is a view of it, not of a second copy
+    cov = CovarianceSpec(operator, 1, "white")
+    grid = GridSpec(L=1.25, nx=32, nt=40, T=1.0, nk=16)
+    eng = MildEngine(cov, grid)
+    assert eng.weights is weight_table(cov, grid)
+    if operator == "wave":
+        assert np.shares_memory(eng._hankel, eng.weights)
 
 
 @pytest.mark.parametrize("operator", ["wave", "heat"])
 def test_cold_weight_table_memory_stays_near_the_table(operator):
     # the lags are evaluated in blocks, so the transient arrays stay small
-    # next to the (nt + 1, nspec) table the build returns
+    # next to the (nspec, nt + 1 + _BLOCK) table the build returns
     cov = CovarianceSpec(operator, 1, "white")
     grid = GridSpec(L=1.25, nx=128, nt=256, T=1.0, nk=64, seed=90210)
     lattice(cov, grid)

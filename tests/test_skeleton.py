@@ -73,7 +73,7 @@ def _bare_kernel_by_slab(model, grid, phi, t=None, x=None):
     seed_spec = lat.to_spec(onehot)
     coeffs = np.zeros((grid.nt, lat.ncoords))
     for i in range(jt):
-        kernel = lat.to_field(eng.weights[jt - i] * seed_spec)
+        kernel = lat.to_field(eng.weights[:, jt - i] * seed_spec)
         coeffs[i] = lat.extract(model.sigma(phi.values[i]) * kernel)
     return coeffs
 
@@ -99,7 +99,10 @@ def test_bare_kernel_control_is_one_batched_extract(cov, grid, t, monkeypatch):
                         lambda self, f: calls.append(f.shape) or extract(self, f))
     got = bare_kernel_control(model, grid, phi, t)
     assert len(calls) == 1
-    assert np.array_equal(got.coeffs, want)
+    if cov.operator == "wave":
+        assert np.array_equal(got.coeffs, want)
+    else:   # the adjoint's heat sweep is the geometric recursion K_{l+1} = q K_l
+        assert np.max(np.abs(got.coeffs - want)) <= 1e-15 * np.max(np.abs(want))
 
 
 class TestGradient:
@@ -167,14 +170,14 @@ _DRIFTS = ["zero", "const:0.3", "affine:0.1,-0.5", "affine_clamped:0.0,0.5,-2.0,
 @pytest.mark.parametrize("sigma, b", [(_SIGMAS[i % 3], drift)
                                       for i, drift in enumerate(_DRIFTS)])
 def test_gradient_routes_across_registry(tiny_grid, sigma, b):
-    from varadhanlab.solver import ModelSpec, ZeroInitial, simulate
+    from varadhanlab.solver import ModelSpec, ZeroInitial
     sigma, b = parse_func(sigma), parse_func(b)
     m = ModelSpec(COV, sigma, b, ZeroInitial(), 0.7, 0.25)
     lat = lattice(COV, tiny_grid)
     rng = np.random.default_rng(8)
     h = ControlH(lat, 0.4 * rng.standard_normal((tiny_grid.nt, lat.ncoords)))
     path = sample_path(lat, 3)
-    phi, u = solve_phi(m, tiny_grid, h), simulate(m, tiny_grid, path)
+    phi, u = solve_phi(m, tiny_grid, h), solve_phi(m, tiny_grid, path.control(m.eps))
     for f in (sigma, b):
         if f.name == "affine_clamped":
             a_, slope, lo, hi = f.args

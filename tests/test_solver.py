@@ -13,7 +13,7 @@ from varadhanlab.noise import (ControlH, GridSpec, NoisePath, ht_inner, lattice,
 from varadhanlab.skeleton import forward_xi, gradient_phi, solve_phi
 from varadhanlab.solver import (_BLOCK, BumpInitial, MildEngine, ModelSpec,
                                 ZeroInitial, _Increments, _sub_batch,
-                                check_wave_domain, g1_grid, simulate)
+                                check_wave_domain, g1_grid)
 
 COV = presets.WAVE_WHITE
 
@@ -58,7 +58,7 @@ class TestModelSpec:
             "rate_profile": lambda: rate_profile(m, grid, [0.5, 1.0], x=0.0),
             "support_probe": lambda: support_probe(m, grid, [1.0], x=0.0),
             "bare_kernel_control": lambda: bare_kernel_control(
-                m, grid, simulate(m, grid, path), x=0.0),
+                m, grid, solve_phi(m, grid, path.control(m.eps)), x=0.0),
             "forward_xi": lambda: forward_xi(m, grid, ControlH.zeros(lat), x=0.0),
             "expansion_check": lambda: expansion_check(
                 m, grid, ControlH.zeros(lat), 2, [0.5], x=0.0),
@@ -70,7 +70,8 @@ class TestModelSpec:
         # L = 1.25 < |x| + T = 1.5: the wave value at x = 0.5 has wrapped around
         lat = lattice(COV, tiny_grid)
         fields = [solve_phi(nonlinear_model, tiny_grid, ControlH.zeros(lat)),
-                  simulate(nonlinear_model, tiny_grid, sample_path(lat, 0))]
+                  solve_phi(nonlinear_model, tiny_grid,
+                            sample_path(lat, 0).control(nonlinear_model.eps))]
         for f in fields:
             assert np.isfinite(f.endpoint([0.2]))
             with pytest.raises(GridError):
@@ -101,7 +102,7 @@ class TestSimulate:
         m = ModelSpec(COV, ONE, ZERO, BumpInitial(amp0=0.7, width0=0.3),
                       eps=0.0, sigma0=1.0)
         lat = lattice(COV, tiny_grid)
-        u = simulate(m, tiny_grid, sample_path(lat, 0))
+        u = solve_phi(m, tiny_grid, sample_path(lat, 0).control(m.eps))
         w = m.w.table(lat, np.arange(tiny_grid.nt + 1) * tiny_grid.dt)
         assert np.allclose(u.values, w, atol=1e-14)
 
@@ -130,7 +131,7 @@ class TestSimulate:
                       1.0, 1.0)
         lat = lattice(COV, grid)
         with pytest.raises(BlowUpError) as err:
-            simulate(m, grid, sample_path(lat, 0))
+            solve_phi(m, grid, sample_path(lat, 0).control(m.eps))
         assert err.value.step is not None
 
     def test_refinement_decreases_error(self):
@@ -146,8 +147,8 @@ class TestSimulate:
             for s in range(60):
                 pb = sample_path(lb, s)
                 inc_a = _coarsen(pb, la)
-                ua = simulate(m, ga, inc_a).endpoint(0.0)
-                ub = simulate(m, gb, pb).endpoint(0.0)
+                ua = solve_phi(m, ga, inc_a.control(m.eps)).endpoint(0.0)
+                ub = solve_phi(m, gb, pb.control(m.eps)).endpoint(0.0)
                 vals_a.append(ua)
                 vals_b.append(ub)
             gaps.append(np.mean(np.abs(np.array(vals_a) - np.array(vals_b))))
@@ -157,7 +158,8 @@ class TestSimulate:
         # E|u(t,x) - u(t',x)|^2 decays monotonically as t' -> t dyadically
         m = presets.nonlinear_model()
         lat = lattice(COV, mc_grid)
-        fields = [simulate(m, mc_grid, sample_path(lat, s)) for s in range(60)]
+        fields = [solve_phi(m, mc_grid, sample_path(lat, s).control(m.eps))
+                  for s in range(60)]
         jt = mc_grid.nt
         diffs = []
         for gap in (16, 8, 4, 2, 1):
@@ -286,7 +288,7 @@ def _coarsen(path_fine, lat_coarse):
 
 class TestShiftIdentity:
     def test_pathwise_identity_every_replica(self, mc_grid, rng):
-        # simulate with the path translated by eps^-1 h equals the shifted
+        # the field of the path translated by eps^-1 h equals the shifted
         # equation driven by the original path, pathwise to solver precision
         m = presets.nonlinear_model().with_eps(0.5)
         lat = lattice(COV, mc_grid)
@@ -294,7 +296,7 @@ class TestShiftIdentity:
         for s in range(20):
             p = sample_path(lat, s)
             shifted = NoisePath(lat, p.increments + mc_grid.dt / m.eps * h.coeffs)
-            u1 = simulate(m, mc_grid, shifted)
+            u1 = solve_phi(m, mc_grid, shifted.control(m.eps))
             u2 = solve_phi(m, mc_grid, h + p.control(m.eps))
             assert np.max(np.abs(u1.values - u2.values)) < 1e-8
 
@@ -320,7 +322,7 @@ class TestShiftIdentity:
         m = presets.nonlinear_model()
         lat = lattice(COV, small_grid)
         p = sample_path(lat, 2)
-        u1 = simulate(m, small_grid, p)
+        u1 = solve_phi(m, small_grid, p.control(m.eps))
         u2 = solve_phi(m, small_grid, ControlH.zeros(lat) + p.control(m.eps))
         assert np.array_equal(u1.values, u2.values)
 
@@ -363,7 +365,7 @@ class TestFirstVariation:
         m = presets.nonlinear_model().with_eps(0.75)
         lat = lattice(COV, small_grid)
         p = sample_path(lat, 4)
-        u = simulate(m, small_grid, p)
+        u = solve_phi(m, small_grid, p.control(m.eps))
         D = m.eps * forward_xi(m, small_grid, p.control(m.eps), x=0.0).coeffs
         Da = m.eps * gradient_phi(m, small_grid, p.control(m.eps), x=0.0, phi=u).coeffs
         assert np.max(np.abs(D - Da)) < 1e-12
@@ -381,8 +383,9 @@ class TestFirstVariation:
         dt, tau = small_grid.dt, 1e-5
         for _ in range(3):
             g = ControlH(lat, rng.standard_normal((small_grid.nt, lat.ncoords)))
-            up, down = (simulate(m, small_grid, NoisePath(lat, p.increments + s * dt * g.coeffs),
-                                 t).endpoint(0.0) for s in (tau, -tau))
+            up, down = (solve_phi(m, small_grid, NoisePath(
+                lat, p.increments + s * dt * g.coeffs).control(m.eps), t).endpoint(0.0)
+                for s in (tau, -tau))
             fd = (up - down) / (2 * tau)
             assert abs(fd - ht_inner(D, g)) <= 1e-4 * abs(fd)
 
@@ -395,7 +398,7 @@ class TestFirstVariation:
             norms = []
             for s in range(40):
                 p = sample_path(lat, s)
-                u = simulate(m, small_grid, p)
+                u = solve_phi(m, small_grid, p.control(m.eps))
                 Da = m.eps * gradient_phi(m, small_grid, p.control(m.eps), x=0.0,
                                           phi=u).coeffs
                 norms.append(ControlH(lat, Da).norm_sq)
@@ -434,7 +437,7 @@ class TestFieldExport:
     def test_binary_header(self, tiny_grid, tmp_path):
         m = presets.linear_model()
         lat = lattice(COV, tiny_grid)
-        u = simulate(m, tiny_grid, sample_path(lat, 0))
+        u = solve_phi(m, tiny_grid, sample_path(lat, 0).control(m.eps))
         u.save(tmp_path / "f.bin")
         raw = (tmp_path / "f.bin").read_bytes()
         assert raw[:8] == b"VLFIELD1"
