@@ -37,8 +37,7 @@ from .noise import ControlH, GridSpec, lattice, load_control, save_control
 from .solver import BumpInitial, ModelSpec, ZeroInitial, g1_grid
 
 _SCHEMA = {
-    "model": {"operator", "d", "kind", "beta", "sigma", "b", "w", "sigma0",
-              "eps", "eps_list"},
+    "model": {"operator", "d", "kind", "beta", "sigma", "b", "w", "eps", "eps_list"},
     "grid": {"L", "nx", "nt", "nk", "T", "seed"},
     "task": {"t", "x", "y", "y_grid", "n", "n_list", "budgets", "theta",
              "tol_rel", "rate_artifact"},
@@ -55,7 +54,6 @@ kind = white
 sigma = const:1.0
 b = zero
 w = zero
-sigma0 = 1.0
 eps = 1.0
 eps_list = 1.0,0.7,0.5,0.35
 
@@ -153,7 +151,7 @@ class Config:
         else:
             raise ConfigError(f"unknown initial data '{w_text}'")
         return ModelSpec(cov, parse_func(m("sigma")), parse_func(m("b")), w,
-                         float(m("eps")), float(m("sigma0")))
+                         float(m("eps")))
 
     def _build_grid(self) -> GridSpec:
         g = partial(self.value, "grid")

@@ -124,8 +124,8 @@ def spectral_density(spec: CovarianceSpec, xi) -> np.ndarray:
 
 def fourier_lambda(spec: CovarianceSpec, t: float, xi) -> np.ndarray:
     """Fourier transform of the fundamental solution at time t, frequency xi."""
-    if t < 0:
-        raise ValueError("time must be nonnegative")
+    if not 0.0 <= t < math.inf:                         # NaN fails too
+        raise ValueError(f"time must be finite and nonnegative, got {t}")
     r = _radius(spec, xi)
     if spec.operator == "wave":
         x = 2.0 * math.pi * t * r
@@ -136,6 +136,8 @@ def fourier_lambda(spec: CovarianceSpec, t: float, xi) -> np.ndarray:
 
 def j2_integral(spec: CovarianceSpec, t: float) -> float:
     """int_0^t Lambda(s)(R^d) ds: t^2/2 for wave, t for heat."""
+    if not 0.0 <= t < math.inf:                         # NaN fails too
+        raise ValueError(f"time must be finite and nonnegative, got {t}")
     if spec.operator == "wave":
         return 0.5 * t * t
     return float(t)
@@ -195,8 +197,8 @@ def g1(spec: CovarianceSpec, t: float, method: str = "closed") -> float:
     Closed form is C t^(p+1)/(p+1) with the cached power-law constants;
     quadrature integrates the independent radial route over s.
     """
-    if t < 0:
-        raise ValueError("time must be nonnegative")
+    if not 0.0 <= t < math.inf:                         # NaN fails too
+        raise ValueError(f"time must be finite and nonnegative, got {t}")
     if t == 0.0:
         return 0.0
     if method == "closed":

@@ -1,8 +1,9 @@
 """Registry of named scalar coefficient functions.
 
 Diffusion and drift coefficients are picked from a closed-form registry
-rather than parsed from expressions, so smoothness and boundedness checks
-stay decidable and model specs remain hashable.
+rather than parsed from expressions, so model specs remain hashable and
+boundedness is decided, not sampled: each entry states the exact value
+range of its function, which ScalarFunc.abs_bounds turns into inf/sup |f|.
 """
 
 from __future__ import annotations
@@ -27,6 +28,10 @@ class ScalarFunc:
         if len(self.args) != spec.n_args:
             raise ValueError(f"{self.name} takes {spec.n_args} parameter(s), "
                              f"got {len(self.args)}")
+        if not np.all(np.isfinite(self.args)):
+            raise ValueError(f"{self.name} parameters must be finite, got {self.args}")
+        if self.name == "affine_clamped" and self.args[2] > self.args[3]:
+            raise ValueError(f"affine_clamped needs lo <= hi, got {self.args[2:]}")
 
     def __call__(self, u):
         return _REGISTRY[self.name].f(np.asarray(u, dtype=float), *self.args)
@@ -34,12 +39,19 @@ class ScalarFunc:
     def deriv(self, u):
         return _REGISTRY[self.name].df(np.asarray(u, dtype=float), *self.args)
 
+    def abs_bounds(self) -> tuple[float, float]:
+        """(inf |f|, sup |f|) over the real line, from the exact value range of f."""
+        lo, hi = _REGISTRY[self.name].span(*self.args)
+        return max(lo, -hi, 0.0), max(hi, -lo)
+
 
 @dataclass(frozen=True)
 class _Entry:
     f: callable
     df: callable
     n_args: int
+    #: the parameters -> (inf f, sup f) over the real line
+    span: callable
 
 
 def _affine_clamped(u, a, b, lo, hi):
@@ -52,14 +64,21 @@ def _affine_clamped_d(u, a, b, lo, hi):
 
 
 _REGISTRY = {
-    "zero": _Entry(lambda u: np.zeros_like(u), lambda u: np.zeros_like(u), 0),
-    "const": _Entry(lambda u, c: np.full_like(u, c), lambda u, c: np.zeros_like(u), 1),
-    "affine": _Entry(lambda u, a, b: a + b * u, lambda u, a, b: np.full_like(u, b), 2),
-    "affine_clamped": _Entry(_affine_clamped, _affine_clamped_d, 4),
+    "zero": _Entry(lambda u: np.zeros_like(u), lambda u: np.zeros_like(u), 0,
+                   lambda: (0.0, 0.0)),
+    "const": _Entry(lambda u, c: np.full_like(u, c), lambda u, c: np.zeros_like(u), 1,
+                    lambda c: (c, c)),
+    "affine": _Entry(lambda u, a, b: a + b * u, lambda u, a, b: np.full_like(u, b), 2,
+                     lambda a, b: (-np.inf, np.inf) if b else (a, a)),
+    "affine_clamped": _Entry(_affine_clamped, _affine_clamped_d, 4,
+                             lambda a, b, lo, hi: (lo, hi) if b else
+                             (min(max(a, lo), hi),) * 2),
     "cos_perturbed": _Entry(lambda u, c, a: c + a * np.cos(u),
-                            lambda u, c, a: -a * np.sin(u), 2),
+                            lambda u, c, a: -a * np.sin(u), 2,
+                            lambda c, a: (c - abs(a), c + abs(a))),
     "tanh_bounded": _Entry(lambda u, a: a * np.tanh(u),
-                           lambda u, a: a / np.cosh(u) ** 2, 1),
+                           lambda u, a: a / np.cosh(u) ** 2, 1,
+                           lambda a: (-abs(a), abs(a))),
 }
 
 ZERO = ScalarFunc("zero")
@@ -79,18 +98,3 @@ def parse_func(text: str) -> ScalarFunc:
     else:
         name, args = text, ()
     return ScalarFunc(name.strip(), args)
-
-
-def sup_abs(fn: ScalarFunc, lo: float = -50.0, hi: float = 50.0) -> float:
-    """Sampled sup of |fn| over a wide test range."""
-    u = np.linspace(lo, hi, 4001)
-    return float(np.max(np.abs(fn(u))))
-
-
-def looks_bounded(fn: ScalarFunc) -> bool:
-    """Heuristic boundedness check: the sampled sup grows by at most 1% with the range."""
-    near = sup_abs(fn, -100.0, 100.0)
-    far = sup_abs(fn, -1e4, 1e4)
-    if far == 0.0:
-        return True
-    return far <= near * (1.0 + 1e-2)

@@ -45,27 +45,24 @@ def silverman_bandwidth(samples: np.ndarray, power: float = -0.2) -> float:
     return 0.9 * a * len(samples) ** power
 
 
-def gaussian_kde(samples: np.ndarray, y_grid: np.ndarray, bandwidth: float,
-                 weights: np.ndarray | None = None) -> np.ndarray:
-    """Weighted Gaussian-kernel density estimate at the y_grid points."""
+def gaussian_kde(samples: np.ndarray, y_grid: np.ndarray, bandwidth: float) -> np.ndarray:
+    """Gaussian-kernel density estimate at the y_grid points."""
     z = (y_grid[:, None] - samples[None, :]) / bandwidth
     k = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
-    if weights is None:
-        return k.mean(axis=1) / bandwidth
-    return (k @ weights) / (len(samples) * bandwidth)
+    return k.mean(axis=1) / bandwidth
 
 
-def _batch_se(samples, y_grid, bandwidth, weights=None) -> np.ndarray:
+def _batches(n: int) -> list[slice]:
+    """The contiguous batches of n draws whose means give a standard error."""
+    edges = np.linspace(0, n, min(_N_BATCHES, n) + 1, dtype=int)
+    return [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
+
+
+def _batch_se(samples, y_grid, bandwidth) -> np.ndarray:
     """Standard errors of the KDE values by contiguous batch means."""
-    n = len(samples)
-    nb = min(_N_BATCHES, n)
-    edges = np.linspace(0, n, nb + 1, dtype=int)
-    vals = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        w = None if weights is None else weights[lo:hi]
-        vals.append(gaussian_kde(samples[lo:hi], y_grid, bandwidth, w))
-    vals = np.stack(vals)
-    return vals.std(axis=0, ddof=1) / math.sqrt(nb)
+    batches = _batches(len(samples))
+    vals = np.stack([gaussian_kde(samples[b], y_grid, bandwidth) for b in batches])
+    return vals.std(axis=0, ddof=1) / math.sqrt(len(batches))
 
 
 @dataclass
@@ -181,8 +178,11 @@ def tilted_density(model: ModelSpec, grid: GridSpec, n: int, y: float,
 
     Simulates under the shift eps^-1 h* (the shifted mild equation) and
     reweights each draw by the change-of-measure density
-    exp(-eps^-1 <h*, dW> - eps^-2 ||h*||^2 / 2).
-    Returns (p_hat, se, diagnostics).
+    exp(-eps^-1 <h*, dW> - eps^-2 ||h*||^2 / 2).  The estimate is formed
+    in log space, from each draw's weighted kernel mass scaled by its
+    largest, so a density far below the smallest float stays finite.
+    Returns (log p_hat, relative se, diagnostics); the se comes from
+    contiguous batch means of the mass.
     """
     eps = model.eps if eps is None else eps
     if eps <= 0.0:
@@ -202,18 +202,18 @@ def tilted_density(model: ModelSpec, grid: GridSpec, n: int, y: float,
     # effective sample size of the kernel-weighted mass at y: a sharp tilt
     # makes the global weights degenerate on purpose, so the relevant
     # diagnostic is local
-    denom = float(np.sum(mass ** 2))
-    ess = float(np.sum(mass) ** 2 / denom) if denom > 0 else 0.0
+    total, denom = float(np.sum(mass)), float(np.sum(mass ** 2))
+    ess = total ** 2 / denom if denom > 0 else 0.0
     if ess < _MIN_ESS:
         raise TiltError(f"poor tilt: local effective sample size {ess:.1f} "
                         f"< {_MIN_ESS} at y = {y}")
-    weights = np.exp(log_w)
-    yv = np.atleast_1d(float(y))
-    p = float(gaussian_kde(samples, yv, bw, weights)[0])
-    se = float(_batch_se(samples, yv, bw, weights)[0])
-    diag = {"ess": ess, "mean_weight": float(weights.mean()), "bandwidth": bw,
+    log_p = ref + math.log(total / (n * bw * math.sqrt(2.0 * math.pi)))
+    batches = _batches(n)
+    means = np.array([mass[b].mean() for b in batches])
+    rel_se = float(means.std(ddof=1)) / math.sqrt(len(batches)) / (total / n)
+    diag = {"ess": ess, "mean_weight": float(np.exp(log_w).mean()), "bandwidth": bw,
             "n": n}
-    return p, se, diag
+    return log_p, rel_se, diag
 
 
 @dataclass
@@ -295,17 +295,17 @@ def varadhan_sweep(model: ModelSpec, grid: GridSpec, eps_list, y: float,
     rows = []
     for k, eps in enumerate(eps_list):
         try:
-            p, se, diag = tilted_density(model, grid, n, y, h_star, eps=eps, t=t, x=x,
-                                         stream0=stream0 + k * (n + CHUNK),
-                                         executor=executor)
+            logp, rel_se, diag = tilted_density(model, grid, n, y, h_star, eps=eps,
+                                                t=t, x=x, stream0=stream0 + k * (n + CHUNK),
+                                                executor=executor)
         except TiltError as exc:
             rows.append(SweepRow(eps, 0.0, 0.0, math.nan, math.nan, math.nan,
                                  False, str(exc)))
             continue
-        logp = math.log(p)
+        p = math.exp(logp)
         stats = {key: diag[key] for key in ("ess", "mean_weight", "bandwidth")}
-        rows.append(SweepRow(eps, p, se, logp, eps * eps * logp,
-                             eps * eps * se / p, True, "tilted", **stats))
+        rows.append(SweepRow(eps, p, rel_se * p, logp, eps * eps * logp,
+                             eps * eps * rel_se, True, "tilted", **stats))
     good = [r for r in rows if r.ok]
     if len(good) < 2:
         raise TiltError("too few usable rows for extrapolation")

@@ -13,12 +13,12 @@ HEAT_WHITE = CovarianceSpec("heat", 1, "white")
 
 def linear_model() -> ModelSpec:
     """Additive-noise oracle: wave, d = 1 white noise, sigma = 1, b = 0, w = 0, eps = 1."""
-    return ModelSpec(WAVE_WHITE, ONE, ZERO, ZeroInitial(), 1.0, 1.0)
+    return ModelSpec(WAVE_WHITE, ONE, ZERO, ZeroInitial(), 1.0)
 
 
 def nonlinear_model(cov: CovarianceSpec = WAVE_WHITE) -> ModelSpec:
     """Default smooth test model: sigma = 1 + cos(u)/4 (>= 3/4), b = tanh(u)/2, eps = 1."""
-    return ModelSpec(cov, SIGMA_DEFAULT, B_DEFAULT, ZeroInitial(), 1.0, 0.75)
+    return ModelSpec(cov, SIGMA_DEFAULT, B_DEFAULT, ZeroInitial(), 1.0)
 
 
 def mc_grid(seed: int = 7) -> GridSpec:

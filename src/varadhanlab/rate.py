@@ -25,7 +25,6 @@ import numpy as np
 
 from . import covkernel
 from .errors import BracketError
-from .funcs import looks_bounded, sup_abs
 from .noise import ControlH, GridSpec, lattice
 from .skeleton import bare_kernel_control, gradient_phi, solve_phi
 from .solver import ModelSpec, check_wave_domain, g1_grid
@@ -120,9 +119,10 @@ def _init_shift(sk: _Skeleton, z: float, alpha: float) -> ControlH:
     """Constructive control +h whose skeleton endpoints at -h and +h bracket z.
 
     The direction is the kernel field sigma(Phi^0) Lambda(t-., x-*) scaled by
-    (|z| + alpha + I2 + |w(t,x)|) / I1 with I1 = sigma0^2 ||Lambda||^2 and
-    I2 = |b|_inf int_0^t Lambda(s)(R^d) ds.  Requires a finite z, a margin
-    0 < alpha < inf and bounded drift; the bracket is verified by evaluation.
+    (|z| + alpha + I2 + |w(t,x)|) / I1 with I1 = inf|sigma|^2 ||Lambda||^2
+    (model.sigma0) and I2 = sup|b| int_0^t Lambda(s)(R^d) ds, both exact from
+    the coefficient registry.  Requires a finite z, a margin 0 < alpha < inf
+    and bounded drift; the bracket is verified by evaluation.
     """
     if not math.isfinite(z):
         raise ValueError(f"bracket target z = {z} is not finite")
@@ -130,11 +130,12 @@ def _init_shift(sk: _Skeleton, z: float, alpha: float) -> ControlH:
         raise ValueError(f"margin alpha = {alpha} must lie in (0, inf)")
     model, grid, lat = sk.model, sk.grid, sk.lat
     tt = grid.T if sk.t is None else sk.t
-    if not looks_bounded(model.b):
-        raise BracketError("construction hypothesis failed: drift appears unbounded")
+    b_sup = model.b.abs_bounds()[1]
+    if b_sup == math.inf:
+        raise BracketError("construction hypothesis failed: drift is unbounded")
     w_tx = model.w.table(lat, np.array([tt]))[0][lat.point_index(sk.x)]
     i1 = model.sigma0 ** 2 * g1_grid(model.cov, grid, tt)
-    i2 = sup_abs(model.b) * covkernel.j2_integral(model.cov, tt)
+    i2 = b_sup * covkernel.j2_integral(model.cov, tt)
     scale = (abs(z) + alpha + i2 + abs(float(w_tx))) / i1
     h_plus = scale * sk.direction()
     up, down = sk.endpoint(h_plus), sk.endpoint(-1.0 * h_plus)
@@ -220,8 +221,7 @@ def rate_profile(model: ModelSpec, grid: GridSpec, y_grid,
     sk = _Skeleton(model, grid, t, x)
     # tolerances scale with the endpoint spread of the linear surrogate
     tt = grid.T if t is None else t
-    spread = max(float(np.abs(model.sigma(0.0))), model.sigma0) * \
-        math.sqrt(g1_grid(model.cov, grid, tt))
+    spread = abs(float(model.sigma(0.0))) * math.sqrt(g1_grid(model.cov, grid, tt))
     tol_c = tol_rel * max(spread, 1e-12)
     phi0_end = sk.endpoint(ControlH.zeros(sk.lat))
     order = np.argsort(np.abs(y_grid - phi0_end), kind="stable")

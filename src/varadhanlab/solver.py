@@ -53,7 +53,6 @@ from .funcs import ScalarFunc
 from .noise import (ControlH, GridSpec, Lattice, _philox, lattice, sample_increments,
                     write_binary)
 
-_SIGMA_SAMPLE_RANGE = 50.0
 #: slabs per block of the history sum (see the module docstring)
 _BLOCK = 32
 #: bytes of engine state one sub-batch of a chunk aims to hold (see _sub_batch)
@@ -111,8 +110,9 @@ class BumpInitial:
 class ModelSpec:
     """Coefficients of the small-noise field equation.
 
-    sigma0 declares inf |sigma|; it is validated against a wide sampled
-    range at construction.  eps = 0 is allowed for noiseless limit checks.
+    Construction checks sigma0 = inf |sigma| > 0 (exact, from the registry);
+    the rate bracket scales by I1 = inf|sigma|^2 ||Lambda||^2.  eps = 0 is
+    allowed for noiseless limit checks.
     """
 
     cov: CovarianceSpec
@@ -120,19 +120,20 @@ class ModelSpec:
     b: ScalarFunc
     w: object = ZeroInitial()
     eps: float = 1.0
-    sigma0: float = 1.0
 
     def __post_init__(self):
         if not 0.0 <= self.eps <= 1.0:
             raise ValueError("eps must lie in [0, 1]")
-        if not 0.0 < self.sigma0 < math.inf:            # NaN fails too
-            raise ValueError(f"sigma0 must be positive and finite, got {self.sigma0}")
-        u = np.linspace(-_SIGMA_SAMPLE_RANGE, _SIGMA_SAMPLE_RANGE, 2001)
-        if float(np.min(np.abs(self.sigma(u)))) < self.sigma0 - 1e-9:
-            raise ValueError("sampled |sigma| falls below the declared sigma0")
+        if not self.sigma0 > 0.0:
+            raise ValueError(f"inf |sigma| = {self.sigma0} must be > 0")
+
+    @property
+    def sigma0(self) -> float:
+        """inf |sigma| over the real line."""
+        return self.sigma.abs_bounds()[0]
 
     def with_eps(self, eps: float) -> "ModelSpec":
-        return ModelSpec(self.cov, self.sigma, self.b, self.w, eps, self.sigma0)
+        return ModelSpec(self.cov, self.sigma, self.b, self.w, eps)
 
 
 @dataclass(eq=False)

@@ -175,6 +175,30 @@ def test_every_stream_draw_is_in_sample_increments():
     assert inside and others == []
 
 
+#: the evenly spaced grids in src/, each with its reason
+SPACED_GRIDS = {
+    "cli._parse_grid_expr": "the user's y grid, 'start:stop:count'",
+    "mc._batches": "the edges of the contiguous batches of the batch-mean errors",
+    "cli._validation_checks": "the times of validate's kernel exponent fits",
+}
+
+
+def test_no_coefficient_bound_is_sampled():
+    # every coefficient bound is exact from the funcs registry
+    # (ScalarFunc.abs_bounds); a grid elsewhere could be a sampled bound
+    others = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = _owners(tree)
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("linspace", "geomspace")):
+                scope = ".".join([path.stem, *owner.get(id(node), [])])
+                if scope not in SPACED_GRIDS:
+                    others.append(f"{path.name}:{node.lineno} {scope}")
+    assert others == []
+
+
 #: the reads of the lag weights outside MildEngine, each with its reason
 WEIGHT_READS = {
     "skeleton.forward_xi": "the adjoint's independent oracle, which validate runs",

@@ -106,8 +106,7 @@ def test_support_writes_finite_tables(tmp_path):
     # 2^n must divide nt = 16, so the smoothing levels stop at 4; sigma is
     # not even, so the probe's ends are not mirror images
     overrides = ["task.n=40", "task.n_list=2,3", "task.budgets=0,1,10,100",
-                 "model.sigma=affine_clamped:1,0.8,0.25,3", "model.b=tanh_bounded:1",
-                 "model.sigma0=0.25"]
+                 "model.sigma=affine_clamped:1,0.8,0.25,3", "model.b=tanh_bounded:1"]
     assert main(["support", *TINY, *[a for o in overrides for a in ("--set", o)],
                  "--out", str(tmp_path)]) == 0
     header, probe = _read_csv(tmp_path / "support_probe.csv")
@@ -247,9 +246,23 @@ def test_non_finite_time_is_a_grid_error(subcommand, t, tmp_path, capsys):
     assert _manifest(tmp_path)["error"] == "GridError"
 
 
-def test_non_finite_sigma0_is_a_config_error(capsys):
-    assert main(["rate", *TINY, "--set", "model.sigma0=nan", "--dry-run"]) == 2
-    assert "sigma0 must be positive and finite" in capsys.readouterr().err
+def test_non_finite_sigma0_is_a_config_error(tmp_path, capsys):
+    # a NaN coefficient fails when the config loads, not as a blow-up at step 1
+    assert main(["simulate", *TINY, "--set", "model.sigma=const:nan",
+                 "--out", str(tmp_path)]) == 2
+    assert "config error: const parameters must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("override, message", [
+    ("model.b=const:inf", "const parameters must be finite"),
+    ("model.sigma=affine_clamped:1,0.5,3,0.25", "affine_clamped needs lo <= hi"),
+    ("model.sigma=cos_perturbed:0.25,1", "inf |sigma| = 0.0 must be > 0"),
+    ("model.sigma0=1.0", "unknown key 'sigma0' in [model]"),
+])
+def test_bad_coefficient_is_a_config_error(override, message, tmp_path, capsys):
+    assert main(["simulate", *TINY, "--set", override, "--out", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("overrides, error", [

@@ -143,6 +143,18 @@ class TestJ2:
             assert fitted == pytest.approx(spec.exponents[2], abs=1e-9)
 
 
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("kernel", [
+    lambda spec, t: ck.g1(spec, t),
+    lambda spec, t: ck.fourier_lambda(spec, t, 1.0),
+    lambda spec, t: ck.j2_integral(spec, t),
+], ids=["g1", "fourier_lambda", "j2_integral"])
+@pytest.mark.parametrize("spec", [WAVE_WHITE, HEAT_R05], ids=["wave", "heat"])
+def test_non_finite_time_is_a_value_error(kernel, spec, t):
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        kernel(spec, t)
+
+
 class TestFitExponent:
     def test_wave_white_slope(self):
         ts = np.geomspace(0.05, 1.0, 10)

@@ -68,7 +68,7 @@ def _setup(operator, d, nt, jt, batch):
     nx, nk = (16, 8) if d == 1 else (8, 4)
     grid = GridSpec(L=1.25, nx=nx, nt=nt, T=1.0, nk=nk, seed=3)
     model = ModelSpec(cov, presets.nonlinear_model().sigma,
-                      presets.nonlinear_model().b, BumpInitial(amp0=0.4), 1.0, 0.75)
+                      presets.nonlinear_model().b, BumpInitial(amp0=0.4), 1.0)
     eng, w_tab = _prepare(model, grid, jt * grid.dt)
     assert eng.jt == jt
     batch_shape = () if batch == 0 else (batch,)

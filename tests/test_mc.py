@@ -207,19 +207,19 @@ class TestTiltedDensity:
         # at the tilted estimator's bandwidth
         lat = lattice(COV, mc_grid)
         h0 = ControlH.zeros(lat)
-        p, se, diag = tilted_density(linear_model, mc_grid, 3000, 0.0, h0,
-                                     eps=1.0, x=0.0)
+        log_p, _, diag = tilted_density(linear_model, mc_grid, 3000, 0.0, h0,
+                                        eps=1.0, x=0.0)
         samples = sample_endpoints(linear_model, mc_grid, 3000, 0.0)
         bw = silverman_bandwidth(samples, -1.0 / 3.0)
         plain = gaussian_kde(samples, np.array([0.0]), bw)
-        assert p == pytest.approx(float(plain[0]), rel=1e-12)
+        assert math.exp(log_p) == pytest.approx(float(plain[0]), rel=1e-12)
         assert diag["mean_weight"] == 1.0 and diag["bandwidth"] == bw
 
     def test_mean_weight_is_martingale(self, mc_grid, linear_model, linear_rate):
         # mild tilt: the weight mean must sit near 1 within MC error
         h = 0.25 * linear_rate.h_star
-        p, se, diag = tilted_density(linear_model, mc_grid, 4000, 0.3, h,
-                                     eps=1.0, x=0.0)
+        _, _, diag = tilted_density(linear_model, mc_grid, 4000, 0.3, h,
+                                    eps=1.0, x=0.0)
         var = math.exp(h.norm_sq) - 1.0
         assert abs(diag["mean_weight"] - 1.0) < 3.0 * math.sqrt(var / diag["n"])
 
@@ -232,8 +232,9 @@ class TestTiltedDensity:
         plain = estimate_density(linear_model.with_eps(0.5), mc_grid, 4000,
                                  np.array([1.0]), x=0.0)
         assert plain.p_hat[0] < 10 * exact or np.isnan(plain.log_p[0])
-        p, se, diag = tilted_density(linear_model, mc_grid, 6000, 1.0,
-                                     linear_rate.h_star, eps=0.5, x=0.0)
+        log_p, rel_se, diag = tilted_density(linear_model, mc_grid, 6000, 1.0,
+                                             linear_rate.h_star, eps=0.5, x=0.0)
+        p, se = math.exp(log_p), rel_se * math.exp(log_p)
         bias = 2.0 * (diag["bandwidth"] / (0.5 * sd)) ** 2 * exact * 16
         assert abs(p - exact) < 3.0 * se + 0.1 * exact
         assert diag["ess"] > 100
@@ -250,8 +251,9 @@ class TestTiltedDensity:
         y = 0.75
         plain = estimate_density(linear_model, mc_grid, 8000, np.array([y]),
                                  x=0.0)
-        p, se, diag = tilted_density(linear_model, mc_grid, 8000, y,
-                                     linear_rate.h_star, eps=1.0, x=0.0)
+        log_p, rel_se, _ = tilted_density(linear_model, mc_grid, 8000, y,
+                                          linear_rate.h_star, eps=1.0, x=0.0)
+        p, se = math.exp(log_p), rel_se * math.exp(log_p)
         joint = 3.0 * math.hypot(float(plain.se[0]), se) + 0.05 * p
         assert abs(p - float(plain.p_hat[0])) < joint
 
@@ -306,6 +308,17 @@ class TestVaradhanSweep:
                                     h_star=linear_rate.h_star)
         assert [r.ok for r in failed.rows] == [True, True, False]
         assert math.isnan(failed.rows[-1].ess)
+
+    def test_small_eps_rows_stay_finite(self, tiny_grid, nonlinear_model):
+        # p_hat at eps = 0.03 lies near exp(-1370), far below the smallest
+        # float: the rows are formed in log space and keep a positive se
+        res = rate_function(nonlinear_model, tiny_grid, 1.0)
+        sweep = varadhan_sweep(nonlinear_model, tiny_grid, [0.1, 0.05, 0.03, 0.02],
+                               1.0, res.I, n=2000, h_star=res.h_star)
+        assert [r.ok for r in sweep.rows] == [True] * 4
+        for row in sweep.rows:
+            assert math.isfinite(row.eps2_log_p) and row.eps2_log_se > 0.0
+        assert abs(sweep.limit + res.I) < 0.05 * res.I
 
     @pytest.mark.parametrize("eps_list", [[0.5, 1.0], [1.0, 0.7, 0.0],
                                           [1.0, 0.5, math.nan], [0.5]],

@@ -53,8 +53,7 @@ class TestInitShift:
         assert dn < 2.0 < up
 
     def test_unbounded_drift_signals(self, grid):
-        m = ModelSpec(COV, ONE, ScalarFunc("affine", (0.0, 0.5)), ZeroInitial(),
-                      1.0, 1.0)
+        m = ModelSpec(COV, ONE, ScalarFunc("affine", (0.0, 0.5)), ZeroInitial(), 1.0)
         with pytest.raises(BracketError):
             init_shift(m, grid, 1.0, 0.1, x=0.0)
 

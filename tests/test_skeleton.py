@@ -28,7 +28,7 @@ class TestSolvePhi:
     def test_zero_control_zero_drift_gives_w(self, small_grid):
         from varadhanlab.funcs import ONE, ZERO
         from varadhanlab.solver import BumpInitial, ModelSpec
-        m = ModelSpec(COV, ONE, ZERO, BumpInitial(amp0=0.5, width0=0.3), 1.0, 1.0)
+        m = ModelSpec(COV, ONE, ZERO, BumpInitial(amp0=0.5, width0=0.3), 1.0)
         lat = lattice(COV, small_grid)
         phi = solve_phi(m, small_grid, ControlH.zeros(lat))
         w = m.w.table(lat, np.arange(small_grid.nt + 1) * small_grid.dt)
@@ -145,7 +145,7 @@ class TestGradient:
         from varadhanlab.solver import BumpInitial, ModelSpec
         lat, h = setup
         m = ModelSpec(COV, SIGMA_DEFAULT, B_DEFAULT,
-                      BumpInitial(amp0=1.2, width0=0.4), 1.0, 0.75)
+                      BumpInitial(amp0=1.2, width0=0.4), 1.0)
         rng = np.random.default_rng(21)
         G = gradient_phi(m, small_grid, h, x=0.0)
         db = ControlH(lat, rng.standard_normal((small_grid.nt, lat.ncoords)))
@@ -172,7 +172,7 @@ _DRIFTS = ["zero", "const:0.3", "affine:0.1,-0.5", "affine_clamped:0.0,0.5,-2.0,
 def test_gradient_routes_across_registry(tiny_grid, sigma, b):
     from varadhanlab.solver import ModelSpec, ZeroInitial
     sigma, b = parse_func(sigma), parse_func(b)
-    m = ModelSpec(COV, sigma, b, ZeroInitial(), 0.7, 0.25)
+    m = ModelSpec(COV, sigma, b, ZeroInitial(), 0.7)
     lat = lattice(COV, tiny_grid)
     rng = np.random.default_rng(8)
     h = ControlH(lat, 0.4 * rng.standard_normal((tiny_grid.nt, lat.ncoords)))

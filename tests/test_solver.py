@@ -20,14 +20,16 @@ COV = presets.WAVE_WHITE
 
 class TestModelSpec:
     def test_sigma0_lower_bound_enforced(self):
-        with pytest.raises(ValueError):
-            ModelSpec(COV, ScalarFunc("cos_perturbed", (1.0, 0.25)), ZERO,
-                      ZeroInitial(), 1.0, 0.9)   # inf sigma = 0.75 < 0.9
+        # sigma0 is the exact inf |sigma|: 0.75 here, 0 once sigma crosses 0
+        m = ModelSpec(COV, ScalarFunc("cos_perturbed", (1.0, 0.25)), ZERO)
+        assert m.sigma0 == 0.75
+        with pytest.raises(ValueError, match="must be > 0"):
+            ModelSpec(COV, ScalarFunc("cos_perturbed", (0.25, 1.0)), ZERO)
 
     @pytest.mark.parametrize("sigma0", [float("nan"), float("inf")])
     def test_sigma0_must_be_finite(self, sigma0):
-        with pytest.raises(ValueError, match="positive and finite"):
-            ModelSpec(COV, ONE, ZERO, ZeroInitial(), 1.0, sigma0)
+        with pytest.raises(ValueError, match="must be finite"):
+            ModelSpec(COV, ScalarFunc("const", (sigma0,)), ZERO)
 
     def test_eps_range(self):
         with pytest.raises(ValueError):
@@ -99,8 +101,7 @@ class TestSimulate:
         assert abs(var - want_cont) < 3 * se + 0.005 * want_cont
 
     def test_noiseless_driftless_returns_w(self, tiny_grid):
-        m = ModelSpec(COV, ONE, ZERO, BumpInitial(amp0=0.7, width0=0.3),
-                      eps=0.0, sigma0=1.0)
+        m = ModelSpec(COV, ONE, ZERO, BumpInitial(amp0=0.7, width0=0.3), eps=0.0)
         lat = lattice(COV, tiny_grid)
         u = solve_phi(m, tiny_grid, sample_path(lat, 0).control(m.eps))
         w = m.w.table(lat, np.arange(tiny_grid.nt + 1) * tiny_grid.dt)
@@ -127,8 +128,7 @@ class TestSimulate:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_blow_up_signals_step(self):
         grid = GridSpec(L=1.25, nx=32, nt=32, T=1.0, nk=16, seed=0)
-        m = ModelSpec(COV, ONE, ScalarFunc("affine", (0.0, 1e18)), ZeroInitial(),
-                      1.0, 1.0)
+        m = ModelSpec(COV, ONE, ScalarFunc("affine", (0.0, 1e18)), ZeroInitial(), 1.0)
         lat = lattice(COV, grid)
         with pytest.raises(BlowUpError) as err:
             solve_phi(m, grid, sample_path(lat, 0).control(m.eps))
