@@ -392,9 +392,9 @@ def _cmd_varadhan(run: Runner) -> int:
                                   executor=run.executor)
     _write_csv(run.path("sweep.csv"),
                ["eps", "y", "p_hat", "se", "log_p", "eps2_log_p", "minus_I", "gap",
-                "ess", "mean_weight", "bandwidth"],
+                "ess", "log_mean_weight", "bandwidth"],
                [(r.eps, sweep.y, r.p_hat, r.se, r.log_p, r.eps2_log_p, sweep.minus_I,
-                 r.eps2_log_p - sweep.minus_I, r.ess, r.mean_weight, r.bandwidth)
+                 r.eps2_log_p - sweep.minus_I, r.ess, r.log_mean_weight, r.bandwidth)
                 for r in sweep.rows])
     # per-row values, tilt diagnostics included; NaN (rows without them) -> null
     rows = [{k: None if isinstance(v, float) and math.isnan(v) else v

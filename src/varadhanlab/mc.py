@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import TiltError, GridError
-from .noise import ControlH, GridSpec, lattice
+from .noise import ControlH, GridSpec, _busy, lattice
 from .skeleton import solve_phi
 from .solver import (ModelSpec, _forward, _Increments, _observation_index, _prepare,
                      _sub_batch, _workspace)
@@ -109,12 +109,16 @@ def sample_endpoints(model: ModelSpec, grid: GridSpec, n: int, x,
     The engine, the initial table and the observation index are built once
     per call.  The streams split into units of CHUNK, the jobs the optional
     executor maps to workers; results merge in stream order, so they do
-    not depend on scheduling or on the worker count.  A unit runs in equal
-    sub-batches (solver._sub_batch), one forward sweep each: per replica
-    the engine holds min(_BLOCK, nt) increment rows and, for wave, a
-    (jt, nspec) complex history (heat: one (nspec,) accumulator), and the
-    sub-batches are the fewest that keep this state near _STATE_BUDGET
-    bytes each.  A unit allocates these buffers, and the wave far sums,
+    not depend on scheduling or on the worker count.  A running job counts
+    its thread as busy (noise._busy): noise.sample_increments shares each
+    block's draw with its one fill helper thread only while the busy
+    threads leave a CPU free (so --jobs 2 on two CPUs fills alone), and
+    workers sharing the helper never wait for each other's rows.  A unit
+    runs in equal sub-batches (solver._sub_batch), one forward sweep each:
+    per replica the engine holds min(_BLOCK, nt) increment rows and, for
+    wave, a (jt, nspec) complex history (heat: one (nspec,) accumulator),
+    and the sub-batches are the fewest that keep this state near
+    _STATE_BUDGET bytes each.  A unit allocates these buffers, and the wave far sums,
     once, for its first and largest sub-batch (solver._workspace), and
     each sub-batch sweeps in their leading contiguous views without
     clearing them: a sweep reads no row it has not written.  Fresh buffers
@@ -123,7 +127,8 @@ def sample_endpoints(model: ModelSpec, grid: GridSpec, n: int, x,
     sub-batch is one solver._Increments, which the sweep calls as its
     drive: each _BLOCK steps it draws the next _BLOCK slabs of each
     stream's Philox increments (its generators stay live between draws, so
-    the increments are those of sample_path, bit for bit), and each step
+    the increments are those of sample_path, bit for bit, however the
+    fill helper splits the block), and each step
     synthesizes only its own slab, so neither the (B, nt, ncoords)
     increments nor a (B, jt, *spatial) field is ever held.
     A unit's memory is thus fixed by the grid, not by its size or by how
@@ -139,12 +144,13 @@ def sample_endpoints(model: ModelSpec, grid: GridSpec, n: int, x,
     def run(streams: range) -> np.ndarray:
         size = _sub_batch(eng.lat, eng.jt, len(streams))[0]
         views, parts = _workspace(eng.lat, eng.jt, size), []
-        for part in (streams[lo: lo + size] for lo in range(0, len(streams), size)):
-            work = views(len(part))
-            inc = _Increments(eng, part, h, model.eps, work["block"])
-            u = _forward(model, eng, w_tab, inc, work)
-            parts.append(np.stack((u[(slice(None), *point)],
-                                   inc.dots if h is None else inc.girsanov())))
+        with _busy():
+            for part in (streams[lo: lo + size] for lo in range(0, len(streams), size)):
+                work = views(len(part))
+                inc = _Increments(eng, part, h, model.eps, work["block"])
+                u = _forward(model, eng, w_tab, inc, work)
+                parts.append(np.stack((u[(slice(None), *point)],
+                                       inc.dots if h is None else inc.girsanov())))
         return np.concatenate(parts, axis=1)
 
     jobs = [range(lo, min(lo + CHUNK, stream0 + n))
@@ -182,7 +188,10 @@ def tilted_density(model: ModelSpec, grid: GridSpec, n: int, y: float,
     in log space, from each draw's weighted kernel mass scaled by its
     largest, so a density far below the smallest float stays finite.
     Returns (log p_hat, relative se, diagnostics); the se comes from
-    contiguous batch means of the mass.
+    contiguous batch means of the mass.  The diagnostics are the local
+    effective sample size ess, log_mean_weight (the log of the sample mean
+    of the weights, whose expectation is 1, formed in log space the same
+    way), the bandwidth and n.
     """
     eps = model.eps if eps is None else eps
     if eps <= 0.0:
@@ -211,14 +220,19 @@ def tilted_density(model: ModelSpec, grid: GridSpec, n: int, y: float,
     batches = _batches(n)
     means = np.array([mass[b].mean() for b in batches])
     rel_se = float(means.std(ddof=1)) / math.sqrt(len(batches)) / (total / n)
-    diag = {"ess": ess, "mean_weight": float(np.exp(log_w).mean()), "bandwidth": bw,
-            "n": n}
+    w_max = float(np.max(log_w))
+    log_mean_weight = w_max + math.log(float(np.mean(np.exp(log_w - w_max))))
+    diag = {"ess": ess, "log_mean_weight": log_mean_weight, "bandwidth": bw, "n": n}
     return log_p, rel_se, diag
 
 
 @dataclass
 class SweepRow:
-    """One eps of the sweep, with tilted_density's diagnostics (NaN when its tilt failed)."""
+    """One eps of the sweep, with tilted_density's diagnostics (NaN when its tilt failed).
+
+    p_hat = exp(log_p) and se = rel_se p_hat are NaN where the exponential
+    underflows to 0 (or the tilt failed): never a false 0.
+    """
 
     eps: float
     p_hat: float
@@ -229,7 +243,7 @@ class SweepRow:
     ok: bool
     note: str = ""
     ess: float = math.nan
-    mean_weight: float = math.nan
+    log_mean_weight: float = math.nan
     bandwidth: float = math.nan
 
 
@@ -257,8 +271,9 @@ def _extrapolate(eps, vals, ses):
     """Weighted fit of a + b eps^2 + c eps^2 log eps; returns (a, se_a).
 
     The eps^2 log eps regressor absorbs the exact Gaussian correction
-    -eps^2 log(2 pi eps^2 Var)/2 of the linear case; the kernel-bandwidth
-    bias of the density estimate is also O(eps^2), so it lands in b.
+    -eps^2 log(2 pi eps^2 Var)/2 of the linear case.  The kernel-bandwidth
+    bias does not vanish with eps: with bw proportional to eps n^(-1/3) it
+    biases eps^2 log p_hat by O(n^(-2/3)) at every eps, so it lands in a.
     """
     eps = np.asarray(eps, float)
     vals = np.asarray(vals, float)
@@ -299,11 +314,11 @@ def varadhan_sweep(model: ModelSpec, grid: GridSpec, eps_list, y: float,
                                                 t=t, x=x, stream0=stream0 + k * (n + CHUNK),
                                                 executor=executor)
         except TiltError as exc:
-            rows.append(SweepRow(eps, 0.0, 0.0, math.nan, math.nan, math.nan,
+            rows.append(SweepRow(eps, math.nan, math.nan, math.nan, math.nan, math.nan,
                                  False, str(exc)))
             continue
-        p = math.exp(logp)
-        stats = {key: diag[key] for key in ("ess", "mean_weight", "bandwidth")}
+        p = math.exp(logp) or math.nan             # an underflow is no density of 0
+        stats = {key: diag[key] for key in ("ess", "log_mean_weight", "bandwidth")}
         rows.append(SweepRow(eps, p, rel_se * p, logp, eps * eps * logp,
                              eps * eps * rel_se, True, "tilted", **stats))
     good = [r for r in rows if r.ok]

@@ -5,7 +5,11 @@ Retained spectral modes (integer frequency vectors m with max|m_i| <= nk)
 are paired into cosine/sine coordinates; each coordinate carries one
 independent Brownian motion, so a noise path is an (nt x ncoords) array of
 N(0, dt) increments (sample_increments makes every draw of a stream;
-sample_path is its one-stream case).  The same coordinate system hosts
+sample_path is its one-stream case).  sample_increments fills each block
+from both ends, the caller from the front and the module's one helper
+thread from the back, while the threads running ensemble jobs leave a CPU
+free; a stream is one generator's draw into its own row, so the split
+changes no bit.  The same coordinate system hosts
 deterministic controls h with the L^2([0,T]; H) norm
 ||h||^2 = sum_i dt sum_k h(i,k)^2.
 
@@ -26,7 +30,12 @@ synthesize just its own time slab.
 from __future__ import annotations
 
 import math
+import os
 import struct
+import threading
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -267,6 +276,36 @@ def sample_path(lat: Lattice, stream: int) -> NoisePath:
     return NoisePath(lat, sample_increments(lat, [_philox(lat, stream)], out)[0])
 
 
+def _drain(take, draw) -> None:
+    """Call draw(take()) until take finds its deque empty."""
+    while True:
+        try:
+            row = take()
+        except IndexError:
+            return
+        draw(row)
+
+
+#: the one helper thread that fills increment blocks from the back
+_HELPER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="varadhanlab-fill")
+#: the CPUs this process may run on
+_CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+         else os.cpu_count() or 1)
+#: the threads running an ensemble job (an mc.sample_endpoints unit) now
+_BUSY: set[int] = set()
+
+
+@contextmanager
+def _busy():
+    """Count the calling thread among the busy ones inside the with-statement."""
+    me = threading.get_ident()
+    _BUSY.add(me)
+    try:
+        yield
+    finally:
+        _BUSY.discard(me)
+
+
 def sample_increments(lat: Lattice, generators, out: np.ndarray) -> np.ndarray:
     """Draw the next rows increments of each generator into out, (n_streams, rows, ncoords).
 
@@ -274,15 +313,44 @@ def sample_increments(lat: Lattice, generators, out: np.ndarray) -> np.ndarray:
     generator goes on from where its last draw stopped, so drawing r1, r2,
     ... rows in consecutive calls gives the same increments, bit for bit,
     as the first r1 + r2 + ... rows of sample_path for that stream.
+
+    The block fills from both ends at once: the caller claims rows
+    (streams) from the front, the module's one helper thread from the
+    back, until they meet.  A row is one generator's whole draw into its
+    own slice of out, so the split changes no bit.  Out of rows, the
+    caller cancels the helper's task if it has not started, else waits
+    only for the helper's one row in flight, then scales the block by
+    sqrt(dt).  The helper is asked in only while the threads running
+    ensemble jobs (_busy) leave a CPU free: with every CPU running a job
+    (the CLI's --jobs 2 on two CPUs) it would only compete for the cores
+    and the GIL.  A one-stream block, or a block drawn after the
+    interpreter began to shut down, fills alone too.  Callers share the
+    one helper; a task queued behind another caller's is cancelled, so no
+    caller waits for another caller's rows.  The helper calls only
+    standard_normal (its ziggurat fill releases the GIL), so every traced
+    call stays on the caller's thread.
     Returns out.
     """
     if out.ndim != 3 or out.shape[::2] != (len(generators), lat.ncoords):
         raise ShapeError(f"out has shape {out.shape}, expected "
                          f"({len(generators)}, rows, {lat.ncoords})")
-    for row, rng in enumerate(generators):
-        rng.standard_normal(out=out[row])
-    out *= math.sqrt(lat.grid.dt)
-    return out
+    draw = lambda row: generators[row].standard_normal(out=out[row])
+    rows = deque(range(len(generators)))
+    helper = None
+    if len(generators) > 1 and len(_BUSY) < _CPUS:
+        with suppress(RuntimeError):  # no new task once the interpreter shuts down
+            helper = _HELPER.submit(_drain, lambda: rows.pop(), draw)
+    try:
+        _drain(rows.popleft, draw)
+    finally:
+        rows.clear()                  # after an error, leave the helper nothing
+        if helper is not None and not helper.cancel():
+            helper.result()
+    # a cancelled task stays in the helper's queue until the helper pops it:
+    # empty the cells its closures read, so it frees none of the caller's arrays
+    block, out, generators, rows = out, None, None, None
+    block *= math.sqrt(lat.grid.dt)
+    return block
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,14 @@
 import ast
+import functools
+import sys
+import threading
+import types
 from pathlib import Path
 
+import numpy.fft
+
 import varadhanlab
+from varadhanlab import funcs, mc, noise, presets, rate, skeleton, solver
 
 SRC = Path(varadhanlab.__file__).parent
 ROOT = Path(__file__).resolve().parents[1]
@@ -173,6 +180,48 @@ def test_every_stream_draw_is_in_sample_increments():
                 elif scope not in NORMAL_DRAWS:
                     others.append(f"{path.name}:{node.lineno} {scope}")
     assert inside and others == []
+
+
+#: the entry points benchmarks/tracing.py wraps, as (owner, attribute)
+TRACED = [
+    (noise, "sample_increments"), (noise.Lattice, "synthesize"),
+    (noise.Lattice, "extract"), (solver.MildEngine, "forward"),
+    (solver.MildEngine, "adjoint"), (numpy.fft, "rfftn"), (numpy.fft, "irfftn"),
+    (funcs.ScalarFunc, "__call__"), (funcs.ScalarFunc, "deriv"),
+    (skeleton, "solve_phi"), (skeleton, "gradient_phi"),
+    (rate, "rate_function"), (mc, "tilted_density"),
+]
+
+
+def test_every_traced_entry_point_runs_on_the_callers_thread(monkeypatch):
+    # the benchmark tracer keeps one span stack for all threads, so a
+    # traced call from noise's fill helper (or any other thread) would
+    # corrupt its layers: a tilted tiny-grid ensemble and one rate point
+    # must make every traced call on the caller's thread
+    calls = []
+
+    def spy(name, fn):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            calls.append((name, threading.get_ident()))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for owner, attr in TRACED:
+        original = vars(owner)[attr]
+        wrapped = spy(attr, original)
+        sites = [(owner, attr)]
+        if isinstance(owner, types.ModuleType) and owner.__name__.startswith("varadhanlab"):
+            sites = [(mod, key) for mod in list(sys.modules.values())
+                     if mod is not None and mod.__name__.split(".")[0] == "varadhanlab"
+                     for key, val in list(vars(mod).items()) if val is original]
+        for site, key in sites:
+            monkeypatch.setattr(site, key, wrapped)
+    model, grid = presets.nonlinear_model(), presets.tiny_grid()
+    res = rate.rate_function(model, grid, 1.0)
+    mc.tilted_density(model, grid, 2 * mc.CHUNK + 100, 1.0, res.h_star, eps=0.5)
+    assert {name for name, _ in calls} == {attr for _, attr in TRACED}
+    assert {ident for _, ident in calls} == {threading.get_ident()}
 
 
 #: the evenly spaced grids in src/, each with its reason

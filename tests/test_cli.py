@@ -29,15 +29,34 @@ def test_varadhan_writes_row_diagnostics(tmp_path):
     assert [r["eps"] for r in rows] == [1.0, 0.7]
     header, *csv_rows = (tmp_path / "sweep.csv").read_text().splitlines()
     assert header == ("eps,y,p_hat,se,log_p,eps2_log_p,minus_I,gap,"
-                      "ess,mean_weight,bandwidth")
+                      "ess,log_mean_weight,bandwidth")
     assert len(csv_rows) == len(rows)
     for row, line in zip(rows, csv_rows):
         assert row["ok"] and row["note"] == "tilted"
         assert row["ess"] >= 50.0 and row["bandwidth"] > 0.0
-        assert math.isfinite(row["mean_weight"])
-        ess, mean_weight, bandwidth = map(float, line.split(",")[-3:])
-        assert (ess, mean_weight, bandwidth) == \
-            (row["ess"], row["mean_weight"], row["bandwidth"])
+        assert math.isfinite(row["log_mean_weight"])
+        ess, log_mean_weight, bandwidth = map(float, line.split(",")[-3:])
+        assert (ess, log_mean_weight, bandwidth) == \
+            (row["ess"], row["log_mean_weight"], row["bandwidth"])
+
+
+def test_varadhan_writes_nan_where_the_density_underflows(tmp_path):
+    # at eps = 0.03 p_hat is near exp(-1370): p_hat and se are NaN in
+    # sweep.csv and null in sweep_result.json, never a false 0, while the
+    # log-space columns stay finite
+    assert main(["rate", *TINY, "--out", str(tmp_path)]) == 0
+    assert main(["varadhan", *TINY, "--set", "task.n=2000",
+                 "--set", "model.eps_list=0.1,0.03", "--out", str(tmp_path)]) == 0
+    rows = json.loads((tmp_path / "sweep_result.json").read_text())["rows"]
+    header, values = _read_csv(tmp_path / "sweep.csv")
+    table = dict(zip(header, values.T))
+    assert [r["ok"] for r in rows] == [True, True]
+    assert rows[0]["p_hat"] > 0.0 and rows[0]["se"] > 0.0
+    assert rows[1]["p_hat"] is None and rows[1]["se"] is None
+    assert np.isnan(table["p_hat"][1]) and np.isnan(table["se"][1])
+    for key in ("log_p", "eps2_log_p", "log_mean_weight"):
+        assert all(math.isfinite(r[key]) for r in rows)
+        assert np.all(np.isfinite(table[key]))
 
 
 def test_varadhan_tilts_with_the_minimiser_of_its_own_y(tmp_path, monkeypatch):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from varadhanlab import mc, presets, solver
+from varadhanlab import mc, noise, presets, solver
 from varadhanlab.errors import GridError, TiltError
 from varadhanlab.mc import (CHUNK, DensityCurve, estimate_density, gaussian_kde,
                             sample_endpoints, silverman_bandwidth,
@@ -117,6 +117,32 @@ class TestReproducibility:
         assert np.array_equal(a, b)
 
 
+    @pytest.mark.parametrize("tilt", [False, True], ids=["plain", "tilted"])
+    def test_two_workers_match_the_serial_run(self, tiny_grid, nonlinear_model, tilt,
+                                              monkeypatch):
+        # with a CPU to spare, two chunk threads share the one fill helper
+        # under frequent thread switches: three chunks, as serial
+        import concurrent.futures
+        import sys
+        monkeypatch.setattr(noise, "_CPUS", 3)
+        lat = lattice(nonlinear_model.cov, tiny_grid)
+        h = ControlH(lat, 0.3 * np.random.default_rng(5).standard_normal(
+            (tiny_grid.nt, lat.ncoords))) if tilt else None
+        a = sample_endpoints(nonlinear_model, tiny_grid, 2 * CHUNK + 100, 0.0, h=h)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with concurrent.futures.ThreadPoolExecutor(max_workers=2) as ex:
+                b = sample_endpoints(nonlinear_model, tiny_grid, 2 * CHUNK + 100, 0.0,
+                                     h=h, executor=ex)
+        finally:
+            sys.setswitchinterval(interval)
+        if tilt:
+            assert np.array_equal(a[1], b[1])
+            a, b = a[0], b[0]
+        assert np.array_equal(a, b)
+
+
 class TestSampleEndpointsGuards:
     def test_no_replicas_is_a_value_error(self, tiny_grid, nonlinear_model):
         with pytest.raises(ValueError, match="n >= 1"):
@@ -213,7 +239,7 @@ class TestTiltedDensity:
         bw = silverman_bandwidth(samples, -1.0 / 3.0)
         plain = gaussian_kde(samples, np.array([0.0]), bw)
         assert math.exp(log_p) == pytest.approx(float(plain[0]), rel=1e-12)
-        assert diag["mean_weight"] == 1.0 and diag["bandwidth"] == bw
+        assert diag["log_mean_weight"] == 0.0 and diag["bandwidth"] == bw
 
     def test_mean_weight_is_martingale(self, mc_grid, linear_model, linear_rate):
         # mild tilt: the weight mean must sit near 1 within MC error
@@ -221,7 +247,13 @@ class TestTiltedDensity:
         _, _, diag = tilted_density(linear_model, mc_grid, 4000, 0.3, h,
                                     eps=1.0, x=0.0)
         var = math.exp(h.norm_sq) - 1.0
-        assert abs(diag["mean_weight"] - 1.0) < 3.0 * math.sqrt(var / diag["n"])
+        mean_weight = math.exp(diag["log_mean_weight"])
+        assert abs(mean_weight - 1.0) < 3.0 * math.sqrt(var / diag["n"])
+        # the log is formed max-shifted: a weight mean below the smallest
+        # subnormal, where a linear mean would read 0, stays finite
+        _, _, sharp = tilted_density(linear_model, mc_grid, 2000, 1.0,
+                                     linear_rate.h_star, eps=0.04, x=0.0)
+        assert -math.inf < sharp["log_mean_weight"] < math.log(5e-324)
 
     def test_far_tail_matches_gaussian(self, mc_grid, linear_model, linear_rate):
         # y = 1 is four standard deviations out at eps = 1/2; the plain
@@ -292,8 +324,8 @@ class TestVaradhanSweep:
             _, _, diag = tilted_density(linear_model, mc_grid, 2000, 1.0,
                                         linear_rate.h_star, eps=row.eps, x=0.0,
                                         stream0=k * (2000 + CHUNK))
-            assert (row.ess, row.mean_weight, row.bandwidth) == \
-                (diag["ess"], diag["mean_weight"], diag["bandwidth"])
+            assert (row.ess, row.log_mean_weight, row.bandwidth) == \
+                (diag["ess"], diag["log_mean_weight"], diag["bandwidth"])
         # a row whose tilt fails keeps no diagnostics
         tilted = mc.tilted_density
 
@@ -307,7 +339,9 @@ class TestVaradhanSweep:
                                     linear_rate.I, n=2000, x=0.0,
                                     h_star=linear_rate.h_star)
         assert [r.ok for r in failed.rows] == [True, True, False]
-        assert math.isnan(failed.rows[-1].ess)
+        # ... and no linear-scale values: NaN, not a false 0
+        last = failed.rows[-1]
+        assert all(map(math.isnan, (last.ess, last.p_hat, last.se)))
 
     def test_small_eps_rows_stay_finite(self, tiny_grid, nonlinear_model):
         # p_hat at eps = 0.03 lies near exp(-1370), far below the smallest

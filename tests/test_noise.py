@@ -1,13 +1,23 @@
+import contextlib
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from concurrent.futures import Future
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from varadhanlab import mc, noise, presets
 from varadhanlab.covkernel import CovarianceSpec
 from varadhanlab.errors import GridError, ShapeError
-from varadhanlab.noise import (ControlH, GridSpec, Lattice, dyadic_increments,
+from varadhanlab.noise import (ControlH, GridSpec, Lattice, _philox, dyadic_increments,
                                ht_inner, lattice, load_control,
-                               localization_holds, sample_path, save_control,
-                               smooth_vn)
+                               localization_holds, sample_increments, sample_path,
+                               save_control, smooth_vn)
 
 COV = CovarianceSpec("wave", 1, "white")
 
@@ -294,6 +304,81 @@ class TestSamplePath:
         c0, c = p.control(0.5), h + p.control(0.5)
         assert np.array_equal(c0.coeffs, 0.5 / lat.grid.dt * p.increments)
         assert np.array_equal(c.coeffs, h.coeffs + c0.coeffs)
+
+
+class _StubHelper:
+    """Stands in for noise's fill helper: claims at most `rows` rows at once
+    (None: as many as there are), or with rows == 0 never starts."""
+
+    def __init__(self, rows):
+        self.rows, self.claimed, self.futures = rows, [], []
+
+    def submit(self, fn, take, draw):
+        future = Future()
+        self.futures.append(future)
+        if self.rows == 0:
+            return future                  # pending: the caller cancels it
+
+        mine = []
+
+        def capped():
+            if self.rows is not None and len(mine) >= self.rows:
+                raise IndexError
+            mine.append(take())
+            self.claimed.append(mine[-1])
+            return mine[-1]
+
+        future.set_running_or_notify_cancel()
+        future.set_result(fn(capped, draw))
+        return future
+
+
+class TestSampleIncrements:
+    @pytest.mark.parametrize("rows, claimed, busy", [(0, [], False),
+                                                     (None, [4, 3, 2, 1, 0], False),
+                                                     (2, [4, 3], False), (None, [], True)],
+                             ids=["no-row", "every-row", "a-share", "every-cpu-busy"])
+    def test_the_fill_does_not_depend_on_the_split(self, lat, monkeypatch, rows,
+                                                   claimed, busy):
+        # the helper claims rows from the back; however many it takes, the
+        # block equals the rows of sample_path bit for bit, over two calls.
+        # While ensemble jobs keep every CPU busy it is not asked at all.
+        paths = np.stack([sample_path(lat, s).increments for s in range(5)])
+        helper = _StubHelper(rows)
+        monkeypatch.setattr(noise, "_HELPER", helper)
+        monkeypatch.setattr(noise, "_CPUS", 1)
+        generators = [_philox(lat, s) for s in range(5)]
+        with noise._busy() if busy else contextlib.nullcontext():
+            first = sample_increments(lat, generators, np.empty((5, 3, lat.ncoords)))
+            rest = sample_increments(lat, generators,
+                                     np.empty((5, lat.grid.nt - 3, lat.ncoords)))
+        assert np.array_equal(np.concatenate((first, rest), axis=1), paths)
+        assert helper.claimed == claimed + claimed
+        assert len(helper.futures) == (0 if busy else 2)
+        assert all(f.cancelled() == (rows == 0) for f in helper.futures)
+
+
+def test_a_thread_outliving_the_main_thread_still_draws():
+    # once the interpreter shuts down the helper takes no task: a worker
+    # thread that draws after the main thread returned fills alone
+    script = textwrap.dedent("""
+        import json, threading, time
+        from varadhanlab import mc, presets
+
+        def work():
+            while threading.main_thread().is_alive():
+                time.sleep(0.01)
+            ends = mc.sample_endpoints(presets.nonlinear_model(), presets.tiny_grid(), 8, 0.0)
+            print(json.dumps(ends.tolist()))
+
+        threading.Thread(target=work).start()
+    """)
+    src = str(Path(noise.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=120, env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0 and done.stderr == ""
+    serial = mc.sample_endpoints(presets.nonlinear_model(), presets.tiny_grid(), 8, 0.0)
+    assert json.loads(done.stdout) == serial.tolist()
 
 
 class TestControlH:
