@@ -33,14 +33,13 @@ from . import covkernel, mc, rate as rate_mod, skeleton, solver
 from .covkernel import CovarianceSpec
 from .errors import BlowUpError, ConfigError, VaradhanLabError
 from .funcs import parse_func
-from .noise import ControlH, GridSpec, lattice, load_control, save_control
+from .noise import ControlH, GridSpec, lattice, save_control
 from .solver import BumpInitial, ModelSpec, ZeroInitial, g1_grid
 
 _SCHEMA = {
     "model": {"operator", "d", "kind", "beta", "sigma", "b", "w", "eps", "eps_list"},
     "grid": {"L", "nx", "nt", "nk", "T", "seed"},
-    "task": {"t", "x", "y", "y_grid", "n", "n_list", "budgets", "theta",
-             "tol_rel", "rate_artifact"},
+    "task": {"t", "x", "y", "y_grid", "n", "n_list", "budgets", "theta", "tol_rel"},
 }
 
 #: replicas per subcommand when task.n is absent
@@ -118,7 +117,7 @@ class Config:
 
     def value(self, section: str, key: str) -> str | None:
         """The raw text of section.key, else its built-in default, else None; task.y
-        has none beside a task.y_grid (rate profiles it, varadhan reads the artifact)."""
+        has none beside a task.y_grid (rate profiles it; varadhan refuses it)."""
         raw = self.raw.get(section, {})
         if (section, key) == ("task", "y") and "y_grid" in raw:
             return raw.get(key)
@@ -237,6 +236,14 @@ def _write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, indent=2, sort_keys=True))
 
 
+def _rate_fields(r: rate_mod.RateResult) -> dict:
+    """One rate point's value and solver diagnostics, as its JSON artifacts give them."""
+    return {"y": r.y, "I": r.I, "residual": r.residual, "iterations": r.iterations,
+            "converged": r.converged, "gamma_bar": r.gamma_bar_at_hstar,
+            "stationarity": r.stationarity, "skeleton_solves": r.skeleton_solves,
+            "adjoint_sweeps": r.adjoint_sweeps}
+
+
 class Runner:
     """One subcommand's run: its artifacts, its worker pool and the wall
     seconds of each library stage, written to manifest.json by finish."""
@@ -335,16 +342,11 @@ def _cmd_rate(run: Runner) -> int:
                ["y", "I", "residual", "iterations", "gamma_bar", "converged"],
                [(r.y, r.I, r.residual, r.iterations, r.gamma_bar_at_hstar,
                  int(r.converged)) for r in results])
-    # one minimiser per entry, so varadhan tilts with the h* of the y it compares
+    # each entry's minimiser in a file of its own, for use outside the pipeline
     h_files = [run.path(f"h_star_{i:03d}.bin") for i in range(len(results))]
     for r, f in zip(results, h_files):
         save_control(r.h_star, f)
-    payload = [{"y": r.y, "I": r.I, "residual": r.residual,
-                "iterations": r.iterations, "converged": r.converged,
-                "gamma_bar": r.gamma_bar_at_hstar, "stationarity": r.stationarity,
-                "skeleton_solves": r.skeleton_solves, "adjoint_sweeps": r.adjoint_sweeps,
-                "h_star": f.name}
-               for r, f in zip(results, h_files)]
+    payload = [{**_rate_fields(r), "h_star": f.name} for r, f in zip(results, h_files)]
     x = lattice(cfg.model.cov, cfg.grid).point(cfg.x)
     # a varadhan run here overwrites the manifest, so the results keep the hash
     _write_json(run.path("rate_result.json"),
@@ -359,36 +361,23 @@ def _cmd_rate(run: Runner) -> int:
 
 def _cmd_varadhan(run: Runner) -> int:
     cfg = run.cfg
-    art_dir = Path(cfg.task.get("rate_artifact", run.out))
-    result_file = art_dir / "rate_result.json"
-    entry = None
-    if result_file.exists():
-        stored = json.loads(result_file.read_text())
-        if stored["results"]:
-            y = cfg.value("task", "y")
-            y = float(stored["results"][0]["y"] if y is None else y)
-            if not math.isfinite(y):
-                raise ConfigError(f"task.y = {y} is not finite")
-            entry = min(stored["results"], key=lambda r: abs(r["y"] - y))
-    if entry is None or not (art_dir / entry.get("h_star", "")).is_file():
-        print("error: rate profile required (run the rate subcommand first or "
-              "point task.rate_artifact at its output)", file=sys.stderr)
-        return 2
-    lat = lattice(cfg.model.cov, cfg.grid)
-    # the tilt is only a minimiser at the point it was solved for
-    if (cfg.grid.time_index(stored["t"]) != cfg.grid.time_index(cfg.t)
-            or lat.point_index(stored["x"]) != lat.point_index(cfg.x)):
-        raise ConfigError(
-            f"rate artifact was solved at t={stored['t']:.6g}, x={stored['x']}, "
-            f"not at this run's t={cfg.t:.6g}, x={list(map(float, lat.point(cfg.x)))}")
-    if abs(entry["y"] - y) > 1e-9:
-        print(f"note: using stored rate value at y={entry['y']:.6g}")
-    h_star = load_control(lat, art_dir / entry["h_star"])
-    inputs = {p.name: _sha256(p) for p in (result_file, art_dir / entry["h_star"])}
+    y = cfg.value("task", "y")
+    if y is None:
+        raise ConfigError("varadhan compares one point: set task.y, not task.y_grid")
     n = cfg.replicas("varadhan")
+    with run.stage("rate"):
+        rr = rate_mod.rate_function(cfg.model, cfg.grid, float(y), t=cfg.t, x=cfg.x,
+                                    tol_rel=float(cfg.value("task", "tol_rel")))
+    rate_point = _rate_fields(rr)
+    if not rr.converged:
+        # the tilt is this model's own minimiser at y, or there is no sweep
+        run.finish("varadhan", {"n": n, "rate": rate_point})
+        print(f"error: the rate point at y={rr.y:.6g} did not converge "
+              f"(residual {rr.residual:.3g}); no replica drawn", file=sys.stderr)
+        return 1
     with run.stage("sweep"):
-        sweep = mc.varadhan_sweep(cfg.model, cfg.grid, cfg.eps_list, entry["y"],
-                                  entry["I"], n=n, t=cfg.t, x=cfg.x, h_star=h_star,
+        sweep = mc.varadhan_sweep(cfg.model, cfg.grid, cfg.eps_list, rr.y, rr.I, n=n,
+                                  t=cfg.t, x=cfg.x, h_star=rr.h_star,
                                   executor=run.executor)
     _write_csv(run.path("sweep.csv"),
                ["eps", "y", "p_hat", "se", "log_p", "eps2_log_p", "minus_I", "gap",
@@ -402,8 +391,9 @@ def _cmd_varadhan(run: Runner) -> int:
     _write_json(run.path("sweep_result.json"),
                 {"y": sweep.y, "minus_I": sweep.minus_I, "limit": sweep.limit,
                  "limit_se": sweep.limit_se, "raw_last": sweep.raw_last,
-                 "gap": sweep.gap, "rel_gap": sweep.rel_gap, "rows": rows})
-    run.finish("varadhan", {"n": n, "inputs": inputs})
+                 "gap": sweep.gap, "rel_gap": sweep.rel_gap, "rows": rows,
+                 "rate": rate_point})
+    run.finish("varadhan", {"n": n})
     print(f"varadhan: limit={sweep.limit:.6g} (se {sweep.limit_se:.2g}) vs "
           f"-I={sweep.minus_I:.6g}; rel gap {sweep.rel_gap:.3%}")
     return 0
@@ -520,7 +510,7 @@ def _validation_checks(executor, full: bool) -> list[tuple[str, bool, str]]:
         sweep = mc.varadhan_sweep(nl, mg, [1.0, 0.7, 0.5, 0.35], y, rr.I,
                                   n=100_000, h_star=rr.h_star,
                                   executor=executor)
-        record("nonlinear log-density limit vs -I", sweep.rel_gap < 0.15,
+        record("nonlinear log-density limit vs -I", rr.converged and sweep.rel_gap < 0.15,
                f"limit={sweep.limit:.4f} -I={-rr.I:.4f} rel={sweep.rel_gap:.3f}")
     return checks
 

@@ -470,14 +470,3 @@ def save_control(h: ControlH, filename):
     write_binary(filename, _CONTROL_MAGIC, "<QQd", (*h.coeffs.shape, h.lattice.grid.dt),
                  h.coeffs)
 
-
-def load_control(lat: Lattice, filename) -> ControlH:
-    with open(filename, "rb") as fh:
-        if fh.read(8) != _CONTROL_MAGIC:
-            raise ShapeError(f"bad magic in {filename}")
-        nt, nc, dt = struct.unpack("<QQd", fh.read(24))
-        data = np.frombuffer(fh.read(), dtype="<f8").reshape(nt, nc).copy()
-    if data.shape != (lat.grid.nt, lat.ncoords) or abs(dt - lat.grid.dt) > 1e-15:
-        raise ShapeError("stored control does not match the lattice")
-    return ControlH(lat, data)
-

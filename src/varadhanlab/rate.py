@@ -12,8 +12,9 @@ which solves a control it still remembers no second time.
 
 scipy.optimize is imported on first use, in rate_profile (brentq) and
 _auglag_solve (L-BFGS-B), so importing this module does not load it: a
-process that only samples (simulate, density, varadhan, support) saves
-the resident memory and import time that covkernel's docstring gives.
+process that only samples (simulate, density, support) saves the resident
+memory and import time that covkernel's docstring gives, and varadhan
+loads it with the rate point it tilts by.
 """
 
 from __future__ import annotations

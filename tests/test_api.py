@@ -288,6 +288,29 @@ def test_the_rate_layer_reaches_the_skeleton_only_through_its_evaluator():
     assert inside and others == []
 
 
+def test_every_varadhan_sweep_tilts_with_its_own_rate_point():
+    # a sweep compares with -I(y) of the model it samples, so it tilts with
+    # h_star=<r>.h_star of a rate_function result <r> of the same function,
+    # never with a control read from a file or passed in
+    inside, others = [], []
+    for path in sorted(SRC.glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            solved = {target.id for node in ast.walk(func)
+                      if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+                      and "rate_function" in _callees(node.value.func)
+                      for target in node.targets if isinstance(target, ast.Name)}
+            for node in ast.walk(func):
+                if isinstance(node, ast.Call) and "varadhan_sweep" in _callees(node.func):
+                    tilt = {k.arg: k.value for k in node.keywords}.get("h_star")
+                    own = (isinstance(tilt, ast.Attribute) and tilt.attr == "h_star"
+                           and getattr(tilt.value, "id", None) in solved)
+                    where = f"{path.name}:{node.lineno} {func.name}"
+                    (inside if own else others).append(where)
+    assert inside and others == []
+
+
 def _callees(func) -> list[str]:
     """The names a call may reach: f(...) and x.f(...) reach f; both branches
     of (f if c else g)(...) count."""

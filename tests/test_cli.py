@@ -1,5 +1,5 @@
 import csv
-import hashlib
+import dataclasses
 import json
 import math
 import os
@@ -21,7 +21,6 @@ TINY = ["--set", "grid.nx=16", "--set", "grid.nt=16", "--set", "grid.nk=8",
 
 
 def test_varadhan_writes_row_diagnostics(tmp_path):
-    assert main(["rate", *TINY, "--out", str(tmp_path)]) == 0
     assert main(["varadhan", *TINY, "--set", "task.n=2000",
                  "--set", "model.eps_list=1.0,0.7", "--out", str(tmp_path)]) == 0
     result = json.loads((tmp_path / "sweep_result.json").read_text())
@@ -44,7 +43,6 @@ def test_varadhan_writes_nan_where_the_density_underflows(tmp_path):
     # at eps = 0.03 p_hat is near exp(-1370): p_hat and se are NaN in
     # sweep.csv and null in sweep_result.json, never a false 0, while the
     # log-space columns stay finite
-    assert main(["rate", *TINY, "--out", str(tmp_path)]) == 0
     assert main(["varadhan", *TINY, "--set", "task.n=2000",
                  "--set", "model.eps_list=0.1,0.03", "--out", str(tmp_path)]) == 0
     rows = json.loads((tmp_path / "sweep_result.json").read_text())["rows"]
@@ -59,30 +57,76 @@ def test_varadhan_writes_nan_where_the_density_underflows(tmp_path):
         assert np.all(np.isfinite(table[key]))
 
 
-def test_varadhan_tilts_with_the_minimiser_of_its_own_y(tmp_path, monkeypatch):
-    # a y_grid profile, then varadhan at its default y (the first entry):
-    # the tilt must be that entry's minimiser, ||h*||^2 / 2 = I(y)
-    config = tmp_path / "profile.ini"
-    config.write_text("[grid]\nnx = 16\nnt = 16\nnk = 8\n\n"
-                      "[task]\ny_grid = 0.5:1.5:3\n")
-    assert main(["rate", "--config", str(config), "--out", str(tmp_path)]) == 0
-    stored = json.loads((tmp_path / "rate_result.json").read_text())["results"]
-
-    used = {}
-    sweep = mc.varadhan_sweep
+@pytest.fixture
+def sweep_spy(monkeypatch):
+    """The y, I and tilt that varadhan passes to mc.varadhan_sweep."""
+    used, sweep = {}, mc.varadhan_sweep
 
     def spy(model, grid, eps_list, y, minus_I, **kw):
         used.update(y=y, I=minus_I, h_star=kw["h_star"])
         return sweep(model, grid, eps_list, y, minus_I, **kw)
 
     monkeypatch.setattr(mc, "varadhan_sweep", spy)
-    assert main(["varadhan", "--config", str(config), "--set", "task.n=2000",
-                 "--set", "model.eps_list=1.0,0.7", "--out", str(tmp_path)]) == 0
-    entry = stored[0]
-    assert used["y"] == entry["y"] == 0.5
-    assert used["I"] == entry["I"]
-    assert abs(0.5 * used["h_star"].norm_sq - entry["I"]) <= 1e-12 * entry["I"]
-    assert [r["h_star"] for r in stored] == [f"h_star_{i:03d}.bin" for i in range(3)]
+    return used
+
+
+def _own_rate_point(overrides):
+    """rate_function at task.y, task.t and task.x of the config the overrides give."""
+    cfg = load_config(None, overrides)
+    return rate.rate_function(cfg.model, cfg.grid, float(cfg.value("task", "y")),
+                              t=cfg.t, x=cfg.x)
+
+
+def test_varadhan_tilts_with_the_minimiser_of_its_own_y(tmp_path, sweep_spy):
+    # a rate run with sigma = 1 leaves rate_result.json and h_star_000.bin;
+    # varadhan with sigma = 2 in the same directory tilts with its own
+    # model's minimiser and compares with its own I, not the stored one
+    assert main(["rate", *TINY, "--out", str(tmp_path)]) == 0
+    stored, = json.loads((tmp_path / "rate_result.json").read_text())["results"]
+    args = [*TINY, "--set", "model.sigma=const:2.0"]
+    assert main(["varadhan", *args, "--set", "task.n=2000", "--set", "model.eps_list=1.0,0.7",
+                 "--out", str(tmp_path)]) == 0
+    own = _own_rate_point(args[1::2])
+    assert sweep_spy["y"] == own.y == 1.0
+    assert sweep_spy["I"] == own.I != stored["I"]
+    assert sweep_spy["h_star"].coeffs.tobytes() == own.h_star.coeffs.tobytes()
+
+
+def test_varadhan_tilts_with_the_rate_point_of_its_observation_point(tmp_path, sweep_spy):
+    args = [*TINY, "--set", "task.x=0.2", "--set", "task.t=0.5"]
+    assert main(["varadhan", *args, "--set", "task.n=2000", "--set", "model.eps_list=1.0,0.7",
+                 "--out", str(tmp_path)]) == 0
+    own = _own_rate_point(args[1::2])
+    assert own.I != _own_rate_point(TINY[1::2]).I
+    assert sweep_spy["I"] == own.I
+    assert sweep_spy["h_star"].coeffs.tobytes() == own.h_star.coeffs.tobytes()
+
+
+def test_varadhan_on_an_unconverged_rate_point_draws_no_replica(tmp_path, monkeypatch,
+                                                               capsys):
+    # like rate, varadhan exits 1 on an unconverged point; it tilts with no
+    # control but a converged minimiser, so no row is sampled
+    solve, calls = rate.rate_function, []
+    monkeypatch.setattr(rate, "rate_function", lambda *a, **kw: dataclasses.replace(
+        solve(*a, **kw), converged=False, residual=0.25))
+    monkeypatch.setattr(mc, "varadhan_sweep", lambda *a, **kw: calls.append(a))
+    assert main(["varadhan", *TINY, "--set", "task.n=2000", "--out", str(tmp_path)]) == 1
+    assert not calls and not (tmp_path / "sweep.csv").exists()
+    assert "residual 0.25" in capsys.readouterr().err
+    manifest = _manifest(tmp_path)
+    assert manifest["rate"]["converged"] is False and manifest["rate"]["residual"] == 0.25
+    assert manifest["artifacts"] == {} and "rate" in manifest["profile"]
+
+
+def test_varadhan_on_a_y_grid_is_a_config_error(tmp_path, monkeypatch, capsys):
+    # varadhan compares one point; it does not pick one from the grid
+    solves = []
+    monkeypatch.setattr(rate, "rate_function", lambda *a, **kw: solves.append(a))
+    assert main(["varadhan", *TINY, "--set", "task.y=", "--set", "task.y_grid=0.5:1.5:3",
+                 "--out", str(tmp_path)]) == 1
+    assert not solves
+    assert "set task.y" in capsys.readouterr().err
+    assert _manifest(tmp_path)["error"] == "ConfigError"
 
 
 def test_simulate_samples_do_not_depend_on_jobs(tmp_path):
@@ -247,6 +291,9 @@ def _manifest(path):
     ("rate", ["task.tol_rel=-1"]),                      # whole unconverged AL budget
     ("support", ["task.budgets=1,inf", "task.n=40",     # infinite-budget guard, not
                  "task.n_list=2,3"]),                   # a blow-up at step 1
+    ("varadhan", ["task.y=nan"]),                       # the rate point's own guards,
+    ("varadhan", ["task.y=inf"]),                       # before any solve or draw
+    ("varadhan", ["task.tol_rel=-1"]),
 ])
 def test_value_error_fails_the_run_cleanly(subcommand, overrides, tmp_path, capsys):
     args = [subcommand, *TINY] + [a for o in overrides for a in ("--set", o)]
@@ -324,17 +371,6 @@ def test_support_c1_column_is_pinned(tmp_path):
                                             0.093135772076897438], rtol=1e-12, atol=0)
 
 
-def test_varadhan_rejects_a_non_finite_y(tmp_path, monkeypatch, capsys):
-    assert main(["rate", *TINY, "--out", str(tmp_path)]) == 0
-    calls = []
-    monkeypatch.setattr(mc, "varadhan_sweep", lambda *a, **kw: calls.append(a))
-    assert main(["varadhan", *TINY, "--set", "task.y=inf", "--set", "task.n=2000",
-                 "--out", str(tmp_path)]) == 1
-    assert not calls                              # no sweep at the first stored entry
-    assert "task.y = inf is not finite" in capsys.readouterr().err
-    assert _manifest(tmp_path)["error"] == "ConfigError"
-
-
 def test_density_on_an_empty_y_grid_draws_no_replica(tmp_path, monkeypatch, capsys):
     calls = []
     monkeypatch.setattr(mc, "sample_endpoints", lambda *a, **kw: calls.append(a))
@@ -360,18 +396,23 @@ def test_density_on_a_non_finite_y_grid_draws_no_replica(y_grid, tmp_path, monke
 
 def test_varadhan_in_a_rate_directory_keeps_the_rate_provenance(tmp_path):
     # varadhan overwrites the rate run's manifest; rate_result.json keeps
-    # that run's config hash, and varadhan's manifest the hashes of the
-    # rate artifacts it read
+    # that run's config hash, and sweep_result.json the diagnostics of the
+    # rate point varadhan solved, as rate_result.json gives them
     assert main(["rate", *TINY, "--out", str(tmp_path)]) == 0
     rate_hash = _manifest(tmp_path)["config_hash"]
-    assert json.loads((tmp_path / "rate_result.json").read_text())["config_hash"] == rate_hash
+    stored = json.loads((tmp_path / "rate_result.json").read_text())
+    assert stored["config_hash"] == rate_hash
     assert main(["varadhan", *TINY, "--set", "task.n=2000", "--set", "model.eps_list=1.0,0.7",
                  "--out", str(tmp_path)]) == 0
     manifest = _manifest(tmp_path)
     assert manifest["subcommand"] == "varadhan" and manifest["config_hash"] != rate_hash
-    assert manifest["inputs"] == {
-        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-        for name in ("rate_result.json", "h_star_000.bin")}
+    assert "inputs" not in manifest
+    block = json.loads((tmp_path / "sweep_result.json").read_text())["rate"]
+    entry, = stored["results"]
+    assert block == {k: v for k, v in entry.items() if k != "h_star"}
+    assert block["converged"] and block.keys() >= {
+        "I", "residual", "iterations", "converged", "gamma_bar", "stationarity",
+        "skeleton_solves", "adjoint_sweeps"}
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])
@@ -422,6 +463,9 @@ def test_removed_config_keys_are_rejected():
     assert main(["rate", "--set", "task.alpha=0.5", "--dry-run"]) == 2
     assert main(["rate", "--set", "output.formats=csv", "--dry-run"]) == 2
     assert main(["support", "--set", "task.n_controls=6", "--dry-run"]) == 2
+    # task.rate_artifact pointed varadhan at a rate run's directory; it
+    # solves its own rate point now
+    assert main(["varadhan", "--set", "task.rate_artifact=x", "--dry-run"]) == 2
     assert not load_config(None, []).raw.keys() - {"model", "grid", "task"}
 
 
@@ -491,28 +535,6 @@ def test_support_defaults_to_three_hundred_replicas(tmp_path, monkeypatch, capsy
     assert _estimate_resources(cfg, "support")[0] == 150 * (state + _BLOCK * lat.nspec * 16)
 
 
-@pytest.mark.parametrize("y", [["--set", "task.y="], []], ids=["no-y", "y"])
-def test_varadhan_on_a_rate_artifact_without_results_exits_2(y, tmp_path, capsys):
-    (tmp_path / "rate_result.json").write_text(
-        json.dumps({"results": [], "t": 1.0, "x": [0.0]}))
-    assert main(["varadhan", *TINY, *y, "--out", str(tmp_path)]) == 2
-    assert "rate profile required" in capsys.readouterr().err
-
-
-def test_varadhan_rejects_the_rate_point_of_another_observation_point(
-        tmp_path, monkeypatch, capsys):
-    assert main(["rate", *TINY, "--set", "task.x=0.2", "--set", "task.t=0.5",
-                 "--out", str(tmp_path)]) == 0
-    calls = []
-    monkeypatch.setattr(mc, "varadhan_sweep", lambda *a, **kw: calls.append(a))
-    assert main(["varadhan", *TINY, "--set", "task.n=2000",
-                 "--out", str(tmp_path)]) == 1
-    assert not calls                              # no row sampled with that tilt
-    err = capsys.readouterr().err
-    assert "t=0.5, x=[0.2]" in err and "t=1, x=[0.0]" in err
-    assert _manifest(tmp_path)["error"] == "ConfigError"
-
-
 def test_riesz_without_beta_is_a_config_error(capsys):
     assert main(["rate", "--set", "model.kind=riesz", "--dry-run"]) == 2
     assert "model.beta" in capsys.readouterr().err
@@ -534,13 +556,11 @@ def test_an_empty_config_resolves_like_the_built_in_one(tmp_path):
     ("simulate", [], {"sampling", "replica_field"}),
     ("density", ["task.n=1000"], {"density"}),
     ("rate", [], {"rate"}),
-    ("varadhan", ["task.n=2000", "model.eps_list=1.0,0.7"], {"sweep"}),
+    ("varadhan", ["task.n=2000", "model.eps_list=1.0,0.7"], {"rate", "sweep"}),
     ("support", ["task.n=40", "task.n_list=2,3", "task.budgets=1"],
      {"support_probe", "support_convergence"}),
 ])
 def test_manifest_profiles_the_library_stages(subcommand, overrides, stages, tmp_path):
-    if subcommand == "varadhan":
-        assert main(["rate", *TINY, "--out", str(tmp_path)]) == 0
     args = [subcommand, *TINY] + [a for o in overrides for a in ("--set", o)]
     assert main([*args, "--out", str(tmp_path)]) == 0
     profile = _manifest(tmp_path)["profile"]
