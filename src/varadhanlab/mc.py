@@ -111,9 +111,10 @@ def sample_endpoints(model: ModelSpec, grid: GridSpec, n: int, x,
     executor maps to workers; results merge in stream order, so they do
     not depend on scheduling or on the worker count.  A running job counts
     its thread as busy (noise._busy): noise.sample_increments shares each
-    block's draw with its one fill helper thread only while the busy
-    threads leave a CPU free (so --jobs 2 on two CPUs fills alone), and
-    workers sharing the helper never wait for each other's rows.  A unit
+    block's draw with its one fill helper thread, and lets it fill ahead,
+    only while the busy threads leave a CPU free (so --jobs 2 on two CPUs
+    fills alone), and workers sharing the helper never wait for each
+    other's rows.  A unit
     runs in equal sub-batches (solver._sub_batch), one forward sweep each:
     per replica the engine holds min(_BLOCK, nt) increment rows and, for
     wave, a (jt, nspec) complex history (heat: one (nspec,) accumulator),
@@ -125,11 +126,13 @@ def sample_endpoints(model: ModelSpec, grid: GridSpec, n: int, x,
     per sub-batch let the allocator return their pages in between, to be
     faulted in anew (2.5-2.7 times the minor faults on mc_grid).  A
     sub-batch is one solver._Increments, which the sweep calls as its
-    drive: each _BLOCK steps it draws the next _BLOCK slabs of each
-    stream's Philox increments (its generators stay live between draws, so
-    the increments are those of sample_path, bit for bit, however the
-    fill helper splits the block), and each step
-    synthesizes only its own slab, so neither the (B, nt, ncoords)
+    drive.  It fills its increment rows as a ring of two half-blocks: at
+    the start of each half the sweep joins that half's Philox draw, and the
+    fill helper draws the next half while the sweep reads this one (the
+    generators stay live between draws, so the increments are those of
+    sample_path, bit for bit, however the helper splits the rows).  A
+    failed sweep stops the fill running ahead before its error leaves.
+    Each step synthesizes only its own slab, so neither the (B, nt, ncoords)
     increments nor a (B, jt, *spatial) field is ever held.
     A unit's memory is thus fixed by the grid, not by its size or by how
     many units run at once; apart from the (jt + 1, *spatial) initial
@@ -148,7 +151,10 @@ def sample_endpoints(model: ModelSpec, grid: GridSpec, n: int, x,
             for part in (streams[lo: lo + size] for lo in range(0, len(streams), size)):
                 work = views(len(part))
                 inc = _Increments(eng, part, h, model.eps, work["block"])
-                u = _forward(model, eng, w_tab, inc, work)
+                try:
+                    u = _forward(model, eng, w_tab, inc, work)
+                finally:
+                    inc.stop()
                 parts.append(np.stack((u[(slice(None), *point)],
                                        inc.dots if h is None else inc.girsanov())))
         return np.concatenate(parts, axis=1)

@@ -9,7 +9,9 @@ sample_path is its one-stream case).  sample_increments fills each block
 from both ends, the caller from the front and the module's one helper
 thread from the back, while the threads running ensemble jobs leave a CPU
 free; a stream is one generator's draw into its own row, so the split
-changes no bit.  The same coordinate system hosts
+changes no bit.  A fill may start ahead of its join, so the helper draws
+the next half-block of an ensemble sweep while the caller sweeps the
+current one.  The same coordinate system hosts
 deterministic controls h with the L^2([0,T]; H) norm
 ||h||^2 = sum_i dt sum_k h(i,k)^2.
 
@@ -306,6 +308,56 @@ def _busy():
         _BUSY.discard(me)
 
 
+class _Fill:
+    """One increment block's fill (see sample_increments): the block, its
+    generators, the rows (streams) no thread has claimed and the helper's task."""
+
+    def __init__(self, generators, out: np.ndarray, draw):
+        self.generators, self.out, self.draw = generators, out, draw
+        self.rows, self.task = deque(range(len(generators))), None
+
+    def _row(self, row: int) -> None:
+        self.draw(self, row)
+
+    def start(self) -> "_Fill":
+        """Queue the helper's task, which claims rows from the back."""
+        if len(self.rows) > 1 and len(_BUSY) < _CPUS:
+            with suppress(RuntimeError):  # no new task once the interpreter shuts down
+                self.task = _HELPER.submit(_drain, self.rows.pop, self._row)
+        return self
+
+    def join(self, dt: float) -> None:
+        """Claim rows from the front until none is left, stop, scale by sqrt(dt)."""
+        block = self.out
+        try:
+            _drain(self.rows.popleft, self._row)
+        finally:
+            self.stop()
+        block *= math.sqrt(dt)
+
+    def stop(self) -> None:
+        """Leave the helper no row: cancel its task if it has not started, else
+        wait for its one row in flight."""
+        self.rows.clear()
+        if self.task is not None and not self.task.cancel():
+            self.task.result()
+        # a cancelled task stays in the helper's queue until the helper pops it:
+        # empty what it reads, so it frees none of the caller's arrays
+        self.generators = self.out = None
+
+
+class _Ring(list):
+    """Generators that fill a ring of row blocks (solver._Increments).
+
+    Before each sample_increments call the caller sets next to the array
+    the generators fill after out (None: nothing).  The call leaves that
+    array's fill in ahead, made but not started; the caller starts it once
+    the rows it overwrites are read, and the call on next joins it.
+    """
+
+    next = ahead = None
+
+
 def sample_increments(lat: Lattice, generators, out: np.ndarray) -> np.ndarray:
     """Draw the next rows increments of each generator into out, (n_streams, rows, ncoords).
 
@@ -314,43 +366,39 @@ def sample_increments(lat: Lattice, generators, out: np.ndarray) -> np.ndarray:
     ... rows in consecutive calls gives the same increments, bit for bit,
     as the first r1 + r2 + ... rows of sample_path for that stream.
 
-    The block fills from both ends at once: the caller claims rows
-    (streams) from the front, the module's one helper thread from the
-    back, until they meet.  A row is one generator's whole draw into its
-    own slice of out, so the split changes no bit.  Out of rows, the
-    caller cancels the helper's task if it has not started, else waits
-    only for the helper's one row in flight, then scales the block by
-    sqrt(dt).  The helper is asked in only while the threads running
-    ensemble jobs (_busy) leave a CPU free: with every CPU running a job
-    (the CLI's --jobs 2 on two CPUs) it would only compete for the cores
-    and the GIL.  A one-stream block, or a block drawn after the
-    interpreter began to shut down, fills alone too.  Callers share the
-    one helper; a task queued behind another caller's is cancelled, so no
-    caller waits for another caller's rows.  The helper calls only
-    standard_normal (its ziggurat fill releases the GIL), so every traced
-    call stays on the caller's thread.
+    A fill (_Fill) starts, then joins.  The start queues a task on the
+    module's one helper thread, which claims rows (streams) from the back
+    of the block; the join has the caller claim rows from the front until
+    none is left, cancel the helper's task if it has not started, else
+    wait only for the helper's one row in flight, and scale the block by
+    sqrt(dt).  A row is one generator's whole draw into its own slice of
+    out, so the split changes no bit.  Called with a list of generators,
+    sample_increments starts the fill of out and joins it at once.  Called
+    with a _Ring, it joins ring.ahead, the fill of out started ahead (if
+    any), so the helper filled out while the caller worked, and leaves the
+    fill of ring.next in ring.ahead.
+
+    The helper is asked in only while the threads running ensemble jobs
+    (_busy) leave a CPU free: with every CPU running a job (the CLI's
+    --jobs 2 on two CPUs) it would only compete for the cores and the GIL.
+    A one-stream block, or a block drawn after the interpreter began to
+    shut down, fills alone too.  Callers share the one helper; a task
+    queued behind another caller's is cancelled at the join, so no caller
+    waits for another caller's rows.  The helper calls only standard_normal
+    (its ziggurat fill releases the GIL), so every traced call stays on the
+    caller's thread.
     Returns out.
     """
     if out.ndim != 3 or out.shape[::2] != (len(generators), lat.ncoords):
         raise ShapeError(f"out has shape {out.shape}, expected "
                          f"({len(generators)}, rows, {lat.ncoords})")
-    draw = lambda row: generators[row].standard_normal(out=out[row])
-    rows = deque(range(len(generators)))
-    helper = None
-    if len(generators) > 1 and len(_BUSY) < _CPUS:
-        with suppress(RuntimeError):  # no new task once the interpreter shuts down
-            helper = _HELPER.submit(_drain, lambda: rows.pop(), draw)
-    try:
-        _drain(rows.popleft, draw)
-    finally:
-        rows.clear()                  # after an error, leave the helper nothing
-        if helper is not None and not helper.cancel():
-            helper.result()
-    # a cancelled task stays in the helper's queue until the helper pops it:
-    # empty the cells its closures read, so it frees none of the caller's arrays
-    block, out, generators, rows = out, None, None, None
-    block *= math.sqrt(lat.grid.dt)
-    return block
+    draw = lambda fill, row: fill.generators[row].standard_normal(out=fill.out[row])
+    fill = getattr(generators, "ahead", None) or _Fill(generators, out, draw).start()
+    fill.join(lat.grid.dt)
+    if isinstance(generators, _Ring):
+        then = generators.next
+        generators.ahead = None if then is None else _Fill(generators, then, draw)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,7 @@ sum to rounding for any block size, so no run depends on it.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -50,8 +51,8 @@ from . import covkernel
 from .covkernel import CovarianceSpec
 from .errors import BlowUpError, GridError
 from .funcs import ScalarFunc
-from .noise import (ControlH, GridSpec, Lattice, _philox, lattice, sample_increments,
-                    write_binary)
+from .noise import (ControlH, GridSpec, Lattice, _philox, _Ring, lattice,
+                    sample_increments, write_binary)
 
 #: slabs per block of the history sum (see the module docstring)
 _BLOCK = 32
@@ -360,13 +361,21 @@ class _Increments:
     Calling it with j returns the (B, *spatial) drive of slab j,
     D_j = synthesize(h_j + (eps / dt) dW_j) (h possibly None), so no
     (B, jt, *spatial) field is held.  The sweep asks for j = 0, 1, ... in
-    order; each block start draws the next _BLOCK slabs of every stream
-    through sample_increments into buffer, a _workspace's
-    (B, min(_BLOCK, nt), ncoords) block, with one generator per stream made
-    on the first draw and live after it, so the increments are those of
-    sample_path, bit for bit.  With a control h, girsanov() returns
-    sum_{i,k} h(i,k) dW(i,k) per stream over all nt rows, drawing the rows
-    no sweep drew.
+    order and reads slab j from row j % _BLOCK of buffer, a _workspace's
+    (B, min(_BLOCK, nt), ncoords) block, which it fills as a ring of two
+    halves: each _BLOCK block of the first jt rows splits into a first half
+    of ceil(rows / 2) rows and a second of the rest.  Every stream has one
+    generator, made on the first draw and live after it, so the increments
+    are those of sample_path, bit for bit.  At the start of each half the
+    sweep joins that half's fill through sample_increments (the generators
+    are a noise._Ring), then starts the next half's fill, which the helper
+    draws while the sweep reads this half; the next block's first half
+    takes no row of the current block's second.  With a control h,
+    girsanov() returns sum_{i,k} h(i,k) dW(i,k) per stream over all nt
+    rows: one einsum per _BLOCK block, taken once its second half is joined
+    and before the next fill starts, then the rows no sweep drew in
+    synchronous _BLOCK draws.  stop() stops a fill still running ahead of a
+    failed sweep.
     """
 
     def __init__(self, eng: MildEngine, streams, h: ControlH | None, eps: float,
@@ -378,26 +387,48 @@ class _Increments:
         self.dots = np.zeros(len(streams))
         self.buffer = buffer
         self.drawn = 0
+        # the sweep's halves in order: (lo, hi, block start, block end, buffer rows)
+        self.halves = deque()
+        for start in range(0, self.jt, _BLOCK):
+            end = min(start + _BLOCK, self.jt)
+            mid = (start + end + 1) // 2
+            for lo, hi in ((start, mid), (mid, end))[: 1 + (mid < end)]:
+                self.halves.append((lo, hi, start, end, buffer[:, lo - start: hi - start]))
 
-    def _draw(self, start: int, rows: int) -> None:
+    def _draw(self, lo: int, hi: int, start: int, end: int, rows: np.ndarray,
+              then: np.ndarray | None = None) -> None:
+        """Fill rows lo:hi of the block start:end (joining a fill started ahead),
+        add the block's dots at its end, then start the fill of then."""
         if self.generators is None:
-            self.generators = [_philox(self.lat, s) for s in self.streams]
-        block = sample_increments(self.lat, self.generators, self.buffer[:, :rows])
-        self.drawn = start + rows
-        if self.h is not None:
-            self.dots += np.einsum("bik,ik->b", block, self.h.coeffs[start: start + rows])
+            self.generators = _Ring(_philox(self.lat, s) for s in self.streams)
+        self.generators.next = then
+        sample_increments(self.lat, self.generators, rows)
+        self.drawn = hi
+        if self.h is not None and hi == end:
+            self.dots += np.einsum("bik,ik->b", self.buffer[:, :end - start],
+                                   self.h.coeffs[start: end])
+        if self.generators.ahead is not None:
+            self.generators.ahead.start()
 
     def __call__(self, j: int) -> np.ndarray:
-        if j % _BLOCK == 0:
-            self._draw(j, min(_BLOCK, self.jt - j))
+        if self.halves and j == self.halves[0][0]:
+            half = self.halves.popleft()
+            self._draw(*half, then=self.halves[0][-1] if self.halves else None)
         c = self.scale * self.buffer[:, j % _BLOCK]
         return self.lat.synthesize(c if self.h is None else self.h.coeffs[j] + c)
 
     def girsanov(self) -> np.ndarray:
         nt = self.lat.grid.nt
         for start in range(self.drawn, nt, _BLOCK):
-            self._draw(start, min(_BLOCK, nt - start))
+            end = min(start + _BLOCK, nt)
+            self._draw(start, end, start, end, self.buffer[:, :end - start])
         return self.dots
+
+    def stop(self) -> None:
+        """Stop the fill running ahead, if any: none outlives a failed sweep."""
+        if self.generators is not None and self.generators.ahead is not None:
+            self.generators.ahead.stop()
+            self.generators.ahead = None
 
 
 def _sub_batch(lat: Lattice, jt: int, n: int) -> tuple[int, int]:

@@ -1,5 +1,6 @@
 import contextlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,12 +12,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from varadhanlab import mc, noise, presets
+from varadhanlab import mc, noise, presets, solver
 from varadhanlab.covkernel import CovarianceSpec
-from varadhanlab.errors import GridError, ShapeError
+from varadhanlab.errors import BlowUpError, GridError, ShapeError
+from varadhanlab.funcs import ONE, ScalarFunc
 from varadhanlab.noise import (ControlH, GridSpec, Lattice, _philox, dyadic_increments,
                                ht_inner, lattice, localization_holds,
                                sample_increments, sample_path, save_control, smooth_vn)
+from varadhanlab.solver import ModelSpec, ZeroInitial
 
 COV = CovarianceSpec("wave", 1, "white")
 
@@ -355,6 +358,86 @@ class TestSampleIncrements:
         assert helper.claimed == claimed + claimed
         assert len(helper.futures) == (0 if busy else 2)
         assert all(f.cancelled() == (rows == 0) for f in helper.futures)
+
+
+class TestRing:
+    """solver._Increments fills its block as a ring of two halves: the
+    helper draws the next half's rows while the sweep reads this half."""
+
+    @staticmethod
+    def _grid(nt):
+        return GridSpec(L=1.25, nx=16, nt=nt, T=1.0, nk=8, seed=7)
+
+    @staticmethod
+    def _endpoints(grid, t):
+        model = presets.nonlinear_model()
+        lat = lattice(model.cov, grid)
+        h = ControlH(lat, 0.3 * np.random.default_rng(5).standard_normal(
+            (grid.nt, lat.ncoords)))
+        plain = mc.sample_endpoints(model, grid, 5, 0.0, t=t)
+        tilted, dots = mc.sample_endpoints(model, grid, 5, 0.0, t=t, h=h)
+        return np.stack((plain, tilted, dots))
+
+    # nt = 16: a ring of two 8-row halves; 17: an odd ring of 9 and 8 rows;
+    # 40: a partial last block; 64: two whole blocks.  t = 0.4 stops the
+    # sweep at row 6, 7, 16 or 26, and girsanov() draws the rest.
+    @pytest.mark.parametrize("nt", [16, 17, 40, 64])
+    @pytest.mark.parametrize("t", [None, 0.4], ids=["t=T", "t<T"])
+    @pytest.mark.parametrize("rows, busy", [(0, False), (None, False), (2, False),
+                                            (None, True)],
+                             ids=["no-row", "every-row", "a-share", "every-cpu-busy"])
+    def test_endpoints_and_dots_do_not_depend_on_the_split(self, monkeypatch, nt, t,
+                                                           rows, busy):
+        # the reference runs with the helper off: the job's thread is busy
+        # and there is one CPU.  With a CPU free the stub helper claims its
+        # rows when a fill starts, ahead of the sweep; with every CPU busy
+        # no fill is queued at all
+        grid = self._grid(nt)
+        monkeypatch.setattr(noise, "_CPUS", 1)
+        want = self._endpoints(grid, t)
+        helper = _StubHelper(rows)
+        monkeypatch.setattr(noise, "_HELPER", helper)
+        monkeypatch.setattr(noise, "_CPUS", 1 if busy else 2)
+        assert np.array_equal(self._endpoints(grid, t), want)
+        if busy:
+            assert helper.futures == []
+        else:
+            assert len(helper.futures) > 2 and all(f.done() for f in helper.futures)
+            assert all(f.cancelled() == (rows == 0) for f in helper.futures)
+
+    @pytest.mark.parametrize("nt", [16, 17, 40, 64])
+    def test_the_next_half_is_drawn_while_the_sweep_reads_this_one(self, monkeypatch, nt):
+        # the stub helper draws every row of a fill when it starts: right
+        # after the sweep reads the first slab of a half, the next half's
+        # rows already sit in the buffer (scaled by sqrt(dt) at their join)
+        monkeypatch.setattr(noise, "_HELPER", _StubHelper(None))
+        monkeypatch.setattr(noise, "_CPUS", 2)
+        grid = self._grid(nt)
+        lat = lattice(COV, grid)
+        whole = np.stack([sample_path(lat, s).increments for s in range(5)])
+        buffer = np.full((5, min(solver._BLOCK, nt), lat.ncoords), np.nan)
+        inc = solver._Increments(solver.MildEngine(COV, grid), range(5), None, 1.0, buffer)
+        halves = [half[:4] for half in inc.halves]
+        for (lo, hi, start, _), (lo2, hi2, start2, _) in zip(halves, halves[1:]):
+            for j in range(lo, hi):
+                inc(j)
+            ahead = buffer[:, lo2 - start2: hi2 - start2] * math.sqrt(grid.dt)
+            assert np.array_equal(ahead, whole[:, lo2: hi2])
+        assert len(halves) == 2 * -(-nt // solver._BLOCK)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_no_fill_outlives_a_failed_sweep(self, monkeypatch):
+        # the sweep blows up at step 10, inside the first half, while the
+        # second half's fill waits in the helper's queue: it is cancelled
+        # before the error leaves sample_endpoints
+        model = ModelSpec(COV, ONE, ScalarFunc("affine", (0.0, 1e40)), ZeroInitial(), 1.0)
+        helper = _StubHelper(0)
+        monkeypatch.setattr(noise, "_HELPER", helper)
+        monkeypatch.setattr(noise, "_CPUS", 2)
+        with pytest.raises(BlowUpError) as err:
+            mc.sample_endpoints(model, self._grid(64), 5, 0.0)
+        assert err.value.step == 10
+        assert len(helper.futures) == 2 and all(f.cancelled() for f in helper.futures)
 
 
 def test_a_thread_outliving_the_main_thread_still_draws():
