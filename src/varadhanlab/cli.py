@@ -98,11 +98,20 @@ def _ints(text: str) -> list[int]:
 
 
 def _parse_grid_expr(text: str) -> np.ndarray:
-    """Either 'start:stop:count' or a comma list."""
-    if ":" in text:
+    """Either 'start:stop:count', count an integer >= 0, or a comma list of floats.
+
+    Anything else is a ConfigError; an empty or non-finite grid parses, and
+    the library refuses it."""
+    try:
+        if ":" not in text:
+            return np.array(_floats(text))
         lo, hi, cnt = text.split(":")
-        return np.linspace(float(lo), float(hi), int(cnt))
-    return np.array(_floats(text))
+        if int(cnt) >= 0:
+            return np.linspace(float(lo), float(hi), int(cnt))
+    except ValueError:
+        pass
+    raise ConfigError(f"task.y_grid must be start:stop:count (count an integer >= 0) "
+                      f"or a comma list of floats, got '{text}'")
 
 
 class Config:
@@ -114,6 +123,7 @@ class Config:
         self.model = self._build_model()
         self.grid = self._build_grid()
         self.task = self.raw.get("task", {})
+        self.y_grid = _parse_grid_expr(self.value("task", "y_grid"))
 
     def value(self, section: str, key: str) -> str | None:
         """The raw text of section.key, else its built-in default, else None; task.y
@@ -313,9 +323,8 @@ def _cmd_simulate(run: Runner) -> int:
 def _cmd_density(run: Runner) -> int:
     cfg = run.cfg
     n = cfg.replicas("density")
-    y_grid = _parse_grid_expr(cfg.value("task", "y_grid"))
     with run.stage("density"):
-        curve = mc.estimate_density(cfg.model, cfg.grid, n, y_grid, t=cfg.t, x=cfg.x,
+        curve = mc.estimate_density(cfg.model, cfg.grid, n, cfg.y_grid, t=cfg.t, x=cfg.x,
                                     executor=run.executor)
     _write_csv(run.path("density.csv"), ["eps", "y", "p_hat", "se", "log_p", "log_se"],
                [(curve.eps, *row) for row in zip(curve.y_grid, curve.p_hat, curve.se,
@@ -332,8 +341,7 @@ def _cmd_rate(run: Runner) -> int:
     with run.stage("rate"):
         y = cfg.value("task", "y")
         if y is None:
-            y_grid = _parse_grid_expr(cfg.value("task", "y_grid"))
-            results = rate_mod.rate_profile(cfg.model, cfg.grid, y_grid, t=cfg.t,
+            results = rate_mod.rate_profile(cfg.model, cfg.grid, cfg.y_grid, t=cfg.t,
                                             x=cfg.x, tol_rel=tol_rel)
         else:
             results = [rate_mod.rate_function(cfg.model, cfg.grid, float(y), t=cfg.t,

@@ -119,12 +119,16 @@ def sample_endpoints(model: ModelSpec, grid: GridSpec, n: int, x,
     per replica the engine holds min(_BLOCK, nt) increment rows and, for
     wave, a (jt, nspec) complex history (heat: one (nspec,) accumulator),
     and the sub-batches are the fewest that keep this state near
-    _STATE_BUDGET bytes each.  A unit allocates these buffers, and the wave far sums,
-    once, for its first and largest sub-batch (solver._workspace), and
-    each sub-batch sweeps in their leading contiguous views without
-    clearing them: a sweep reads no row it has not written.  Fresh buffers
-    per sub-batch let the allocator return their pages in between, to be
-    faulted in anew (2.5-2.7 times the minor faults on mc_grid).  A
+    _STATE_BUDGET bytes each.  A unit allocates one solver._workspace, for
+    its first and largest sub-batch: these buffers, the wave far sums and
+    every array a sweep step forms (the state, the drive and its
+    coefficient row, the spectrum and the causal-sum accumulator).  Each
+    sub-batch sweeps in their leading contiguous views without clearing
+    them: a sweep reads no row it has not written, and zeroes the heat
+    accumulator it starts from.  So a step allocates only the integrand's
+    arrays, synthesize's gathered spectrum and a finiteness mask.  Fresh
+    buffers per sub-batch let the allocator return their pages in between,
+    to be faulted in anew (2.5-2.7 times the minor faults on mc_grid).  A
     sub-batch is one solver._Increments, which the sweep calls as its
     drive.  It fills its increment rows as a ring of two half-blocks: at
     the start of each half the sweep joins that half's Philox draw, and the
@@ -150,7 +154,7 @@ def sample_endpoints(model: ModelSpec, grid: GridSpec, n: int, x,
         with _busy():
             for part in (streams[lo: lo + size] for lo in range(0, len(streams), size)):
                 work = views(len(part))
-                inc = _Increments(eng, part, h, model.eps, work["block"])
+                inc = _Increments(eng, part, h, model.eps, work)
                 try:
                     u = _forward(model, eng, w_tab, inc, work)
                 finally:

@@ -20,7 +20,9 @@ which gives "the first n modes" a concrete, refinement-stable meaning for
 the piecewise-constant smoothing v^n and its localization event.
 
 Lattice.to_spec / to_field, real fields (..., *spatial) to flat rfftn
-spectra (..., nspec) and back, hold the package's only FFT calls.
+spectra (..., nspec) and back, hold the package's only FFT calls.  They
+and synthesize write into an out= array when given one, which is how a
+sweep of solver fills its workspace; without one they return new arrays.
 Synthesis (coordinates -> field) and extraction (field -> coordinates) are
 each one gather through a slot table built once per lattice: viewing the
 flat spectrum as interleaved floats, every slot reads one coordinate
@@ -186,22 +188,35 @@ class Lattice:
 
     # -- transforms ---------------------------------------------------------
 
-    def to_spec(self, fields: np.ndarray) -> np.ndarray:
-        """Real fields (..., *spatial) -> flat rfftn spectra (..., nspec)."""
+    def to_spec(self, fields: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Real fields (..., *spatial) -> flat rfftn spectra (..., nspec).
+
+        With out, a C-contiguous complex (..., nspec) array, the spectra
+        are written into it and a view of it is returned; else a new array.
+        """
         lead = fields.shape[:-self.d]
-        return np.fft.rfftn(fields, s=self.spatial_shape,
-                            axes=tuple(range(-self.d, 0))).reshape(lead + (self.nspec,))
+        shaped = None if out is None else out.reshape(lead + self.spec_shape, copy=False)
+        return np.fft.rfftn(fields, s=self.spatial_shape, axes=tuple(range(-self.d, 0)),
+                            out=shaped).reshape(lead + (self.nspec,))
 
-    def to_field(self, spec: np.ndarray) -> np.ndarray:
-        """Flat rfftn spectra (..., nspec) -> real fields (..., *spatial)."""
+    def to_field(self, spec: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Flat rfftn spectra (..., nspec) -> real fields (..., *spatial).
+
+        With out, a (..., *spatial) float array, the fields are written into
+        it and it is returned; else a new array.
+        """
         return np.fft.irfftn(spec.reshape(spec.shape[:-1] + self.spec_shape),
-                             s=self.spatial_shape, axes=tuple(range(-self.d, 0)))
+                             s=self.spatial_shape, axes=tuple(range(-self.d, 0)), out=out)
 
-    def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
-        """Coordinate array (..., ncoords) -> real field (..., *spatial)."""
+    def synthesize(self, coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Coordinate array (..., ncoords) -> real field (..., *spatial).
+
+        The field is written into out as in to_field (None: a new array);
+        the gathered spectrum is a new (..., 2 nspec) float array either way.
+        """
         spec = np.take(np.asarray(coeffs, dtype=float), self._synth_col, axis=-1)
         spec *= self._synth_scale
-        return self.to_field(spec.view(np.complex128))
+        return self.to_field(spec.view(np.complex128), out=out)
 
     def extract(self, fields: np.ndarray) -> np.ndarray:
         """Real field (..., *spatial) -> H-projection coordinates (..., ncoords)."""

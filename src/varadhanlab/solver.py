@@ -6,6 +6,11 @@ control c = h + path.control(eps), so every single-path solve runs through
 the skeleton routes on c (_drive); every stream batch, first-chaos draws
 included, is one _Increments in the one loop of mc.sample_endpoints: it
 draws its streams into a _workspace per unit and forms D_j slab by slab.
+A sweep allocates no per-step array of its own: its state, drive,
+spectra and causal-sum accumulators are views of one _workspace, made
+once per ensemble unit or once per batch-1 solve, and every step writes
+into them (out=).  Only the integrand's arrays, synthesize's gathered
+spectrum and the finiteness mask are new at each step.
 The solution at t_j is the initial contribution plus kernel convolutions
 (Fourier multipliers on the flat spectra of Lattice.to_spec / to_field,
 the one transform pair) of the one slab integrand,
@@ -231,12 +236,14 @@ class MildEngine:
             # s-1-k in step s+r of the block that starts at s
             self._hankel = sliding_window_view(self.weights[:, 2:], _BLOCK, axis=-1)
 
-    def _causal_sum(self, batch_shape: tuple, work: dict | None = None):
+    def _causal_sum(self, batch_shape: tuple, work: dict):
         """Return step, with step(x_n) = acc_n = sum_{q<=n} K_{n+1-q} x_q.
 
         Call step once per n = 0 .. jt-1 with the slab spectrum x_n, shape
         batch_shape + (nspec,) or broadcastable to it.  work (a _workspace
-        view) holds the wave buffers; step n reads no row it has not written.
+        view) holds the sum's buffers, and acc_n is a view of its acc: read
+        it before the next step overwrites it.  Step n reads no row it has
+        not written, and the heat accumulator starts at zero.
 
         Heat weights are geometric in the lag, K_{l+1} = q K_l, so step runs
         acc_n = q acc_{n-1} + K_1 x_n and keeps no history.  For wave the
@@ -250,19 +257,18 @@ class MildEngine:
         jt, nspec = self.jt, self.lat.nspec
         if self.lat.cov.operator == "heat":
             q, k1 = self._decay, self.weights[:, 1]
-            acc = np.zeros(batch_shape + (nspec,), dtype=np.complex128)
+            acc, kx = (work[k].view(np.complex128).reshape(batch_shape + (nspec,))
+                       for k in ("acc", "kx"))
+            acc.fill(0.0)
 
             def heat_step(x):
-                nonlocal acc
-                acc = q * acc                     # a new array: returned ones stay intact
-                acc += k1 * x
+                np.multiply(q, acc, out=acc)
+                np.add(acc, np.multiply(k1, x, out=kx), out=acc)
                 return acc
 
             return heat_step
-        nb = math.prod(batch_shape)
-        work = _workspace(self.lat, jt, nb)(nb) if work is None else work
-        real, far = work["hist"], work["far"]     # real weights act on re and im alike
-        hist = real.view(np.complex128)
+        real, far, within = work["hist"], work["far"], work["acc"]   # real weights act
+        hist = real.view(np.complex128)                              # on re and im alike
         n = 0
 
         def step(x):
@@ -274,7 +280,7 @@ class MildEngine:
                 panel = self._hankel[:, :start, :rows].transpose(0, 2, 1)
                 np.matmul(panel, real[:, jt - start:], out=far[:, :rows])
             acc = np.matmul(self.weights[:, None, 1: n - start + 2],
-                            real[:, row: jt - start])[:, 0]
+                            real[:, row: jt - start], out=within)[:, 0]
             if start > 0:
                 acc += far[:, n - start]
             n += 1
@@ -282,23 +288,39 @@ class MildEngine:
 
         return step
 
+    def _views(self, batch_shape: tuple, work: dict | None):
+        """(work, state field, slab spectrum): work, or when None a workspace
+        made for prod(batch_shape) streams, and its field and spec views
+        shaped batch_shape + spatial_shape and batch_shape + (nspec,)."""
+        nb = math.prod(batch_shape)
+        work = _workspace(self.lat, self.jt, nb)(nb) if work is None else work
+        return (work, work["field"].reshape(batch_shape + self.lat.spatial_shape),
+                work["spec"].view(np.complex128).reshape(batch_shape + (self.lat.nspec,)))
+
     def forward(self, w_tab: np.ndarray, integrand, batch_shape=(),
                 keep_history: bool = False, work: dict | None = None):
         """Run u_j = w_j + sum_{i<j} K_{j-i} rho_i with rho_i = integrand(i, u_i).
 
         w_tab has shape (jt + 1, *spatial) and broadcasts over batch axes.
-        The history sum is the causal sum of _causal_sum (in work): the same
-        terms as the direct sum over all past slabs, added in a different order
+        The history sum is the causal sum of _causal_sum: the same terms as
+        the direct sum over all past slabs, added in a different order
         (wave) or by the geometric recursion (heat); agreement to rounding is
-        checked against the direct sum in the tests.  Returns (final field,
-        history list or None).
+        checked against the direct sum in the tests.  Each step writes its
+        integrand spectrum, its history sum and its state u into work, a
+        _workspace view for prod(batch_shape) streams (None: a workspace
+        made for this call), so a step allocates only what integrand
+        returns and the finiteness mask.  Returns (final field, history
+        list or None): the final field is work's field, which the next
+        sweep in work overwrites; the history entries are copies.
         """
         jt, lat = self.jt, self.lat
+        work, u, spec = self._views(batch_shape, work)
         step = self._causal_sum(batch_shape, work)
-        u = np.broadcast_to(w_tab[0], batch_shape + lat.spatial_shape).copy()
+        u[...] = w_tab[0]
         trail = [u.copy()] if keep_history else None
         for j in range(jt):
-            u = w_tab[j + 1] + lat.to_field(step(lat.to_spec(integrand(j, u))))
+            lat.to_field(step(lat.to_spec(integrand(j, u), out=spec)), out=u)
+            np.add(w_tab[j + 1], u, out=u)
             if not np.all(np.isfinite(u)):
                 raise BlowUpError(f"time stepping blew up at step {j + 1}",
                                   step=j + 1)
@@ -315,19 +337,23 @@ class MildEngine:
         the fields mu_i = dJ/drho_i for i < jt, stacked like factors.
         mu_i sums K_l over the later adjoint sources l slabs ahead, which is
         the forward causal sum in reversed time: step n of _causal_sum
-        yields mu_{jt-1-n}.
+        yields mu_{jt-1-n}.  Each step writes mu_i into the returned stack,
+        and the source field factors[i] mu_i, its spectrum and the sum's
+        buffers into a _workspace made for the call: the sweep allocates
+        these two, and nothing per step.
         """
         jt, lat = self.jt, self.lat
         batch_shape = factors.shape[1:-lat.d]
-        lam = np.zeros(batch_shape + lat.spatial_shape)
+        work, lam, src = self._views(batch_shape, None)
+        lam.fill(0.0)
         lam[(..., *point)] = 1.0 / (self.grid.dx ** lat.d)
-        step = self._causal_sum(batch_shape)
-        src = lat.to_spec(lam)
+        step = self._causal_sum(batch_shape, work)
+        lat.to_spec(lam, out=src)
         mus = np.empty_like(factors)
         for i in range(jt - 1, -1, -1):
-            mus[i] = lat.to_field(step(src))
+            lat.to_field(step(src), out=mus[i])
             if i > 0:
-                src = lat.to_spec(factors[i] * mus[i])
+                lat.to_spec(np.multiply(factors[i], mus[i], out=lam), out=src)
         return mus
 
 
@@ -359,9 +385,12 @@ class _Increments:
     """One batch of Philox streams as the drive of its sweep.
 
     Calling it with j returns the (B, *spatial) drive of slab j,
-    D_j = synthesize(h_j + (eps / dt) dW_j) (h possibly None), so no
-    (B, jt, *spatial) field is held.  The sweep asks for j = 0, 1, ... in
-    order and reads slab j from row j % _BLOCK of buffer, a _workspace's
+    D_j = synthesize(c_j), c_j = h_j + (eps / dt) dW_j (h possibly None),
+    so no (B, jt, *spatial) field is held.  work is the sweep's _workspace
+    view: c_j is formed in its coef row and D_j in its drive field, both
+    overwritten by the next call, so a call allocates only synthesize's
+    gathered spectrum.  The sweep asks for j = 0, 1, ... in order and reads
+    slab j from row j % _BLOCK of buffer, work's
     (B, min(_BLOCK, nt), ncoords) block, which it fills as a ring of two
     halves: each _BLOCK block of the first jt rows splits into a first half
     of ceil(rows / 2) rows and a second of the rest.  Every stream has one
@@ -379,13 +408,13 @@ class _Increments:
     """
 
     def __init__(self, eng: MildEngine, streams, h: ControlH | None, eps: float,
-                 buffer: np.ndarray):
+                 work: dict):
         self.lat, self.jt, self.h = eng.lat, eng.jt, h
         self.scale = eps / eng.grid.dt
         self.streams = streams
         self.generators = None
         self.dots = np.zeros(len(streams))
-        self.buffer = buffer
+        self.buffer, self.coef, self.drive = work["block"], work["coef"], work["drive"]
         self.drawn = 0
         # the sweep's halves in order: (lo, hi, block start, block end, buffer rows)
         self.halves = deque()
@@ -393,7 +422,8 @@ class _Increments:
             end = min(start + _BLOCK, self.jt)
             mid = (start + end + 1) // 2
             for lo, hi in ((start, mid), (mid, end))[: 1 + (mid < end)]:
-                self.halves.append((lo, hi, start, end, buffer[:, lo - start: hi - start]))
+                self.halves.append((lo, hi, start, end,
+                                    self.buffer[:, lo - start: hi - start]))
 
     def _draw(self, lo: int, hi: int, start: int, end: int, rows: np.ndarray,
               then: np.ndarray | None = None) -> None:
@@ -414,8 +444,10 @@ class _Increments:
         if self.halves and j == self.halves[0][0]:
             half = self.halves.popleft()
             self._draw(*half, then=self.halves[0][-1] if self.halves else None)
-        c = self.scale * self.buffer[:, j % _BLOCK]
-        return self.lat.synthesize(c if self.h is None else self.h.coeffs[j] + c)
+        c = np.multiply(self.scale, self.buffer[:, j % _BLOCK], out=self.coef)
+        if self.h is not None:
+            np.add(self.h.coeffs[j], c, out=c)
+        return self.lat.synthesize(c, out=self.drive)
 
     def girsanov(self) -> np.ndarray:
         nt = self.lat.grid.nt
@@ -439,8 +471,12 @@ def _sub_batch(lat: Lattice, jt: int, n: int) -> tuple[int, int]:
     complex accumulator).  The n streams split into
     k = ceil(n * state / _STATE_BUDGET) sub-batches of ceil(n / k) streams
     each, the last one possibly shorter, so this state of one sub-batch is
-    at most _STATE_BUDGET plus one stream's; the wave far sums of a
-    _workspace, nspec min(_BLOCK, jt) 16 bytes a stream, come on top.
+    at most _STATE_BUDGET plus one stream's.  The rest of a _workspace
+    comes on top and is not counted, so the split, and with it the GEMM
+    sizes and every last bit, depends on the state alone: the wave far
+    sums, nspec min(_BLOCK, jt) 16 bytes a stream, and the step buffers,
+    ncoords 8 + 2 nx^d 8 + 2 nspec 16 bytes a stream (heat: one more
+    nspec 16 for k1 x_n).
     """
     lags = jt if lat.cov.operator == "wave" else 1
     state = lags * lat.nspec * 16 + min(_BLOCK, lat.grid.nt) * lat.ncoords * 8
@@ -449,11 +485,32 @@ def _sub_batch(lat: Lattice, jt: int, n: int) -> tuple[int, int]:
 
 
 def _workspace(lat: Lattice, jt: int, size: int):
-    """Buffers for up to size streams; views(b) gives their leading parts for b streams."""
+    """Buffers for up to size streams; views(b) gives their leading parts for b streams.
+
+    A sweep of b streams writes every array it forms per step into these
+    float64 views (complex ones as (re, im) pairs), apart from what the
+    integrand and synthesize's gather return and the finiteness mask:
+    - block, the (b, min(_BLOCK, nt), ncoords) increment rows of _Increments,
+      with coef and drive, its (b, ncoords) row c_j and (b, *spatial) drive D_j;
+    - field, the (b, *spatial) state u of MildEngine.forward (adjoint: its
+      source field), and spec, the (b, nspec) complex spectrum it transforms;
+    - acc, the causal sum: for wave the (nspec, 1, b) complex within-block
+      matmul output beside the (nspec, jt, b) history hist and the
+      (nspec, min(_BLOCK, jt), b) far sums far; for heat the (b, nspec)
+      complex accumulator, with kx its k1 x_n term.
+    np.empty touches no page when the workspace is made: the first sweep
+    faults its pages in, and later sweeps of at most size streams reuse them.
+    """
+    rows, spatial, spec = min(_BLOCK, lat.grid.nt), lat.spatial_shape, 2 * lat.nspec
+
     def shapes(b: int) -> dict[str, tuple[int, ...]]:
-        out = {"block": (b, min(_BLOCK, lat.grid.nt), lat.ncoords)}
-        if lat.cov.operator == "wave":        # the complex history as (re, im) pairs
-            out.update(hist=(lat.nspec, jt, 2 * b), far=(lat.nspec, min(_BLOCK, jt), 2 * b))
+        out = {"block": (b, rows, lat.ncoords), "coef": (b, lat.ncoords),
+               "drive": (b, *spatial), "field": (b, *spatial), "spec": (b, spec)}
+        if lat.cov.operator == "wave":
+            out.update(hist=(lat.nspec, jt, 2 * b), far=(lat.nspec, min(_BLOCK, jt), 2 * b),
+                       acc=(lat.nspec, 1, 2 * b))
+        else:
+            out.update(acc=(b, spec), kx=(b, spec))
         return out
 
     flat = {k: np.empty(math.prod(s)) for k, s in shapes(size).items()}
@@ -474,8 +531,9 @@ def _forward(model: ModelSpec, eng: MildEngine, w_tab: np.ndarray, drive,
              work: dict | None = None) -> np.ndarray:
     """Forward solve of the mild map driven by drive(j).
 
-    Without work, returns the (jt + 1, *spatial) trajectory of one path;
-    with work, a _workspace view for B streams, only the final (B, *spatial) fields.
+    Without work, returns the (jt + 1, *spatial) trajectory of one path,
+    swept in a workspace of one made for the call; with work, a _workspace
+    view for B streams, only the final (B, *spatial) fields, in work.
     """
     dt = eng.grid.dt
 

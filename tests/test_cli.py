@@ -217,6 +217,14 @@ def test_config_hash_ignores_key_order_and_tracks_values(tmp_path):
     assert load_config(None, ["task.y="]).hash() != load_config(None, []).hash()
 
 
+def _step_bytes(lat) -> int:
+    """Workspace bytes per replica that a sweep writes each step into: the
+    coefficient row, the drive and state fields, the integrand spectrum and
+    the causal-sum accumulator (heat: also its k1 x_n term)."""
+    spectra = 2 if lat.cov.operator == "wave" else 3
+    return lat.ncoords * 8 + 2 * math.prod(lat.spatial_shape) * 8 + spectra * lat.nspec * 16
+
+
 @pytest.mark.parametrize("operator", ["wave", "heat"])
 @pytest.mark.parametrize("nt, t", [(16, None), (256, None), (64, 0.5)],
                          ids=["16", "256", "64-t0.5"])
@@ -233,8 +241,10 @@ def test_dry_run_estimate_follows_the_shapes(operator, nt, t, capsys):
     block = min(_BLOCK, nt) * lat.ncoords * 8
     state = block + lags * lat.nspec * 16
     k = math.ceil(B * state / _STATE_BUDGET)         # sub-batches per chunk
-    # the workspace per replica: the block, and for wave the history and far sums
-    per = block + ((jt + min(_BLOCK, jt)) * lat.nspec * 16 if operator == "wave" else 0)
+    # the workspace per replica: the block, the step buffers, and for wave
+    # the history and far sums
+    per = block + _step_bytes(lat) + ((jt + min(_BLOCK, jt)) * lat.nspec * 16
+                                      if operator == "wave" else 0)
     want = (math.ceil(B / k) * per, work * lat.nspec * 2000 * 8)
     assert _estimate_resources(cfg) == want
     args = ["simulate", "--dry-run"] + [a for o in overrides for a in ("--set", o)]
@@ -255,12 +265,12 @@ def test_dry_run_rejects_a_bad_replica_count(n, capsys):
 def test_dry_run_estimate_stays_within_the_state_budget():
     # a 512-replica wave chunk at nt = 256 holds one sub-batch at a time,
     # not its whole (nspec, nt, 512) history: the budget bounds the state
-    # it counts, and the sub-batch's far sums come on top
+    # it counts, and the sub-batch's far sums and step buffers come on top
     cfg = load_config(None, ["grid.nt=256"])
     lat = lattice(cfg.model.cov, cfg.grid)
     size, state = _sub_batch(lat, 256, mc.CHUNK)
-    far = size * lat.nspec * _BLOCK * 16
-    assert _estimate_resources(cfg)[0] == size * state + far <= _STATE_BUDGET + far
+    extra = size * (lat.nspec * _BLOCK * 16 + _step_bytes(lat))
+    assert _estimate_resources(cfg)[0] == size * state + extra <= _STATE_BUDGET + extra
 
 
 @pytest.mark.slow
@@ -329,6 +339,26 @@ def test_non_finite_sigma0_is_a_config_error(tmp_path, capsys):
 def test_bad_coefficient_is_a_config_error(override, message, tmp_path, capsys):
     assert main(["simulate", *TINY, "--set", override, "--out", str(tmp_path)]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("y_grid", ["1:2", "1:2:3:4", "-1:1:-3", "1:2:2.5", "a:1:3",
+                                    "0,x", "1;2"])
+@pytest.mark.parametrize("subcommand", ["density", "rate"])
+def test_malformed_y_grid_is_a_config_error(subcommand, y_grid, tmp_path, capsys):
+    # refused when the config loads, by --dry-run as by the run, before any draw
+    args = [subcommand, *TINY, "--set", "task.y=", "--set", f"task.y_grid={y_grid}"]
+    for extra in (["--dry-run"], ["--out", str(tmp_path)]):
+        assert main([*args, *extra]) == 2
+        assert capsys.readouterr().err.startswith("config error: task.y_grid must be")
+    assert not (tmp_path / "manifest.json").exists()
+    with pytest.raises(ConfigError):
+        load_config(None, [f"task.y_grid={y_grid}"])
+
+
+@pytest.mark.parametrize("y_grid, want", [("-1:1:3", [-1.0, 0.0, 1.0]), ("0:1:0", []),
+                                          ("0.5, 1,2", [0.5, 1.0, 2.0]), (",", [])])
+def test_y_grid_parses_when_the_config_loads(y_grid, want):
+    assert load_config(None, [f"task.y_grid={y_grid}"]).y_grid.tolist() == want
 
 
 @pytest.mark.parametrize("overrides, error", [
@@ -530,9 +560,11 @@ def test_support_defaults_to_three_hundred_replicas(tmp_path, monkeypatch, capsy
     assert used == [300]
     cfg = load_config(None, [])
     lat = lattice(cfg.model.cov, cfg.grid)
-    # two sub-batches of 150; the workspace adds the far sums to their state
+    # two sub-batches of 150; the workspace adds the far sums and the step
+    # buffers to their state
     state = _BLOCK * lat.ncoords * 8 + 64 * lat.nspec * 16
-    assert _estimate_resources(cfg, "support")[0] == 150 * (state + _BLOCK * lat.nspec * 16)
+    assert _estimate_resources(cfg, "support")[0] == \
+        150 * (state + _BLOCK * lat.nspec * 16 + _step_bytes(lat))
 
 
 def test_riesz_without_beta_is_a_config_error(capsys):

@@ -150,29 +150,90 @@ class TestSampleEndpointsGuards:
 
 
 class TestUnitWorkspace:
-    def test_no_stale_workspace_row_is_read(self, monkeypatch):
-        # the seed-7 ensemble chunk runs in four sub-batches of one unit
-        # workspace; each starting from buffers filled with NaN, a row read
-        # before its sub-batch wrote it would turn the endpoints NaN
-        model, grid, stream0 = presets.nonlinear_model(), presets.mc_grid(7), 7 << 24
-        want = sample_endpoints(model, grid, CHUNK, 0.0, stream0=stream0)
-        workspace, sizes = mc._workspace, []
+    @pytest.mark.parametrize("tilt", [False, True], ids=["plain", "tilted"])
+    @pytest.mark.parametrize("cov", [presets.WAVE_WHITE, presets.HEAT_WHITE],
+                             ids=["wave", "heat"])
+    def test_no_stale_workspace_row_is_read(self, monkeypatch, cov, tilt):
+        # a mc_grid chunk runs in four sub-batches of one unit workspace (for
+        # the seed-7 wave chunk this budget gives the default split); each
+        # starts from buffers filled with NaN, so a row read before its
+        # sub-batch wrote it, or an accumulator not zeroed, would turn the
+        # endpoints or the dots NaN
+        model, grid, stream0 = presets.nonlinear_model(cov), presets.mc_grid(7), 7 << 24
+        lat = lattice(cov, grid)
+        state = solver._sub_batch(lat, grid.nt, 1)[1]
+        monkeypatch.setattr(solver, "_STATE_BUDGET", CHUNK // 4 * state)
+        h = ControlH(lat, 0.2 * np.random.default_rng(3).standard_normal(
+            (grid.nt, lat.ncoords))) if tilt else None
+
+        def run():
+            # plain: the endpoints; tilted: the endpoints and the dots
+            return np.atleast_2d(sample_endpoints(model, grid, CHUNK, 0.0, h=h,
+                                                  stream0=stream0))
+
+        want = run()
+        workspace, sizes, poisoned_names = mc._workspace, [], set()
 
         def poisoned(lat, jt, size):
             views = workspace(lat, jt, size)
 
             def fill(b):
                 sizes.append(b)
-                for buffer in views(size).values():
+                for name, buffer in views(size).items():
+                    poisoned_names.add(name)
                     buffer.fill(np.nan)
                 return views(b)
 
             return fill
 
         monkeypatch.setattr(mc, "_workspace", poisoned)
-        got = sample_endpoints(model, grid, CHUNK, 0.0, stream0=stream0)
+        got = run()
         assert sizes == [CHUNK // 4] * 4
-        assert np.array_equal(got, want)
+        assert np.all(np.isfinite(got)) and np.array_equal(got, want)
+        # the step buffers beside the block, and the history sum's own
+        steps = {"coef", "drive", "field", "spec", "acc"}
+        assert poisoned_names == {"block"} | steps | (
+            {"hist", "far"} if cov.operator == "wave" else {"kx"})
+
+    def test_no_returned_array_shares_a_workspace(self, monkeypatch, tiny_grid,
+                                                  nonlinear_model):
+        # every workspace made is recorded whole; what the public routines
+        # return is copied out of it, so a later sweep cannot change it
+        from varadhanlab.skeleton import gradient_phi, solve_phi
+
+        made, workspace = [], solver._workspace
+
+        def recording(lat, jt, size):
+            views = workspace(lat, jt, size)
+            made.append(list(views(size).values()))
+            return views
+
+        monkeypatch.setattr(solver, "_workspace", recording)
+        monkeypatch.setattr(mc, "_workspace", recording)
+
+        def owned(*arrays):
+            assert made, "no workspace was made"
+            assert not any(np.shares_memory(a, buf) for a in arrays
+                           for bufs in made for buf in bufs)
+            made.clear()
+
+        model, grid = nonlinear_model, tiny_grid
+        lat = lattice(model.cov, grid)
+        rng = np.random.default_rng(11)
+        h, g = (ControlH(lat, 0.3 * rng.standard_normal((grid.nt, lat.ncoords)))
+                for _ in range(2))
+        owned(sample_endpoints(model, grid, CHUNK + 5, 0.0))
+        owned(*sample_endpoints(model, grid, CHUNK + 5, 0.0, h=h))
+        phi = solve_phi(model, grid, h)
+        owned(phi.values)
+        owned(gradient_phi(model, grid, h, x=0.0).coeffs)
+        eng, w_tab = solver._prepare(model, grid, None)
+        _, trail = eng.forward(w_tab, lambda j, u: 0.1 * np.sin(u) + 0.01,
+                               keep_history=True)
+        owned(*trail)
+        before = phi.values.copy()
+        solve_phi(model, grid, g)
+        assert np.array_equal(phi.values, before)
 
 
 class TestStreamInvariance:

@@ -415,8 +415,10 @@ class TestRing:
         grid = self._grid(nt)
         lat = lattice(COV, grid)
         whole = np.stack([sample_path(lat, s).increments for s in range(5)])
-        buffer = np.full((5, min(solver._BLOCK, nt), lat.ncoords), np.nan)
-        inc = solver._Increments(solver.MildEngine(COV, grid), range(5), None, 1.0, buffer)
+        work = solver._workspace(lat, nt, 5)(5)
+        buffer = work["block"]
+        buffer.fill(np.nan)
+        inc = solver._Increments(solver.MildEngine(COV, grid), range(5), None, 1.0, work)
         halves = [half[:4] for half in inc.halves]
         for (lo, hi, start, _), (lo2, hi2, start2, _) in zip(halves, halves[1:]):
             for j in range(lo, hi):

@@ -12,7 +12,7 @@ from varadhanlab.noise import (ControlH, GridSpec, NoisePath, ht_inner, lattice,
                                sample_increments, sample_path)
 from varadhanlab.skeleton import forward_xi, gradient_phi, solve_phi
 from varadhanlab.solver import (_BLOCK, BumpInitial, MildEngine, ModelSpec,
-                                ZeroInitial, _Increments, _sub_batch,
+                                ZeroInitial, _Increments, _sub_batch, _workspace,
                                 check_wave_domain, g1_grid)
 
 COV = presets.WAVE_WHITE
@@ -180,8 +180,8 @@ class TestStreamedIncrements:
         whole = np.stack([sample_path(lat, s).increments for s in streams])
         jt = max(1, nt - short)
         h = ControlH(lat, np.random.default_rng(nt).standard_normal((nt, lat.ncoords)))
-        buffer = np.empty((len(streams), min(_BLOCK, nt), lat.ncoords))
-        inc = _Increments(MildEngine(COV, grid, jt), streams, h, 0.5, buffer)
+        work = _workspace(lat, jt, len(streams))(len(streams))
+        inc = _Increments(MildEngine(COV, grid, jt), streams, h, 0.5, work)
         scale = 0.5 / grid.dt
         slabs = []
         for j in range(jt):
