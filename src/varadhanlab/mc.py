@@ -134,8 +134,13 @@ def sample_endpoints(model: ModelSpec, grid: GridSpec, n: int, x,
     the start of each half the sweep joins that half's Philox draw, and the
     fill helper draws the next half while the sweep reads this one (the
     generators stay live between draws, so the increments are those of
-    sample_path, bit for bit, however the helper splits the rows).  A
-    failed sweep stops the fill running ahead before its error leaves.
+    sample_path, bit for bit, however the helper splits the rows).  The
+    ring spans the unit: during a sub-batch's last half the helper draws
+    its successor's first half into block rows already read, so only the
+    unit's first sub-batch waits for its first draw.  Generators are made
+    on this thread and released when their sub-batch ends, so two sets
+    live at most.  A failed sweep stops every fill running ahead, its
+    successor's included, before its error leaves.
     Each step synthesizes only its own slab, so neither the (B, nt, ncoords)
     increments nor a (B, jt, *spatial) field is ever held.
     A unit's memory is thus fixed by the grid, not by its size or by how
@@ -151,16 +156,20 @@ def sample_endpoints(model: ModelSpec, grid: GridSpec, n: int, x,
     def run(streams: range) -> np.ndarray:
         size = _sub_batch(eng.lat, eng.jt, len(streams))[0]
         views, parts = _workspace(eng.lat, eng.jt, size), []
+        incs = [_Increments(eng, part, h, model.eps, views(len(part)))
+                for part in (streams[lo: lo + size] for lo in range(0, len(streams), size))]
+        for inc, successor in zip(incs, incs[1:]):
+            inc.successor = successor
         with _busy():
-            for part in (streams[lo: lo + size] for lo in range(0, len(streams), size)):
-                work = views(len(part))
-                inc = _Increments(eng, part, h, model.eps, work)
+            for inc in incs:
                 try:
-                    u = _forward(model, eng, w_tab, inc, work)
-                finally:
+                    u = _forward(model, eng, w_tab, inc, inc.work)
+                    dots = inc.dots if h is None else inc.girsanov()
+                except BaseException:
                     inc.stop()
-                parts.append(np.stack((u[(slice(None), *point)],
-                                       inc.dots if h is None else inc.girsanov())))
+                    raise
+                inc.generators = None        # released: with its successor's, two sets live at most
+                parts.append(np.stack((u[(slice(None), *point)], dots)))
         return np.concatenate(parts, axis=1)
 
     jobs = [range(lo, min(lo + CHUNK, stream0 + n))

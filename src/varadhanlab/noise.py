@@ -8,10 +8,12 @@ N(0, dt) increments (sample_increments makes every draw of a stream;
 sample_path is its one-stream case).  sample_increments fills each block
 from both ends, the caller from the front and the module's one helper
 thread from the back, while the threads running ensemble jobs leave a CPU
-free; a stream is one generator's draw into its own row, so the split
-changes no bit.  A fill may start ahead of its join, so the helper draws
-the next half-block of an ensemble sweep while the caller sweeps the
-current one.  The same coordinate system hosts
+free; a stream is one generator's draw into its own row, scaled by
+sqrt(dt) on the thread that drew it, so the split changes no bit.  A fill
+may start ahead of its join, so the helper draws the next half-block of an
+ensemble sweep while the caller sweeps the current one; the ring of
+half-blocks spans an ensemble unit, so during a sub-batch's last half the
+helper draws the next sub-batch's first.  The same coordinate system hosts
 deterministic controls h with the L^2([0,T]; H) norm
 ||h||^2 = sum_i dt sum_k h(i,k)^2.
 
@@ -325,7 +327,9 @@ def _busy():
 
 class _Fill:
     """One increment block's fill (see sample_increments): the block, its
-    generators, the rows (streams) no thread has claimed and the helper's task."""
+    generators, the rows (streams) no thread has claimed and the helper's
+    task.  draw(fill, row) draws one row and scales it by sqrt(dt), on
+    whichever thread claimed the row."""
 
     def __init__(self, generators, out: np.ndarray, draw):
         self.generators, self.out, self.draw = generators, out, draw
@@ -341,14 +345,12 @@ class _Fill:
                 self.task = _HELPER.submit(_drain, self.rows.pop, self._row)
         return self
 
-    def join(self, dt: float) -> None:
-        """Claim rows from the front until none is left, stop, scale by sqrt(dt)."""
-        block = self.out
+    def join(self) -> None:
+        """Claim rows from the front until none is left, then stop."""
         try:
             _drain(self.rows.popleft, self._row)
         finally:
             self.stop()
-        block *= math.sqrt(dt)
 
     def stop(self) -> None:
         """Leave the helper no row: cancel its task if it has not started, else
@@ -364,10 +366,14 @@ class _Fill:
 class _Ring(list):
     """Generators that fill a ring of row blocks (solver._Increments).
 
-    Before each sample_increments call the caller sets next to the array
-    the generators fill after out (None: nothing).  The call leaves that
-    array's fill in ahead, made but not started; the caller starts it once
-    the rows it overwrites are read, and the call on next joins it.
+    Before each sample_increments call the caller sets next to the
+    (ring, array) pair filled after out: this ring and the array it fills
+    next, or the ring of the batch that sweeps after this one and that
+    batch's first array (None: nothing).  The call joins ahead, the fill
+    of out made by the call before it on either ring (if any), and leaves
+    the fill of next in its ring's ahead, made but not started; the caller
+    starts it once the rows it overwrites are read, and the call on that
+    ring and array joins it.
     """
 
     next = ahead = None
@@ -384,14 +390,17 @@ def sample_increments(lat: Lattice, generators, out: np.ndarray) -> np.ndarray:
     A fill (_Fill) starts, then joins.  The start queues a task on the
     module's one helper thread, which claims rows (streams) from the back
     of the block; the join has the caller claim rows from the front until
-    none is left, cancel the helper's task if it has not started, else
-    wait only for the helper's one row in flight, and scale the block by
-    sqrt(dt).  A row is one generator's whole draw into its own slice of
-    out, so the split changes no bit.  Called with a list of generators,
+    none is left, then cancel the helper's task if it has not started,
+    else wait only for the helper's one row in flight.  A row is one
+    generator's whole draw into its own slice of out, scaled by sqrt(dt)
+    on the thread that drew it, so the join makes no pass over the block
+    and the split changes no bit.  Called with a list of generators,
     sample_increments starts the fill of out and joins it at once.  Called
     with a _Ring, it joins ring.ahead, the fill of out started ahead (if
     any), so the helper filled out while the caller worked, and leaves the
-    fill of ring.next in ring.ahead.
+    fill of ring.next in the ahead of next's ring: the same ring's next
+    half-block, or, across a unit's sub-batches, the next sub-batch's
+    first one.
 
     The helper is asked in only while the threads running ensemble jobs
     (_busy) leave a CPU free: with every CPU running a job (the CLI's
@@ -400,19 +409,22 @@ def sample_increments(lat: Lattice, generators, out: np.ndarray) -> np.ndarray:
     shut down, fills alone too.  Callers share the one helper; a task
     queued behind another caller's is cancelled at the join, so no caller
     waits for another caller's rows.  The helper calls only standard_normal
-    (its ziggurat fill releases the GIL), so every traced call stays on the
-    caller's thread.
+    and the in-place multiply of its rows by sqrt(dt) (both release the
+    GIL), so every traced call stays on the caller's thread.
     Returns out.
     """
     if out.ndim != 3 or out.shape[::2] != (len(generators), lat.ncoords):
         raise ShapeError(f"out has shape {out.shape}, expected "
                          f"({len(generators)}, rows, {lat.ncoords})")
-    draw = lambda fill, row: fill.generators[row].standard_normal(out=fill.out[row])
-    fill = getattr(generators, "ahead", None) or _Fill(generators, out, draw).start()
-    fill.join(lat.grid.dt)
+    scale = math.sqrt(lat.grid.dt)
+    draw = lambda fill, row: np.multiply(
+        fill.generators[row].standard_normal(out=fill.out[row]), scale, out=fill.out[row])
+    (getattr(generators, "ahead", None) or _Fill(generators, out, draw).start()).join()
     if isinstance(generators, _Ring):
-        then = generators.next
-        generators.ahead = None if then is None else _Fill(generators, then, draw)
+        generators.ahead = None
+        if generators.next is not None:
+            ring, then = generators.next
+            ring.ahead = _Fill(ring, then, draw)
     return out
 
 

@@ -394,25 +394,35 @@ class _Increments:
     (B, min(_BLOCK, nt), ncoords) block, which it fills as a ring of two
     halves: each _BLOCK block of the first jt rows splits into a first half
     of ceil(rows / 2) rows and a second of the rest.  Every stream has one
-    generator, made on the first draw and live after it, so the increments
-    are those of sample_path, bit for bit.  At the start of each half the
+    generator, made on the caller's thread before the batch's first draw
+    and live until the unit's loop releases it, so the increments are
+    those of sample_path, bit for bit.  At the start of each half the
     sweep joins that half's fill through sample_increments (the generators
     are a noise._Ring), then starts the next half's fill, which the helper
     draws while the sweep reads this half; the next block's first half
-    takes no row of the current block's second.  With a control h,
-    girsanov() returns sum_{i,k} h(i,k) dW(i,k) per stream over all nt
-    rows: one einsum per _BLOCK block, taken once its second half is joined
-    and before the next fill starts, then the rows no sweep drew in
-    synchronous _BLOCK draws.  stop() stops a fill still running ahead of a
-    failed sweep.
+    takes no row of the current block's second.
+
+    The ring spans the unit: successor is the batch that sweeps next in
+    the same workspace (None: the unit's last).  Its block views the same
+    memory, stream by stream, so at the start of this batch's last half
+    the successor's generators are made and its first half's fill starts,
+    into rows this batch has finished reading.  The prefetch is skipped
+    where the two halves share buffer rows (jt = 1, or a last block too
+    short for the successor's first half to fit before its last half) and
+    in a tilted sweep with jt < nt, whose girsanov() still draws into the
+    block.  With a control h, girsanov() returns sum_{i,k} h(i,k) dW(i,k)
+    per stream over all nt rows: one einsum per _BLOCK block, taken once
+    its second half is joined and before the next fill starts, then the
+    rows no sweep drew in synchronous _BLOCK draws.  stop() stops the
+    fills running ahead of a failed sweep, the successor's included.
     """
 
     def __init__(self, eng: MildEngine, streams, h: ControlH | None, eps: float,
                  work: dict):
         self.lat, self.jt, self.h = eng.lat, eng.jt, h
         self.scale = eps / eng.grid.dt
-        self.streams = streams
-        self.generators = None
+        self.streams, self.work = streams, work
+        self.generators = self.successor = None
         self.dots = np.zeros(len(streams))
         self.buffer, self.coef, self.drive = work["block"], work["coef"], work["drive"]
         self.drawn = 0
@@ -425,25 +435,39 @@ class _Increments:
                 self.halves.append((lo, hi, start, end,
                                     self.buffer[:, lo - start: hi - start]))
 
-    def _draw(self, lo: int, hi: int, start: int, end: int, rows: np.ndarray,
-              then: np.ndarray | None = None) -> None:
-        """Fill rows lo:hi of the block start:end (joining a fill started ahead),
-        add the block's dots at its end, then start the fill of then."""
+    def ring(self) -> _Ring:
+        """The batch's generators, made the first time they are asked for."""
         if self.generators is None:
             self.generators = _Ring(_philox(self.lat, s) for s in self.streams)
-        self.generators.next = then
-        sample_increments(self.lat, self.generators, rows)
+        return self.generators
+
+    def _then(self, lo: int, start: int):
+        """The (ring, rows) pair filled after the half lo.. of the block at start,
+        or None where no fill may follow it (see the class docstring)."""
+        if self.halves:
+            return self.generators, self.halves[0][-1]
+        succ = self.successor
+        if (succ is None or lo - start < succ.halves[0][1]
+                or self.h is not None and self.jt < self.lat.grid.nt):
+            return None
+        return succ.ring(), succ.halves[0][-1]
+
+    def _draw(self, lo: int, hi: int, start: int, end: int, rows: np.ndarray) -> None:
+        """Fill rows lo:hi of the block start:end (joining a fill started ahead),
+        add the block's dots at its end, then start the fill that follows."""
+        ring = self.ring()
+        ring.next = then = self._then(lo, start)
+        sample_increments(self.lat, ring, rows)
         self.drawn = hi
         if self.h is not None and hi == end:
             self.dots += np.einsum("bik,ik->b", self.buffer[:, :end - start],
                                    self.h.coeffs[start: end])
-        if self.generators.ahead is not None:
-            self.generators.ahead.start()
+        if then is not None:
+            then[0].ahead.start()
 
     def __call__(self, j: int) -> np.ndarray:
         if self.halves and j == self.halves[0][0]:
-            half = self.halves.popleft()
-            self._draw(*half, then=self.halves[0][-1] if self.halves else None)
+            self._draw(*self.halves.popleft())
         c = np.multiply(self.scale, self.buffer[:, j % _BLOCK], out=self.coef)
         if self.h is not None:
             np.add(self.h.coeffs[j], c, out=c)
@@ -457,10 +481,12 @@ class _Increments:
         return self.dots
 
     def stop(self) -> None:
-        """Stop the fill running ahead, if any: none outlives a failed sweep."""
-        if self.generators is not None and self.generators.ahead is not None:
-            self.generators.ahead.stop()
-            self.generators.ahead = None
+        """Stop the fills running ahead, this batch's and its successor's: none
+        outlives a failed sweep."""
+        for inc in filter(None, (self, self.successor)):
+            if inc.generators is not None and inc.generators.ahead is not None:
+                inc.generators.ahead.stop()
+                inc.generators.ahead = None
 
 
 def _sub_batch(lat: Lattice, jt: int, n: int) -> tuple[int, int]:

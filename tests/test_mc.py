@@ -1,4 +1,5 @@
 import math
+from concurrent.futures import Future
 from unittest import mock
 
 import numpy as np
@@ -11,7 +12,7 @@ from varadhanlab.mc import (CHUNK, DensityCurve, estimate_density, gaussian_kde,
                             sample_endpoints, silverman_bandwidth,
                             support_convergence, tilted_density,
                             varadhan_sweep, _batch_se)
-from varadhanlab.noise import ControlH, GridSpec, lattice
+from varadhanlab.noise import ControlH, GridSpec, lattice, sample_path
 from varadhanlab.rate import rate_function
 from varadhanlab.solver import g1_grid
 
@@ -149,16 +150,28 @@ class TestSampleEndpointsGuards:
             sample_endpoints(nonlinear_model, tiny_grid, 0, 0.0)
 
 
+class _EagerHelper:
+    """Stands in for noise's fill helper: runs each fill task as it is queued."""
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_running_or_notify_cancel()
+        future.set_result(fn(*args))
+        return future
+
+
 class TestUnitWorkspace:
     @pytest.mark.parametrize("tilt", [False, True], ids=["plain", "tilted"])
     @pytest.mark.parametrize("cov", [presets.WAVE_WHITE, presets.HEAT_WHITE],
                              ids=["wave", "heat"])
     def test_no_stale_workspace_row_is_read(self, monkeypatch, cov, tilt):
         # a mc_grid chunk runs in four sub-batches of one unit workspace (for
-        # the seed-7 wave chunk this budget gives the default split); each
-        # starts from buffers filled with NaN, so a row read before its
-        # sub-batch wrote it, or an accumulator not zeroed, would turn the
-        # endpoints or the dots NaN
+        # the seed-7 wave chunk this budget gives the default split).  At
+        # each sub-batch's start every buffer is filled with NaN, except the
+        # first half-block rows the sub-batch before it drew ahead for it,
+        # which must already hold this sub-batch's increments; so a row read
+        # before its sub-batch wrote it, or an accumulator not zeroed, would
+        # turn the endpoints or the dots NaN
         model, grid, stream0 = presets.nonlinear_model(cov), presets.mc_grid(7), 7 << 24
         lat = lattice(cov, grid)
         state = solver._sub_batch(lat, grid.nt, 1)[1]
@@ -172,27 +185,41 @@ class TestUnitWorkspace:
                                                   stream0=stream0))
 
         want = run()
-        workspace, sizes, poisoned_names = mc._workspace, [], set()
+        # a helper that draws each fill's rows as the fill starts, so the rows
+        # drawn ahead are complete at the sub-batch boundary
+        monkeypatch.setattr(noise, "_HELPER", _EagerHelper())
+        monkeypatch.setattr(noise, "_CPUS", 2)
+        workspace, forward, made, prefetched, seen = mc._workspace, mc._forward, [], [], []
 
-        def poisoned(lat, jt, size):
+        def recording(lat, jt, size):
             views = workspace(lat, jt, size)
+            made.append(views(size))
+            return views
 
-            def fill(b):
-                sizes.append(b)
-                for name, buffer in views(size).items():
-                    poisoned_names.add(name)
-                    buffer.fill(np.nan)
-                return views(b)
+        def poisoned(model, eng, w_tab, inc, work):
+            # the sub-batches before this one released their generators
+            assert all(done.generators is None for done in seen)
+            seen.append(inc)
+            rows = inc.halves[0][-1]
+            kept = rows.copy()
+            for buffer in made[-1].values():
+                buffer.fill(np.nan)
+            if inc.generators is not None:          # made by the sub-batch before
+                rows[...] = kept
+                prefetched.append(len(inc.streams))
+                paths = np.stack([sample_path(lat, s).increments[: rows.shape[1]]
+                                  for s in inc.streams])
+                assert np.array_equal(kept, paths)
+            return forward(model, eng, w_tab, inc, work)
 
-            return fill
-
-        monkeypatch.setattr(mc, "_workspace", poisoned)
+        monkeypatch.setattr(mc, "_workspace", recording)
+        monkeypatch.setattr(mc, "_forward", poisoned)
         got = run()
-        assert sizes == [CHUNK // 4] * 4
+        assert len(made) == 1 and prefetched == [CHUNK // 4] * 3
         assert np.all(np.isfinite(got)) and np.array_equal(got, want)
         # the step buffers beside the block, and the history sum's own
         steps = {"coef", "drive", "field", "spec", "acc"}
-        assert poisoned_names == {"block"} | steps | (
+        assert set(made[0]) == {"block"} | steps | (
             {"hist", "far"} if cov.operator == "wave" else {"kx"})
 
     def test_no_returned_array_shares_a_workspace(self, monkeypatch, tiny_grid,

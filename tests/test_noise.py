@@ -1,6 +1,5 @@
 import contextlib
 import json
-import math
 import os
 import subprocess
 import sys
@@ -369,14 +368,21 @@ class TestRing:
         return GridSpec(L=1.25, nx=16, nt=nt, T=1.0, nk=8, seed=7)
 
     @staticmethod
-    def _endpoints(grid, t):
+    def _endpoints(grid, t, n=5):
         model = presets.nonlinear_model()
         lat = lattice(model.cov, grid)
         h = ControlH(lat, 0.3 * np.random.default_rng(5).standard_normal(
             (grid.nt, lat.ncoords)))
-        plain = mc.sample_endpoints(model, grid, 5, 0.0, t=t)
-        tilted, dots = mc.sample_endpoints(model, grid, 5, 0.0, t=t, h=h)
+        plain = mc.sample_endpoints(model, grid, n, 0.0, t=t)
+        tilted, dots = mc.sample_endpoints(model, grid, n, 0.0, t=t, h=h)
         return np.stack((plain, tilted, dots))
+
+    @staticmethod
+    def _three_sub_batches(monkeypatch, grid, jt):
+        # 13 streams in sub-batches of 5, 5 and 3
+        state = solver._sub_batch(lattice(COV, grid), jt, 1)[1]
+        monkeypatch.setattr(solver, "_STATE_BUDGET", 5 * state)
+        assert solver._sub_batch(lattice(COV, grid), jt, 13) == (5, state)
 
     # nt = 16: a ring of two 8-row halves; 17: an odd ring of 9 and 8 rows;
     # 40: a partial last block; 64: two whole blocks.  t = 0.4 stops the
@@ -388,28 +394,79 @@ class TestRing:
                              ids=["no-row", "every-row", "a-share", "every-cpu-busy"])
     def test_endpoints_and_dots_do_not_depend_on_the_split(self, monkeypatch, nt, t,
                                                            rows, busy):
+        self._check_split(monkeypatch, self._grid(nt), t, 5, rows, busy)
+
+    def _check_split(self, monkeypatch, grid, t, n, rows, busy):
         # the reference runs with the helper off: the job's thread is busy
         # and there is one CPU.  With a CPU free the stub helper claims its
         # rows when a fill starts, ahead of the sweep; with every CPU busy
         # no fill is queued at all
-        grid = self._grid(nt)
         monkeypatch.setattr(noise, "_CPUS", 1)
-        want = self._endpoints(grid, t)
+        want = self._endpoints(grid, t, n)
         helper = _StubHelper(rows)
         monkeypatch.setattr(noise, "_HELPER", helper)
         monkeypatch.setattr(noise, "_CPUS", 1 if busy else 2)
-        assert np.array_equal(self._endpoints(grid, t), want)
+        assert np.array_equal(self._endpoints(grid, t, n), want)
         if busy:
             assert helper.futures == []
         else:
             assert len(helper.futures) > 2 and all(f.done() for f in helper.futures)
             assert all(f.cancelled() == (rows == 0) for f in helper.futures)
 
+    # nt = 33 ends on a one-row block and nt = 40 on an 8-row one, too short
+    # for the next sub-batch's first half to fit before its last half: no
+    # fill crosses their sub-batch boundaries.  A tilted t < T sweep draws
+    # the rest of its rows after the sweep, so it fills each sub-batch alone.
+    @pytest.mark.parametrize("nt", [16, 17, 33, 40, 64])
+    @pytest.mark.parametrize("t", [None, 0.4], ids=["t=T", "t<T"])
+    @pytest.mark.parametrize("rows, busy", [(0, False), (None, False), (2, False),
+                                            (None, True)],
+                             ids=["no-row", "every-row", "a-share", "every-cpu-busy"])
+    def test_the_split_across_sub_batches_changes_no_bit(self, monkeypatch, nt, t,
+                                                          rows, busy):
+        grid = self._grid(nt)
+        self._three_sub_batches(monkeypatch, grid, nt if t is None else grid.time_index(t))
+        self._check_split(monkeypatch, grid, t, 13, rows, busy)
+
+    # (nt, t, tilted, whether sub-batch 1's first half is drawn during
+    # sub-batch 0's last): jt = 1 and one-row or 8-row last blocks share
+    # rows with the next first half; a tilted t < T sweep still draws into
+    # the block after its last half
+    @pytest.mark.parametrize("nt, t, tilt, ahead", [
+        (16, None, False, True), (17, None, False, True), (64, None, True, True),
+        (64, 0.5, False, True), (64, 0.5, True, False), (1, None, False, False),
+        (33, None, False, False), (40, None, False, False)])
+    def test_the_next_sub_batch_is_drawn_while_this_one_reads_its_last_half(
+            self, monkeypatch, nt, t, tilt, ahead):
+        monkeypatch.setattr(noise, "_HELPER", _StubHelper(None))
+        monkeypatch.setattr(noise, "_CPUS", 2)
+        grid = self._grid(nt)
+        lat = lattice(COV, grid)
+        eng = solver.MildEngine(COV, grid, None if t is None else grid.time_index(t))
+        whole = np.stack([sample_path(lat, s).increments for s in range(8)])
+        h = ControlH(lat, np.ones((nt, lat.ncoords))) if tilt else None
+        views = solver._workspace(lat, eng.jt, 5)
+        views(5)["block"].fill(np.nan)
+        first, second = (solver._Increments(eng, part, h, 1.0, views(len(part)))
+                         for part in (range(5), range(5, 8)))
+        first.successor = second
+        rows, lo = second.halves[0][-1], first.halves[-1][0]
+        for j in range(eng.jt):
+            first(j)
+            if j == lo:
+                assert (second.generators is not None) == ahead
+                assert np.array_equal(rows, whole[5:, :rows.shape[1]]) == ahead
+            # the fill drawn ahead leaves every slab this sweep reads intact
+            assert np.array_equal(first.buffer[:, j % solver._BLOCK], whole[:5, j])
+        for j in range(eng.jt):
+            second(j)
+            assert np.array_equal(second.buffer[:, j % solver._BLOCK], whole[5:, j])
+
     @pytest.mark.parametrize("nt", [16, 17, 40, 64])
     def test_the_next_half_is_drawn_while_the_sweep_reads_this_one(self, monkeypatch, nt):
         # the stub helper draws every row of a fill when it starts: right
         # after the sweep reads the first slab of a half, the next half's
-        # rows already sit in the buffer (scaled by sqrt(dt) at their join)
+        # rows already sit in the buffer, scaled by sqrt(dt) as they were drawn
         monkeypatch.setattr(noise, "_HELPER", _StubHelper(None))
         monkeypatch.setattr(noise, "_CPUS", 2)
         grid = self._grid(nt)
@@ -423,8 +480,7 @@ class TestRing:
         for (lo, hi, start, _), (lo2, hi2, start2, _) in zip(halves, halves[1:]):
             for j in range(lo, hi):
                 inc(j)
-            ahead = buffer[:, lo2 - start2: hi2 - start2] * math.sqrt(grid.dt)
-            assert np.array_equal(ahead, whole[:, lo2: hi2])
+            assert np.array_equal(buffer[:, lo2 - start2: hi2 - start2], whole[:, lo2: hi2])
         assert len(halves) == 2 * -(-nt // solver._BLOCK)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -440,6 +496,35 @@ class TestRing:
             mc.sample_endpoints(model, self._grid(64), 5, 0.0)
         assert err.value.step == 10
         assert len(helper.futures) == 2 and all(f.cancelled() for f in helper.futures)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("rows", [0, None, 2], ids=["no-row", "every-row", "a-share"])
+    def test_no_fill_outlives_a_later_failed_sub_batch(self, monkeypatch, rows):
+        # sub-batch 1 of three blows up at step 50, in its last half, while
+        # sub-batch 2's first half is queued: its fill, and every other, is
+        # cancelled or done when the error leaves, and the error keeps its step
+        grid = self._grid(64)
+        self._three_sub_batches(monkeypatch, grid, grid.nt)
+        helper = _StubHelper(rows)
+        monkeypatch.setattr(noise, "_HELPER", helper)
+        monkeypatch.setattr(noise, "_CPUS", 2)
+        forward, sweeps = mc._forward, []
+
+        def failing(model, eng, w_tab, inc, work):
+            sweeps.append(inc)
+            drive = inc if len(sweeps) != 2 else (
+                lambda j: inc(j) * (np.inf if j == 49 else 1.0))
+            return forward(model, eng, w_tab, drive, work)
+
+        monkeypatch.setattr(mc, "_forward", failing)
+        with pytest.raises(BlowUpError) as err:
+            mc.sample_endpoints(presets.nonlinear_model(), grid, 13, 0.0)
+        assert err.value.step == 50 and len(sweeps) == 2
+        # sub-batch 0 made five fills (its four halves and sub-batch 1's first),
+        # sub-batch 1 four (its last three halves and sub-batch 2's first)
+        assert len(helper.futures) == 9
+        assert all(f.cancelled() if rows == 0 else f.done() for f in helper.futures)
+        assert sweeps[1].successor.generators.ahead is None
 
 
 def test_a_thread_outliving_the_main_thread_still_draws():
