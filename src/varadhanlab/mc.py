@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import TiltError, GridError
-from .noise import ControlH, GridSpec, _busy, lattice
+from .noise import ControlH, GridSpec, _Unit, lattice
 from .skeleton import solve_phi
 from .solver import (ModelSpec, _forward, _Increments, _observation_index, _prepare,
                      _sub_batch, _workspace)
@@ -109,17 +109,12 @@ def sample_endpoints(model: ModelSpec, grid: GridSpec, n: int, x,
     The engine, the initial table and the observation index are built once
     per call.  The streams split into units of CHUNK, the jobs the optional
     executor maps to workers; results merge in stream order, so they do
-    not depend on scheduling or on the worker count.  A running job counts
-    its thread as busy (noise._busy): noise.sample_increments shares each
-    block's draw with its one fill helper thread, and lets it fill ahead,
-    only while the busy threads leave a CPU free (so --jobs 2 on two CPUs
-    fills alone), and workers sharing the helper never wait for each
-    other's rows.  A unit
-    runs in equal sub-batches (solver._sub_batch), one forward sweep each:
-    per replica the engine holds min(_BLOCK, nt) increment rows and, for
-    wave, a (jt, nspec) complex history (heat: one (nspec,) accumulator),
-    and the sub-batches are the fewest that keep this state near
-    _STATE_BUDGET bytes each.  A unit allocates one solver._workspace, for
+    not depend on scheduling or on the worker count.  A unit runs in equal
+    sub-batches (solver._sub_batch), one forward sweep each: per replica
+    the engine holds min(_BLOCK, nt) increment rows and, for wave, a
+    (jt, nspec) complex history (heat: one (nspec,) accumulator), and the
+    sub-batches are the fewest that keep this state near _STATE_BUDGET
+    bytes each.  A unit allocates one solver._workspace, for
     its first and largest sub-batch: these buffers, the wave far sums and
     every array a sweep step forms (the state, the drive and its
     coefficient row, the spectrum and the causal-sum accumulator).  Each
@@ -130,17 +125,10 @@ def sample_endpoints(model: ModelSpec, grid: GridSpec, n: int, x,
     buffers per sub-batch let the allocator return their pages in between,
     to be faulted in anew (2.5-2.7 times the minor faults on mc_grid).  A
     sub-batch is one solver._Increments, which the sweep calls as its
-    drive.  It fills its increment rows as a ring of two half-blocks: at
-    the start of each half the sweep joins that half's Philox draw, and the
-    fill helper draws the next half while the sweep reads this one (the
-    generators stay live between draws, so the increments are those of
-    sample_path, bit for bit, however the helper splits the rows).  The
-    ring spans the unit: during a sub-batch's last half the helper draws
-    its successor's first half into block rows already read, so only the
-    unit's first sub-batch waits for its first draw.  Generators are made
-    on this thread and released when their sub-batch ends, so two sets
-    live at most.  A failed sweep stops every fill running ahead, its
-    successor's included, before its error leaves.
+    drive.  The unit's Philox fills follow one schedule, a noise._Unit
+    entered around the unit's loop (see there): the fill helper draws
+    ahead of the sweep while the running units leave a CPU free (so
+    --jobs 2 on two CPUs fills alone), and no fill outlives a failed sweep.
     Each step synthesizes only its own slab, so neither the (B, nt, ncoords)
     increments nor a (B, jt, *spatial) field is ever held.
     A unit's memory is thus fixed by the grid, not by its size or by how
@@ -156,19 +144,12 @@ def sample_endpoints(model: ModelSpec, grid: GridSpec, n: int, x,
     def run(streams: range) -> np.ndarray:
         size = _sub_batch(eng.lat, eng.jt, len(streams))[0]
         views, parts = _workspace(eng.lat, eng.jt, size), []
-        incs = [_Increments(eng, part, h, model.eps, views(len(part)))
-                for part in (streams[lo: lo + size] for lo in range(0, len(streams), size))]
-        for inc, successor in zip(incs, incs[1:]):
-            inc.successor = successor
-        with _busy():
+        with _Unit(eng.lat) as unit:
+            incs = [_Increments(eng, part, h, model.eps, views(len(part)), unit)
+                    for part in (streams[lo: lo + size] for lo in range(0, len(streams), size))]
             for inc in incs:
-                try:
-                    u = _forward(model, eng, w_tab, inc, inc.work)
-                    dots = inc.dots if h is None else inc.girsanov()
-                except BaseException:
-                    inc.stop()
-                    raise
-                inc.generators = None        # released: with its successor's, two sets live at most
+                u = _forward(model, eng, w_tab, inc, inc.work)
+                dots = inc.dots if h is None else inc.girsanov()
                 parts.append(np.stack((u[(slice(None), *point)], dots)))
         return np.concatenate(parts, axis=1)
 

@@ -7,13 +7,11 @@ independent Brownian motion, so a noise path is an (nt x ncoords) array of
 N(0, dt) increments (sample_increments makes every draw of a stream;
 sample_path is its one-stream case).  sample_increments fills each block
 from both ends, the caller from the front and the module's one helper
-thread from the back, while the threads running ensemble jobs leave a CPU
-free; a stream is one generator's draw into its own row, scaled by
-sqrt(dt) on the thread that drew it, so the split changes no bit.  A fill
-may start ahead of its join, so the helper draws the next half-block of an
-ensemble sweep while the caller sweeps the current one; the ring of
-half-blocks spans an ensemble unit, so during a sub-batch's last half the
-helper draws the next sub-batch's first.  The same coordinate system hosts
+thread from the back, while the running ensemble jobs leave a CPU free; a
+stream is one generator's draw into its own row, scaled by sqrt(dt) on the
+thread that drew it, so the split changes no bit.  The fills of an
+ensemble unit follow its one schedule, _Unit, which starts each fill
+ahead of its join where the rows allow.  The same coordinate system hosts
 deterministic controls h with the L^2([0,T]; H) norm
 ||h||^2 = sum_i dt sum_k h(i,k)^2.
 
@@ -38,10 +36,9 @@ from __future__ import annotations
 import math
 import os
 import struct
-import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager, suppress
+from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -310,19 +307,8 @@ _HELPER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="varadhanlab-fill
 #: the CPUs this process may run on
 _CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
          else os.cpu_count() or 1)
-#: the threads running an ensemble job (an mc.sample_endpoints unit) now
-_BUSY: set[int] = set()
-
-
-@contextmanager
-def _busy():
-    """Count the calling thread among the busy ones inside the with-statement."""
-    me = threading.get_ident()
-    _BUSY.add(me)
-    try:
-        yield
-    finally:
-        _BUSY.discard(me)
+#: the ensemble units (each an mc.sample_endpoints job on its own thread) running now
+_BUSY: set["_Unit"] = set()
 
 
 class _Fill:
@@ -363,20 +349,69 @@ class _Fill:
         self.generators = self.out = None
 
 
-class _Ring(list):
-    """Generators that fill a ring of row blocks (solver._Increments).
+class _Unit:
+    """The fill schedule of one ensemble unit (an mc.sample_endpoints job).
 
-    Before each sample_increments call the caller sets next to the
-    (ring, array) pair filled after out: this ring and the array it fills
-    next, or the ring of the batch that sweeps after this one and that
-    batch's first array (None: nothing).  The call joins ahead, the fill
-    of out made by the call before it on either ring (if any), and leaves
-    the fill of next in its ring's ahead, made but not started; the caller
-    starts it once the rows it overwrites are read, and the call on that
-    ring and array joins it.
+    Each solver._Increments of the unit adds its fills in the order its
+    sweep joins them, as (streams, rows) pairs, rows a view of the unit's
+    increment block: the halves of each block of its first jt rows, then,
+    for a tilted sweep, the blocks past jt that girsanov() draws.  A
+    sample_increments(lat, unit, rows) call joins the next fill.  After
+    each join the unit makes the fill that follows and leaves it, not yet
+    started, in ahead, unless its rows share memory with those just
+    joined; the caller starts it (start) once it has read what it needs of
+    them.  So the fill helper draws the next half-block, or the next
+    sub-batch's first, while the caller sweeps the current one.  Where the
+    rows overlap (jt = 1, a last block too short to hold the next
+    sub-batch's first half, the blocks past jt, which all start at block
+    row 0) the fill waits for its own call.  A batch's generators are made
+    on the caller's thread with its first fill, after the previous fill's
+    join: one set is alive at a time, and each stream draws its rows in
+    order, so they are those of sample_path, bit for bit.  Entered around
+    the unit's loop, the unit counts as busy (see sample_increments), and
+    on exit it stops the fill running ahead, so none outlives a failed
+    sweep.  len(unit) is the number of streams of the fill joined last.
     """
 
-    next = ahead = None
+    def __init__(self, lat: Lattice):
+        self.lat, self.fills, self.joined = lat, deque(), 0
+        self.streams = self.generators = self.ahead = None
+
+    def __len__(self) -> int:
+        return self.joined
+
+    def __enter__(self) -> "_Unit":
+        _BUSY.add(self)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        _BUSY.discard(self)
+        fill, self.ahead = self.ahead, None
+        if fill is not None:
+            fill.stop()
+
+    def add(self, streams, rows: np.ndarray) -> None:
+        """Add the fill of rows, (len(streams), r, ncoords), after the ones added before."""
+        self.fills.append((streams, rows))
+
+    def start(self) -> None:
+        """Start the fill made ahead, if any."""
+        if self.ahead is not None:
+            self.ahead.start()
+
+    def _make(self, draw) -> _Fill:
+        streams, rows = self.fills.popleft()
+        if streams is not self.streams:
+            self.generators = None                    # released before the next set
+            self.streams, self.generators = streams, [_philox(self.lat, s) for s in streams]
+        return _Fill(self.generators, rows, draw)
+
+    def _join(self, out: np.ndarray, draw) -> None:
+        fill, self.ahead = self.ahead or self._make(draw).start(), None
+        self.joined = len(fill.generators)
+        fill.join()
+        if self.fills and not np.shares_memory(self.fills[0][1], out):
+            self.ahead = self._make(draw)
 
 
 def sample_increments(lat: Lattice, generators, out: np.ndarray) -> np.ndarray:
@@ -396,35 +431,30 @@ def sample_increments(lat: Lattice, generators, out: np.ndarray) -> np.ndarray:
     on the thread that drew it, so the join makes no pass over the block
     and the split changes no bit.  Called with a list of generators,
     sample_increments starts the fill of out and joins it at once.  Called
-    with a _Ring, it joins ring.ahead, the fill of out started ahead (if
-    any), so the helper filled out while the caller worked, and leaves the
-    fill of ring.next in the ahead of next's ring: the same ring's next
-    half-block, or, across a unit's sub-batches, the next sub-batch's
-    first one.
+    with a _Unit, it joins the unit's next fill, whose rows out must be,
+    and the unit schedules the fill after it (see _Unit).
 
-    The helper is asked in only while the threads running ensemble jobs
-    (_busy) leave a CPU free: with every CPU running a job (the CLI's
-    --jobs 2 on two CPUs) it would only compete for the cores and the GIL.
-    A one-stream block, or a block drawn after the interpreter began to
-    shut down, fills alone too.  Callers share the one helper; a task
-    queued behind another caller's is cancelled at the join, so no caller
-    waits for another caller's rows.  The helper calls only standard_normal
-    and the in-place multiply of its rows by sqrt(dt) (both release the
-    GIL), so every traced call stays on the caller's thread.
+    The helper is asked in only while the running ensemble units (_Unit)
+    leave a CPU free: with every CPU running a job (the CLI's --jobs 2 on
+    two CPUs) it would only compete for the cores and the GIL.  A
+    one-stream block, or a block drawn after the interpreter began to shut
+    down, fills alone too.  Callers share the one helper; a task queued
+    behind another caller's is cancelled at the join, so no caller waits
+    for another caller's rows.  The helper calls only standard_normal and
+    the in-place multiply of its rows by sqrt(dt) (both release the GIL),
+    so every traced call stays on the caller's thread.
     Returns out.
     """
-    if out.ndim != 3 or out.shape[::2] != (len(generators), lat.ncoords):
-        raise ShapeError(f"out has shape {out.shape}, expected "
-                         f"({len(generators)}, rows, {lat.ncoords})")
     scale = math.sqrt(lat.grid.dt)
     draw = lambda fill, row: np.multiply(
         fill.generators[row].standard_normal(out=fill.out[row]), scale, out=fill.out[row])
-    (getattr(generators, "ahead", None) or _Fill(generators, out, draw).start()).join()
-    if isinstance(generators, _Ring):
-        generators.ahead = None
-        if generators.next is not None:
-            ring, then = generators.next
-            ring.ahead = _Fill(ring, then, draw)
+    if isinstance(generators, _Unit):
+        generators._join(out, draw)
+        return out
+    if out.ndim != 3 or out.shape[::2] != (len(generators), lat.ncoords):
+        raise ShapeError(f"out has shape {out.shape}, expected "
+                         f"({len(generators)}, rows, {lat.ncoords})")
+    _Fill(generators, out, draw).start().join()
     return out
 
 

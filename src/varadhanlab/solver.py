@@ -56,8 +56,7 @@ from . import covkernel
 from .covkernel import CovarianceSpec
 from .errors import BlowUpError, GridError
 from .funcs import ScalarFunc
-from .noise import (ControlH, GridSpec, Lattice, _philox, _Ring, lattice,
-                    sample_increments, write_binary)
+from .noise import ControlH, GridSpec, Lattice, lattice, sample_increments, write_binary
 
 #: slabs per block of the history sum (see the module docstring)
 _BLOCK = 32
@@ -391,102 +390,61 @@ class _Increments:
     overwritten by the next call, so a call allocates only synthesize's
     gathered spectrum.  The sweep asks for j = 0, 1, ... in order and reads
     slab j from row j % _BLOCK of buffer, work's
-    (B, min(_BLOCK, nt), ncoords) block, which it fills as a ring of two
-    halves: each _BLOCK block of the first jt rows splits into a first half
-    of ceil(rows / 2) rows and a second of the rest.  Every stream has one
-    generator, made on the caller's thread before the batch's first draw
-    and live until the unit's loop releases it, so the increments are
-    those of sample_path, bit for bit.  At the start of each half the
-    sweep joins that half's fill through sample_increments (the generators
-    are a noise._Ring), then starts the next half's fill, which the helper
-    draws while the sweep reads this half; the next block's first half
-    takes no row of the current block's second.
-
-    The ring spans the unit: successor is the batch that sweeps next in
-    the same workspace (None: the unit's last).  Its block views the same
-    memory, stream by stream, so at the start of this batch's last half
-    the successor's generators are made and its first half's fill starts,
-    into rows this batch has finished reading.  The prefetch is skipped
-    where the two halves share buffer rows (jt = 1, or a last block too
-    short for the successor's first half to fit before its last half) and
-    in a tilted sweep with jt < nt, whose girsanov() still draws into the
-    block.  With a control h, girsanov() returns sum_{i,k} h(i,k) dW(i,k)
-    per stream over all nt rows: one einsum per _BLOCK block, taken once
-    its second half is joined and before the next fill starts, then the
-    rows no sweep drew in synchronous _BLOCK draws.  stop() stops the
-    fills running ahead of a failed sweep, the successor's included.
+    (B, min(_BLOCK, nt), ncoords) block.  unit, the noise._Unit of the
+    ensemble unit, schedules the fills of the block (see there): each
+    _BLOCK block of the first jt rows in a first half of ceil(rows / 2)
+    rows and a second of the rest.  With a control h, girsanov() returns
+    sum_{i,k} h(i,k) dW(i,k) per stream over all nt rows: one einsum per
+    _BLOCK block, taken once the block is joined and before the next fill
+    starts, the rows past jt drawn one block per fill.
     """
 
     def __init__(self, eng: MildEngine, streams, h: ControlH | None, eps: float,
-                 work: dict):
-        self.lat, self.jt, self.h = eng.lat, eng.jt, h
+                 work: dict, unit):
+        self.lat, self.jt, self.h, self.unit = eng.lat, eng.jt, h, unit
         self.scale = eps / eng.grid.dt
-        self.streams, self.work = streams, work
-        self.generators = self.successor = None
+        self.work = work
         self.dots = np.zeros(len(streams))
         self.buffer, self.coef, self.drive = work["block"], work["coef"], work["drive"]
-        self.drawn = 0
-        # the sweep's halves in order: (lo, hi, block start, block end, buffer rows)
-        self.halves = deque()
+        nt = self.lat.grid.nt
+        # the fills in order, as (lo, hi, block start, block end): the halves
+        # of the first jt rows, then, with h, the blocks past jt
+        fills = []
         for start in range(0, self.jt, _BLOCK):
             end = min(start + _BLOCK, self.jt)
             mid = (start + end + 1) // 2
-            for lo, hi in ((start, mid), (mid, end))[: 1 + (mid < end)]:
-                self.halves.append((lo, hi, start, end,
-                                    self.buffer[:, lo - start: hi - start]))
+            fills += [(lo, hi, start, end)
+                      for lo, hi in ((start, mid), (mid, end))[: 1 + (mid < end)]]
+        if h is not None:
+            fills += [(start, min(start + _BLOCK, nt)) * 2 for start in range(self.jt, nt, _BLOCK)]
+        self.fills = deque()          # each with its buffer rows
+        for lo, hi, start, end in fills:
+            rows = self.buffer[:, lo - start: hi - start]
+            unit.add(streams, rows)
+            self.fills.append((lo, hi, start, end, rows))
 
-    def ring(self) -> _Ring:
-        """The batch's generators, made the first time they are asked for."""
-        if self.generators is None:
-            self.generators = _Ring(_philox(self.lat, s) for s in self.streams)
-        return self.generators
-
-    def _then(self, lo: int, start: int):
-        """The (ring, rows) pair filled after the half lo.. of the block at start,
-        or None where no fill may follow it (see the class docstring)."""
-        if self.halves:
-            return self.generators, self.halves[0][-1]
-        succ = self.successor
-        if (succ is None or lo - start < succ.halves[0][1]
-                or self.h is not None and self.jt < self.lat.grid.nt):
-            return None
-        return succ.ring(), succ.halves[0][-1]
-
-    def _draw(self, lo: int, hi: int, start: int, end: int, rows: np.ndarray) -> None:
-        """Fill rows lo:hi of the block start:end (joining a fill started ahead),
-        add the block's dots at its end, then start the fill that follows."""
-        ring = self.ring()
-        ring.next = then = self._then(lo, start)
-        sample_increments(self.lat, ring, rows)
-        self.drawn = hi
+    def _draw(self) -> None:
+        """Join the next fill, add its block's dots at the block's end, then
+        start the fill the unit made ahead."""
+        lo, hi, start, end, rows = self.fills.popleft()
+        sample_increments(self.lat, self.unit, rows)
         if self.h is not None and hi == end:
             self.dots += np.einsum("bik,ik->b", self.buffer[:, :end - start],
                                    self.h.coeffs[start: end])
-        if then is not None:
-            then[0].ahead.start()
+        self.unit.start()
 
     def __call__(self, j: int) -> np.ndarray:
-        if self.halves and j == self.halves[0][0]:
-            self._draw(*self.halves.popleft())
+        if self.fills and j == self.fills[0][0]:
+            self._draw()
         c = np.multiply(self.scale, self.buffer[:, j % _BLOCK], out=self.coef)
         if self.h is not None:
             np.add(self.h.coeffs[j], c, out=c)
         return self.lat.synthesize(c, out=self.drive)
 
     def girsanov(self) -> np.ndarray:
-        nt = self.lat.grid.nt
-        for start in range(self.drawn, nt, _BLOCK):
-            end = min(start + _BLOCK, nt)
-            self._draw(start, end, start, end, self.buffer[:, :end - start])
+        while self.fills:
+            self._draw()
         return self.dots
-
-    def stop(self) -> None:
-        """Stop the fills running ahead, this batch's and its successor's: none
-        outlives a failed sweep."""
-        for inc in filter(None, (self, self.successor)):
-            if inc.generators is not None and inc.generators.ahead is not None:
-                inc.generators.ahead.stop()
-                inc.generators.ahead = None
 
 
 def _sub_batch(lat: Lattice, jt: int, n: int) -> tuple[int, int]:

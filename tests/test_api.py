@@ -182,6 +182,37 @@ def test_every_stream_draw_is_in_sample_increments():
     assert inside and others == []
 
 
+#: the names of noise's fill machinery: its fills, its helper and the busy units
+FILL_NAMES = {"_Fill", "_HELPER", "_BUSY"}
+
+
+def _fill_schedule_uses(tree) -> list[tuple[int, str]]:
+    """(line, use) of every _philox call, FILL_NAMES name and .ahead attribute."""
+    uses = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and "_philox" in _callees(node.func):
+            uses.append((node.lineno, "_philox()"))
+        elif isinstance(node, ast.Name) and node.id in FILL_NAMES:
+            uses.append((node.lineno, node.id))
+        elif isinstance(node, ast.Attribute) and node.attr in FILL_NAMES | {"ahead"}:
+            uses.append((node.lineno, "." + node.attr))
+        elif isinstance(node, ast.alias) and node.name in FILL_NAMES:
+            uses.append((node.lineno, "import " + node.name))
+    return uses
+
+
+def test_the_fill_schedule_stays_in_noise():
+    # noise._Unit alone decides which Philox fill of an ensemble unit may
+    # run ahead of which sweep; a generator made, a fill or the helper
+    # named, or a fill made ahead read in another module would split that
+    # policy again
+    others = [f"{path.name}:{line} {use}" for path in sorted(SRC.glob("*.py"))
+              if path.name != "noise.py"
+              for line, use in _fill_schedule_uses(ast.parse(path.read_text()))]
+    assert others == []
+    assert _fill_schedule_uses(ast.parse((SRC / "noise.py").read_text()))
+
+
 #: the entry points benchmarks/tracing.py wraps, as (owner, attribute)
 TRACED = [
     (noise, "sample_increments"), (noise.Lattice, "synthesize"),

@@ -189,7 +189,7 @@ class TestUnitWorkspace:
         # drawn ahead are complete at the sub-batch boundary
         monkeypatch.setattr(noise, "_HELPER", _EagerHelper())
         monkeypatch.setattr(noise, "_CPUS", 2)
-        workspace, forward, made, prefetched, seen = mc._workspace, mc._forward, [], [], []
+        workspace, forward, made, prefetched = mc._workspace, mc._forward, [], []
 
         def recording(lat, jt, size):
             views = workspace(lat, jt, size)
@@ -197,18 +197,17 @@ class TestUnitWorkspace:
             return views
 
         def poisoned(model, eng, w_tab, inc, work):
-            # the sub-batches before this one released their generators
-            assert all(done.generators is None for done in seen)
-            seen.append(inc)
-            rows = inc.halves[0][-1]
+            unit, rows = inc.unit, inc.fills[0][-1]
             kept = rows.copy()
             for buffer in made[-1].values():
                 buffer.fill(np.nan)
-            if inc.generators is not None:          # made by the sub-batch before
+            if unit.ahead is not None:              # made by the sub-batch before
+                # with this sub-batch's generators, the one set alive
+                assert unit.ahead.out is rows and unit.ahead.generators is unit.generators
                 rows[...] = kept
-                prefetched.append(len(inc.streams))
+                prefetched.append(len(unit.streams))
                 paths = np.stack([sample_path(lat, s).increments[: rows.shape[1]]
-                                  for s in inc.streams])
+                                  for s in unit.streams])
                 assert np.array_equal(kept, paths)
             return forward(model, eng, w_tab, inc, work)
 

@@ -343,13 +343,13 @@ class TestSampleIncrements:
                                                    claimed, busy):
         # the helper claims rows from the back; however many it takes, the
         # block equals the rows of sample_path bit for bit, over two calls.
-        # While ensemble jobs keep every CPU busy it is not asked at all.
+        # While ensemble units keep every CPU busy it is not asked at all.
         paths = np.stack([sample_path(lat, s).increments for s in range(5)])
         helper = _StubHelper(rows)
         monkeypatch.setattr(noise, "_HELPER", helper)
         monkeypatch.setattr(noise, "_CPUS", 1)
         generators = [_philox(lat, s) for s in range(5)]
-        with noise._busy() if busy else contextlib.nullcontext():
+        with noise._Unit(lat) if busy else contextlib.nullcontext():
             first = sample_increments(lat, generators, np.empty((5, 3, lat.ncoords)))
             rest = sample_increments(lat, generators,
                                      np.empty((5, lat.grid.nt - 3, lat.ncoords)))
@@ -438,7 +438,8 @@ class TestRing:
         (33, None, False, False), (40, None, False, False)])
     def test_the_next_sub_batch_is_drawn_while_this_one_reads_its_last_half(
             self, monkeypatch, nt, t, tilt, ahead):
-        monkeypatch.setattr(noise, "_HELPER", _StubHelper(None))
+        helper = _StubHelper(None)
+        monkeypatch.setattr(noise, "_HELPER", helper)
         monkeypatch.setattr(noise, "_CPUS", 2)
         grid = self._grid(nt)
         lat = lattice(COV, grid)
@@ -447,17 +448,21 @@ class TestRing:
         h = ControlH(lat, np.ones((nt, lat.ncoords))) if tilt else None
         views = solver._workspace(lat, eng.jt, 5)
         views(5)["block"].fill(np.nan)
-        first, second = (solver._Increments(eng, part, h, 1.0, views(len(part)))
+        unit = noise._Unit(lat)
+        first, second = (solver._Increments(eng, part, h, 1.0, views(len(part)), unit)
                          for part in (range(5), range(5, 8)))
-        first.successor = second
-        rows, lo = second.halves[0][-1], first.halves[-1][0]
+        halves = [fill for fill in first.fills if fill[0] < eng.jt]
+        rows, lo = second.fills[0][-1], halves[-1][0]
         for j in range(eng.jt):
             first(j)
             if j == lo:
-                assert (second.generators is not None) == ahead
+                # one fill started per half, and one more for sub-batch 1's first half
+                assert len(helper.futures) == len(halves) + ahead
                 assert np.array_equal(rows, whole[5:, :rows.shape[1]]) == ahead
             # the fill drawn ahead leaves every slab this sweep reads intact
             assert np.array_equal(first.buffer[:, j % solver._BLOCK], whole[:5, j])
+        if tilt:
+            first.girsanov()
         for j in range(eng.jt):
             second(j)
             assert np.array_equal(second.buffer[:, j % solver._BLOCK], whole[5:, j])
@@ -475,8 +480,9 @@ class TestRing:
         work = solver._workspace(lat, nt, 5)(5)
         buffer = work["block"]
         buffer.fill(np.nan)
-        inc = solver._Increments(solver.MildEngine(COV, grid), range(5), None, 1.0, work)
-        halves = [half[:4] for half in inc.halves]
+        inc = solver._Increments(solver.MildEngine(COV, grid), range(5), None, 1.0, work,
+                                 noise._Unit(lat))
+        halves = [half[:4] for half in inc.fills]
         for (lo, hi, start, _), (lo2, hi2, start2, _) in zip(halves, halves[1:]):
             for j in range(lo, hi):
                 inc(j)
@@ -524,7 +530,7 @@ class TestRing:
         # sub-batch 1 four (its last three halves and sub-batch 2's first)
         assert len(helper.futures) == 9
         assert all(f.cancelled() if rows == 0 else f.done() for f in helper.futures)
-        assert sweeps[1].successor.generators.ahead is None
+        assert sweeps[1].unit.ahead is None
 
 
 def test_a_thread_outliving_the_main_thread_still_draws():

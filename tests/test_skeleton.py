@@ -266,9 +266,9 @@ class TestChaos:
         draws = []
         sample = solver.sample_increments
 
-        def spy(lat, streams, out):
-            draws.append((len(streams), out.shape[1]))
-            return sample(lat, streams, out)
+        def spy(lat, generators, out):
+            draws.append(out.shape[:2])             # (streams, rows) of the fill
+            return sample(lat, generators, out)
 
         monkeypatch.setattr(solver, "sample_increments", spy)
         got = chaos_draws(nonlinear_model, mc_grid, h, len(streams), t=t, x=0.0,

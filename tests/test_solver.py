@@ -8,7 +8,7 @@ from varadhanlab.covkernel import CovarianceSpec, g1
 from varadhanlab.errors import BlowUpError, GridError, MemoryBudgetError
 from varadhanlab.funcs import ONE, ZERO, ScalarFunc
 from varadhanlab.mc import sample_endpoints
-from varadhanlab.noise import (ControlH, GridSpec, NoisePath, ht_inner, lattice,
+from varadhanlab.noise import (ControlH, GridSpec, NoisePath, _Unit, ht_inner, lattice,
                                sample_increments, sample_path)
 from varadhanlab.skeleton import forward_xi, gradient_phi, solve_phi
 from varadhanlab.solver import (_BLOCK, BumpInitial, MildEngine, ModelSpec,
@@ -181,7 +181,8 @@ class TestStreamedIncrements:
         jt = max(1, nt - short)
         h = ControlH(lat, np.random.default_rng(nt).standard_normal((nt, lat.ncoords)))
         work = _workspace(lat, jt, len(streams))(len(streams))
-        inc = _Increments(MildEngine(COV, grid, jt), streams, h, 0.5, work)
+        unit = _Unit(lat)
+        inc = _Increments(MildEngine(COV, grid, jt), streams, h, 0.5, work, unit)
         scale = 0.5 / grid.dt
         slabs = []
         for j in range(jt):
@@ -197,7 +198,7 @@ class TestStreamedIncrements:
         # the live generators went on to row nt, and the next draw continues
         # there: rows nt .. 2 nt of the same streams on a grid twice as long
         longer = lattice(COV, GridSpec(L=1.25, nx=16, nt=2 * nt, T=2.0, nk=8, seed=4))
-        more = sample_increments(lat, inc.generators, np.empty_like(whole))
+        more = sample_increments(lat, unit.generators, np.empty_like(whole))
         assert np.array_equal(more, np.stack([sample_path(longer, s).increments[nt:]
                                               for s in streams]))
 
